@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! crash_recovery [--domain D] [--hours H] [--initial N] [--max NMAX]
-//!                [--tolerance T] [--children C] [--base-seed S]
+//!                [--tolerance T] [--workers C] [--base-seed S]
 //!                [--stride K] [--kills K] [--master PATH] [--keep]
 //! ```
 //!
@@ -83,7 +83,7 @@ struct MasterConfig {
     initial: usize,
     max: usize,
     tolerance: f64,
-    children: usize,
+    workers: usize,
     base_seed: u64,
 }
 
@@ -102,8 +102,8 @@ impl MasterConfig {
             .arg(self.max.to_string())
             .arg("--tolerance")
             .arg(self.tolerance.to_string())
-            .arg("--children")
-            .arg(self.children.to_string())
+            .arg("--workers")
+            .arg(self.workers.to_string())
             .arg("--base-seed")
             .arg(self.base_seed.to_string())
             .stdout(std::process::Stdio::null())
@@ -165,7 +165,7 @@ fn main() {
         initial: get_or(&args, "initial", 4),
         max: get_or(&args, "max", 12),
         tolerance: get_or(&args, "tolerance", 0.2),
-        children: get_or(&args, "children", 2),
+        workers: get_or(&args, "workers", 2),
         base_seed: get_or(&args, "base-seed", 0x5EED),
     };
     let stride: usize = get_or(&args, "stride", 1).max(1);

@@ -22,7 +22,6 @@
 //! (CPU speed ratios, filesystem behaviour, scheduler latency), not by
 //! replaying constants.
 
-pub mod bookkeeping;
 pub mod coverage;
 pub mod fault;
 pub mod journal;

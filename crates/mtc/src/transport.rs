@@ -68,8 +68,9 @@ pub struct RunState {
 
 /// A worker's connection to the task pool — on-disk or over the wire.
 ///
-/// Implementations must be usable from two threads at once: the task
-/// loop claims/publishes while the heartbeat thread renews.
+/// `esse_worker` drives it from one thread — it renews the lease from
+/// the loop that waits on the task — but implementations stay `Sync`
+/// so a caller may also renew from a thread of its own.
 pub trait PoolTransport: Send + Sync {
     /// The run-wide manifest (the contract every worker executes under).
     fn manifest(&self) -> &PoolManifest;

@@ -2,9 +2,8 @@
 //! [`PoolTransport`] over one coordinator connection.
 //!
 //! The connection is worker-initiated and strictly request/response,
-//! shared between the task loop and the heartbeat thread through a
-//! mutex (one outstanding request at a time — the protocol has no
-//! interleaving). A broken connection is retried with the workspace
+//! behind a mutex (one outstanding request at a time — the protocol
+//! has no interleaving). A broken connection is retried with the workspace
 //! [`RetryPolicy`] backoff, capped at a polling ceiling so dial
 //! attempts keep a bounded cadence, inside a bounded *reconnect
 //! grace*; when the grace is exhausted the transport declares the
@@ -120,8 +119,8 @@ pub struct TcpTransport {
     dead: AtomicBool,
     /// The error that drove `dead` true, echoed in every subsequent
     /// [`dead_err`] so callers that hit the transport *after* the
-    /// declaring thread (task loop vs. heartbeat thread) still see the
-    /// root cause and not just "declared dead".
+    /// declaring call still see the root cause and not just "declared
+    /// dead".
     death_cause: Mutex<Option<String>>,
     retry: RetryPolicy,
 }

@@ -11,7 +11,7 @@
 //!   | <------------- Welcome / Reject -- |   (manifest + staged inputs)
 //!   | -- Claim ------------------------> |
 //!   | <-- Task / Idle / Cancelled / Shutdown
-//!   | -- Renew ------------------------> |   (heartbeat thread)
+//!   | -- Renew ------------------------> |   (from the task wait loop)
 //!   | <----------- RenewOk / Fenced ---- |
 //!   | -- Result, Data*, ResultEnd -----> |   (forecast streamed in chunks)
 //!   | <--------- ResultAck / Fenced ---- |

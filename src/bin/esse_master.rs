@@ -8,27 +8,34 @@
 //! using separate (per perturbation index) files containing the error
 //! codes of the singleton scripts."
 //!
-//! The master no longer runs member forecasts itself. It seeds one
-//! lease-carrying task record per member into `workdir/pool/pending/`
-//! and any number of autonomous `esse_worker` processes — local
-//! children it spawns (`--workers`, alias `--children`), or external
-//! workers someone else points at the workdir — claim tasks by atomic
-//! rename and publish CRC-framed results. The coordinator's loop:
+//! Here the per-index error-code file is the pool result record
+//! `results/rMMMMMM.eEEEEE` a worker publishes, and the restart record
+//! is `run.journal`; a member's outcome is written nowhere else.
 //!
-//! * **ingests** published results, validating every forecast file
-//!   against its checksum before the journal commit point and fencing
-//!   off any result whose epoch is not the member's current epoch (a
-//!   zombie worker resuming after its lease expired can still publish —
-//!   its stale result lands in `pool/results/stale/`, never ingested);
-//! * **watches leases** on its own clock: a claim whose heartbeat
-//!   counter stops advancing for `--lease-ms` is reclaimed and the task
-//!   requeued at the next fencing epoch;
-//! * runs the **continuous SVD + convergence test** at deterministic
-//!   decided-prefix checkpoints (see below), publishing each estimate
-//!   through the §4.1 safe/live covariance files;
-//! * on convergence writes the `CANCEL` tombstone, which workers
-//!   observe *mid-run* (they kill the in-flight forecast — the paper's
-//!   task-cancellation protocol).
+//! The master seeds one lease-carrying task record per member into
+//! `workdir/pool/pending/`, and any number of autonomous `esse_worker`
+//! processes — local children it spawns (`--workers`), or external
+//! workers pointed at the workdir or at `--listen` — claim tasks by
+//! atomic rename and publish CRC-framed results. The coordinator's loop
+//! is four steps, each a method of [`Coordinator`]:
+//!
+//! * **ingest** published results: every forecast passes the CRC →
+//!   decode → validate gate before the journal commit point, and a
+//!   result whose epoch is not the member's current epoch is fenced off
+//!   into `pool/results/stale/` (a zombie worker resuming after its
+//!   lease expired can still publish — it is never ingested);
+//! * **watch leases** on its own clock: a claim whose heartbeat counter
+//!   stops advancing for `--lease-ms` is reclaimed and the task requeued
+//!   at the next fencing epoch;
+//! * **seed** the members the current stage still lacks — first issue,
+//!   requeue and quarantine replacement all enter the pool through
+//!   `Coordinator::issue_epoch`;
+//! * run the continuous SVD + convergence test at deterministic
+//!   decided-prefix **checkpoints** on one persistent subspace estimator
+//!   that folds each forecast once, publishing each estimate through
+//!   the §4.1 safe/live covariance files. On convergence it writes the
+//!   `CANCEL` tombstone, which workers observe *mid-run* (they kill the
+//!   in-flight forecast — the paper's task-cancellation protocol).
 //!
 //! **Determinism.** SVD checkpoints fire when the *decided prefix* —
 //! the contiguous run of members from index 0 whose fate is settled
@@ -38,65 +45,48 @@
 //! functions of `(member, seed)` and requeues reuse the member's seed,
 //! so the rho sequence, the convergence point and the posterior are
 //! bit-identical no matter how many workers run, in what order results
-//! land, or how many workers are killed mid-task.
+//! land, or how many workers are killed mid-task. The posterior itself
+//! is always a fresh full recompute, so `--subspace` never changes its
+//! bytes, and tracing (`--trace-out`, see docs/OBSERVABILITY.md) is
+//! purely observational.
 //!
-//! Crash consistency is unchanged from the journalled design: every
-//! state transition is appended to the checksummed, fsynced
-//! `run.journal`, `--resume` replays it (truncating any torn tail),
-//! validates completed forecasts, quarantines corrupt ones, recovers
-//! fencing epochs from the pool directories and continues. A non-empty
-//! workdir is refused unless `--resume` or `--force` is given, and an
-//! advisory `master.lock` (O_EXCL, PID-stamped, stale-broken) keeps two
-//! live coordinators out of one workdir.
-//!
-//! ```text
-//! esse_master --workdir DIR --domain monterey:NX,NY,NZ --hours H \
-//!             [--initial N] [--max NMAX] [--tolerance T] [--workers C] \
-//!             [--lease-ms MS] [--task-attempts A] [--requeue-budget B] \
-//!             [--white-noise E] [--base-seed S] [--resume | --force] \
-//!             [--subspace full|incremental[:REFRESH,TOL]] \
-//!             [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH]
-//! ```
-//!
-//! **Distributed tracing.** With `--trace-out` the manifest carries a
-//! nonzero `trace_run_id`; workers record real spans around
-//! claim/stage/pert/pemodel/publish into a bounded local ring and ship
-//! finished batches back (CRC-framed `.trace` sidecars next to results
-//! on the disk transport, a `TRACE` message over TCP). At wind-down the
-//! coordinator decodes every sidecar (dropping, never trusting,
-//! truncated or corrupt ones), estimates each worker's clock offset
-//! from coordinator-stamped enqueue/grant/ingest events bracketing the
-//! worker's own claim/publish stamps — midpoints where both sides of an
-//! exchange are visible, one-sided bounds otherwise, consistent with
-//! the no-cross-host-clock-sync lease design — rebases the remote spans
-//! and merges them into the run trace as per-worker lanes. Tracing is
-//! purely observational: the posterior is bit-identical with it on or
-//! off.
+//! **Crash consistency.** Every state transition is appended to the
+//! checksummed, fsynced `run.journal`; `--resume` replays it
+//! (truncating any torn tail), validates completed forecasts,
+//! quarantines corrupt ones, recovers fencing epochs from the journal
+//! and the pool directories and continues. A non-empty workdir is
+//! refused unless `--resume` or `--force` is given, and an advisory
+//! `master.lock` (O_EXCL, PID-stamped, stale-broken) keeps two live
+//! coordinators out of one workdir. [`USAGE`] lists the flags.
 
 use esse::cli::{self, files};
 use esse::core::adaptive::EnsembleSchedule;
 use esse::core::convergence::{similarity, ConvergenceTest};
-use esse::core::covariance::SpreadAccumulator;
 use esse::core::perturb::{PerturbConfig, PerturbationGenerator};
-use esse::core::subspace::{make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy};
+use esse::core::subspace::{
+    make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy, SubspaceUpdate,
+};
 use esse::core::validate::{finite_stat, ForecastValidator, Reason, ValidatorConfig, Verdict};
 use esse::fileio;
 use esse::linalg::LinalgCtx;
-use esse::mtc::bookkeeping::{ExitStatus, StatusDir};
 use esse::mtc::journal::{
     config_hash, encode_subspace_blob, Journal, JournalRecord, JournalState, SvdRound,
 };
-use esse::mtc::pool::{LeaseState, LeaseWatch, PoolManifest, TaskPool, TaskSpec, CODE_REJECTED};
+use esse::mtc::pool::{
+    ClaimScan, LeaseState, LeaseWatch, PoolManifest, ResultRecord, TaskPool, TaskSpec,
+    CODE_REJECTED,
+};
 use esse::mtc::{DiskTripleBuffer, LockError, RetryPolicy, WorkdirLock};
-use esse_obs::event::Lane;
+use esse_obs::event::{ArgValue, Lane};
 use esse_obs::recorder::{Recorder, RecorderExt, NULL};
-use esse_obs::registry::MetricsRegistry;
+use esse_obs::registry::{Counter, MetricsRegistry};
 use esse_obs::ring::RingRecorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -104,8 +94,9 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "esse_master --workdir DIR --domain monterey:NX,NY,NZ --hours H \
                      [--initial N] [--max NMAX] [--tolerance T] [--workers C] \
                      [--lease-ms MS] [--task-attempts A] [--requeue-budget B] \
-                     [--subspace full|incremental[:REFRESH,TOL]] \
-                     [--listen ADDR] [--resume | --force]\n\
+                     [--white-noise E] [--base-seed S] [--resume | --force] \
+                     [--subspace full|incremental[:REFRESH,TOL]] [--listen ADDR] \
+                     [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH]\n\
                      esse_master --workdir DIR --gc [--gc-keep N]";
 
 /// Parse the `--subspace` flag: `full` (the bit-identical default),
@@ -154,14 +145,12 @@ struct MasterJournal {
 impl MasterJournal {
     fn append(&self, rec: &JournalRecord) {
         if let Err(e) = self.journal.append(rec) {
-            // The journal is the run's source of truth: a failed append
-            // (disk full, failed fsync — or the `--fail-appends`
-            // injection) means no further state transition can be made
-            // durable. Park the run cleanly instead of panicking: the
-            // already-durable prefix replays under `--resume`, workers
-            // ride out the coordinator outage on their parking grace,
-            // and the distinct exit code tells supervisors this is a
-            // storage fault, not a config error or a crash.
+            // A failed append (disk full, failed fsync — or the
+            // `--fail-appends` injection) means no further state
+            // transition can be made durable. Park the run: the durable
+            // prefix replays under `--resume`, workers ride out the
+            // outage on their parking grace, and the distinct exit code
+            // tells supervisors this is a storage fault, not a crash.
             eprintln!(
                 "esse_master: journal append failed ({e}); \
                  parking run — resume with --resume once storage recovers"
@@ -177,32 +166,14 @@ impl MasterJournal {
     }
 }
 
-fn sibling(name: &str) -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.set_file_name(name);
-    exe
-}
-
-/// Move a forecast file that failed validation (checksum *or* the
-/// semantic gate) into the quarantine corner and journal the decision
-/// with its reason code, so the member is requeued, a resume replays
-/// the same verdict bit-for-bit, and the offending bytes are never
-/// ingested — but remain on disk for post-mortem inspection.
-fn quarantine_member(
-    workdir: &Path,
-    journal: &MasterJournal,
-    member: usize,
-    reason: u32,
-    why: &str,
-) {
-    let fc = workdir.join(files::fc(member));
-    let qdir = workdir.join(QUARANTINE);
-    fs::create_dir_all(&qdir).expect("create quarantine dir");
-    if fc.exists() {
-        fs::rename(&fc, qdir.join(files::fc(member))).expect("quarantine rename");
-    }
-    journal.append(&JournalRecord::MemberQuarantined { member: member as u64, reason });
-    eprintln!("esse_master: quarantined member {member}: {why}");
+/// Exit on an I/O failure the coordinator cannot work past (the pool
+/// directories, the covariance files, the quarantine corner).
+/// Everything journalled so far replays under `--resume`.
+fn or_die<T>(result: io::Result<T>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("esse_master: cannot {what}: {e}; --resume continues the run");
+        std::process::exit(1);
+    })
 }
 
 /// Per-member run bookkeeping; `decided` = completed ∪ permanently
@@ -216,8 +187,8 @@ struct MemberBook {
     /// Deterministic-failure attempts consumed so far (counts real exit
     /// codes, not lease expiries).
     attempts: HashMap<u64, u32>,
-    /// Lease-expiry requeues consumed so far (separate, generous budget
-    /// so worker kills can never flip a member to failed).
+    /// Lease-expiry and quarantine requeues consumed so far (separate,
+    /// generous budget so worker kills never flip a member to failed).
     requeues: HashMap<u64, u32>,
     /// Backoff holds: do not reseed the member before this instant.
     hold_until: HashMap<u64, Instant>,
@@ -231,15 +202,8 @@ impl MemberBook {
     /// Completed member ids inside the contiguous decided prefix from
     /// member 0 — the only ids a checkpoint SVD may consume.
     fn prefix_eligible(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut m = 0u64;
-        while self.decided(m) {
-            if self.completed.contains_key(&m) {
-                out.push(m);
-            }
-            m += 1;
-        }
-        out
+        let prefix = (0u64..).take_while(|&m| self.decided(m));
+        prefix.filter(|m| self.completed.contains_key(m)).collect()
     }
 }
 
@@ -248,22 +212,50 @@ const SVD_REL_TOL: f64 = 1e-4;
 /// Rank cap shared by every subspace estimate.
 const SVD_MAX_RANK: usize = 64;
 
-/// Rebuild the error-subspace estimate over exactly `ids` (ascending)
-/// from the on-disk forecast files. Deterministic: same ids, same
-/// bytes, same subspace.
-fn subspace_over(
-    workdir: &Path,
-    central: &[f64],
-    ids: &[u64],
-) -> Option<(SpreadAccumulator, ErrorSubspace)> {
-    let mut acc = SpreadAccumulator::new(central.to_vec());
+fn new_estimator(strategy: &SubspaceStrategy, central: &[f64]) -> Box<dyn SubspaceEstimator> {
+    make_estimator(strategy, central.to_vec(), SVD_REL_TOL, SVD_MAX_RANK, LinalgCtx::default())
+}
+
+/// Fold the forecasts of `ids` into `est`, reading each file once. The
+/// ids are journalled as completed, so an unreadable file here is a
+/// storage fault, not a verdict: name it and stop — `--resume`
+/// CRC-validates every completed member and requeues the bad one.
+fn fold_members(est: &mut dyn SubspaceEstimator, workdir: &Path, ids: &[u64]) {
     for &m in ids {
-        let xf =
-            fileio::read_vector(workdir.join(files::fc(m as usize))).expect("re-read forecast");
-        acc.add_member(m as usize, &xf);
+        let path = workdir.join(files::fc(m as usize));
+        match fileio::read_vector(&path) {
+            Ok(xf) => {
+                est.add_member(m as usize, &xf);
+            }
+            Err(e) => {
+                eprintln!(
+                    "esse_master: cannot re-read journalled forecast {}: {e}; \
+                     --resume quarantines and requeues it",
+                    path.display()
+                );
+                std::process::exit(1);
+            }
+        }
     }
-    let svd = acc.snapshot().svd()?;
-    Some((acc, ErrorSubspace::from_spread_svd(&svd, SVD_REL_TOL, SVD_MAX_RANK)))
+}
+
+/// `None` means "not enough spread to decompose yet" (skip the round).
+fn estimate(est: &mut dyn SubspaceEstimator) -> Option<SubspaceUpdate> {
+    est.estimate().unwrap_or_else(|e| {
+        eprintln!("esse_master: subspace update failed: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// A one-shot full recompute over exactly `ids` (ascending) from the
+/// on-disk forecast files. Deterministic: same ids, same bytes, same
+/// subspace. Off the checkpoint path — only the final posterior and a
+/// resume's rebuild of the previous checkpoint come here, each while no
+/// other spread matrix is resident.
+fn subspace_over(workdir: &Path, central: &[f64], ids: &[u64]) -> Option<SubspaceUpdate> {
+    let mut est = new_estimator(&SubspaceStrategy::FullRecompute, central);
+    fold_members(est.as_mut(), workdir, ids);
+    estimate(est.as_mut())
 }
 
 /// Replay the journalled rho sequence to find the member count at which
@@ -271,15 +263,10 @@ fn subspace_over(
 /// missing if the coordinator died between the SVD append and it).
 fn converged_members_from(rounds: &[SvdRound], tolerance: f64) -> Option<u64> {
     let mut t = ConvergenceTest::new(tolerance);
-    for r in rounds {
-        // The validator is the one ingestion gate, for derived scalars
-        // too: a journalled NaN rho (coordinator died between appends)
-        // never advances the convergence test.
-        if finite_stat(r.rho).is_pass() && t.check(r.rho) {
-            return Some(r.members);
-        }
-    }
-    None
+    // The validator is the one ingestion gate, for derived scalars too:
+    // a journalled NaN rho (coordinator died between appends) never
+    // advances the convergence test.
+    rounds.iter().find(|r| finite_stat(r.rho).is_pass() && t.check(r.rho)).map(|r| r.members)
 }
 
 /// The deterministic checkpoint schedule: every multiple of the SVD
@@ -291,29 +278,423 @@ fn checkpoints(initial: usize, max: usize, stages: &[usize]) -> Vec<usize> {
     cps.into_iter().filter(|&c| c >= 2).collect()
 }
 
+/// The coordinator loop's state. The loop body is its four steps, in
+/// this order: [`ingest`](Self::ingest) →
+/// [`watch_leases`](Self::watch_leases) → [`seed`](Self::seed) →
+/// [`checkpoints`](Self::checkpoints).
+struct Coordinator<'a> {
+    workdir: &'a Path,
+    journal: &'a MasterJournal,
+    pool: &'a TaskPool,
+    rec: &'a dyn Recorder,
+    gen: &'a PerturbationGenerator<'a>,
+    central: &'a [f64],
+    /// Fleet-wide trace run id: nonzero iff tracing is on.
+    trace_run: u64,
+    incarnation: u64,
+    lease_ms: u64,
+    requeue_budget: u32,
+    retry: RetryPolicy,
+    rng: StdRng,
+    m_granted: Counter,
+    m_renewed: Counter,
+    m_expired: Counter,
+    m_fenced: Counter,
+    m_seeded: Counter,
+    m_ingested: Counter,
+    m_quarantined: Counter,
+
+    book: MemberBook,
+    /// Current fencing epoch per member.
+    epochs: HashMap<u64, u32>,
+    /// Members with a pending task or a live claim in this scan.
+    outstanding: HashSet<u64>,
+    watch: LeaseWatch,
+    validator: ForecastValidator,
+    /// Every member ever quarantined (journal history included, so a
+    /// resume keeps the healed/lost split honest).
+    quarantined_members: BTreeSet<u64>,
+    /// Members this incarnation lost to the replacement budget.
+    quarantined_lost: usize,
+
+    /// The one subspace lane: a persistent estimator over the
+    /// append-only decided prefix, so every forecast is folded once no
+    /// matter how many checkpoints fire.
+    estimator: Box<dyn SubspaceEstimator>,
+    disk_cov: DiskTripleBuffer,
+    conv: ConvergenceTest,
+    /// The member count the run converged at; `Some` only while `conv`
+    /// is in the converged state.
+    converged_members: Option<u64>,
+    fired: BTreeSet<u64>,
+    last_fired: Option<u64>,
+    /// The estimate of the checkpoint in `last_fired`, once this
+    /// incarnation has computed (or rebuilt) it.
+    previous: Option<(u64, ErrorSubspace)>,
+    svd_version: u64,
+    cancelled_tasks: usize,
+}
+
+impl Coordinator<'_> {
+    /// One coordinator-lane trace instant, stamped now.
+    fn instant(&self, cat: &'static str, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+        self.rec.instant_at(self.rec.now_ns(), Lane::Coordinator, cat, name, args);
+    }
+
+    fn epoch(&self, m: u64) -> u32 {
+        self.epochs.get(&m).copied().unwrap_or(0)
+    }
+
+    /// Span ids are pure in (trace run, member, epoch), so a restarted
+    /// coordinator reconstructs exactly the ids the dead one handed out.
+    fn span_for(&self, m: u64, epoch: u32) -> u64 {
+        if self.trace_run != 0 {
+            esse_obs::fleet::span_id(self.trace_run, m, epoch)
+        } else {
+            0
+        }
+    }
+
+    /// An instant about one task incarnation: `member` and `epoch`
+    /// first, then `extra`.
+    fn task_instant(
+        &self,
+        cat: &'static str,
+        name: &'static str,
+        (m, epoch): (u64, u32),
+        extra: &[(&'static str, u64)],
+    ) {
+        let mut args = vec![("member", m.into()), ("epoch", (epoch as u64).into())];
+        args.extend(extra.iter().map(|&(k, v)| (k, v.into())));
+        self.instant(cat, name, args);
+    }
+
+    fn task_seeded_instant(&self, m: u64, epoch: u32) {
+        let extra = [("span", self.span_for(m, epoch)), ("incarnation", self.incarnation)];
+        self.task_instant("pool", "task_seeded", (m, epoch), &extra);
+    }
+
+    /// The one seed path: put member `m` into the pool at its next
+    /// fencing epoch. The epoch is journalled *before* the seed (WAL
+    /// order): a crash between the two costs one unused epoch, never an
+    /// epoch a worker saw but the journal did not. Requeues reuse the
+    /// member's canonical forecast seed, so a healed run's posterior is
+    /// byte-identical to a fault-free one.
+    fn issue_epoch(&mut self, m: u64) -> io::Result<()> {
+        let epoch = self.epoch(m) + 1;
+        let spec = TaskSpec {
+            member: m,
+            epoch,
+            seed: self.gen.forecast_seed(m as usize),
+            parent_span: self.span_for(m, epoch),
+        };
+        self.journal.append(&JournalRecord::EpochAdvanced { member: m, epoch });
+        self.pool.seed(&spec)?;
+        self.epochs.insert(m, epoch);
+        self.outstanding.insert(m);
+        self.m_seeded.inc();
+        self.task_seeded_instant(m, epoch);
+        Ok(())
+    }
+
+    /// Charge one requeue (lease expiry or quarantine) to `m`'s budget
+    /// and reissue it — or, the budget spent, journal the permanent
+    /// loss under `lost_code`. Returns whether the member was reissued.
+    fn requeue(&mut self, m: u64, lost_code: i32) -> io::Result<bool> {
+        let requeues = self.book.requeues.entry(m).or_insert(0);
+        *requeues += 1;
+        if *requeues > self.requeue_budget {
+            eprintln!("esse_master: member {m} lost after {requeues} requeues (code {lost_code})");
+            self.journal.append(&JournalRecord::MemberFailed { member: m, code: lost_code });
+            self.book.failed.insert(m);
+            return Ok(false);
+        }
+        self.issue_epoch(m).map(|()| true)
+    }
+
+    /// Move a forecast file that failed validation (checksum *or* the
+    /// semantic gate) into the quarantine corner and journal the
+    /// decision with its reason code, so the member is requeued, a
+    /// resume replays the same verdict bit-for-bit, and the offending
+    /// bytes are never ingested — but remain on disk for post-mortems.
+    fn quarantine_file(&mut self, m: u64, reason: u32, why: &str) -> io::Result<()> {
+        let name = files::fc(m as usize);
+        let qdir = self.workdir.join(QUARANTINE);
+        fs::create_dir_all(&qdir)?;
+        if self.workdir.join(&name).exists() {
+            fs::rename(self.workdir.join(&name), qdir.join(&name))?;
+        }
+        self.journal.append(&JournalRecord::MemberQuarantined { member: m, reason });
+        self.quarantined_members.insert(m);
+        eprintln!("esse_master: quarantined member {m}: {why}");
+        Ok(())
+    }
+
+    /// The single ingestion gate, run before the journal commit point:
+    /// structural checks (the worker's recorded CRC against the bytes
+    /// on disk now) chain straight into the semantic validator, and a
+    /// worker's own REJECTED self-check verdict folds into the same
+    /// path — one gate, one journal record, one replacement schedule.
+    fn gate(&self, r: &ResultRecord) -> Result<Vec<f64>, (u32, String)> {
+        if r.code == CODE_REJECTED {
+            let why = Reason::from_code(r.reason).describe();
+            return Err((r.reason, format!("worker self-check rejection ({why})")));
+        }
+        let corrupt = |why: String| (Reason::CorruptPayload.code(), why);
+        let path = self.workdir.join(files::fc(r.member as usize));
+        let (xf, crc) = fileio::read_vector_with_crc(path).map_err(|e| corrupt(e.to_string()))?;
+        if crc != r.fc_crc {
+            let recorded = r.fc_crc;
+            return Err(corrupt(format!(
+                "forecast CRC {crc:#010x} != result record {recorded:#010x}"
+            )));
+        }
+        match self.validator.validate_member(r.member, &xf) {
+            Verdict::Pass => Ok(xf),
+            Verdict::Quarantine(reason) => {
+                Err((reason.code(), format!("failed semantic validation: {}", reason.describe())))
+            }
+        }
+    }
+
+    /// Step 1: ingest published results.
+    fn ingest(&mut self, results: &[ResultRecord]) -> io::Result<()> {
+        for r in results {
+            let m = r.member;
+            let task = (m, r.epoch);
+            let current = self.epoch(m);
+            if r.epoch != current {
+                // Fencing: a zombie worker published after its lease
+                // expired and the task was requeued. Never ingested.
+                self.m_fenced.inc();
+                let extra = [("current", current as u64)];
+                self.task_instant("pool", "fencing_rejected", task, &extra);
+                eprintln!(
+                    "esse_master: fenced stale result for member {m} (epoch {} != current {})",
+                    r.epoch, current
+                );
+                self.pool.fence_result(r)?;
+                continue;
+            }
+            if self.book.decided(m) {
+                self.pool.consume_result(r)?;
+                continue;
+            }
+            let attempts = self.book.attempts.get(&m).copied().unwrap_or(0) + 1;
+            if r.code != 0 && r.code != CODE_REJECTED {
+                // A real (deterministic) task failure: count it against
+                // the task-attempt budget.
+                self.book.attempts.insert(m, attempts);
+                if attempts >= self.retry.max_attempts {
+                    self.journal.append(&JournalRecord::MemberFailed { member: m, code: r.code });
+                    self.book.failed.insert(m);
+                    eprintln!(
+                        "esse_master: member {m} failed permanently (code {}, {attempts} attempts)",
+                        r.code
+                    );
+                } else {
+                    let delay = self.retry.backoff_delay(attempts, &mut self.rng);
+                    self.book.hold_until.insert(m, Instant::now() + delay);
+                }
+            } else {
+                match self.gate(r) {
+                    Ok(xf) => {
+                        // The journal record is the commit point.
+                        self.journal
+                            .append(&JournalRecord::MemberCompleted { member: m, attempts });
+                        self.book.completed.insert(m, attempts);
+                        self.validator.note_decided(m, &xf);
+                        self.m_ingested.inc();
+                        self.task_instant("pool", "result_ingested", task, &[]);
+                        self.note_trace_batch(task);
+                    }
+                    Err((reason, why)) => {
+                        // Self-healing: the replacement runs at the
+                        // next fencing epoch, so the quarantined bytes
+                        // can never race it into the SVD.
+                        self.quarantine_file(m, reason, &why)?;
+                        self.m_quarantined.inc();
+                        let extra = [("reason", reason as u64)];
+                        self.task_instant("fault", "member_quarantined", task, &extra);
+                        if self.requeue(m, CODE_QUARANTINE_BUDGET)? {
+                            let next = (m, r.epoch + 1);
+                            self.task_instant("pool", "replacement_scheduled", next, &extra);
+                        } else {
+                            self.quarantined_lost += 1;
+                        }
+                    }
+                }
+            }
+            self.pool.consume_result(r)?;
+            // Only member and epoch name the claim files.
+            let claim = TaskSpec { member: m, epoch: r.epoch, seed: 0, parent_span: 0 };
+            self.pool.remove_claim(&claim)?;
+            self.watch.forget(m);
+        }
+        Ok(())
+    }
+
+    /// A worker that shipped its span batch leaves a `.trace` sidecar
+    /// next to the result; note its arrival live, attributed to the
+    /// shipping worker (the merge itself is deferred to wind-down so a
+    /// straggler batch still counts).
+    fn note_trace_batch(&self, task: (u64, u32)) {
+        if self.trace_run == 0 {
+            return;
+        }
+        let batch = self
+            .pool
+            .trace_sidecar_for(task.0, task.1)
+            .and_then(|p| fs::read(p).ok())
+            .and_then(|b| esse_obs::fleet::SpanBatch::decode(&b).ok());
+        if let Some(batch) = batch {
+            self.task_instant("fleet", "batch", task, &[("worker", batch.worker_id as u64)]);
+        }
+    }
+
+    /// Step 2: the lease watchdog — reclaim claims whose heartbeat
+    /// stalled for `lease_ms` on the coordinator's own clock `now_ms`.
+    fn watch_leases(&mut self, claims: &[ClaimScan], now_ms: u64) -> io::Result<()> {
+        for c in claims {
+            let task = (c.spec.member, c.spec.epoch);
+            let (m, epoch) = task;
+            if self.book.decided(m) || epoch != self.epoch(m) {
+                // Leftover claim of an ingested or already-requeued
+                // incarnation; sweep it.
+                self.pool.remove_claim(&c.spec)?;
+                continue;
+            }
+            let counter = c.heartbeat.map(|hb| hb.counter);
+            match self.watch.observe(m, epoch, counter, now_ms, self.lease_ms) {
+                LeaseState::Granted => {
+                    self.m_granted.inc();
+                    self.task_instant("pool", "lease_granted", task, &[]);
+                }
+                LeaseState::Renewed => self.m_renewed.inc(),
+                LeaseState::Held => {}
+                LeaseState::Expired => {
+                    self.m_expired.inc();
+                    self.task_instant("pool", "lease_expired", task, &[]);
+                    eprintln!("esse_master: lease expired for member {m} (epoch {epoch})");
+                    // Seed the successor FIRST, then drop the dead
+                    // claim: there is never a moment where the member
+                    // has no incarnation on disk.
+                    self.requeue(m, CODE_LEASE_BUDGET)?;
+                    self.pool.remove_claim(&c.spec)?;
+                    self.watch.forget(m);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Step 3: seed the members below `target` that are neither decided,
+    /// outstanding, nor held back by a retry backoff.
+    fn seed(&mut self, target: u64) -> io::Result<()> {
+        for m in 0..target {
+            let held = self.book.hold_until.get(&m).is_some_and(|t| Instant::now() < *t);
+            if !self.book.decided(m) && !self.outstanding.contains(&m) && !held {
+                self.issue_epoch(m)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Step 4: the continuous SVD + convergence test at decided-prefix
+    /// checkpoints (deterministic under any worker interleaving).
+    fn checkpoints(&mut self, cps: &[usize]) -> io::Result<()> {
+        let eligible = self.book.prefix_eligible();
+        for &cp in cps {
+            let c = cp as u64;
+            if self.conv.converged() {
+                break;
+            }
+            if self.fired.contains(&c) || eligible.len() < cp {
+                continue;
+            }
+            // A fresh resume has not computed the previous checkpoint's
+            // estimate; rebuild it from the forecast files (never
+            // trusted from a half-published disk state) before the
+            // estimator below holds anything.
+            if self.previous.as_ref().map(|(m, _)| *m) != self.last_fired {
+                self.previous = self.last_fired.map(|p| {
+                    let ids = &eligible[..p as usize];
+                    let Some(update) = subspace_over(self.workdir, self.central, ids) else {
+                        eprintln!("esse_master: cannot rebuild the estimate of checkpoint {p}");
+                        std::process::exit(1);
+                    };
+                    (p, update.subspace)
+                });
+            }
+            let new = &eligible[self.estimator.count()..cp];
+            fold_members(self.estimator.as_mut(), self.workdir, new);
+            let Some(update) = estimate(self.estimator.as_mut()) else {
+                break;
+            };
+            self.instant(
+                "svd",
+                update.kind.label(),
+                vec![("members", c.into()), ("defect", update.defect.into())],
+            );
+            let mut round_rho = f64::NAN;
+            if let Some((_, prev)) = &self.previous {
+                let rho = similarity(prev, &update.subspace);
+                round_rho = rho;
+                println!("esse_master: N={cp} rho={rho:.4} (tol {:.3})", self.conv.tol);
+                if finite_stat(rho).is_pass() && self.conv.check(rho) {
+                    self.converged_members = Some(c);
+                }
+            }
+            // Safe/live covariance files first, then the journal
+            // record as the commit point (§4.1 on disk).
+            self.svd_version += 1;
+            self.disk_cov.publish(&encode_subspace_blob(&update.subspace), self.svd_version)?;
+            self.journal.append(&JournalRecord::SvdPublished {
+                members: c,
+                version: self.svd_version,
+                rho: round_rho,
+            });
+            self.instant(
+                "svd",
+                "svd_published",
+                vec![("members", c.into()), ("version", self.svd_version.into())],
+            );
+            self.fired.insert(c);
+            self.last_fired = Some(c);
+            self.previous = Some((c, update.subspace));
+            if self.conv.converged() {
+                self.journal.append(&JournalRecord::Converged { members: c, rho: round_rho });
+                self.cancelled_tasks = self.pool.cancel_pending()?;
+                self.pool.write_cancel()?;
+                println!(
+                    "esse_master: converged; cancelled {} queued members",
+                    self.cancelled_tasks
+                );
+                self.instant(
+                    "convergence",
+                    "converged",
+                    vec![("members", c.into()), ("rho", round_rho.into())],
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Subdirectory of the workdir holding per-worker stdio logs and
 /// metric snapshots for the locally spawned fleet.
-pub const WORKER_LOG_DIR: &str = "logs";
-
-/// Log file name for local worker `slot` (respawns of the same slot
-/// append to the same file, so the full slot history reads in order).
-pub fn worker_log_name(slot: usize) -> String {
-    format!("worker-{slot:03}.log")
-}
+const WORKER_LOG_DIR: &str = "logs";
 
 fn spawn_local_worker(workdir: &Path, slot: usize) -> Option<Child> {
     // Capture the worker's stdio into a per-slot log file under the
-    // workdir instead of nulling it. A regular file fd — unlike an
-    // inherited pipe — cannot keep a caller's `output()` on the master
-    // blocked while an orphaned worker outlives the master itself.
+    // workdir (respawns of a slot append, so its history reads in
+    // order). A regular file fd — unlike an inherited pipe — cannot
+    // keep a caller's `output()` on the master blocked while an
+    // orphaned worker outlives the master itself.
     let log_dir = workdir.join(WORKER_LOG_DIR);
+    let log_path = log_dir.join(format!("worker-{slot:03}.log"));
     let log = fs::create_dir_all(&log_dir)
-        .and_then(|()| {
-            fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(log_dir.join(worker_log_name(slot)))
-        })
+        .and_then(|()| fs::OpenOptions::new().create(true).append(true).open(log_path))
         .and_then(|f| {
             let err = f.try_clone()?;
             Ok((Stdio::from(f), Stdio::from(err)))
@@ -322,24 +703,36 @@ fn spawn_local_worker(workdir: &Path, slot: usize) -> Option<Child> {
         eprintln!("esse_master: cannot open worker log for slot {slot}: {e}");
         (Stdio::null(), Stdio::null())
     });
-    let mut cmd = Command::new(sibling("esse_worker"));
-    cmd.arg("--workdir")
-        .arg(workdir)
-        .arg("--worker-id")
-        .arg(slot.to_string())
-        .arg("--parent-pid")
-        .arg(std::process::id().to_string())
-        .arg("--poll-ms")
-        .arg("10")
-        .arg("--metrics-out")
-        .arg(log_dir.join(format!("worker-{slot:03}.metrics")))
-        .stdout(out)
-        .stderr(err);
-    match cli::spawn_with_retry(&mut cmd, "esse_worker", None, 3) {
-        Ok(child) => Some(child),
+    let mut cmd = Command::new(cli::sibling("esse_worker"));
+    cmd.arg("--workdir").arg(workdir).arg("--metrics-out");
+    cmd.arg(log_dir.join(format!("worker-{slot:03}.metrics")));
+    cmd.args(["--worker-id", &slot.to_string(), "--parent-pid", &std::process::id().to_string()]);
+    cmd.args(["--poll-ms", "10"]).stdout(out).stderr(err);
+    cli::spawn_with_retry(&mut cmd, "esse_worker", None, 3)
+        .map_err(|e| eprintln!("esse_master: {e}"))
+        .ok()
+}
+
+/// Coordinator exclusion: one live master (or `--gc`) per workdir. A
+/// crashed master's lock names a dead PID and is broken automatically.
+fn lock_workdir(workdir: &Path) -> WorkdirLock {
+    match WorkdirLock::acquire(workdir) {
+        Ok(lock) => lock,
+        Err(LockError::Held { pid }) => {
+            // Distinct exit code: two racing `--resume` invocations
+            // after a coordinator crash resolve to exactly one live
+            // master; the loser must be distinguishable from config
+            // errors (exit 2) by supervisors that retry the resume.
+            eprintln!(
+                "esse_master: workdir {} is locked by a running master (pid {})",
+                workdir.display(),
+                pid.map_or_else(|| "unknown".into(), |p| p.to_string())
+            );
+            std::process::exit(3);
+        }
         Err(e) => {
-            eprintln!("esse_master: {e}");
-            None
+            eprintln!("esse_master: cannot acquire master.lock: {e}");
+            std::process::exit(2);
         }
     }
 }
@@ -351,28 +744,11 @@ fn spawn_local_worker(workdir: &Path, slot: usize) -> Option<Child> {
 /// and it never touches records under an active lease, live results,
 /// or anything a `--resume` would need.
 fn run_gc(workdir: &Path, keep: usize) {
-    let _lock = match WorkdirLock::acquire(workdir) {
-        Ok(lock) => lock,
-        Err(LockError::Held { pid }) => {
-            eprintln!(
-                "esse_master: refusing to gc {}: a master is running (pid {})",
-                workdir.display(),
-                pid.map_or_else(|| "unknown".into(), |p| p.to_string())
-            );
-            std::process::exit(3);
-        }
-        Err(e) => {
-            eprintln!("esse_master: cannot acquire master.lock for gc: {e}");
-            std::process::exit(2);
-        }
-    };
-    let (pool, _manifest) = match TaskPool::open(workdir) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("esse_master: no task pool under {}: {e}", workdir.display());
-            std::process::exit(2);
-        }
-    };
+    let _lock = lock_workdir(workdir);
+    let (pool, _manifest) = TaskPool::open(workdir).unwrap_or_else(|e| {
+        eprintln!("esse_master: no task pool under {}: {e}", workdir.display());
+        std::process::exit(2);
+    });
     let report = pool.gc(keep).expect("pool gc");
     let blobs = DiskTripleBuffer::create(workdir)
         .and_then(|b| b.prune_superseded())
@@ -397,14 +773,8 @@ fn main() {
     let initial: usize = cli::get_or(&args, "initial", 8);
     let max: usize = cli::get_or(&args, "max", 32);
     let tolerance: f64 = cli::get_or(&args, "tolerance", 0.08);
-    // `--children` is the historical spelling from the era when the
-    // master forked singletons itself; it now sizes the local worker
-    // fleet. `--workers 0` runs a pure coordinator for external workers.
-    let workers: usize = args
-        .get("workers")
-        .or_else(|| args.get("children"))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
+    // `--workers 0` runs a pure coordinator for external workers.
+    let workers: usize = cli::get_or(&args, "workers", 2);
     let white_noise: f64 = cli::get_or(&args, "white-noise", 0.0);
     let base_seed: u64 = cli::get_or(&args, "base-seed", 0x5EED);
     let lease_ms: u64 = cli::get_or(&args, "lease-ms", 1200u64).max(50);
@@ -420,26 +790,19 @@ fn main() {
     // listener: remote workers join the same pool over TCP, multiplexed
     // alongside the local `--workers` fleet.
     let listen = args.get("listen").cloned();
-    // `--subspace incremental` switches the checkpoint schedule to the
-    // rank-updating tracker; the default full recompute stays
-    // byte-identical to the historical rebuild-from-disk path.
-    let strategy = args.get("subspace").map_or(SubspaceStrategy::FullRecompute, |v| {
-        parse_subspace_flag(v).unwrap_or_else(|| {
-            eprintln!(
-                "esse_master: bad --subspace value {v:?} \
-                 (want full or incremental[:REFRESH,TOL])"
-            );
-            std::process::exit(2);
-        })
+    // `--subspace` picks the checkpoint estimator only; the posterior
+    // is a full recompute either way.
+    let strategy = parse_subspace_flag(args.get("subspace").map_or("full", String::as_str));
+    let strategy = strategy.unwrap_or_else(|| {
+        eprintln!("esse_master: bad --subspace value (want full or incremental[:REFRESH,TOL])");
+        std::process::exit(2);
     });
 
-    // The run identity: everything that shapes the numerical result.
-    // Only the knobs that change member *content* are fingerprinted:
+    // The run identity: only the knobs that change member *content* —
     // a member forecast is a pure function of (domain, hours, noise,
     // seed). Schedule knobs (initial, max, tolerance) and execution
-    // knobs (workers, lease, resume, force) are deliberately excluded —
-    // a resume may legitimately extend the ensemble, tighten the
-    // tolerance, or use different parallelism.
+    // knobs (workers, lease) are deliberately excluded: a resume may
+    // extend the ensemble, tighten the tolerance or change parallelism.
     let run_hash = config_hash(&[
         ("domain", domain.clone()),
         ("hours", hours.to_string()),
@@ -450,47 +813,21 @@ fn main() {
     // --- Workdir safety: a typo must not clobber a run (and a fresh
     // run must not silently mix with a dead one's files). ---
     let journal_path = workdir.join(JOURNAL);
-    if !resume && workdir.exists() {
-        let non_empty = fs::read_dir(&workdir).map(|mut d| d.next().is_some()).unwrap_or(false);
-        if non_empty {
-            if force {
-                eprintln!("esse_master: --force: clearing existing workdir");
-                fs::remove_dir_all(&workdir).expect("clear workdir");
-            } else {
-                eprintln!(
-                    "esse_master: workdir {} is not empty; \
-                     pass --resume to continue the run or --force to discard it",
-                    workdir.display()
-                );
-                std::process::exit(2);
-            }
+    if !resume && fs::read_dir(&workdir).is_ok_and(|mut d| d.next().is_some()) {
+        if !force {
+            eprintln!(
+                "esse_master: workdir {} is not empty; \
+                 pass --resume to continue the run or --force to discard it",
+                workdir.display()
+            );
+            std::process::exit(2);
         }
+        eprintln!("esse_master: --force: clearing existing workdir");
+        fs::remove_dir_all(&workdir).expect("clear workdir");
     }
     std::fs::create_dir_all(&workdir).expect("create workdir");
 
-    // --- Coordinator exclusion: one live master per workdir. A crashed
-    // master's lock names a dead PID and is broken automatically. ---
-    let _lock = match WorkdirLock::acquire(&workdir) {
-        Ok(lock) => lock,
-        Err(LockError::Held { pid }) => {
-            // Distinct exit code: two racing `--resume` invocations
-            // after a coordinator crash resolve to exactly one live
-            // master; the loser must be distinguishable from config
-            // errors (exit 2) by supervisors that retry the resume.
-            eprintln!(
-                "esse_master: workdir {} is locked by a running master (pid {})",
-                workdir.display(),
-                pid.map_or_else(|| "unknown".into(), |p| p.to_string())
-            );
-            std::process::exit(3);
-        }
-        Err(e) => {
-            eprintln!("esse_master: cannot acquire master.lock: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let status = StatusDir::open(workdir.join("status")).expect("status dir");
+    let _lock = lock_workdir(&workdir);
 
     // --- Journal: create fresh, or replay (truncating any torn tail). ---
     let (journal, state) = if resume && journal_path.exists() {
@@ -502,16 +839,12 @@ fn main() {
             );
         }
         let state = JournalState::replay(&replay.records);
-        match state.config_hash {
-            Some(h) if h == run_hash => {}
-            Some(h) => {
-                eprintln!(
-                    "esse_master: journal belongs to a different run \
-                     (config hash {h:#018x} != {run_hash:#018x}); refusing to mix results"
-                );
-                std::process::exit(2);
-            }
-            None => {}
+        if let Some(h) = state.config_hash.filter(|&h| h != run_hash) {
+            eprintln!(
+                "esse_master: journal belongs to a different run \
+                 (config hash {h:#018x} != {run_hash:#018x}); refusing to mix results"
+            );
+            std::process::exit(2);
         }
         (journal, state)
     } else {
@@ -548,9 +881,8 @@ fn main() {
     }
     // Every working (re)start journals its incarnation number before
     // touching the pool: the TCP endpoint generation, the incarnation
-    // gauge and the trace labels all derive from it, and replay
-    // recovers the high-water mark so a resumed resume keeps counting
-    // up.
+    // gauge and the trace labels derive from it, and replay recovers
+    // the high-water mark so a resumed resume keeps counting up.
     let incarnation = state.incarnations + 1;
     journal.append(&JournalRecord::CoordinatorStarted { incarnation });
     if incarnation > 1 {
@@ -563,13 +895,6 @@ fn main() {
     let ring = std::sync::Arc::new(RingRecorder::with_capacity(trace_capacity));
     let rec: &dyn Recorder = if trace_out.is_some() { ring.as_ref() } else { &NULL };
     let metrics = MetricsRegistry::new();
-    let m_granted = metrics.counter("esse_pool_lease_granted_total");
-    let m_renewed = metrics.counter("esse_pool_lease_renewed_total");
-    let m_expired = metrics.counter("esse_pool_lease_expired_total");
-    let m_fenced = metrics.counter("esse_pool_fencing_rejected_total");
-    let m_seeded = metrics.counter("esse_pool_tasks_seeded_total");
-    let m_ingested = metrics.counter("esse_pool_results_ingested_total");
-    let m_quarantined = metrics.counter("esse_quarantined_total");
     let m_replaced = metrics.counter("esse_replaced_total");
     let m_batches = metrics.counter("esse_fleet_trace_batches_total");
     let m_rejected = metrics.counter("esse_fleet_trace_batches_rejected_total");
@@ -577,28 +902,11 @@ fn main() {
     metrics.gauge("esse_master_incarnation").set(incarnation as f64);
 
     // The fleet-wide trace run id: nonzero iff tracing is on. Workers
-    // read it from the manifest — no flag of their own — and every
-    // parent span id a task record carries is derived from it, so a
-    // batch from a stale run (or a run with tracing off) can never be
-    // merged into this run's timeline.
+    // read it from the manifest, and every parent span id a task record
+    // carries derives from it, so a batch from a stale or untraced run
+    // can never be merged into this run's timeline.
     let trace_run: u64 =
         if trace_out.is_some() { esse_obs::fleet::run_id(run_hash as u32, base_seed) } else { 0 };
-    let span_for = |m: u64, epoch: u32| -> u64 {
-        if trace_run != 0 {
-            esse_obs::fleet::span_id(trace_run, m, epoch)
-        } else {
-            0
-        }
-    };
-    if incarnation > 1 {
-        rec.instant_at(
-            rec.now_ns(),
-            Lane::Coordinator,
-            "coordinator",
-            "restart",
-            vec![("incarnation", incarnation.into())],
-        );
-    }
 
     // --- Setup: model, mean, prior. ---
     let (model, st0) = cli::build_model(&domain).unwrap_or_else(|e| {
@@ -624,14 +932,9 @@ fn main() {
     // --- Central forecast (deterministic; reused on resume). ---
     let central_path = workdir.join(files::CENTRAL);
     if !central_path.exists() {
-        let mut cmd = Command::new(sibling("pemodel"));
-        cmd.arg("--workdir")
-            .arg(&workdir)
-            .arg("--domain")
-            .arg(&domain)
-            .arg("--hours")
-            .arg(hours.to_string())
-            .arg("--central");
+        let mut cmd = Command::new(cli::sibling("pemodel"));
+        cmd.arg("--workdir").arg(&workdir);
+        cmd.args(["--domain", &domain, "--hours", &hours.to_string(), "--central"]);
         let ok = match cli::spawn_with_retry(&mut cmd, "central pemodel", None, 3) {
             Ok(mut child) => child.wait().expect("wait central pemodel").success(),
             Err(e) => {
@@ -646,13 +949,12 @@ fn main() {
     }
     let central = fileio::read_vector(&central_path).expect("read central");
 
-    // --- The semantic ingestion gate. The same validator the workers
-    // run before publishing is rebuilt here from the same inputs
-    // (defense in depth: never trust the wire): physical bounds come
-    // from the mean and central states widened by the prior spread, and
-    // the ensemble-outlier statistics fold over the decided prefix. ---
+    // --- The semantic ingestion gate: the validator the workers run
+    // before publishing, rebuilt from the same inputs (never trust the
+    // wire). Bounds come from the mean and central states widened by
+    // the prior spread; outlier statistics fold over the decided prefix.
     let mean_vec = fileio::read_vector(&mean_path).expect("read mean");
-    let mut validator = ForecastValidator::for_scenario(
+    let validator = ForecastValidator::for_scenario(
         &model.grid,
         &[&mean_vec, &central],
         &prior,
@@ -696,45 +998,80 @@ fn main() {
         println!("esse_master: listening for remote workers on {}", server.local_addr());
         server
     });
-    // Recover the authoritative fencing-epoch map from the pool dirs,
-    // then raise it to the journal's high-water marks. The pool scan
-    // alone is not enough after a crash: a consumed result leaves no
-    // pending/claim/result file behind, so a member whose epoch-3
-    // result was ingested just before the crash would rewind to epoch
-    // 0 and its next seed (epoch 1) could be satisfied by an epoch-1
-    // zombie still running from two requeues ago. Every `EpochAdvanced`
-    // is journalled *before* the corresponding seed, so any replayed
-    // prefix covers every epoch a worker could ever have observed.
-    let mut epochs: HashMap<u64, u32> = pool.epochs().expect("recover epochs");
+
+    // --- Convergence state, restored from the journal. ---
+    let conv = ConvergenceTest::restore(tolerance, &state.rho_history());
+    let journalled_convergence = (state.converged.map(|(m, _)| m))
+        .or_else(|| converged_members_from(&state.svd_rounds, tolerance));
+    let mut co = Coordinator {
+        workdir: &workdir,
+        journal: &journal,
+        pool: &pool,
+        rec,
+        gen: &gen,
+        central: &central,
+        trace_run,
+        incarnation,
+        lease_ms,
+        requeue_budget,
+        retry: RetryPolicy::retries(task_attempts).with_backoff(
+            Duration::from_millis(20),
+            2.0,
+            0.0,
+        ),
+        rng: StdRng::seed_from_u64(base_seed ^ 0x00D1_7A5C),
+        m_granted: metrics.counter("esse_pool_lease_granted_total"),
+        m_renewed: metrics.counter("esse_pool_lease_renewed_total"),
+        m_expired: metrics.counter("esse_pool_lease_expired_total"),
+        m_fenced: metrics.counter("esse_pool_fencing_rejected_total"),
+        m_seeded: metrics.counter("esse_pool_tasks_seeded_total"),
+        m_ingested: metrics.counter("esse_pool_results_ingested_total"),
+        m_quarantined: metrics.counter("esse_quarantined_total"),
+        book: MemberBook::default(),
+        // Recover the authoritative fencing-epoch map from the pool
+        // dirs; raised to the journal's high-water marks below.
+        epochs: pool.epochs().expect("recover epochs"),
+        outstanding: HashSet::new(),
+        watch: LeaseWatch::new(),
+        validator,
+        quarantined_members: state.quarantine_reasons.iter().map(|&(m, _)| m).collect(),
+        quarantined_lost: 0,
+        estimator: new_estimator(&strategy, &central),
+        disk_cov: DiskTripleBuffer::create(&workdir).expect("safe/live covariance files"),
+        converged_members: journalled_convergence.filter(|_| conv.converged()),
+        conv,
+        fired: state.svd_rounds.iter().map(|r| r.members).collect(),
+        last_fired: state.svd_rounds.last().map(|r| r.members),
+        previous: None,
+        svd_version: state.svd_rounds.last().map_or(0, |r| r.version),
+        cancelled_tasks: 0,
+    };
+    // The pool scan alone is not enough after a crash: a consumed
+    // result leaves no file behind, so a member whose epoch-3 result
+    // was ingested just before the crash would rewind to epoch 0 and
+    // its next seed (epoch 1) could be satisfied by an epoch-1 zombie
+    // from two requeues ago. Every `EpochAdvanced` is journalled
+    // *before* its seed, so any replayed prefix covers every epoch a
+    // worker could ever have observed.
     for &(m, hw) in &state.epoch_high_water {
-        let e = epochs.entry(m).or_insert(0);
+        let e = co.epochs.entry(m).or_insert(0);
         *e = (*e).max(hw);
     }
-    if trace_run != 0 && incarnation > 1 {
+    if incarnation > 1 {
+        co.instant("coordinator", "restart", vec![("incarnation", incarnation.into())]);
+        // Every surviving claim is judged on this incarnation's clock
+        // only (a fresh watch is already rebased; the call pins the
+        // restart contract documented on `LeaseWatch::rebase`).
+        co.watch.rebase();
         // Re-emit a `task_seeded` instant for every epoch issued by an
         // earlier incarnation: worker span batches that were published
         // across the crash boundary still merge at wind-down, and their
         // parent edges must find a coordinator-side enqueue with the
-        // same span id. Span ids are pure in (trace_run, member, epoch)
-        // and trace_run is derived from the config hash, so these
-        // reconstructed instants carry exactly the ids the lost
-        // originals did — the orphan-edge validator stays at zero.
-        let mut inherited: Vec<(u64, u32)> = epochs.iter().map(|(&m, &e)| (m, e)).collect();
-        inherited.sort_unstable();
+        // same span id — the orphan-edge validator stays at zero.
+        let inherited: BTreeMap<u64, u32> = co.epochs.iter().map(|(&m, &e)| (m, e)).collect();
         for (m, hw) in inherited {
             for ep in 1..=hw {
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "pool",
-                    "task_seeded",
-                    vec![
-                        ("member", m.into()),
-                        ("epoch", (ep as u64).into()),
-                        ("span", span_for(m, ep).into()),
-                        ("incarnation", incarnation.into()),
-                    ],
-                );
+                co.task_seeded_instant(m, ep);
             }
         }
     }
@@ -742,111 +1079,31 @@ fn main() {
     // --- Resume: fold journalled members back in, checksum-validating
     // every forecast file. Corrupt or missing files are quarantined and
     // the member is requeued — never silently ingested (§4.2). ---
-    let mut book = MemberBook::default();
-    // Quarantine bookkeeping: every member ever quarantined (journal
-    // history included, so resume keeps the healed/lost split honest)
-    // and the members this incarnation lost to the replacement budget.
-    let mut quarantined_members: BTreeSet<u64> =
-        state.quarantine_reasons.iter().map(|&(m, _)| m).collect();
-    let mut quarantined_lost = 0usize;
-    let mut resumed = 0usize;
-    if resume {
-        for (m, attempts) in &state.completed {
-            match fileio::read_vector(workdir.join(files::fc(*m as usize))) {
-                Ok(xf) => {
-                    book.completed.insert(*m, *attempts);
-                    validator.note_decided(*m, &xf);
-                    resumed += 1;
-                }
-                Err(e) => {
-                    quarantine_member(
-                        &workdir,
-                        &journal,
-                        *m as usize,
-                        Reason::CorruptPayload.code(),
-                        &e.to_string(),
-                    );
-                    quarantined_members.insert(*m);
-                }
+    for (m, attempts) in &state.completed {
+        match fileio::read_vector(workdir.join(files::fc(*m as usize))) {
+            Ok(xf) => {
+                co.book.completed.insert(*m, *attempts);
+                co.validator.note_decided(*m, &xf);
             }
-        }
-        for m in &state.failed {
-            book.failed.insert(*m);
-        }
-        // Legacy workdirs (journal created just now): fall back to the
-        // §4.2 per-member status records, migrating them forward.
-        if state.completed.is_empty() && state.config_hash.is_none() {
-            let (ok, _failed) = status.scan().expect("scan status");
-            for member in ok {
-                match fileio::read_vector(workdir.join(files::fc(member))) {
-                    Ok(xf) => {
-                        journal.append(&JournalRecord::MemberCompleted {
-                            member: member as u64,
-                            attempts: 1,
-                        });
-                        book.completed.insert(member as u64, 1);
-                        validator.note_decided(member as u64, &xf);
-                        resumed += 1;
-                    }
-                    Err(e) => {
-                        quarantine_member(
-                            &workdir,
-                            &journal,
-                            member,
-                            Reason::CorruptPayload.code(),
-                            &e.to_string(),
-                        );
-                        quarantined_members.insert(member as u64);
-                    }
-                }
-            }
+            Err(e) => or_die(
+                co.quarantine_file(*m, Reason::CorruptPayload.code(), &e.to_string()),
+                "quarantine a forecast",
+            ),
         }
     }
+    co.book.failed.extend(&state.failed);
     println!(
-        "esse_master: starting with {} members in the differ (resumed {resumed})",
-        book.completed.len()
+        "esse_master: starting with {0} members in the differ (resumed {0})",
+        co.book.completed.len()
     );
-
-    // --- Convergence state, restored from the journal. The `previous`
-    // subspace is rebuilt deterministically from forecast files at the
-    // next checkpoint, never trusted from a half-published disk state. ---
-    let disk_cov = DiskTripleBuffer::create(&workdir).expect("safe/live covariance files");
-    let mut conv = ConvergenceTest::restore(tolerance, &state.rho_history());
-    let mut converged = conv.converged();
-    let mut converged_members: Option<u64> = if converged {
-        state
-            .converged
-            .map(|(m, _)| m)
-            .or_else(|| converged_members_from(&state.svd_rounds, tolerance))
-    } else {
-        None
-    };
-    let mut fired: BTreeSet<u64> = state.svd_rounds.iter().map(|r| r.members).collect();
-    let mut last_fired: Option<u64> = state.svd_rounds.last().map(|r| r.members);
-    let mut previous: Option<(u64, ErrorSubspace)> = None;
-    let mut svd_version: u64 = state.svd_rounds.last().map_or(0, |r| r.version);
-    // Incremental strategy: one persistent tracker folds each newly
-    // decided prefix member exactly once across checkpoints (the prefix
-    // is append-only, so the fold order is deterministic under any
-    // worker interleaving). FullRecompute keeps the historical
-    // rebuild-from-disk path byte-for-byte.
-    let mut inc_est: Option<Box<dyn SubspaceEstimator>> = match strategy {
-        SubspaceStrategy::Incremental { .. } => Some(make_estimator(
-            &strategy,
-            central.clone(),
-            SVD_REL_TOL,
-            SVD_MAX_RANK,
-            LinalgCtx::default(),
-        )),
-        SubspaceStrategy::FullRecompute => None,
-    };
 
     // --- Schedule + checkpoints. ---
     let schedule = EnsembleSchedule::new(initial, max);
     let stages = schedule.stages();
     let cps = checkpoints(initial, max, &stages);
     let mut stage_idx = 0usize;
-    while stage_idx + 1 < stages.len() && (0..stages[stage_idx] as u64).all(|m| book.decided(m)) {
+    while stage_idx + 1 < stages.len() && (0..stages[stage_idx] as u64).all(|m| co.book.decided(m))
+    {
         stage_idx += 1;
     }
 
@@ -855,516 +1112,46 @@ fn main() {
     let mut fleet: Vec<Option<Child>> = (0..workers).map(|_| None).collect();
     let mut worker_spawns = 0usize;
     let spawn_budget = workers * 8;
-    let retry =
-        RetryPolicy::retries(task_attempts).with_backoff(Duration::from_millis(20), 2.0, 0.0);
-    let mut rng = StdRng::seed_from_u64(base_seed ^ 0x00D1_7A5C);
-    let mut watch = LeaseWatch::new();
-    if incarnation > 1 {
-        // Rebase the lease watch onto this incarnation's clock (a fresh
-        // watch is already rebased; the call pins the restart contract):
-        // a surviving worker's advancing heartbeat re-earns a full lease
-        // at first observation under the new `t0`, while a worker that
-        // died with the old coordinator holds a frozen counter and still
-        // expires exactly one lease later. Pre-crash `last-advance`
-        // timestamps are never compared against the new clock.
-        watch.rebase();
-    }
     let t0 = Instant::now();
-    let mut cancelled_tasks = 0usize;
 
     loop {
         // Keep the local fleet at strength (bounded respawn: a worker
         // that keeps dying must not fork-bomb the host).
-        if !converged {
+        if !co.conv.converged() {
             for (slot, entry) in fleet.iter_mut().enumerate() {
                 let dead = match entry {
                     Some(child) => child.try_wait().expect("poll worker").is_some(),
                     None => true,
                 };
-                if dead && worker_spawns < spawn_budget.max(workers) {
+                if dead && worker_spawns < spawn_budget {
                     *entry = spawn_local_worker(&workdir, slot);
                     if entry.is_some() {
                         worker_spawns += 1;
-                        rec.instant_at(
-                            rec.now_ns(),
-                            Lane::Coordinator,
-                            "pool",
-                            "worker_spawned",
-                            vec![("slot", (slot as u64).into())],
-                        );
+                        co.instant("pool", "worker_spawned", vec![("slot", (slot as u64).into())]);
                     }
                 }
             }
         }
 
-        let scan = pool.scan().expect("scan pool");
-        let mut outstanding: HashSet<u64> = HashSet::new();
-        for t in &scan.pending {
-            outstanding.insert(t.member);
+        let scan = or_die(pool.scan(), "scan the task pool");
+        co.outstanding = scan.pending.iter().map(|t| t.member).collect();
+        co.outstanding.extend(scan.claims.iter().map(|c| c.spec.member));
+        or_die(co.ingest(&scan.results), "ingest a result");
+        or_die(co.watch_leases(&scan.claims, t0.elapsed().as_millis() as u64), "requeue a claim");
+        if !co.conv.converged() {
+            or_die(co.seed(stages[stage_idx] as u64), "seed a task");
         }
-        for c in &scan.claims {
-            outstanding.insert(c.spec.member);
-        }
-
-        // --- Ingest published results. ---
-        for r in &scan.results {
-            let m = r.member;
-            let current = epochs.get(&m).copied().unwrap_or(0);
-            if r.epoch != current {
-                // Fencing: a zombie worker published after its lease
-                // expired and the task was requeued. Never ingested.
-                m_fenced.inc();
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "pool",
-                    "fencing_rejected",
-                    vec![
-                        ("member", m.into()),
-                        ("epoch", (r.epoch as u64).into()),
-                        ("current", (current as u64).into()),
-                    ],
-                );
-                eprintln!(
-                    "esse_master: fenced stale result for member {m} (epoch {} != current {})",
-                    r.epoch, current
-                );
-                pool.fence_result(r).expect("fence result");
-                continue;
-            }
-            if book.decided(m) {
-                pool.consume_result(r).expect("consume duplicate result");
-                continue;
-            }
-            // Bookkeeping spec: names the claim/result files (member +
-            // epoch only), so the parent span is irrelevant here.
-            let spec = TaskSpec {
-                member: m,
-                epoch: r.epoch,
-                seed: gen.forecast_seed(m as usize),
-                parent_span: 0,
-            };
-            if r.code == 0 || r.code == CODE_REJECTED {
-                // The single ingestion gate, run before the journal
-                // commit point: structural checks (the worker's recorded
-                // CRC against the bytes on disk now) chain straight into
-                // the semantic validator, and a worker's own REJECTED
-                // self-check verdict folds into the same path — one
-                // gate, one journal record, one replacement schedule.
-                let gate: Result<Vec<f64>, (u32, String)> = if r.code == CODE_REJECTED {
-                    Err((
-                        r.reason,
-                        format!(
-                            "worker self-check rejection ({})",
-                            Reason::from_code(r.reason).describe()
-                        ),
-                    ))
-                } else {
-                    fileio::vector_file_crc(workdir.join(files::fc(m as usize)))
-                        .map_err(|e| e.to_string())
-                        .and_then(|crc| {
-                            if crc == r.fc_crc {
-                                Ok(())
-                            } else {
-                                Err(format!(
-                                    "forecast CRC {crc:#010x} != result record {:#010x}",
-                                    r.fc_crc
-                                ))
-                            }
-                        })
-                        .and_then(|()| {
-                            fileio::read_vector(workdir.join(files::fc(m as usize)))
-                                .map_err(|e| e.to_string())
-                        })
-                        .map_err(|why| (Reason::CorruptPayload.code(), why))
-                        .and_then(|xf| match validator.validate_member(m, &xf) {
-                            Verdict::Pass => Ok(xf),
-                            Verdict::Quarantine(reason) => Err((
-                                reason.code(),
-                                format!("failed semantic validation: {}", reason.describe()),
-                            )),
-                        })
-                };
-                match gate {
-                    Ok(xf) => {
-                        let attempts = book.attempts.get(&m).copied().unwrap_or(0) + 1;
-                        status.record(m as usize, ExitStatus::Success).expect("record");
-                        journal.append(&JournalRecord::MemberCompleted { member: m, attempts });
-                        book.completed.insert(m, attempts);
-                        validator.note_decided(m, &xf);
-                        m_ingested.inc();
-                        rec.instant_at(
-                            rec.now_ns(),
-                            Lane::Coordinator,
-                            "pool",
-                            "result_ingested",
-                            vec![("member", m.into()), ("epoch", (r.epoch as u64).into())],
-                        );
-                        // A worker that shipped its span batch leaves a
-                        // `.trace` sidecar next to the result; note its
-                        // arrival live, attributed to the shipping
-                        // worker (the merge itself is deferred to
-                        // wind-down so a straggler batch still counts).
-                        if trace_run != 0 {
-                            let batch = pool.trace_sidecar_for(m, r.epoch).and_then(|p| {
-                                fs::read(&p)
-                                    .ok()
-                                    .and_then(|b| esse_obs::fleet::SpanBatch::decode(&b).ok())
-                            });
-                            if let Some(batch) = batch {
-                                rec.instant_at(
-                                    rec.now_ns(),
-                                    Lane::Coordinator,
-                                    "fleet",
-                                    "batch",
-                                    vec![
-                                        ("member", m.into()),
-                                        ("epoch", (r.epoch as u64).into()),
-                                        ("worker", (batch.worker_id as u64).into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    Err((reason, why)) => {
-                        quarantine_member(&workdir, &journal, m as usize, reason, &why);
-                        quarantined_members.insert(m);
-                        m_quarantined.inc();
-                        rec.instant_at(
-                            rec.now_ns(),
-                            Lane::Coordinator,
-                            "fault",
-                            "member_quarantined",
-                            vec![
-                                ("member", m.into()),
-                                ("epoch", (r.epoch as u64).into()),
-                                ("reason", (reason as u64).into()),
-                            ],
-                        );
-                        let requeues = book.requeues.get(&m).copied().unwrap_or(0) + 1;
-                        book.requeues.insert(m, requeues);
-                        if requeues > requeue_budget {
-                            // Replacements could not heal the member:
-                            // journal the permanent loss under its own
-                            // code so the degraded-health breakdown can
-                            // tell quarantine losses from lease losses.
-                            journal.append(&JournalRecord::MemberFailed {
-                                member: m,
-                                code: CODE_QUARANTINE_BUDGET,
-                            });
-                            book.failed.insert(m);
-                            quarantined_lost += 1;
-                            eprintln!(
-                                "esse_master: member {m} lost to quarantine \
-                                 after {requeues} replacement(s)"
-                            );
-                        } else {
-                            // Self-healing: requeue at the next fencing
-                            // epoch so the quarantined payload can never
-                            // race its replacement into the SVD. The
-                            // replacement reuses the member's canonical
-                            // seed — a healed run's posterior is
-                            // byte-identical to a corruption-free one.
-                            let next = TaskSpec {
-                                epoch: current + 1,
-                                parent_span: span_for(m, current + 1),
-                                ..spec
-                            };
-                            // Journal the epoch before the seed (WAL
-                            // order): a crash between the two costs one
-                            // unused epoch, never an epoch a worker saw
-                            // but the journal did not.
-                            journal.append(&JournalRecord::EpochAdvanced {
-                                member: m,
-                                epoch: next.epoch,
-                            });
-                            pool.seed(&next).expect("requeue quarantined member");
-                            epochs.insert(m, next.epoch);
-                            outstanding.insert(m);
-                            m_seeded.inc();
-                            rec.instant_at(
-                                rec.now_ns(),
-                                Lane::Coordinator,
-                                "pool",
-                                "replacement_scheduled",
-                                vec![
-                                    ("member", m.into()),
-                                    ("epoch", (next.epoch as u64).into()),
-                                    ("reason", (reason as u64).into()),
-                                ],
-                            );
-                            rec.instant_at(
-                                rec.now_ns(),
-                                Lane::Coordinator,
-                                "pool",
-                                "task_seeded",
-                                vec![
-                                    ("member", m.into()),
-                                    ("epoch", (next.epoch as u64).into()),
-                                    ("span", next.parent_span.into()),
-                                    ("incarnation", incarnation.into()),
-                                ],
-                            );
-                        }
-                    }
-                }
-                pool.consume_result(r).expect("consume result");
-                pool.remove_claim(&spec).expect("drop ingested claim");
-                watch.forget(m);
-            } else {
-                // A real (deterministic) task failure: count it against
-                // the task-attempt budget.
-                let attempts = book.attempts.get(&m).copied().unwrap_or(0) + 1;
-                book.attempts.insert(m, attempts);
-                status.record(m as usize, ExitStatus::Failed(r.code)).expect("record");
-                pool.consume_result(r).expect("consume result");
-                pool.remove_claim(&spec).expect("drop failed claim");
-                watch.forget(m);
-                if attempts >= task_attempts {
-                    journal.append(&JournalRecord::MemberFailed { member: m, code: r.code });
-                    book.failed.insert(m);
-                    eprintln!(
-                        "esse_master: member {m} failed permanently (code {}, {attempts} attempts)",
-                        r.code
-                    );
-                } else {
-                    book.hold_until
-                        .insert(m, Instant::now() + retry.backoff_delay(attempts, &mut rng));
-                }
-            }
-        }
-
-        // --- Lease watchdog: reclaim claims whose heartbeat stalled. ---
-        let now_ms = t0.elapsed().as_millis() as u64;
-        for c in &scan.claims {
-            let m = c.spec.member;
-            let current = epochs.get(&m).copied().unwrap_or(0);
-            if book.decided(m) || c.spec.epoch != current {
-                // Leftover claim of an ingested or already-requeued
-                // incarnation; sweep it.
-                pool.remove_claim(&c.spec).expect("sweep stale claim");
-                continue;
-            }
-            let counter = c.heartbeat.map(|hb| hb.counter);
-            match watch.observe(m, c.spec.epoch, counter, now_ms, lease_ms) {
-                LeaseState::Granted => {
-                    m_granted.inc();
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "pool",
-                        "lease_granted",
-                        vec![("member", m.into()), ("epoch", (c.spec.epoch as u64).into())],
-                    );
-                }
-                LeaseState::Renewed => {
-                    m_renewed.inc();
-                }
-                LeaseState::Held => {}
-                LeaseState::Expired => {
-                    m_expired.inc();
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "pool",
-                        "lease_expired",
-                        vec![("member", m.into()), ("epoch", (c.spec.epoch as u64).into())],
-                    );
-                    let requeues = book.requeues.get(&m).copied().unwrap_or(0) + 1;
-                    book.requeues.insert(m, requeues);
-                    if requeues > requeue_budget {
-                        journal.append(&JournalRecord::MemberFailed {
-                            member: m,
-                            code: CODE_LEASE_BUDGET,
-                        });
-                        book.failed.insert(m);
-                        pool.remove_claim(&c.spec).expect("drop abandoned claim");
-                        eprintln!(
-                            "esse_master: member {m} abandoned after {requeues} lease expiries"
-                        );
-                        continue;
-                    }
-                    eprintln!(
-                        "esse_master: lease expired for member {m} (epoch {}); requeueing at epoch {}",
-                        c.spec.epoch,
-                        current + 1
-                    );
-                    // Seed the successor FIRST, then drop the dead
-                    // claim: there is never a moment where the member
-                    // has no incarnation on disk.
-                    let next = TaskSpec {
-                        member: m,
-                        epoch: current + 1,
-                        seed: gen.forecast_seed(m as usize),
-                        parent_span: span_for(m, current + 1),
-                    };
-                    journal.append(&JournalRecord::EpochAdvanced { member: m, epoch: next.epoch });
-                    pool.seed(&next).expect("requeue expired member");
-                    epochs.insert(m, next.epoch);
-                    outstanding.insert(m);
-                    m_seeded.inc();
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "pool",
-                        "task_seeded",
-                        vec![
-                            ("member", m.into()),
-                            ("epoch", (next.epoch as u64).into()),
-                            ("span", next.parent_span.into()),
-                            ("incarnation", incarnation.into()),
-                        ],
-                    );
-                    pool.remove_claim(&c.spec).expect("drop expired claim");
-                    watch.forget(m);
-                }
-            }
-        }
-
-        // --- Seed missing tasks for the current stage target. ---
-        if !converged {
-            let target = stages[stage_idx] as u64;
-            for m in 0..target {
-                if book.decided(m) || outstanding.contains(&m) {
-                    continue;
-                }
-                if book.hold_until.get(&m).is_some_and(|t| Instant::now() < *t) {
-                    continue;
-                }
-                let epoch = epochs.get(&m).copied().unwrap_or(0) + 1;
-                let spec = TaskSpec {
-                    member: m,
-                    epoch,
-                    seed: gen.forecast_seed(m as usize),
-                    parent_span: span_for(m, epoch),
-                };
-                journal.append(&JournalRecord::EpochAdvanced { member: m, epoch });
-                pool.seed(&spec).expect("seed task");
-                epochs.insert(m, epoch);
-                outstanding.insert(m);
-                m_seeded.inc();
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "pool",
-                    "task_seeded",
-                    vec![
-                        ("member", m.into()),
-                        ("epoch", (epoch as u64).into()),
-                        ("span", spec.parent_span.into()),
-                        ("incarnation", incarnation.into()),
-                    ],
-                );
-            }
-        }
-
-        // --- Continuous SVD + convergence at decided-prefix
-        // checkpoints (deterministic under any worker interleaving). ---
-        let eligible = book.prefix_eligible();
-        for &cp in &cps {
-            if converged {
-                break;
-            }
-            let c = cp as u64;
-            if fired.contains(&c) || eligible.len() < cp {
-                continue;
-            }
-            // Rebuild the previous checkpoint's estimate if this
-            // incarnation has not computed it yet (fresh resume).
-            if previous.as_ref().map(|(m, _)| *m) != last_fired {
-                previous = last_fired.map(|p| {
-                    let (_, sub) = subspace_over(&workdir, &central, &eligible[..p as usize])
-                        .expect("rebuild previous checkpoint");
-                    (p, sub)
-                });
-            }
-            let estimate = match inc_est.as_mut() {
-                Some(est) => {
-                    for &m in &eligible[est.count()..cp] {
-                        let xf = fileio::read_vector(workdir.join(files::fc(m as usize)))
-                            .expect("re-read forecast");
-                        est.add_member(m as usize, &xf);
-                    }
-                    let update = est.estimate().unwrap_or_else(|e| {
-                        eprintln!("esse_master: incremental subspace update failed: {e}");
-                        std::process::exit(1);
-                    });
-                    let Some(update) = update else {
-                        break;
-                    };
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "svd",
-                        update.kind.label(),
-                        vec![("members", c.into()), ("defect", update.defect.into())],
-                    );
-                    update.subspace
-                }
-                None => {
-                    let Some((_, full)) = subspace_over(&workdir, &central, &eligible[..cp]) else {
-                        break;
-                    };
-                    full
-                }
-            };
-            let mut round_rho = f64::NAN;
-            if let Some((_, prev)) = &previous {
-                let rho = similarity(prev, &estimate);
-                round_rho = rho;
-                println!("esse_master: N={cp} rho={rho:.4} (tol {tolerance:.3})");
-                if finite_stat(rho).is_pass() && conv.check(rho) {
-                    converged = true;
-                    converged_members = Some(c);
-                }
-            }
-            // Safe/live covariance files first, then the journal
-            // record as the commit point (§4.1 on disk).
-            svd_version += 1;
-            disk_cov
-                .publish(&encode_subspace_blob(&estimate), svd_version)
-                .expect("publish covariance");
-            journal.append(&JournalRecord::SvdPublished {
-                members: c,
-                version: svd_version,
-                rho: round_rho,
-            });
-            rec.instant_at(
-                rec.now_ns(),
-                Lane::Coordinator,
-                "svd",
-                "svd_published",
-                vec![("members", c.into()), ("version", svd_version.into())],
-            );
-            fired.insert(c);
-            last_fired = Some(c);
-            previous = Some((c, estimate));
-            if converged {
-                journal.append(&JournalRecord::Converged { members: c, rho: round_rho });
-                cancelled_tasks = pool.cancel_pending().expect("cancel pending");
-                pool.write_cancel().expect("write cancel tombstone");
-                println!("esse_master: converged; cancelled {cancelled_tasks} queued members");
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "convergence",
-                    "converged",
-                    vec![("members", c.into()), ("rho", round_rho.into())],
-                );
-            }
-        }
-        if converged {
+        or_die(co.checkpoints(&cps), "publish a checkpoint");
+        if co.conv.converged() {
             break;
         }
 
         // --- Stage growth / completion. ---
-        let target = stages[stage_idx] as u64;
-        if (0..target).all(|m| book.decided(m)) {
-            if stage_idx + 1 < stages.len() {
-                stage_idx += 1;
-            } else {
+        if (0..stages[stage_idx] as u64).all(|m| co.book.decided(m)) {
+            if stage_idx + 1 == stages.len() {
                 break;
             }
+            stage_idx += 1;
         }
         std::thread::sleep(Duration::from_millis(15));
     }
@@ -1374,31 +1161,24 @@ fn main() {
     pool.write_shutdown().expect("write shutdown tombstone");
     let deadline = Instant::now() + Duration::from_secs(10);
     for child in fleet.iter_mut().flatten() {
-        loop {
-            match child.try_wait().expect("reap worker") {
-                Some(_) => break,
-                None if Instant::now() >= deadline => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-                None => std::thread::sleep(Duration::from_millis(10)),
+        while child.try_wait().expect("reap worker").is_none() {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                break;
             }
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
     // Remote workers learn the run is over only through a `Shutdown`
-    // claim reply, and they ship their final trace batch over the same
-    // connection before hanging up — so keep serving until every live
-    // connection drains out (bounded), and only then close the
-    // listener. Stopping first would push still-connected workers into
-    // their coordinator-reconnect grace and they would exit as orphans.
-    // A worker can only be left parked-and-disconnected at completion
-    // if some earlier incarnation died under it, so a never-crashed
-    // run skips the linger entirely; on a resumed run the 750ms linger
-    // covers a parked worker's full reconnect-poll interval (250ms
-    // ceiling plus jitter and handshake), so even a worker that was
-    // disconnected the whole time the run finished gets one dial
-    // answered with `Shutdown` instead of a dead port.
+    // claim reply, and ship their final trace batch over the same
+    // connection — so keep serving until every live connection drains
+    // out (bounded) before closing the listener; stopping first would
+    // make still-connected workers exit as orphans. Only a resumed run
+    // can have a worker parked-and-disconnected at completion, so only
+    // it lingers: 750ms covers a full reconnect-poll interval (250ms
+    // ceiling plus jitter and handshake), and that worker's next dial
+    // is answered with `Shutdown` instead of a dead port.
     if let Some(server) = net_server.as_mut() {
         let linger = if incarnation > 1 { Duration::from_millis(750) } else { Duration::ZERO };
         server.drain(linger, Duration::from_secs(10));
@@ -1409,60 +1189,61 @@ fn main() {
     // first `converged_members` completed members of the decided
     // prefix — NOT "whatever happened to arrive" — so any worker
     // interleaving, kill schedule or resume produces bit-identical
-    // posterior bytes. Unconverged runs use every completed member. ---
+    // posterior bytes. Unconverged runs use every completed member.
+    // Always a fresh full recompute, so the bytes do not depend on
+    // `--subspace`; the checkpoint estimator is released first, so two
+    // spread matrices are never resident at once. ---
+    drop(co.estimator);
+    let book = &co.book;
     let eligible = book.prefix_eligible();
-    let ids: Vec<u64> = match converged_members {
-        Some(c) if converged => eligible[..(c as usize).min(eligible.len())].to_vec(),
-        _ => book.completed.keys().copied().collect(),
+    let ids: Vec<u64> = match co.converged_members {
+        Some(c) => eligible[..(c as usize).min(eligible.len())].to_vec(),
+        None => book.completed.keys().copied().collect(),
     };
-    let Some((final_acc, final_subspace)) = subspace_over(&workdir, &central, &ids) else {
+    let Some(posterior) = subspace_over(&workdir, &central, &ids) else {
         eprintln!("esse_master: not enough members for an SVD");
         std::process::exit(1);
     };
-    fileio::write_subspace(workdir.join(files::POSTERIOR), &final_subspace)
+    fileio::write_subspace(workdir.join(files::POSTERIOR), &posterior.subspace)
         .expect("write posterior");
-    journal.append(&JournalRecord::RunComplete { members: final_acc.count() as u64 });
+    journal.append(&JournalRecord::RunComplete { members: posterior.members as u64 });
     println!(
         "esse_master: done — {} members ({} failed), converged={}, rank {}, total variance {:.5}",
-        final_acc.count(),
+        posterior.members,
         book.failed.len(),
-        converged,
-        final_subspace.rank(),
-        final_subspace.total_variance()
+        co.conv.converged(),
+        posterior.subspace.rank(),
+        posterior.subspace.total_variance()
     );
     // The quarantine ledger: a member counts as *replaced* (healed) once
     // a later attempt of it completed; quarantined-and-lost members are
     // the explicit degraded-health breakdown, distinct from lease losses.
-    let replaced = quarantined_members.iter().filter(|m| book.completed.contains_key(m)).count();
+    let replaced = co.quarantined_members.iter().filter(|m| book.completed.contains_key(m)).count();
     m_replaced.add(replaced as u64);
     println!(
         "esse_master: pool stats — leases granted {}, renewed {}, expired {}, \
          results fenced {}, tasks seeded {}, ingested {}, cancelled {}",
-        m_granted.get(),
-        m_renewed.get(),
-        m_expired.get(),
-        m_fenced.get(),
-        m_seeded.get(),
-        m_ingested.get(),
-        cancelled_tasks
+        co.m_granted.get(),
+        co.m_renewed.get(),
+        co.m_expired.get(),
+        co.m_fenced.get(),
+        co.m_seeded.get(),
+        co.m_ingested.get(),
+        co.cancelled_tasks
     );
     println!(
         "esse_master: quarantine stats — quarantined {} member(s), replaced {}, lost {}",
-        quarantined_members.len(),
+        co.quarantined_members.len(),
         replaced,
-        quarantined_lost
+        co.quarantined_lost
     );
     // Point at the captured stdio of locally-spawned workers (also
     // picked up by `RunMonitor` reports via `worker_log_dir`).
     let log_dir = workdir.join(WORKER_LOG_DIR);
-    if let Ok(entries) = fs::read_dir(&log_dir) {
-        let logs = entries
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "log"))
-            .count();
-        if logs > 0 {
-            println!("esse_master: {logs} worker log(s) under {}", log_dir.display());
-        }
+    let is_log = |e: &fs::DirEntry| e.path().extension().is_some_and(|x| x == "log");
+    let logs = fs::read_dir(&log_dir).map_or(0, |d| d.flatten().filter(is_log).count());
+    if logs > 0 {
+        println!("esse_master: {logs} worker log(s) under {}", log_dir.display());
     }
 
     if let Some(path) = trace_out {

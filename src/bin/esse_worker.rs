@@ -84,7 +84,7 @@ use esse::core::validate::{ForecastValidator, ValidatorConfig, Verdict};
 use esse::fileio;
 use esse::mtc::pool::{ResultRecord, TaskPool, TaskSpec, CODE_REJECTED};
 use esse::mtc::transport::{local_process_alive, ClaimOutcome, DiskTransport, PoolTransport};
-use esse::mtc::{FaultPlan, Heartbeat};
+use esse::mtc::{FaultPlan, Heartbeat, RenewAck};
 use esse::net::{TcpConfig, TcpTransport};
 use esse_obs::event::Lane;
 use esse_obs::fleet::SpanBatch;
@@ -93,8 +93,6 @@ use esse_obs::registry::{Counter, MetricsRegistry};
 use esse_obs::ring::RingRecorder;
 use std::path::PathBuf;
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "esse_worker (--workdir DIR | --connect HOST:PORT [--scratch DIR]) \
@@ -109,18 +107,46 @@ const CODE_SPAWN_FAILED: i32 = 120;
 /// Result code for a forecast file that failed its checksum validation.
 const CODE_CORRUPT_FORECAST: i32 = 121;
 
-fn sibling(name: &str) -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.set_file_name(name);
-    exe
+/// The lease on a held claim, renewed from the loop that waits on the
+/// task's singletons. A SIGKILLed worker stops renewing, the heartbeat
+/// counter stops advancing, and the coordinator reclaims the lease.
+struct Lease {
+    spec: TaskSpec,
+    counter: u64,
+    interval: Duration,
+    /// When the next renewal is due; `None` once renewing has stopped
+    /// (the stall injection never starts it, a renewal error ends it).
+    due: Option<Instant>,
 }
 
-/// Wait for a child while watching for cancellation and fencing; on
-/// either the child is killed mid-run and `None` is returned.
+impl Lease {
+    /// Renew if a renewal is due. Returns `false` when the coordinator
+    /// answered `Fenced`: the claim is no longer current and the task
+    /// is pointless.
+    fn keep(&mut self, transport: &dyn PoolTransport) -> bool {
+        if self.due.is_none_or(|due| Instant::now() < due) {
+            return true;
+        }
+        self.counter += 1;
+        let hb = Heartbeat { pid: std::process::id(), counter: self.counter };
+        match transport.renew_lease(&self.spec, &hb) {
+            Ok(RenewAck::Ok) => self.due = Some(Instant::now() + self.interval),
+            Ok(RenewAck::Fenced) => return false,
+            // Claim gone (workdir torn down) or coordinator
+            // unreachable: nothing left to renew.
+            Err(_) => self.due = None,
+        }
+        true
+    }
+}
+
+/// Wait for a child while renewing the lease and watching for
+/// cancellation and fencing; on either the child is killed mid-run and
+/// `None` is returned.
 fn wait_or_cancel(
     child: &mut Child,
     transport: &dyn PoolTransport,
-    fenced: &AtomicBool,
+    lease: &mut Lease,
 ) -> Option<i32> {
     let mut last_poll = Instant::now();
     // Tombstone polls go over the transport (a network round trip for
@@ -128,73 +154,26 @@ fn wait_or_cancel(
     // child wait.
     let poll_every = Duration::from_millis(50);
     loop {
-        match child.try_wait().expect("try_wait on singleton") {
-            Some(status) => return Some(status.code().unwrap_or(-1)),
-            None => {
-                if fenced.load(Ordering::Relaxed) {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return None;
-                }
-                if last_poll.elapsed() >= poll_every {
-                    last_poll = Instant::now();
-                    match transport.run_state() {
-                        Ok(rs) if rs.cancelled => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            return None;
-                        }
-                        Ok(_) => {}
-                        Err(_) if !transport.coordinator_alive() => {
-                            // Orphaned mid-task: abandon the child, the
-                            // lease will expire and the work requeue.
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            return None;
-                        }
-                        Err(_) => {}
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+        if let Some(status) = child.try_wait().expect("try_wait on singleton") {
+            return Some(status.code().unwrap_or(-1));
         }
+        let mut abandon = !lease.keep(transport);
+        if !abandon && last_poll.elapsed() >= poll_every {
+            last_poll = Instant::now();
+            abandon = match transport.run_state() {
+                Ok(rs) => rs.cancelled,
+                // Orphaned mid-task: abandon the child, the lease will
+                // expire and the work requeue.
+                Err(_) => !transport.coordinator_alive(),
+            };
+        }
+        if abandon {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(10));
     }
-}
-
-/// The heartbeat renewal loop, run on its own thread while a task
-/// executes. A SIGKILLed worker takes this thread down with it, the
-/// counter stops advancing, and the coordinator reclaims the lease. A
-/// `Fenced` renewal raises the shared flag so the task loop kills the
-/// now-pointless child.
-fn start_heartbeat(
-    transport: Arc<dyn PoolTransport>,
-    spec: TaskSpec,
-    interval: Duration,
-    fenced: Arc<AtomicBool>,
-) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = stop.clone();
-    let handle = std::thread::spawn(move || {
-        let pid = std::process::id();
-        let mut counter = 0u64;
-        while !flag.load(Ordering::Relaxed) {
-            counter += 1;
-            match transport.renew_lease(&spec, &Heartbeat { pid, counter }) {
-                Ok(esse::mtc::RenewAck::Ok) => {}
-                Ok(esse::mtc::RenewAck::Fenced) => {
-                    fenced.store(true, Ordering::Relaxed);
-                    break;
-                }
-                Err(_) => {
-                    // Claim gone (workdir torn down) or coordinator
-                    // unreachable: nothing left to renew.
-                    break;
-                }
-            }
-            std::thread::sleep(interval);
-        }
-    });
-    (stop, handle)
 }
 
 struct WorkerConfig {
@@ -219,7 +198,7 @@ struct WorkerConfig {
 /// point of the stall injection).
 fn run_task(
     cfg: &WorkerConfig,
-    transport: &Arc<dyn PoolTransport>,
+    transport: &dyn PoolTransport,
     spec: TaskSpec,
     stalled: bool,
     rec: &dyn Recorder,
@@ -228,20 +207,22 @@ fn run_task(
 ) -> bool {
     let manifest = transport.manifest().clone();
     let member = spec.member as usize;
-    let fenced = Arc::new(AtomicBool::new(false));
-    let heartbeat = if stalled {
-        // Injection: hold the claim without renewing the lease, then
-        // sleep past its expiry — the zombie-worker scenario.
+    let mut lease = Lease {
+        spec,
+        counter: 0,
+        interval: Duration::from_millis((manifest.lease_ms / 5).max(10)),
+        // Injection: a stalled task holds the claim without ever
+        // renewing the lease.
+        due: (!stalled).then(Instant::now),
+    };
+    if stalled {
+        // ... and sleeps past its expiry — the zombie-worker scenario.
         eprintln!(
             "esse_worker[{}]: stalling on member {member} for {:?} (lease is {}ms)",
             cfg.worker_id, cfg.stall, manifest.lease_ms
         );
         std::thread::sleep(cfg.stall);
-        None
-    } else {
-        let interval = Duration::from_millis((manifest.lease_ms / 5).max(10));
-        Some(start_heartbeat(Arc::clone(transport), spec, interval, fenced.clone()))
-    };
+    }
 
     let publish = |code: i32, fc_crc: u32, reason: u32| {
         let record = ResultRecord {
@@ -285,17 +266,17 @@ fn run_task(
     // bounded-retry spawner (a transient fork failure degrades into a
     // retryable failure result instead of killing the worker). Each
     // singleton runs under its own phase span (spawn + wait).
-    let run_child = |name: &'static str, cmd: &mut Command| {
+    let mut run_child = |name: &'static str, cmd: &mut Command| {
         rec.begin_at(rec.now_ns(), lane, "phase", name, vec![("member", spec.member.into())]);
         let exit = match cli::spawn_with_retry(cmd, name, Some(member), 3) {
-            Ok(mut child) => Ok(wait_or_cancel(&mut child, transport.as_ref(), &fenced)),
+            Ok(mut child) => Ok(wait_or_cancel(&mut child, transport, &mut lease)),
             Err(e) => Err(e),
         };
         rec.end_at(rec.now_ns(), lane, "phase", name);
         exit
     };
 
-    let mut pert = Command::new(sibling("pert"));
+    let mut pert = Command::new(cli::sibling("pert"));
     pert.arg("--workdir")
         .arg(&cfg.workdir)
         .arg("--member")
@@ -306,7 +287,7 @@ fn run_task(
         .arg(manifest.base_seed.to_string());
     match run_child("pert", &mut pert) {
         Ok(Some(0)) => {
-            let mut pemodel = Command::new(sibling("pemodel"));
+            let mut pemodel = Command::new(cli::sibling("pemodel"));
             pemodel
                 .arg("--workdir")
                 .arg(&cfg.workdir)
@@ -357,18 +338,24 @@ fn run_task(
                     // bytes move: a failing member publishes a typed
                     // REJECTED result with the validator's reason code
                     // instead of uploading garbage.
-                    match fileio::read_vector(&fc_path) {
-                        Ok(xf) => {
+                    match fileio::read_vector_with_crc(&fc_path) {
+                        Ok((xf, crc)) => {
                             let verdict =
                                 cfg.validator.as_ref().map_or(Verdict::Pass, |v| v.validate(&xf));
                             match verdict {
                                 Verdict::Pass => {
-                                    if let Some(kind) =
-                                        corruption.filter(|k| k.bypasses_self_check())
-                                    {
-                                        inject(&kind);
-                                    }
-                                    match fileio::vector_file_crc(&fc_path) {
+                                    // A post-self-check injection rewrites
+                                    // the file: publish the CRC of the
+                                    // corrupted bytes.
+                                    let crc = match corruption.filter(|k| k.bypasses_self_check()) {
+                                        Some(kind) => {
+                                            inject(&kind);
+                                            fileio::read_vector_with_crc(&fc_path)
+                                                .map(|(_, crc)| crc)
+                                        }
+                                        None => Ok(crc),
+                                    };
+                                    match crc {
                                         Ok(crc) => published = publish(0, crc, 0),
                                         Err(e) => {
                                             eprintln!(
@@ -425,10 +412,6 @@ fn run_task(
         }
     }
 
-    if let Some((stop, handle)) = heartbeat {
-        stop.store(true, Ordering::Relaxed);
-        let _ = handle.join();
-    }
     // Release after the publish: the result record is the commit point,
     // the claim files are just lease bookkeeping. Tolerant of a claim
     // the lease watchdog already swept.
@@ -444,7 +427,7 @@ fn open_transport(
     cfg: &WorkerConfig,
     parent_pid: Option<u32>,
     wait_pool: Duration,
-) -> Result<Arc<dyn PoolTransport>, String> {
+) -> Result<Box<dyn PoolTransport>, String> {
     let t0 = Instant::now();
     // The coordinator-outage parking window, shared by both transports.
     // `--reconnect-grace-ms` is the historical TCP spelling and still
@@ -460,7 +443,7 @@ fn open_transport(
         tcp.endpoint_file = args.get("endpoint-file").map(PathBuf::from);
         loop {
             match TcpTransport::connect(tcp.clone()) {
-                Ok(t) => return Ok(Arc::new(t)),
+                Ok(t) => return Ok(Box::new(t)),
                 Err(e)
                     if e.kind() == std::io::ErrorKind::ConnectionRefused
                         && e.to_string().contains("rejected") =>
@@ -481,7 +464,7 @@ fn open_transport(
     loop {
         match TaskPool::open(workdir) {
             Ok((pool, manifest)) => {
-                return Ok(Arc::new(
+                return Ok(Box::new(
                     DiskTransport::new(pool, manifest, parent_pid).with_coordinator_grace(grace),
                 ));
             }
@@ -722,7 +705,7 @@ fn main() {
             std::process::abort();
         }
         let stalled = stalled_once == Some(spec.member);
-        if run_task(&cfg, &transport, spec, stalled, rec, lane, &m_rejected) {
+        if run_task(&cfg, transport.as_ref(), spec, stalled, rec, lane, &m_rejected) {
             tasks_published += 1;
             m_published.inc();
         }

@@ -6,8 +6,17 @@ use esse_core::error::EsseError;
 use esse_core::model::ForecastError;
 use esse_ocean::{scenario, OceanState, PeModel};
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::Duration;
+
+/// Path of the shipped binary `name`: the workflow's executables are
+/// installed side by side, next to the one running.
+pub fn sibling(name: &str) -> PathBuf {
+    let mut exe = std::env::current_exe().expect("current exe path");
+    exe.set_file_name(name);
+    exe
+}
 
 /// Parse `--key value` pairs (and bare `--flag`s as `"true"`).
 pub fn parse_args(args: &[String]) -> HashMap<String, String> {

@@ -4,8 +4,7 @@
 //! mean state from disk and writes a perturbed initial condition;
 //! `pemodel` reads that file and writes the forecast; the diff/SVD
 //! stages work on covariance files. This module defines those formats:
-//! a small magic-tagged header followed by little-endian `f64`s, written
-//! via the `bytes` crate.
+//! a small magic-tagged header followed by little-endian `f64`s.
 //!
 //! Since the format v2 revision every file written here carries a
 //! format-version byte after the magic and a CRC-32 trailer over
@@ -17,8 +16,8 @@
 //! [`esse_core::durable::atomic_write`]: temp file, fsync, rename,
 //! fsync the parent directory — a published file survives power loss.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use esse_core::durable::{atomic_write, crc32};
+use esse_core::subspace::ErrorSubspace;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -31,172 +30,73 @@ const SUB_MAGIC_V2: u32 = 0x4553_5332; // "ESS2" — checksummed subspace
 /// Current format version written after the magic in v2 files.
 pub const FORMAT_VERSION: u8 = 2;
 
-/// Encode a state vector into the current (v2, checksummed) on-disk
-/// format. Exposed so the on-disk safe/live covariance protocol can
-/// embed vector payloads without a round-trip through a file.
-pub fn vector_to_bytes(data: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(17 + 8 * data.len() + 4);
-    buf.put_u32_le(VEC_MAGIC_V2);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u64_le(data.len() as u64);
-    for &v in data {
-        buf.put_f64_le(v);
+/// Lay out a v2 file: magic, version byte, `u64` dimension words, the
+/// `f64` payload, then the CRC-32 of everything before it.
+fn encode<'a>(magic: u32, dims: &[usize], payload: impl Iterator<Item = &'a f64>) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(9 + 8 * (dims.len() + payload.size_hint().0));
+    buf.extend_from_slice(&magic.to_le_bytes());
+    buf.push(FORMAT_VERSION);
+    for &d in dims {
+        buf.extend_from_slice(&(d as u64).to_le_bytes());
+    }
+    for v in payload {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.freeze()
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf
 }
 
-/// Write a state vector to `path` (durable atomic publish).
-pub fn write_vector(path: impl AsRef<Path>, data: &[f64]) -> io::Result<()> {
-    atomic_write(path, &vector_to_bytes(data))
-}
-
-/// Decode a state vector from raw file bytes (v2 or legacy v1).
-pub fn vector_from_bytes(raw: &[u8]) -> io::Result<Vec<f64>> {
-    let mut buf = Bytes::from(raw.to_vec());
-    if buf.remaining() < 4 {
-        return Err(corrupt("vector", "shorter than a magic number"));
+/// Check the magic of `raw` and, for a v2 file, its CRC-32 trailer and
+/// version byte. Returns the dimension words and payload that follow,
+/// the trailer (0 for a legacy v1 file, which has none) and whether the
+/// file is v2. A missing or mismatched trailer is a *corrupt file* —
+/// distinct from "not an ESSE file" so the caller (or a resume scan)
+/// knows the file was torn or flipped, not misnamed.
+fn open<'a>(raw: &'a [u8], v2: u32, v1: u32, what: &str) -> io::Result<(&'a [u8], u32, bool)> {
+    let Some((magic, rest)) = raw.split_first_chunk::<4>() else {
+        return Err(corrupt(what, "shorter than a magic number"));
+    };
+    let magic = u32::from_le_bytes(*magic);
+    if magic == v1 {
+        return Ok((rest, 0, false));
     }
-    match buf.get_u32_le() {
-        VEC_MAGIC_V2 => {
-            let body = check_trailer(raw, "vector")?;
-            let mut buf = Bytes::from(body[4..].to_vec());
-            let version = buf.get_u8();
-            if version == 0 || version > FORMAT_VERSION {
-                return Err(corrupt("vector", "unknown format version"));
-            }
-            if buf.remaining() < 8 {
-                return Err(corrupt("vector", "truncated header"));
-            }
-            let n = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * n {
-                return Err(corrupt("vector", "length mismatch"));
-            }
-            Ok((0..n).map(|_| buf.get_f64_le()).collect())
-        }
-        VEC_MAGIC => {
-            // Legacy v1: no version byte, no checksum.
-            if buf.remaining() < 8 {
-                return Err(bad_data("not an ESSE vector file"));
-            }
-            let n = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * n {
-                return Err(bad_data("vector length mismatch"));
-            }
-            Ok((0..n).map(|_| buf.get_f64_le()).collect())
-        }
-        _ => Err(bad_data("not an ESSE vector file")),
+    if magic != v2 {
+        return Err(bad_data(&format!("not an ESSE {what} file")));
     }
-}
-
-/// Read a state vector from `path`.
-pub fn read_vector(path: impl AsRef<Path>) -> io::Result<Vec<f64>> {
-    vector_from_bytes(&fs::read(path)?)
-}
-
-/// Encode an error subspace into the current (v2, checksummed) format.
-pub fn subspace_to_bytes(subspace: &esse_core::subspace::ErrorSubspace) -> Bytes {
-    let (n, k) = subspace.modes.shape();
-    let mut buf = BytesMut::with_capacity(25 + 8 * (n * k + k) + 4);
-    buf.put_u32_le(SUB_MAGIC_V2);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(k as u64);
-    for &v in &subspace.variances {
-        buf.put_f64_le(v);
-    }
-    for j in 0..k {
-        for &v in subspace.modes.col(j) {
-            buf.put_f64_le(v);
-        }
-    }
-    let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.freeze()
-}
-
-/// Write an error subspace (modes + variances) to `path`.
-pub fn write_subspace(
-    path: impl AsRef<Path>,
-    subspace: &esse_core::subspace::ErrorSubspace,
-) -> io::Result<()> {
-    atomic_write(path, &subspace_to_bytes(subspace))
-}
-
-/// Decode an error subspace from raw file bytes (v2 or legacy v1).
-pub fn subspace_from_bytes(raw: &[u8]) -> io::Result<esse_core::subspace::ErrorSubspace> {
-    let mut buf = Bytes::from(raw.to_vec());
-    if buf.remaining() < 4 {
-        return Err(corrupt("subspace", "shorter than a magic number"));
-    }
-    match buf.get_u32_le() {
-        SUB_MAGIC_V2 => {
-            let body = check_trailer(raw, "subspace")?;
-            let mut buf = Bytes::from(body[4..].to_vec());
-            let version = buf.get_u8();
-            if version == 0 || version > FORMAT_VERSION {
-                return Err(corrupt("subspace", "unknown format version"));
-            }
-            if buf.remaining() < 16 {
-                return Err(corrupt("subspace", "truncated header"));
-            }
-            let n = buf.get_u64_le() as usize;
-            let k = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * (k + n * k) {
-                return Err(corrupt("subspace", "size mismatch"));
-            }
-            parse_subspace_body(&mut buf, n, k)
-        }
-        SUB_MAGIC => {
-            if buf.remaining() < 16 {
-                return Err(bad_data("not an ESSE subspace file"));
-            }
-            let n = buf.get_u64_le() as usize;
-            let k = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * (k + n * k) {
-                return Err(bad_data("subspace size mismatch"));
-            }
-            parse_subspace_body(&mut buf, n, k)
-        }
-        _ => Err(bad_data("not an ESSE subspace file")),
-    }
-}
-
-/// Read an error subspace from `path`.
-pub fn read_subspace(path: impl AsRef<Path>) -> io::Result<esse_core::subspace::ErrorSubspace> {
-    subspace_from_bytes(&fs::read(path)?)
-}
-
-fn parse_subspace_body(
-    buf: &mut Bytes,
-    n: usize,
-    k: usize,
-) -> io::Result<esse_core::subspace::ErrorSubspace> {
-    let variances: Vec<f64> = (0..k).map(|_| buf.get_f64_le()).collect();
-    let mut modes = esse_linalg::Matrix::zeros(n, k);
-    for j in 0..k {
-        for i in 0..n {
-            modes.set(i, j, buf.get_f64_le());
-        }
-    }
-    Ok(esse_core::subspace::ErrorSubspace { modes, variances })
-}
-
-/// Verify the CRC-32 trailer of a v2 file and return the body (all
-/// bytes before the trailer). A missing or mismatched trailer is a
-/// *corrupt file* — distinct from "not an ESSE file" so the caller (or
-/// a resume scan) knows the file was torn or flipped, not misnamed.
-fn check_trailer<'a>(raw: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
-    if raw.len() < 9 {
+    let Some((body, trailer)) = raw.split_last_chunk::<4>().filter(|(body, _)| body.len() >= 5)
+    else {
         return Err(corrupt(what, "truncated before checksum"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    };
+    let stored = u32::from_le_bytes(*trailer);
     if crc32(body) != stored {
         return Err(corrupt(what, "checksum mismatch"));
     }
-    Ok(body)
+    if body[4] == 0 || body[4] > FORMAT_VERSION {
+        return Err(corrupt(what, "unknown format version"));
+    }
+    Ok((&body[5..], stored, true))
+}
+
+/// Take one `u64` dimension word off the front of `rest`.
+fn take_dim(rest: &mut &[u8]) -> Option<usize> {
+    let (word, tail) = rest.split_first_chunk::<8>()?;
+    *rest = tail;
+    usize::try_from(u64::from_le_bytes(*word)).ok()
+}
+
+fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+}
+
+/// A header or payload that does not add up: corrupt in a checksummed
+/// v2 file, merely foreign in a legacy v1 one.
+fn malformed(what: &str, v2: bool, why: &str) -> io::Error {
+    if v2 {
+        corrupt(what, why)
+    } else {
+        bad_data(&format!("legacy ESSE {what} file: {why}"))
+    }
 }
 
 fn bad_data(msg: &str) -> io::Error {
@@ -207,19 +107,76 @@ fn corrupt(what: &str, why: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corrupt ESSE {what} file: {why}"))
 }
 
-/// Validate the vector file at `path` and return its CRC-32 trailer —
-/// the fingerprint a worker publishes in its pool result record so the
+/// Encode a state vector into the current (v2, checksummed) on-disk
+/// format. Exposed so the on-disk safe/live covariance protocol can
+/// embed vector payloads without a round-trip through a file.
+pub fn vector_to_bytes(data: &[f64]) -> Vec<u8> {
+    encode(VEC_MAGIC_V2, &[data.len()], data.iter())
+}
+
+/// Write a state vector to `path` (durable atomic publish).
+pub fn write_vector(path: impl AsRef<Path>, data: &[f64]) -> io::Result<()> {
+    atomic_write(path, &vector_to_bytes(data))
+}
+
+fn decode_vector(raw: &[u8]) -> io::Result<(Vec<f64>, u32)> {
+    let (mut rest, crc, v2) = open(raw, VEC_MAGIC_V2, VEC_MAGIC, "vector")?;
+    let n = take_dim(&mut rest).ok_or_else(|| malformed("vector", v2, "truncated header"))?;
+    if n.checked_mul(8) != Some(rest.len()) {
+        return Err(malformed("vector", v2, "length mismatch"));
+    }
+    Ok((f64s(rest).collect(), crc))
+}
+
+/// Decode a state vector from raw file bytes (v2 or legacy v1).
+pub fn vector_from_bytes(raw: &[u8]) -> io::Result<Vec<f64>> {
+    decode_vector(raw).map(|(data, _)| data)
+}
+
+/// Read a state vector from `path`.
+pub fn read_vector(path: impl AsRef<Path>) -> io::Result<Vec<f64>> {
+    vector_from_bytes(&fs::read(path)?)
+}
+
+/// Read a state vector together with its CRC-32 trailer — the
+/// fingerprint a worker publishes in its pool result record so the
 /// coordinator can cross-check that the forecast it ingests is the one
 /// the worker validated. Legacy v1 files have no trailer and report 0.
-pub fn vector_file_crc(path: impl AsRef<Path>) -> io::Result<u32> {
-    let raw = fs::read(path)?;
-    vector_from_bytes(&raw)?;
-    if raw.len() >= 4 && raw[..4] == VEC_MAGIC_V2.to_le_bytes() {
-        let (_, trailer) = raw.split_at(raw.len() - 4);
-        Ok(u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]))
-    } else {
-        Ok(0)
+pub fn read_vector_with_crc(path: impl AsRef<Path>) -> io::Result<(Vec<f64>, u32)> {
+    decode_vector(&fs::read(path)?)
+}
+
+/// Encode an error subspace into the current (v2, checksummed) format.
+pub fn subspace_to_bytes(subspace: &ErrorSubspace) -> Vec<u8> {
+    let (n, k) = subspace.modes.shape();
+    encode(SUB_MAGIC_V2, &[n, k], subspace.variances.iter().chain(subspace.modes.as_slice()))
+}
+
+/// Write an error subspace (modes + variances) to `path`.
+pub fn write_subspace(path: impl AsRef<Path>, subspace: &ErrorSubspace) -> io::Result<()> {
+    atomic_write(path, &subspace_to_bytes(subspace))
+}
+
+/// Decode an error subspace from raw file bytes (v2 or legacy v1).
+pub fn subspace_from_bytes(raw: &[u8]) -> io::Result<ErrorSubspace> {
+    let (mut rest, _crc, v2) = open(raw, SUB_MAGIC_V2, SUB_MAGIC, "subspace")?;
+    let (n, k) = take_dim(&mut rest)
+        .zip(take_dim(&mut rest))
+        .ok_or_else(|| malformed("subspace", v2, "truncated header"))?;
+    let bytes = n.checked_mul(k).and_then(|nk| nk.checked_add(k)).and_then(|c| c.checked_mul(8));
+    if bytes != Some(rest.len()) {
+        return Err(malformed("subspace", v2, "size mismatch"));
     }
+    let (variances, modes) = rest.split_at(8 * k);
+    Ok(ErrorSubspace {
+        modes: esse_linalg::Matrix::from_col_major(n, k, f64s(modes).collect()),
+        variances: f64s(variances).collect(),
+    })
+}
+
+/// Read an error subspace from `path`.
+pub fn read_subspace(path: impl AsRef<Path>) -> io::Result<ErrorSubspace> {
+    subspace_from_bytes(&fs::read(path)?)
 }
 
 /// `true` if `err` is the distinct corrupt-file error produced by the
@@ -234,7 +191,6 @@ pub fn is_corrupt_error(err: &io::Error) -> bool {
 mod tests {
     use super::*;
     use esse_core::durable::tmp_path;
-    use esse_core::subspace::ErrorSubspace;
     use esse_linalg::Matrix;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -273,11 +229,11 @@ mod tests {
         write_vector(&p, &[1.0, 2.5, -3.0]).unwrap();
         let raw = std::fs::read(&p).unwrap();
         let trailer = u32::from_le_bytes(raw[raw.len() - 4..].try_into().unwrap());
-        assert_eq!(vector_file_crc(&p).unwrap(), trailer);
+        assert_eq!(read_vector_with_crc(&p).unwrap(), (vec![1.0, 2.5, -3.0], trailer));
         let mut bad = raw.clone();
         bad[10] ^= 1;
         std::fs::write(&p, &bad).unwrap();
-        assert!(vector_file_crc(&p).is_err());
+        assert!(read_vector_with_crc(&p).is_err());
     }
 
     #[test]

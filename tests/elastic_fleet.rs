@@ -16,8 +16,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-const DOMAIN: &str = "monterey:10,10,3";
-const HOURS: &str = "2";
+// Sized so a member forecast costs about 200 ms in either build
+// profile: the killed founder's task is only requeued after its 500 ms
+// lease expires, and the makespan comparison below needs the sixteen
+// members' compute, not that one stall, to dominate both runs.
+const DOMAIN: &str = "monterey:24,24,6";
+const HOURS: &str = if cfg!(debug_assertions) { "1" } else { "16" };
 const INITIAL: &str = "6";
 const MAX: &str = "16";
 // Low tolerance drives the adaptive schedule toward --max so there is

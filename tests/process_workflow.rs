@@ -1,8 +1,9 @@
 //! End-to-end test of the *process-level* workflow: the real `pert`,
 //! `pemodel` and `esse_master` executables coordinating through files
-//! and per-member status records, exactly like the paper's shell-script
+//! and per-member result records, exactly like the paper's shell-script
 //! implementation (§4.2).
 
+use esse::mtc::journal::{Journal, JournalRecord};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -30,7 +31,7 @@ fn master_cmd(dir: &Path, extra: &[&str]) -> Command {
         "8",
         "--tolerance",
         "0.15",
-        "--children",
+        "--workers",
         "2",
     ]);
     cmd.args(extra);
@@ -58,7 +59,9 @@ fn master_produces_posterior_subspace() {
     assert!(sub.rank() >= 1);
     assert!(sub.total_variance() > 0.0);
     assert!(sub.orthonormality_defect() < 1e-8);
-    // Status directory recorded every member that produced a forecast.
+    // The journal and the pool result records are the only member
+    // records: no per-member status directory.
+    assert!(!dir.join("status").exists(), "a status/ directory came back");
     let n_fc = std::fs::read_dir(&dir)
         .unwrap()
         .filter(|e| {
@@ -122,8 +125,24 @@ fn crashed_master_resumes_to_a_bit_identical_posterior() {
     let out = master_cmd(&dir, &["--crash-after-appends", "12"]).output().unwrap();
     assert!(!out.status.success(), "injected crash did not fire");
     assert!(dir.join("run.journal").exists(), "journal survives the crash");
+    let completed = |dir: &Path| -> Vec<u64> {
+        let replay = Journal::replay(dir.join("run.journal")).expect("replay journal");
+        let done = replay.records.iter().filter_map(|r| match r {
+            JournalRecord::MemberCompleted { member, .. } => Some(*member),
+            _ => None,
+        });
+        done.collect()
+    };
+    let before = completed(&dir);
+    assert!(!before.is_empty(), "the crash point is past the first completion");
     let log = run_master(&dir, &["--resume"]);
-    assert!(!log.contains("(resumed 0)"), "resume found no completed members: {log}");
+    // The journal alone carries the restart: every member completed
+    // before the crash is reused, none is run again.
+    assert!(log.contains(&format!("(resumed {})", before.len())), "log: {log}");
+    let mut after = completed(&dir);
+    assert_eq!(after[..before.len()], before[..]);
+    after.sort_unstable();
+    assert!(after.windows(2).all(|w| w[0] != w[1]), "a completed member ran twice: {after:?}");
 
     let resumed = std::fs::read(dir.join("posterior.sub")).unwrap();
     assert_eq!(resumed, reference, "resumed posterior is not bit-identical");
@@ -132,6 +151,24 @@ fn crashed_master_resumes_to_a_bit_identical_posterior() {
     let log = run_master(&dir, &["--resume"]);
     assert!(log.contains("already complete"), "log: {log}");
     assert_eq!(std::fs::read(dir.join("posterior.sub")).unwrap(), reference);
+}
+
+#[test]
+fn incremental_and_full_checkpoint_lanes_write_the_same_posterior() {
+    // A schedule that never converges, so every checkpoint fires under
+    // both estimators; the posterior is a fresh full recompute either
+    // way and must not depend on `--subspace`.
+    let schedule = ["--max", "12", "--tolerance", "1e-9"];
+    let full = workdir("lane-full");
+    run_master(&full, &[&schedule[..], &["--subspace", "full"]].concat());
+    let incremental = workdir("lane-inc");
+    let log = run_master(&incremental, &[&schedule[..], &["--subspace", "incremental"]].concat());
+    assert!(log.contains("N=12 rho="), "the last checkpoint fired: {log}");
+    assert_eq!(
+        std::fs::read(incremental.join("posterior.sub")).unwrap(),
+        std::fs::read(full.join("posterior.sub")).unwrap(),
+        "--subspace changed the posterior bytes"
+    );
 }
 
 #[test]

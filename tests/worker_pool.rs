@@ -103,6 +103,67 @@ fn external_workers_drive_the_run_to_completion() {
     assert!(completed >= 4, "external workers completed {completed} members");
 }
 
+/// Run the master to completion with a local fleet and return its
+/// stdout and wall time.
+fn run_master(dir: &Path, extra: &[&str]) -> (String, Duration) {
+    let started = Instant::now();
+    let out = master_cmd(dir, extra).stdout(Stdio::piped()).output().expect("run esse_master");
+    assert!(out.status.success(), "master failed: {}", out.status);
+    (String::from_utf8_lossy(&out.stdout).into_owned(), started.elapsed())
+}
+
+/// The number after `key` on the master's "pool stats" line.
+fn pool_stat(log: &str, key: &str) -> u64 {
+    let line = log.lines().find(|l| l.contains("pool stats")).expect("pool stats line");
+    let tail =
+        &line[line.find(key).unwrap_or_else(|| panic!("no {key:?} in {line:?}")) + key.len()..];
+    tail.trim_start().split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn a_member_that_outlasts_its_lease_is_renewed_not_expired() {
+    let dir = workdir("longlease");
+    // Each member runs for about a second — between two and three
+    // 400 ms leases — in either build profile; the worker's wait loop
+    // must keep renewing the whole time.
+    let hours = if cfg!(debug_assertions) { "6" } else { "48" };
+    let scenario =
+        ["--domain", "monterey:24,24,6", "--hours", hours, "--initial", "2", "--max", "2"];
+    let (log, _) =
+        run_master(&dir, &[&scenario[..], &["--workers", "2", "--lease-ms", "400"]].concat());
+    assert_eq!(pool_stat(&log, "expired"), 0, "a live worker lost its lease: {log}");
+    // Five renewals span one lease: fewer than that per member means the
+    // members did not outlast it and the scenario needs resizing.
+    assert!(pool_stat(&log, "renewed") >= 10, "members did not outlast the lease: {log}");
+}
+
+#[test]
+fn a_finished_task_does_not_wait_out_a_heartbeat_interval() {
+    let dir = workdir("nojoin");
+    // With a 3 s lease the heartbeat interval is 600 ms. Eight trivial
+    // members on one worker must not cost anything like 8 x 600 ms:
+    // nothing sleeps out an interval after the forecast is done.
+    let members = 8;
+    let (log, took) = run_master(
+        &dir,
+        &[
+            "--initial",
+            "8",
+            "--max",
+            "8",
+            "--tolerance",
+            "1e-9",
+            "--workers",
+            "1",
+            "--lease-ms",
+            "3000",
+        ],
+    );
+    assert_eq!(pool_stat(&log, "ingested"), members);
+    assert_eq!(pool_stat(&log, "expired"), 0);
+    assert!(took < Duration::from_millis(300 * members), "{members} members took {took:?}");
+}
+
 #[test]
 fn workdir_locked_by_a_live_master_is_refused() {
     let dir = workdir("locked");
