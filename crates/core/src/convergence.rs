@@ -15,7 +15,7 @@
 //! estimates.
 
 use crate::subspace::ErrorSubspace;
-use esse_linalg::{Matrix, Svd};
+use esse_linalg::{vecops, Matrix, Svd};
 
 /// Similarity coefficient ρ ∈ [0, 1] between two subspace estimates.
 pub fn similarity(a: &ErrorSubspace, b: &ErrorSubspace) -> f64 {
@@ -25,17 +25,14 @@ pub fn similarity(a: &ErrorSubspace, b: &ErrorSubspace) -> f64 {
     if ta <= 0.0 || tb <= 0.0 {
         return 0.0;
     }
-    // C = Λa^{1/2} (Eaᵀ Eb) Λb^{1/2}  (ka × kb)
-    let cross = a.modes.transpose().matmul(&b.modes).expect("same state dim");
-    let mut c = cross;
-    for i in 0..c.rows() {
-        let wa = a.variances[i].max(0.0).sqrt();
-        for j in 0..c.cols() {
-            let wb = b.variances[j].max(0.0).sqrt();
-            let v = c.get(i, j) * wa * wb;
-            c.set(i, j, v);
-        }
-    }
+    // C = Λa^{1/2} (Eaᵀ Eb) Λb^{1/2}  (ka × kb): each entry is a dot
+    // of two contiguous mode columns.
+    let weights =
+        |s: &ErrorSubspace| -> Vec<f64> { s.variances.iter().map(|v| v.max(0.0).sqrt()).collect() };
+    let (wa, wb) = (weights(a), weights(b));
+    let c = Matrix::from_fn(wa.len(), wb.len(), |i, j| {
+        vecops::dot(a.modes.col(i), b.modes.col(j)) * wa[i] * wb[j]
+    });
     let svd = Svd::compute(&c).expect("small cross matrix");
     let nuclear: f64 = svd.s.iter().sum();
     (nuclear / (ta * tb).sqrt()).clamp(0.0, 1.0)

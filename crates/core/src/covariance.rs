@@ -87,9 +87,9 @@ impl SpreadAccumulator {
     }
 
     /// The raw (unnormalized) difference columns in arrival order —
-    /// the incremental subspace tracker folds these directly and
-    /// applies the `1/√(N−1)` normalization at estimate time, since the
-    /// factor changes with every arrival.
+    /// the subspace estimators decompose these directly and apply the
+    /// `1/(N−1)` normalization to the variances at estimate time,
+    /// since the factor changes with every arrival.
     pub fn raw_diffs(&self) -> &Matrix {
         &self.diffs
     }

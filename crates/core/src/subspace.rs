@@ -7,7 +7,7 @@
 
 use crate::covariance::SpreadAccumulator;
 use crate::error::EsseError;
-use esse_linalg::{vecops, IncrementalSvd, LinalgCtx, Matrix, Svd};
+use esse_linalg::{vecops, IncrementalSvd, LinalgCtx, Matrix, Svd, SymEigen};
 
 /// Dominant error modes `E` with variances `Λ`.
 #[derive(Debug, Clone)]
@@ -34,7 +34,7 @@ impl ErrorSubspace {
     /// (`P = M Mᵀ` ⇒ modes = U, variances = σ²), keeping modes above
     /// `rel_tol · σ₁` and at most `max_rank`.
     pub fn from_spread_svd(svd: &Svd, rel_tol: f64, max_rank: usize) -> ErrorSubspace {
-        let rank = svd.rank(rel_tol).min(max_rank).max(1).min(svd.s.len());
+        let rank = retained_rank(&svd.s, rel_tol, max_rank);
         ErrorSubspace {
             modes: svd.u.take_cols(rank),
             variances: svd.s[..rank].iter().map(|s| s * s).collect(),
@@ -43,7 +43,7 @@ impl ErrorSubspace {
 
     /// Build from a (small) full covariance matrix — testing path.
     pub fn from_covariance(p: &Matrix, rel_tol: f64, max_rank: usize) -> ErrorSubspace {
-        let eig = esse_linalg::SymEigen::compute(p).expect("symmetric covariance");
+        let eig = SymEigen::compute(p).expect("symmetric covariance");
         let lead = eig.values.first().copied().unwrap_or(0.0).max(0.0);
         let mut rank = 0;
         for &v in &eig.values {
@@ -197,11 +197,11 @@ pub struct SubspaceUpdate {
 }
 
 /// Strategy selecting how the error subspace is (re)computed as
-/// members arrive. The default reproduces today's behavior exactly.
+/// members arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SubspaceStrategy {
-    /// Thin SVD of the full spread matrix at every estimate — the
-    /// bit-identical legacy path.
+    /// Exact Gram-path SVD of every member seen, at every estimate: a
+    /// pure function of the ordered member list (see [`FullRecompute`]).
     #[default]
     FullRecompute,
     /// Fold arriving members into the tracked `U·Σ` with rank-block
@@ -240,12 +240,34 @@ pub trait SubspaceEstimator: Send {
     fn strategy(&self) -> &'static str;
 }
 
-/// The legacy strategy: full thin SVD of the normalized spread matrix
-/// at every estimate. Numerically (and bitwise) identical to calling
-/// [`SpreadAccumulator::snapshot`] + [`Svd::compute`] +
-/// [`ErrorSubspace::from_spread_svd`] by hand.
+/// Singular values kept from the descending `s`: above `rel_tol · σ₁`,
+/// at most `max_rank`, at least one (scale-invariant).
+fn retained_rank(s: &[f64], rel_tol: f64, max_rank: usize) -> usize {
+    let s0 = s.first().copied().unwrap_or(0.0);
+    let numerical = if s0 <= 0.0 { 0 } else { s.iter().take_while(|&&x| x > rel_tol * s0).count() };
+    numerical.min(max_rank).max(1).min(s.len())
+}
+
+/// Mode variances from *raw*-difference singular values: the spread
+/// normalization moves with every arrival, so `λ = σ²/(N−1)` lands here.
+fn spread_variances(s: &[f64], members: usize) -> Vec<f64> {
+    let norm = 1.0 / ((members - 1) as f64);
+    s.iter().map(|x| x * x * norm).collect()
+}
+
+/// The exact strategy: Gram-path SVD of every difference column seen,
+/// paying per estimate only for what arrived since the last one. The
+/// raw Gram matrix `DᵀD` is carried and extended by the new members'
+/// rows and columns; its eigenpairs are recomputed from scratch (no
+/// warm start) and only the retained modes `U = D·V_k·Σ_k⁻¹` formed.
+/// An estimate is therefore a **pure function of the ordered member
+/// list** — asked at every stride or once at the end, the same bits —
+/// which `esse_master` relies on when it compares its persistent
+/// checkpoint estimator with fresh ones (docs/NUMERICS.md §2).
 pub struct FullRecompute {
     acc: SpreadAccumulator,
+    /// `DᵀD` of the first `gram.cols()` raw difference columns.
+    gram: Matrix,
     rel_tol: f64,
     max_rank: usize,
 }
@@ -253,7 +275,12 @@ pub struct FullRecompute {
 impl FullRecompute {
     /// New estimator around the central forecast.
     pub fn new(central: Vec<f64>, rel_tol: f64, max_rank: usize) -> FullRecompute {
-        FullRecompute { acc: SpreadAccumulator::new(central), rel_tol, max_rank }
+        FullRecompute {
+            acc: SpreadAccumulator::new(central),
+            gram: Matrix::zeros(0, 0),
+            rel_tol,
+            max_rank,
+        }
     }
 }
 
@@ -271,17 +298,25 @@ impl SubspaceEstimator for FullRecompute {
     }
 
     fn estimate(&mut self) -> Result<Option<SubspaceUpdate>, EsseError> {
-        let snap = self.acc.snapshot();
-        // `svd()` returns None below two members *and* on a failed
-        // decomposition — the legacy path treated both as "skip this
-        // round", so the default strategy must too.
-        let Some(svd) = snap.svd() else { return Ok(None) };
-        let subspace = ErrorSubspace::from_spread_svd(&svd, self.rel_tol, self.max_rank);
+        let members = self.acc.count();
+        if members < 2 {
+            return Ok(None);
+        }
+        let diffs = self.acc.raw_diffs();
+        self.gram = diffs.gram_extending(&self.gram);
+        // A failed decomposition skips the round, like too few members.
+        let Ok(eig) = SymEigen::compute(&self.gram) else { return Ok(None) };
+        let s: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
+        let rank = retained_rank(&s, self.rel_tol, self.max_rank);
+        let subspace = ErrorSubspace {
+            modes: Svd::left_vectors(diffs, &eig.vectors, &s, rank)?,
+            variances: spread_variances(&s[..rank], members),
+        };
         let defect = subspace.orthonormality_defect();
         Ok(Some(SubspaceUpdate {
             subspace,
             kind: UpdateKind::Full,
-            members: snap.count(),
+            members,
             defect,
             error_bound: 0.0,
         }))
@@ -294,9 +329,9 @@ impl SubspaceEstimator for FullRecompute {
 
 /// The incremental strategy: rank-block folds of new members into a
 /// tracked `U·Σ` ([`IncrementalSvd`]), with drift-controlled full
-/// recomputes. Raw difference columns are retained (same memory as the
-/// accumulator the legacy path keeps) so a refresh can always rebuild
-/// from scratch.
+/// recomputes. Raw difference columns are retained (same memory as
+/// [`FullRecompute`] keeps) so a refresh can always rebuild from
+/// scratch.
 pub struct IncrementalEstimator {
     acc: SpreadAccumulator,
     tracker: IncrementalSvd,
@@ -383,18 +418,12 @@ impl SubspaceEstimator for IncrementalEstimator {
             self.estimates_since_refresh += 1;
             UpdateKind::Incremental
         };
-        // Export with the spread normalization applied: the tracker
-        // holds raw-diff singular values, so λ = σ²/(N−1). The rank
-        // trim mirrors `from_spread_svd` (scale-invariant).
+        // The tracker holds raw-diff singular values.
         let s = self.tracker.singular_values();
-        let s0 = s.first().copied().unwrap_or(0.0);
-        let numerical_rank =
-            if s0 <= 0.0 { 0 } else { s.iter().take_while(|&&x| x > self.rel_tol * s0).count() };
-        let rank = numerical_rank.min(self.max_rank).max(1).min(s.len());
-        let norm = 1.0 / ((total - 1) as f64);
+        let rank = retained_rank(s, self.rel_tol, self.max_rank);
         let subspace = ErrorSubspace {
             modes: self.tracker.modes().take_cols(rank),
-            variances: s[..rank].iter().map(|x| x * x * norm).collect(),
+            variances: spread_variances(&s[..rank], total),
         };
         Ok(Some(SubspaceUpdate {
             subspace,
@@ -507,24 +536,65 @@ mod tests {
     }
 
     #[test]
-    fn full_recompute_estimator_matches_legacy_path() {
-        let central = vec![0.0; 24];
-        let forecasts = lcg_forecasts(24, 8, 41);
-        let mut est = FullRecompute::new(central.clone(), 1e-6, 6);
+    fn full_recompute_estimate_is_a_pure_function_of_the_member_list() {
+        let central = vec![0.25; 24];
+        let forecasts = lcg_forecasts(24, 12, 41);
+        // Asked at every stride (carrying the Gram matrix along) ...
+        let mut strided = FullRecompute::new(central.clone(), 1e-6, 6);
+        let mut last = None;
+        for (id, f) in forecasts.iter().enumerate() {
+            assert!(strided.add_member(id, f));
+            if id % 3 == 2 {
+                last = strided.estimate().unwrap();
+            }
+        }
+        let update = last.unwrap();
+        assert_eq!(update.kind, UpdateKind::Full);
+        assert_eq!(update.members, 12);
+        assert_eq!(update.error_bound, 0.0);
+        // ... and asked once by a fresh estimator: the same bits.
+        let mut once = FullRecompute::new(central.clone(), 1e-6, 6);
         let mut acc = SpreadAccumulator::new(central);
         for (id, f) in forecasts.iter().enumerate() {
-            assert!(est.add_member(id, f));
+            once.add_member(id, f);
             acc.add_member(id, f);
         }
+        let fresh = once.estimate().unwrap().unwrap().subspace;
+        assert_eq!(update.subspace.variances, fresh.variances);
+        assert_eq!(update.subspace.modes, fresh.modes);
+        // Both agree with a one-sided Jacobi SVD of the normalized spread.
+        let svd = Svd::jacobi(&acc.snapshot().matrix).unwrap();
+        let reference = ErrorSubspace::from_spread_svd(&svd, 1e-6, 6);
+        assert_eq!(fresh.rank(), reference.rank());
+        for (x, y) in fresh.variances.iter().zip(reference.variances.iter()) {
+            assert!((x - y).abs() <= 1e-10 * y, "{x} vs {y}");
+        }
+        let rho = crate::convergence::similarity(&fresh, &reference);
+        assert!(1.0 - rho < 1e-12, "1 - rho = {:e}", 1.0 - rho);
+    }
+
+    #[test]
+    fn duplicate_members_still_yield_orthonormal_modes() {
+        // Every member twice under different ids: half the spectrum is
+        // null, and a retained column under the Gram floor takes the
+        // orthonormal-fill path.
+        let central = vec![0.0; 16];
+        let mut est = FullRecompute::new(central.clone(), 0.0, 12);
+        for (id, f) in lcg_forecasts(16, 6, 3).iter().enumerate() {
+            est.add_member(id, f);
+            est.add_member(100 + id, f);
+        }
         let update = est.estimate().unwrap().unwrap();
-        assert_eq!(update.kind, UpdateKind::Full);
-        assert_eq!(update.members, 8);
-        assert_eq!(update.error_bound, 0.0);
-        let svd = acc.snapshot().svd().unwrap();
-        let legacy = ErrorSubspace::from_spread_svd(&svd, 1e-6, 6);
-        // Bit-identical to the hand-rolled legacy path.
-        assert_eq!(legacy.variances, update.subspace.variances);
-        assert_eq!(legacy.modes, update.subspace.modes);
+        assert!(update.subspace.rank() >= 6);
+        assert!(update.defect < 1e-9, "defect {}", update.defect);
+        assert!(update.subspace.variances[6..].iter().all(|&v| v < 1e-12));
+        // No spread at all: one filled unit mode with zero variance.
+        let mut flat = FullRecompute::new(central.clone(), 1e-6, 4);
+        flat.add_member(0, &central);
+        flat.add_member(1, &central);
+        let update = flat.estimate().unwrap().unwrap();
+        assert_eq!(update.subspace.variances, vec![0.0]);
+        assert_eq!(update.defect, 0.0);
     }
 
     #[test]

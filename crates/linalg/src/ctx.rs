@@ -91,8 +91,10 @@ impl LinalgCtx {
         Ok(c)
     }
 
-    /// Threaded Gram matrix `AᵀA` (n×n from an m×n input), partitioning
-    /// output columns across threads. Bitwise identical to
+    /// Threaded Gram matrix `AᵀA` (n×n from an m×n input). Each thread
+    /// fills the upper triangle of a panel of output columns — panels
+    /// are cut so the triangles hold equal numbers of entries — and the
+    /// lower triangle is mirrored afterwards. Bitwise identical to
     /// [`Matrix::gram`] for any thread count: both use the same serial
     /// dot kernel per entry.
     pub fn gram(&self, a: &Matrix) -> Matrix {
@@ -102,33 +104,32 @@ impl LinalgCtx {
         }
         let threads = self.threads.min(n);
         let mut g = Matrix::zeros(n, n);
-        {
-            let data = g.as_mut_slice();
-            let cols_per = n.div_ceil(threads);
-            let mut panels: Vec<(usize, &mut [f64])> = Vec::with_capacity(threads);
-            let mut rest = data;
+        std::thread::scope(|s| {
+            let mut rest = g.as_mut_slice();
             let mut j0 = 0;
-            while j0 < n {
-                let take = cols_per.min(n - j0);
-                let (head, tail) = rest.split_at_mut(take * n);
-                panels.push((j0, head));
+            for t in 1..=threads {
+                // Columns 0..j hold j(j+1)/2 triangle entries, so the
+                // t-th cut falls at n·√(t/threads).
+                let cut = (n as f64 * (t as f64 / threads as f64).sqrt()).round() as usize;
+                let j1 = if t == threads { n } else { cut.clamp(j0, n) };
+                let (panel, tail) = rest.split_at_mut((j1 - j0) * n);
                 rest = tail;
-                j0 += take;
-            }
-            std::thread::scope(|s| {
-                for (j0, panel) in panels {
-                    s.spawn(move || {
-                        let ncols = panel.len() / n;
-                        for jj in 0..ncols {
-                            let cj = a.col(j0 + jj);
-                            let out = &mut panel[jj * n..(jj + 1) * n];
-                            for (i, o) in out.iter_mut().enumerate() {
-                                *o = crate::vecops::dot(a.col(i), cj);
-                            }
+                s.spawn(move || {
+                    for (jj, out) in panel.chunks_exact_mut(n).enumerate() {
+                        let cj = a.col(j0 + jj);
+                        for (i, o) in out[..=j0 + jj].iter_mut().enumerate() {
+                            *o = crate::vecops::dot(a.col(i), cj);
                         }
-                    });
-                }
-            });
+                    }
+                });
+                j0 = j1;
+            }
+        });
+        for j in 0..n {
+            for i in 0..j {
+                let v = g.get(i, j);
+                g.set(j, i, v);
+            }
         }
         g
     }
@@ -373,6 +374,17 @@ mod tests {
         for threads in [2, 3, 5] {
             let got = LinalgCtx::with_threads(threads).gram(&a);
             assert_eq!(serial, got, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn gram_large_enough_to_thread() {
+        // Past the threading threshold, with thread counts that leave
+        // uneven panels (and more threads than some panels have columns).
+        let a = test_matrix(2048, 48, 13);
+        let serial = a.gram();
+        for threads in [2, 3, 7, 48] {
+            assert_eq!(serial, LinalgCtx::with_threads(threads).gram(&a), "threads={threads}");
         }
     }
 

@@ -9,7 +9,7 @@
 //! * a column-major dense [`Matrix`] whose columns are contiguous (an
 //!   ensemble member is a column, so member access is a slice),
 //! * Householder QR, LU and Cholesky factorizations,
-//! * a cyclic-Jacobi symmetric eigensolver,
+//! * a symmetric eigensolver (Householder tridiagonalisation + implicit QL),
 //! * thin SVD by one-sided Jacobi and by the Gram-matrix trick for the
 //!   tall-skinny matrices ESSE produces (state dimension ≫ ensemble size),
 //! * multithreaded GEMM used by the continuous-SVD stage of the workflow,
@@ -40,8 +40,8 @@ pub use matrix::Matrix;
 pub use qr::Qr;
 pub use svd::Svd;
 
-/// Relative tolerance used as the default convergence threshold in the
-/// iterative factorizations (Jacobi sweeps).
+/// Relative tolerance used as the convergence threshold of the
+/// one-sided Jacobi SVD sweeps.
 pub const DEFAULT_TOL: f64 = 1e-12;
 
 /// Errors produced by factorizations and solvers.

@@ -235,9 +235,22 @@ impl Matrix {
 
     /// Gram matrix `selfᵀ * self` (symmetric, `cols × cols`), exploiting symmetry.
     pub fn gram(&self) -> Matrix {
-        let n = self.cols;
+        self.gram_extending(&Matrix::zeros(0, 0))
+    }
+
+    /// Gram matrix of `self`, given the Gram matrix `lead` of its first
+    /// `lead.cols()` columns: only the rows and columns of the later
+    /// columns are computed. Every entry is one [`crate::vecops::dot`]
+    /// of two columns, so the result is bitwise equal to [`Self::gram`]
+    /// however the columns were split between calls.
+    pub fn gram_extending(&self, lead: &Matrix) -> Matrix {
+        let (n, n0) = (self.cols, lead.cols);
+        assert!(lead.rows == n0 && n0 <= n, "lead must be the Gram matrix of leading columns");
         let mut g = Matrix::zeros(n, n);
-        for j in 0..n {
+        for j in 0..n0 {
+            g.col_mut(j)[..n0].copy_from_slice(lead.col(j));
+        }
+        for j in n0..n {
             for i in 0..=j {
                 let v = crate::vecops::dot(self.col(i), self.col(j));
                 g.set(i, j, v);
@@ -296,20 +309,6 @@ impl Matrix {
     pub fn trace(&self) -> f64 {
         let n = self.rows.min(self.cols);
         (0..n).map(|i| self.get(i, i)).sum()
-    }
-
-    /// Off-diagonal Frobenius norm — the Jacobi convergence measure.
-    pub fn offdiag_norm(&self) -> f64 {
-        let mut s = 0.0;
-        for j in 0..self.cols {
-            for i in 0..self.rows {
-                if i != j {
-                    let v = self.get(i, j);
-                    s += v * v;
-                }
-            }
-        }
-        s.sqrt()
     }
 
     /// Largest symmetry violation `|a_ij - a_ji|`.
@@ -399,6 +398,18 @@ mod tests {
         for i in 0..3 {
             assert!(g.get(i, i) >= 0.0);
         }
+    }
+
+    #[test]
+    fn gram_extending_matches_gram_bitwise() {
+        let a = Matrix::from_fn(37, 9, |i, j| ((i * 7 + j * 13) as f64 * 0.11).sin());
+        let full = a.gram();
+        let mut carried = Matrix::zeros(0, 0);
+        for upto in [1, 2, 5, 5, 9] {
+            carried = a.take_cols(upto).gram_extending(&carried);
+            assert_eq!(carried.shape(), (upto, upto));
+        }
+        assert_eq!(carried, full);
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! * [`Svd::jacobi`] — one-sided Jacobi on the columns of `A`. Most
 //!   accurate; cost `O(m n² · sweeps)`.
 //! * [`Svd::gram`] — eigendecomposition of `AᵀA` (n×n), then
-//!   `U = A V Σ⁻¹`. This is the path ESSE uses in production: the
-//!   ensemble spread matrix is `n_state × N` with `n_state ≫ N`, so the
-//!   Gram matrix is tiny compared to `A` and the cost is dominated by
-//!   one pass over the data. Squares the condition number, which is
-//!   acceptable for covariance spectra (singular values below
-//!   `~1e-8·σ₁` are noise for ensemble statistics anyway).
+//!   `U = A V Σ⁻¹` ([`Svd::left_vectors`], which the subspace lane
+//!   also calls for its retained rank alone). This is the path ESSE
+//!   uses in production: the ensemble spread matrix is `n_state × N`
+//!   with `n_state ≫ N`, so the Gram matrix is tiny compared to `A` and
+//!   the cost is dominated by one pass over the data. Squares the
+//!   condition number, which is acceptable for covariance spectra
+//!   (singular values below `~1e-8·σ₁` are noise for ensemble
+//!   statistics anyway).
 //!
 //! [`Svd::compute`] picks Gram for tall matrices and Jacobi otherwise.
 
@@ -131,27 +133,31 @@ impl Svd {
         if n == 0 {
             return Ok(Svd { u: Matrix::zeros(m, 0), s: vec![], v: Matrix::zeros(0, 0) });
         }
-        let g = a.gram();
-        let eig = SymEigen::compute(&g)?;
+        let eig = SymEigen::compute(&a.gram())?;
         let s: Vec<f64> = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
-        let v = eig.vectors;
-        // U = A V Σ⁻¹ for σ above the noise floor. Because the Gram
-        // matrix squares the condition number, σ below ~√eps·σ₁ cannot be
-        // trusted; those U columns are replaced by an orthonormal fill.
+        let u = Svd::left_vectors(a, &eig.vectors, &s, n)?;
+        Ok(Svd { u, s, v: eig.vectors })
+    }
+
+    /// The leading `k` left singular vectors of `a` from its right
+    /// vectors `v` and singular values `s` (the eigenpairs of `aᵀa`):
+    /// `U_k = A·V_k·Σ_k⁻¹`, so only the retained modes are formed.
+    ///
+    /// Because the Gram matrix squares the condition number, σ below
+    /// `1e-7·σ₁` (~√eps) cannot be trusted; those columns are replaced
+    /// by an orthonormal fill, so `U_k` always has orthonormal columns.
+    pub fn left_vectors(a: &Matrix, v: &Matrix, s: &[f64], k: usize) -> Result<Matrix> {
         let floor = s.first().copied().unwrap_or(0.0) * 1e-7;
-        let av = a.matmul(&v)?;
-        let mut u = av;
-        for (j, &sj) in s.iter().enumerate().take(n) {
+        let mut u = a.matmul(&v.take_cols(k))?;
+        for (j, &sj) in s[..k].iter().enumerate() {
             if sj > floor {
                 vecops::scale(1.0 / sj, u.col_mut(j));
             } else {
-                for x in u.col_mut(j) {
-                    *x = 0.0;
-                }
+                u.col_mut(j).fill(0.0);
             }
         }
-        fill_null_columns(&mut u, &s, floor);
-        Ok(Svd { u, s, v })
+        fill_null_columns(&mut u, &s[..k], floor);
+        Ok(u)
     }
 
     /// Numerical rank: count of `σ_i > rel_tol · σ₁`.

@@ -87,8 +87,8 @@ pub struct MtcConfig {
     /// tests and the `fault_sweep` bench harness.
     pub faults: Option<FaultPlan>,
     /// How the error subspace is (re)computed as members arrive. The
-    /// default, [`SubspaceStrategy::FullRecompute`], reproduces the
-    /// legacy full-SVD-per-round path bit for bit.
+    /// default, [`SubspaceStrategy::FullRecompute`], is exact and a
+    /// pure function of the ordered member list.
     pub subspace: SubspaceStrategy,
     /// Threading/blocking context handed to the linalg kernels once at
     /// engine construction (replaces per-call `threads` arguments).

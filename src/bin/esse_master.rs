@@ -99,7 +99,7 @@ const USAGE: &str = "esse_master --workdir DIR --domain monterey:NX,NY,NZ --hour
                      [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH]\n\
                      esse_master --workdir DIR --gc [--gc-keep N]";
 
-/// Parse the `--subspace` flag: `full` (the bit-identical default),
+/// Parse the `--subspace` flag: `full` (the exact default),
 /// `incremental` (rank-updating tracker with default drift control), or
 /// `incremental:REFRESH,TOL` to pin the periodic full-recompute cadence
 /// and the orthonormality-defect tolerance.
