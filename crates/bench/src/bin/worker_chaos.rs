@@ -92,6 +92,7 @@
 //! artifacts directory for post-mortem upload.
 
 use esse_mtc::journal::{Journal, JournalRecord};
+use esse_mtc::pool::CODE_QUARANTINE_BUDGET;
 use esse_mtc::FaultPlan;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -424,7 +425,7 @@ fn assert_quarantines(journal: &Path) -> Result<usize, String> {
     }
     let lost = journal_count(
         journal,
-        |r| matches!(r, JournalRecord::MemberFailed { code, .. } if *code == -10),
+        |r| matches!(r, JournalRecord::MemberFailed { code, .. } if *code == CODE_QUARANTINE_BUDGET),
     );
     if lost > 0 {
         return Err(format!(

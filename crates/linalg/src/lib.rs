@@ -24,7 +24,6 @@ pub mod ctx;
 pub mod eigen;
 pub mod gemm;
 pub mod incremental;
-pub mod lanczos;
 pub mod lu;
 pub mod matrix;
 pub mod qr;

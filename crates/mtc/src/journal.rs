@@ -765,16 +765,6 @@ impl Checkpoint {
     pub fn record_converged(&self, members: usize, rho: f64) -> io::Result<()> {
         self.journal.append(&JournalRecord::Converged { members: members as u64, rho })
     }
-
-    /// Record an assimilation pass.
-    pub fn record_assimilated(&self, innovations: usize) -> io::Result<()> {
-        self.journal.append(&JournalRecord::Assimilated { innovations: innovations as u64 })
-    }
-
-    /// Record run completion (the posterior is durable).
-    pub fn record_complete(&self, members: usize) -> io::Result<()> {
-        self.journal.append(&JournalRecord::RunComplete { members: members as u64 })
-    }
 }
 
 #[cfg(test)]

@@ -4,13 +4,19 @@
 //!
 //! Two halves, mirroring the paper:
 //!
-//! **The real thing** — [`workflow`] implements the decoupled ESSE
-//! workflow of paper Fig. 4 with actual threads: a pool of
-//! perturb/forecast tasks (size `M ≥ N`), a continuously running differ,
-//! a continuously running SVD + convergence stage reading consistent
-//! snapshots through the three-buffer protocol ([`triple_buffer`], the
-//! in-memory equivalent of the paper's safe/live covariance files), task
-//! cancellation on convergence, and tolerance of member failures.
+//! **The real thing** — two coordinators over one set of member rules.
+//! [`workflow`] implements the decoupled ESSE workflow of paper Fig. 4
+//! in one process: worker threads pulling perturb/forecast attempts, a
+//! continuously running differ, and a continuous SVD + convergence
+//! stage, as a receive loop over the steps `tick → on_done →
+//! svd_round → advance_stage → finish`. `esse_master` (in the `esse`
+//! package) is the paper's master script over a fleet of worker
+//! *processes*: it seeds lease-carrying task records into the [`pool`]
+//! (reached from disk or, via [`transport`], over TCP), commits every
+//! state transition to the [`journal`], and publishes each estimate
+//! through the paper's safe/live covariance files ([`triple_buffer`]).
+//! Both ask the [`ledger`] what the loss of an attempt costs, when a
+//! member is reissued and when it is lost for good.
 //!
 //! **The simulator** — [`sim`] is a discrete-event model of the
 //! execution platforms the paper measured: the 240-core Opteron home
@@ -25,6 +31,7 @@
 pub mod coverage;
 pub mod fault;
 pub mod journal;
+pub mod ledger;
 pub mod lock;
 pub mod metrics;
 pub mod pool;
@@ -57,5 +64,5 @@ pub use pool::{
 };
 pub use task::{TaskId, TaskOutcome, TaskRecord, TaskState};
 pub use transport::{ClaimOutcome, DiskTransport, PoolTransport, RenewAck, RunState};
-pub use triple_buffer::{DiskTripleBuffer, TripleBuffer};
+pub use triple_buffer::DiskTripleBuffer;
 pub use workflow::{MtcConfig, MtcConfigBuilder, MtcEsse, MtcOutcome, ReplayState, RunInit};

@@ -218,6 +218,20 @@ impl TaskSpec {
 /// `REJECTED` record (no payload upload) with the validator's reason.
 pub const CODE_REJECTED: i32 = 122;
 
+/// `MemberFailed` code: the member's lease expired more often than the
+/// requeue budget allows.
+pub const CODE_LEASE_BUDGET: i32 = -9;
+/// `MemberFailed` code: the member kept failing semantic validation
+/// until its budget ran out (replacements could not heal it).
+pub const CODE_QUARANTINE_BUDGET: i32 = -10;
+/// `MemberFailed` code of the in-process engine, whose attempts end in
+/// an error value rather than an exit code: every attempt the retry
+/// policy allows failed or timed out.
+pub const CODE_ATTEMPTS_EXHAUSTED: i32 = -11;
+/// `MemberFailed` code of the in-process engine: the member was waiting
+/// out a backoff when the last worker thread died.
+pub const CODE_POOL_DIED: i32 = -12;
+
 /// A published task result: the commit record a worker writes after its
 /// forecast file is durable. `code == 0` means success and `fc_crc` is
 /// the CRC-32 trailer of the forecast file the worker validated.

@@ -1,4 +1,4 @@
-//! The three-file covariance protocol, in memory.
+//! The three-file covariance protocol, on disk.
 //!
 //! Paper §4.1: "To fully decouple the loops without introducing a race
 //! condition on the covariance matrix file between its reading for the
@@ -6,64 +6,16 @@
 //! SVD to use and a live alternating pair for diff to write to, with the
 //! safe one being updated by the appropriate member of the pair."
 //!
-//! [`TripleBuffer`] reproduces those semantics with locks instead of
-//! files: the writer (differ) alternates between two live slots and
-//! publishes completed versions to the safe slot; the reader (SVD) takes
-//! the safe slot without ever blocking the writer for long. The paper's
-//! invariant holds: the reader always sees a *complete, consistent*
-//! version, never a half-written one, and the writer never overwrites
-//! the version currently being read.
+//! [`DiskTripleBuffer`] is that protocol with crash consistency added:
+//! a reader — the SVD of another process, or a resumed coordinator —
+//! always finds a *complete, consistent* version, never a half-written
+//! one, and the writer never overwrites the newest complete version.
 
 use esse_core::durable::{atomic_write, crc32, fsync_dir};
 use parking_lot::Mutex;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A versioned value published through the safe/live-pair protocol.
-pub struct TripleBuffer<T> {
-    /// The "safe file": the latest complete version for readers.
-    safe: Mutex<Option<Arc<T>>>,
-    /// Version counter of the safe slot.
-    safe_version: AtomicU64,
-}
-
-impl<T> Default for TripleBuffer<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> TripleBuffer<T> {
-    /// Empty buffer (no version published yet).
-    pub fn new() -> Self {
-        TripleBuffer { safe: Mutex::new(None), safe_version: AtomicU64::new(0) }
-    }
-
-    /// Writer side: publish a freshly completed version. The two "live"
-    /// copies of the file protocol collapse to the value being
-    /// constructed by the caller plus the one being swapped in here; the
-    /// old safe version stays alive (Arc) for any reader still using it.
-    pub fn publish(&self, value: T, version: u64) {
-        let mut slot = self.safe.lock();
-        *slot = Some(Arc::new(value));
-        self.safe_version.store(version, Ordering::Release);
-    }
-
-    /// Reader side: take the latest complete version, if any. The Arc
-    /// keeps it consistent even while newer versions are published.
-    pub fn read(&self) -> Option<(Arc<T>, u64)> {
-        let slot = self.safe.lock();
-        slot.as_ref().map(|v| (Arc::clone(v), self.safe_version.load(Ordering::Acquire)))
-    }
-
-    /// Latest published version number (0 = nothing yet).
-    pub fn version(&self) -> u64 {
-        self.safe_version.load(Ordering::Acquire)
-    }
-}
 
 /// Magic prefix of a safe/live covariance frame on disk.
 const DISK_MAGIC: &[u8; 4] = b"ESTB";
@@ -221,70 +173,6 @@ impl DiskTripleBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-
-    #[test]
-    fn starts_empty() {
-        let b: TripleBuffer<Vec<f64>> = TripleBuffer::new();
-        assert!(b.read().is_none());
-        assert_eq!(b.version(), 0);
-    }
-
-    #[test]
-    fn publish_then_read() {
-        let b = TripleBuffer::new();
-        b.publish(vec![1.0, 2.0], 1);
-        let (v, ver) = b.read().unwrap();
-        assert_eq!(*v, vec![1.0, 2.0]);
-        assert_eq!(ver, 1);
-    }
-
-    #[test]
-    fn old_reader_keeps_consistent_snapshot() {
-        let b = TripleBuffer::new();
-        b.publish(vec![1.0], 1);
-        let (old, ver1) = b.read().unwrap();
-        b.publish(vec![2.0], 2);
-        // The old Arc still sees version 1's data.
-        assert_eq!(*old, vec![1.0]);
-        assert_eq!(ver1, 1);
-        let (new, ver2) = b.read().unwrap();
-        assert_eq!(*new, vec![2.0]);
-        assert_eq!(ver2, 2);
-    }
-
-    #[test]
-    fn concurrent_writer_reader_never_sees_torn_state() {
-        // Writer publishes vectors whose entries all equal the version;
-        // readers must never observe a mixed vector.
-        let b = Arc::new(TripleBuffer::new());
-        let writer = {
-            let b = Arc::clone(&b);
-            thread::spawn(move || {
-                for ver in 1..=500u64 {
-                    b.publish(vec![ver as f64; 64], ver);
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let b = Arc::clone(&b);
-                thread::spawn(move || {
-                    for _ in 0..2000 {
-                        if let Some((v, _)) = b.read() {
-                            let first = v[0];
-                            assert!(v.iter().all(|&x| x == first), "torn read: {v:?}");
-                        }
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(b.version(), 500);
-    }
 
     fn disk_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("esse-dtb-{name}-{}", std::process::id()));

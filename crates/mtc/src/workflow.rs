@@ -2,14 +2,14 @@
 //!
 //! Structure (one box per paper concept):
 //!
-//! * **pool of ensemble calculations** — worker threads pull
-//!   perturb/forecast task attempts from a channel; the pool is
+//! * **pool of ensemble calculations** — worker threads (`Crew::work`)
+//!   pull perturb/forecast task attempts from a channel; the pool is
 //!   over-provisioned (`M ≥ N`) so the SVD pipeline never drains;
 //! * **continuous differ** — the coordinator receives member results as
 //!   they arrive (any order) and accumulates difference columns;
-//! * **continuous SVD + convergence** — every `svd_stride` new members a
-//!   consistent snapshot (the "safe file", see [`crate::triple_buffer`])
-//!   is decomposed and compared with the previous subspace;
+//! * **continuous SVD + convergence** — every `svd_stride` new members
+//!   the ensemble is decomposed on the coordinator's own thread and
+//!   compared with the previous subspace;
 //! * **cancellation** — on convergence the cancel flag stops idle
 //!   workers, pending tasks are drained, and the completion policy
 //!   decides what happens to members already computed or still running;
@@ -20,9 +20,23 @@
 //!   carries a [`RunHealth`] verdict, never a silent partial ensemble
 //!   (paper §4 point 3: losses are tolerable unless systematic — so
 //!   they must at least be visible).
+//!
+//! [`MtcEsse::run`] is a receive loop over the steps of its private
+//! coordinator state `Run`: `tick` (deadline, elapsed backoffs, pool
+//! death, straggler scan) → `on_done` (classify the attempt once and
+//! act on the ledger's answer; every lost attempt takes the one
+//! `attempt_lost` path) → `svd_round` → `advance_stage`, closed by
+//! `finish`. What a lost attempt costs, when a member is reissued and
+//! when it is lost for good is decided by the
+//! [`crate::ledger::MemberLedger`] — the same rules `esse_master` runs.
+//! This file keeps the threads, the channels and the four optional
+//! sinks: trace recorder and live meters (`Shared`), run journal
+//! (`Run::journal`) and validator.
 
 use crate::fault::{FaultKind, FaultPlan, FaultReport, RetryPolicy, RunHealth};
 use crate::journal::{encode_subspace_blob, Checkpoint};
+use crate::ledger::{Budget, Fate, Loss, Member, MemberLedger};
+use crate::pool::{CODE_ATTEMPTS_EXHAUSTED, CODE_POOL_DIED, CODE_QUARANTINE_BUDGET};
 use crate::task::{TaskId, TaskOutcome, TaskRecord, TaskState};
 use crate::triple_buffer::DiskTripleBuffer;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -30,14 +44,15 @@ use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse_core::convergence::{similarity, ConvergenceTest};
 use esse_core::model::{ForecastError, ForecastModel};
 use esse_core::perturb::{PerturbConfig, PerturbationGenerator};
-use esse_core::subspace::{make_estimator, ErrorSubspace, SubspaceStrategy, UpdateKind};
-use esse_core::validate::{ForecastValidator, Verdict};
+use esse_core::subspace::{
+    make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy, SubspaceUpdate, UpdateKind,
+};
+use esse_core::validate::{ForecastValidator, Reason, Verdict};
 use esse_core::{ConfigError, EsseError};
 use esse_linalg::LinalgCtx;
 use esse_obs::registry::{Counter, Gauge, Histogram, MetricsRegistry};
-use esse_obs::{Lane, Recorder, RecorderExt, NULL};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use esse_obs::{ArgValue, Event, EventKind, Lane, Recorder, NULL};
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -392,62 +407,22 @@ struct Attempt {
     attempt: u32,
 }
 
+/// A finished attempt, as a worker reports it.
+struct Done {
+    id: TaskId,
+    attempt: u32,
+    worker: usize,
+    started: Duration,
+    finished: Duration,
+    result: Result<Vec<f64>, ForecastError>,
+}
+
 /// Messages from workers to the coordinator.
 enum WorkerMsg {
     /// A worker picked up an attempt (feeds straggler detection).
     Started { id: TaskId, at: Duration },
     /// An attempt finished.
-    Done {
-        id: TaskId,
-        attempt: u32,
-        worker: usize,
-        started: Duration,
-        finished: Duration,
-        result: Result<Vec<f64>, ForecastError>,
-    },
-}
-
-/// Per-member recovery bookkeeping, parallel to the `records` vector.
-#[derive(Default)]
-struct MemberBook {
-    /// Attempts issued so far (including in flight).
-    attempts: Vec<u32>,
-    /// Attempt messages in the queue or on a worker.
-    inflight: Vec<u32>,
-    /// Member reached a final state (success / permanent failure /
-    /// cancellation); late duplicates are discarded.
-    resolved: Vec<bool>,
-    /// A speculative duplicate was already launched.
-    speculated: Vec<bool>,
-    /// Which attempt index is the speculative copy.
-    spec_attempt: Vec<Option<u32>>,
-    /// When the most recent attempt started running (straggler scan).
-    running_since: Vec<Option<Duration>>,
-    /// The member was quarantined by the semantic validator at least
-    /// once (a later successful attempt makes it a *replaced* member).
-    quarantined: Vec<bool>,
-}
-
-impl MemberBook {
-    fn push_planned(&mut self) {
-        self.attempts.push(1);
-        self.inflight.push(1);
-        self.resolved.push(false);
-        self.speculated.push(false);
-        self.spec_attempt.push(None);
-        self.running_since.push(None);
-        self.quarantined.push(false);
-    }
-
-    fn push_resumed(&mut self) {
-        self.attempts.push(0);
-        self.inflight.push(0);
-        self.resolved.push(true);
-        self.speculated.push(false);
-        self.spec_attempt.push(None);
-        self.running_since.push(None);
-        self.quarantined.push(false);
-    }
+    Done(Done),
 }
 
 /// Live metric handles for one run, registered by
@@ -506,6 +481,795 @@ impl Meters {
             subspace_defect: reg.gauge("esse_subspace_defect"),
             queue_wait: reg.histogram("esse_queue_wait_ns"),
         }
+    }
+}
+
+/// Event arguments, built on the stack: nothing is allocated unless a
+/// recorder is attached.
+type Args<'a> = &'a [(&'static str, ArgValue)];
+
+/// What the coordinator and every worker thread share: the config, the
+/// run clock, the pool's two flags, and the two optional sinks both
+/// sides write to — the trace recorder and the live meters. Whether
+/// either sink is attached is asked here and nowhere else.
+struct Shared<'r> {
+    cfg: &'r MtcConfig,
+    t0: Instant,
+    obs: &'r dyn Recorder,
+    met: Option<Meters>,
+    /// Raised when the run stops issuing work; idle workers exit on it.
+    cancel: AtomicBool,
+    /// Worker threads that have not died.
+    alive: AtomicUsize,
+}
+
+impl Shared<'_> {
+    fn now(&self) -> Duration {
+        self.t0.elapsed()
+    }
+
+    /// Record one trace event on the run clock.
+    fn emit(
+        &self,
+        kind: EventKind,
+        at: Duration,
+        lane: Lane,
+        cat: &'static str,
+        name: &'static str,
+        args: Args<'_>,
+    ) {
+        if self.obs.enabled() {
+            let args = args.to_vec();
+            self.obs.record(Event { ts_ns: ns(at), seq: 0, lane, cat, name, kind, args });
+        }
+    }
+
+    fn observe(&self, name: &'static str, latency: Duration) {
+        if self.obs.enabled() {
+            self.obs.observe(name, ns(latency));
+        }
+    }
+
+    fn meter(&self, update: impl FnOnce(&Meters)) {
+        if let Some(m) = &self.met {
+            update(m);
+        }
+    }
+}
+
+/// The worker side of the pool.
+struct Crew<'r, M> {
+    sh: &'r Shared<'r>,
+    model: &'r M,
+    mean0: &'r [f64],
+    gen: &'r PerturbationGenerator<'r>,
+}
+
+impl<M: ForecastModel> Crew<'_, M> {
+    /// Worker `w`: pull attempts until cancelled, report each one's
+    /// start and result.
+    fn work(&self, w: usize, task_rx: Receiver<Attempt>, msg_tx: Sender<WorkerMsg>) {
+        let (sh, lane) = (self.sh, Lane::Worker(w as u32));
+        let mut tasks_started = 0usize;
+        while !sh.cancel.load(Ordering::Relaxed) {
+            let Attempt { id, attempt } = match task_rx.recv_timeout(Duration::from_millis(5)) {
+                Ok(att) => att,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            tasks_started += 1;
+            let started = sh.now();
+            // Receiver may be gone during shutdown; ignore send errors.
+            let _ = msg_tx.send(WorkerMsg::Started { id, at: started });
+            let dies = sh.cfg.faults.as_ref().is_some_and(|p| p.worker_dies(w, tasks_started));
+            let result = if dies {
+                Err(ForecastError::Injected(format!("worker {w} died running member {id}")))
+            } else {
+                self.forecast(id, attempt)
+            };
+            let finished = sh.now();
+            let runtime = finished.saturating_sub(started);
+            sh.meter(|m| {
+                m.attempts.inc();
+                m.member_runtime.observe(ns(runtime));
+            });
+            let args = [("member", id.into()), ("attempt", u64::from(attempt).into())];
+            sh.emit(EventKind::Begin, started, lane, "task", "member", &args);
+            if result.is_err() {
+                sh.emit(EventKind::Instant, finished, lane, "task", "member_failed", &args);
+            }
+            sh.emit(EventKind::End, finished, lane, "task", "member", &[]);
+            sh.observe("member", runtime);
+            let done = Done { id, attempt, worker: w, started, finished, result };
+            let _ = msg_tx.send(WorkerMsg::Done(done));
+            if dies {
+                let args = [("worker", w.into())];
+                sh.emit(EventKind::Instant, finished, lane, "fault", "worker_died", &args);
+                sh.alive.fetch_sub(1, Ordering::SeqCst);
+                break;
+            }
+        }
+    }
+
+    /// Perturb and forecast member `id`, under the fault plan's verdict
+    /// for this attempt.
+    fn forecast(&self, id: TaskId, attempt: u32) -> Result<Vec<f64>, ForecastError> {
+        let cfg = self.sh.cfg;
+        let faults = cfg.faults.as_ref();
+        let injected = |what: &str| {
+            Err(ForecastError::Injected(format!("{what} (member {id}, attempt {attempt})")))
+        };
+        match faults.and_then(|p| p.fault_for(id, attempt)) {
+            Some(FaultKind::Crash) => return injected("injected crash"),
+            Some(FaultKind::TransientIo) => return injected("transient I/O error"),
+            // Straggler: the work happens, just late.
+            Some(FaultKind::Straggle(extra)) => std::thread::sleep(extra),
+            None => {}
+        }
+        let x0 = self.gen.perturb(self.mean0, id);
+        let seed = self.gen.forecast_seed(id);
+        let mut forecast = self.model.forecast(&x0, cfg.start_time, cfg.duration, Some(seed));
+        // Semantic payload corruption: the forecast "succeeds" but its
+        // bytes are wrong — only the ingest validator can catch it.
+        if let (Ok(xf), Some(p)) = (&mut forecast, faults) {
+            if let Some(kind) = p.corruption_for(id, attempt) {
+                kind.apply(p.seed, id as u64, (xf.len() / 5).max(1), xf);
+            }
+        }
+        forecast
+    }
+}
+
+/// What the engine keeps per member beside its [`TaskRecord`] and the
+/// ledger: straggler speculation, which only this coordinator does.
+#[derive(Default, Clone, Copy)]
+struct Flight {
+    /// Attempt index of the speculative twin, once one was launched.
+    spec_attempt: Option<u32>,
+    /// When the most recent attempt started running.
+    running_since: Option<Duration>,
+}
+
+/// Why an attempt that came back does not count.
+enum Cause {
+    /// It reported an error, or outran the per-task timeout.
+    Failed(String),
+    /// The validator refused its payload.
+    Quarantined(Reason),
+}
+
+/// The coordinator of one run: differ, SVD, convergence and recovery.
+/// [`MtcEsse::run`] is a receive loop over its steps — [`Run::tick`],
+/// [`Run::on_done`], [`Run::svd_round`], [`Run::advance_stage`] —
+/// closed by [`Run::finish`].
+struct Run<'r> {
+    sh: &'r Shared<'r>,
+    /// The durable journal and the safe/live covariance files beside
+    /// it: every published subspace goes through them so a resumed run
+    /// recovers its "previous" estimate from disk.
+    ck: Option<(&'r Checkpoint, DiskTripleBuffer)>,
+    validator: Option<ForecastValidator>,
+    task_tx: Sender<Attempt>,
+    /// Held to withdraw attempts no worker will pick up any more.
+    task_rx: Receiver<Attempt>,
+    stages: Vec<usize>,
+    stage_idx: usize,
+    /// One record per member id planned, resumed ids included.
+    records: Vec<TaskRecord>,
+    flights: Vec<Flight>,
+    ledger: MemberLedger,
+    acc: Box<dyn SubspaceEstimator>,
+    conv: ConvergenceTest,
+    previous: Option<ErrorSubspace>,
+    svd_rounds: usize,
+    svd_version: u64,
+    since_svd: usize,
+    deadline_expired: bool,
+    /// When the run stopped issuing work (convergence or deadline).
+    halted_at: Option<Duration>,
+    runtime_sum: Duration,
+    runtime_count: u32,
+    report: FaultReport,
+    members_failed: usize,
+    members_wasted: usize,
+    /// Members quarantined and never healed (replacement budget
+    /// exhausted) — reported separately from `members_failed`.
+    members_quarantined_lost: usize,
+}
+
+impl<'r> Run<'r> {
+    fn new(
+        sh: &'r Shared<'r>,
+        ck: Option<(&'r Checkpoint, DiskTripleBuffer)>,
+        mut validator: Option<ForecastValidator>,
+        init: &RunInit<'_>,
+        central: Vec<f64>,
+        (task_tx, task_rx): (Sender<Attempt>, Receiver<Attempt>),
+    ) -> Run<'r> {
+        let cfg = sh.cfg;
+        let mut acc =
+            make_estimator(&cfg.subspace, central, cfg.mode_rel_tol, cfg.max_rank, cfg.linalg);
+        for (id, result) in init.resume {
+            acc.add_member(*id, result);
+            // Resumed members were validated before they were
+            // journalled; they re-arm the decided-prefix stats.
+            if let Some(v) = validator.as_mut() {
+                v.note_decided(*id as u64, result);
+            }
+        }
+        let replay = init.replay;
+        Run {
+            sh,
+            ck,
+            validator,
+            task_tx,
+            task_rx,
+            stages: cfg.schedule.stages(),
+            stage_idx: 0,
+            records: Vec::new(),
+            flights: Vec::new(),
+            // The jitter stream is seeded from the run's own config and
+            // only advanced when a retry is actually scheduled, so
+            // zero-fault runs never consume it.
+            ledger: MemberLedger::new(cfg.retry.clone(), 0, cfg.perturb.base_seed ^ 0x7E57_FA17),
+            conv: match replay {
+                Some(r) => ConvergenceTest::restore(cfg.tolerance, &r.rho_history),
+                None => ConvergenceTest::new(cfg.tolerance),
+            },
+            previous: replay.and_then(|r| r.previous.clone()),
+            svd_rounds: 0,
+            svd_version: replay.map_or(0, |r| r.svd_version),
+            // Resume restores the SVD stride phase: members folded from
+            // the journal that the dead coordinator never decomposed
+            // still count toward the next round.
+            since_svd: replay.map_or(0, |r| acc.count().saturating_sub(r.last_svd_members)),
+            acc,
+            deadline_expired: false,
+            halted_at: None,
+            runtime_sum: Duration::ZERO,
+            runtime_count: 0,
+            report: FaultReport::default(),
+            members_failed: 0,
+            members_wasted: 0,
+            members_quarantined_lost: 0,
+        }
+    }
+
+    /// A coordinator-lane trace instant.
+    fn note(&self, at: Duration, cat: &'static str, name: &'static str, args: Args<'_>) {
+        self.sh.emit(EventKind::Instant, at, Lane::Coordinator, cat, name, args);
+    }
+
+    /// Write to the run journal, if one is attached.
+    fn journal(&self, write: impl FnOnce(&Checkpoint) -> io::Result<()>) -> io::Result<()> {
+        self.ck.as_ref().map_or(Ok(()), |(ck, _)| write(ck))
+    }
+
+    /// The run no longer issues work: it converged or hit its deadline.
+    fn stopped(&self) -> bool {
+        self.conv.converged() || self.deadline_expired
+    }
+
+    /// Planned members that are undecided with nothing in flight: they
+    /// wait out a backoff.
+    fn parked(&self) -> Vec<u64> {
+        self.ledger.parked(self.records.len() as u64).collect()
+    }
+
+    /// An attempt is out, or a member waits out a backoff.
+    fn unsettled(&self) -> bool {
+        let mut parked = self.ledger.parked(self.records.len() as u64);
+        self.ledger.in_flight_total() > 0 || parked.next().is_some()
+    }
+
+    fn mean_runtime(&self) -> Duration {
+        self.runtime_sum.checked_div(self.runtime_count).unwrap_or_default()
+    }
+
+    /// Issue the next attempt of member `id` to the pool.
+    fn send(&mut self, id: TaskId) {
+        let now = self.sh.now();
+        let attempt = self.ledger.issue(id as u64);
+        self.records[id].enqueued_at = Some(now);
+        self.task_tx.send(Attempt { id, attempt }).expect("task channel open");
+        let args = [("member", id.into()), ("attempt", u64::from(attempt).into())];
+        // A first issue carries no attempt index.
+        self.note(now, "sched", "enqueued", &args[..if attempt == 0 { 1 } else { 2 }]);
+    }
+
+    /// Plan member ids up to the current stage's over-provisioned pool
+    /// size `M = ceil(pool_factor · N)`: ids resumed from an earlier
+    /// incarnation (already in the differ) are recorded as done, the
+    /// rest go to the pool.
+    fn plan_stage(&mut self) {
+        let n = self.stages[self.stage_idx];
+        let target = ((n as f64 * self.sh.cfg.pool_factor).ceil() as usize).max(n);
+        for id in self.records.len()..target {
+            self.records.push(TaskRecord::pending(id));
+            self.flights.push(Flight::default());
+            if self.acc.member_ids().contains(&id) {
+                self.records[id].state = TaskState::Done;
+                self.records[id].outcome = Some(TaskOutcome::Success);
+                self.ledger.decide(id as u64, Fate::Completed(0));
+            } else {
+                self.send(id);
+            }
+        }
+    }
+
+    /// Stop issuing work: raise the cancel flag, close the ledger,
+    /// cancel every member waiting out a backoff and everything still
+    /// queued.
+    fn halt(&mut self, now: Duration) {
+        self.halted_at.get_or_insert(now);
+        self.sh.cancel.store(true, Ordering::Relaxed);
+        self.ledger.close();
+        for m in self.parked() {
+            self.records[m as usize].state = TaskState::Cancelled;
+            self.ledger.decide(m, Fate::Abandoned);
+        }
+        self.drain_queued(now);
+    }
+
+    /// Withdraw queued attempts after a cancellation point
+    /// (convergence, deadline, pool death): they will never be picked
+    /// up.
+    fn drain_queued(&mut self, now: Duration) {
+        while let Ok(att) = self.task_rx.try_recv() {
+            let m = att.id as u64;
+            self.ledger.landed(m);
+            if !self.ledger.decided(m) {
+                self.records[att.id].state = TaskState::Cancelled;
+                self.ledger.decide(m, Fate::Abandoned);
+                self.note(now, "task", "cancelled", &[("member", att.id.into())]);
+            }
+        }
+    }
+
+    /// A result the run has no use for: computed, never ingested.
+    fn waste(&mut self, id: TaskId) {
+        self.records[id].outcome = Some(TaskOutcome::Wasted);
+        self.members_wasted += 1;
+        self.ledger.decide(id as u64, Fate::Abandoned);
+    }
+
+    /// Step 1, every turn of the loop whether or not a result arrived:
+    /// the Tmax deadline, members whose backoff has passed, the death
+    /// of the whole pool, and the straggler scan.
+    fn tick(&mut self, now: Duration) -> io::Result<()> {
+        let deadline = self.sh.cfg.deadline.filter(|&dl| !self.deadline_expired && now >= dl);
+        if let Some(dl) = deadline {
+            self.deadline_expired = true;
+            let tmax_ms = dl.as_millis() as u64;
+            self.note(now, "workflow", "deadline_expired", &[("tmax_ms", tmax_ms.into())]);
+            self.halt(now);
+        }
+        for m in self.ledger.seedable(self.records.len() as u64, now) {
+            self.send(m as usize);
+        }
+        if self.sh.alive.load(Ordering::SeqCst) == 0 && self.ledger.in_flight_total() > 0 {
+            // The whole pool died: nothing queued will ever run, and
+            // nobody is left for a member waiting out its backoff.
+            self.drain_queued(now);
+            for id in self.parked() {
+                let rec = &mut self.records[id as usize];
+                rec.state = TaskState::Done;
+                rec.outcome = Some(TaskOutcome::Failed("worker pool died".into()));
+                self.ledger.decide(id, Fate::Failed);
+                self.journal(|ck| ck.record_failed(id as usize, CODE_POOL_DIED))?;
+                self.members_failed += 1;
+                self.sh.meter(|m| m.failed.inc());
+            }
+        }
+        self.speculate(now);
+        Ok(())
+    }
+
+    /// Straggler speculation: re-launch members that have been running
+    /// much longer than the mean on the (free) pool; the first
+    /// finisher resolves the member.
+    fn speculate(&mut self, now: Duration) {
+        let retry = &self.sh.cfg.retry;
+        if !retry.speculative || self.stopped() || self.runtime_count < 2 {
+            return;
+        }
+        let threshold = self.mean_runtime().mul_f64(retry.speculation_factor);
+        for id in 0..self.records.len() {
+            let (m, flight) = (id as u64, self.flights[id]);
+            let alone = !self.ledger.decided(m)
+                && flight.spec_attempt.is_none()
+                && self.ledger.member(m).in_flight == 1;
+            let Some(since) = flight.running_since.filter(|_| alone) else { continue };
+            if now.saturating_sub(since) <= threshold {
+                continue;
+            }
+            let attempt = self.ledger.issue_twin(m);
+            self.flights[id].spec_attempt = Some(attempt);
+            self.report.speculative_launches += 1;
+            self.sh.meter(|m| m.spec_launches.inc());
+            self.task_tx.send(Attempt { id, attempt }).expect("task channel open");
+            let args = [("member", id.into()), ("attempt", u64::from(attempt).into())];
+            self.note(now, "fault", "speculative_launch", &args);
+        }
+    }
+
+    fn on_started(&mut self, id: TaskId, at: Duration) {
+        self.flights[id].running_since = Some(at);
+        if self.records[id].state == TaskState::Pending {
+            self.records[id].state = TaskState::Running;
+        }
+    }
+
+    /// Step 2: an attempt came back. Classify it once — accepted,
+    /// quarantined, failed or timed out — and act on the ledger's
+    /// answer. Returns `false` for the late duplicate of a member whose
+    /// fate is already decided.
+    fn on_done(&mut self, now: Duration, done: Done) -> io::Result<bool> {
+        let Done { id, attempt, worker, started, finished, result } = done;
+        let m = id as u64;
+        self.ledger.landed(m);
+        if self.ledger.member(m).in_flight == 0 {
+            self.flights[id].running_since = None;
+        }
+        let twin = self.flights[id].spec_attempt == Some(attempt);
+        if self.ledger.decided(m) {
+            // The losing side of a speculation race, or a result
+            // arriving after cancellation. Only the speculative attempt
+            // itself counts as a loss — the original losing to its twin
+            // is already scored as a win.
+            if twin {
+                self.report.speculative_losses += 1;
+                self.sh.meter(|m| m.spec_losses.inc());
+                self.note(now, "fault", "speculative_loss", &[("member", id.into())]);
+            }
+            return Ok(false);
+        }
+        let rec = &mut self.records[id];
+        rec.worker = Some(worker);
+        rec.started_at = Some(started);
+        rec.finished_at = Some(finished);
+        rec.state = TaskState::Done;
+        let runtime = finished.saturating_sub(started);
+        match result {
+            // Per-task timeout: an over-budget attempt is discarded
+            // even though it succeeded (its slot was needed elsewhere;
+            // paper §4 point 1 — timeliness).
+            Ok(_) if self.sh.cfg.retry.task_timeout.is_some_and(|limit| runtime > limit) => {
+                self.report.timeouts += 1;
+                self.sh.meter(|m| m.timeouts.inc());
+                let runtime_ms = runtime.as_millis() as u64;
+                let args = [("member", id.into()), ("runtime_ms", runtime_ms.into())];
+                self.note(now, "fault", "task_timeout", &args);
+                let why = format!("attempt exceeded task timeout ({runtime:?})");
+                self.attempt_lost(id, now, Cause::Failed(why))?;
+            }
+            Ok(xf) => {
+                self.runtime_sum += runtime;
+                self.runtime_count += 1;
+                let verdict = self.validator.as_ref().map(|v| v.validate_member(m, &xf));
+                if let Some(Verdict::Quarantine(reason)) = verdict {
+                    self.quarantine(id, now, reason)?;
+                } else {
+                    if twin {
+                        self.report.speculative_wins += 1;
+                        self.sh.meter(|m| m.spec_wins.inc());
+                        self.note(now, "fault", "speculative_win", &[("member", id.into())]);
+                    }
+                    self.accept(id, started, &xf)?;
+                }
+            }
+            Err(e) => self.attempt_lost(id, now, Cause::Failed(e.to_string()))?,
+        }
+        self.publish_progress(id);
+        Ok(true)
+    }
+
+    /// A clean payload. Before the run stopped it joins the ensemble;
+    /// after a deadline it is ignored ("late runs are safely ignored");
+    /// after convergence the completion policy decides (§4.1).
+    fn accept(&mut self, id: TaskId, started: Duration, xf: &[f64]) -> io::Result<()> {
+        let converged = self.conv.converged();
+        let keep = match self.sh.cfg.completion {
+            _ if !converged => !self.deadline_expired,
+            CompletionPolicy::CancelImmediately => false,
+            CompletionPolicy::UseCompleted => true,
+            // Spare only members that had already run ≥ frac of the
+            // mean runtime when the convergence fired ("spare any
+            // ensemble calculations close to finishing").
+            CompletionPolicy::SpareNearlyDone(frac) => {
+                let progress = self.halted_at.unwrap_or_default().saturating_sub(started);
+                progress.as_secs_f64() >= frac * self.mean_runtime().as_secs_f64()
+            }
+        };
+        if !keep {
+            self.waste(id);
+            return Ok(());
+        }
+        self.records[id].outcome = Some(TaskOutcome::Success);
+        let attempts = self.ledger.complete(id as u64);
+        // Blob first, journal record second: the record is the commit
+        // point.
+        self.journal(|ck| ck.record_member(id, attempts, xf))?;
+        self.acc.add_member(id, xf);
+        if let Some(v) = self.validator.as_mut() {
+            v.note_decided(id as u64, xf);
+        }
+        if !converged {
+            self.since_svd += 1;
+        }
+        Ok(())
+    }
+
+    /// Semantic quarantine: the attempt "succeeded" but its payload is
+    /// wrong — it never enters the spread matrix.
+    fn quarantine(&mut self, id: TaskId, now: Duration, reason: Reason) -> io::Result<()> {
+        self.report.quarantined += 1;
+        self.ledger.mark_quarantined(id as u64);
+        self.sh.meter(|m| m.quarantined.inc());
+        let args = [("member", id.into()), ("reason", u64::from(reason.code()).into())];
+        self.note(now, "fault", "member_quarantined", &args);
+        if self.stopped() {
+            // The member would have been wasted anyway; the corrupt
+            // payload is simply never spared.
+            self.waste(id);
+            return Ok(());
+        }
+        // The quarantine is a journalled decision: resume replays it
+        // bit-for-bit.
+        self.journal(|ck| ck.record_quarantined(id, reason.code()))?;
+        self.attempt_lost(id, now, Cause::Quarantined(reason))
+    }
+
+    /// The one path every lost attempt takes: charge the retry budget
+    /// and do what the ledger answers — wait for a twin still in
+    /// flight, requeue with backoff (a retry, or the self-healing
+    /// replacement of a quarantined member), or record the permanent
+    /// loss.
+    fn attempt_lost(&mut self, id: TaskId, now: Duration, cause: Cause) -> io::Result<()> {
+        let (m, failed) = (id as u64, matches!(cause, Cause::Failed(_)));
+        let code = if failed { CODE_ATTEMPTS_EXHAUSTED } else { CODE_QUARANTINE_BUDGET };
+        match self.ledger.lose(m, Budget::Attempts, code, now) {
+            Loss::Covered => self.records[id].state = TaskState::Running,
+            Loss::Reissue { after } => {
+                self.report.retries += 1;
+                self.sh.meter(|m| m.retries.inc());
+                self.records[id].state = TaskState::Pending;
+                let attempt = u64::from(self.ledger.member(m).issued);
+                let delay_ms = after.as_millis() as u64;
+                let args = [
+                    ("member", id.into()),
+                    ("attempt", attempt.into()),
+                    ("delay_ms", delay_ms.into()),
+                ];
+                if failed {
+                    self.note(now, "fault", "retry_scheduled", &args);
+                } else {
+                    self.note(now, "fault", "replacement_scheduled", &args[..2]);
+                }
+            }
+            Loss::Lost { code } => {
+                let (why, lost_as) = match cause {
+                    Cause::Failed(why) => {
+                        self.members_failed += 1;
+                        (why, "member_failed_permanent")
+                    }
+                    Cause::Quarantined(reason) => {
+                        self.members_quarantined_lost += 1;
+                        (format!("quarantined: {}", reason.describe()), "member_lost_quarantine")
+                    }
+                };
+                self.records[id].outcome = Some(TaskOutcome::Failed(why));
+                self.journal(|ck| ck.record_failed(id, code))?;
+                let attempts = u64::from(self.ledger.member(m).issued);
+                self.note(
+                    now,
+                    "fault",
+                    lost_as,
+                    &[("member", id.into()), ("attempts", attempts.into())],
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Meters and progress counters after member `id`'s attempt.
+    fn publish_progress(&self, id: TaskId) {
+        let (sh, done, planned) = (self.sh, self.acc.count(), self.records.len().max(1));
+        sh.meter(|m| {
+            match &self.records[id].outcome {
+                Some(TaskOutcome::Success) => m.completed.inc(),
+                Some(TaskOutcome::Wasted) => m.wasted.inc(),
+                Some(TaskOutcome::Failed(_)) => m.failed.inc(),
+                None => {}
+            }
+            m.members_done.set(done as f64);
+            m.coverage.set(done as f64 / planned as f64);
+            if let Some(w) = self.records[id].queue_wait() {
+                m.queue_wait.observe(ns(w));
+            }
+        });
+        let counter = |name, value: usize, always: bool| {
+            if always || value > 0 {
+                let kind = EventKind::Counter(value as f64);
+                sh.emit(kind, sh.now(), Lane::Coordinator, "counter", name, &[]);
+            }
+        };
+        counter("members_done", done, true);
+        counter("members_failed", self.members_failed, true);
+        counter("members_wasted", self.members_wasted, true);
+        counter("retries", self.report.retries, false);
+        counter("timeouts", self.report.timeouts, false);
+    }
+
+    /// Step 3, the continuous SVD stage: once `svd_stride` members
+    /// arrived since the last round, or the stage filled, decompose
+    /// the ensemble and compare with the previous estimate.
+    fn svd_round(&mut self) -> Result<(), EsseError> {
+        let (sh, lane, members) = (self.sh, Lane::Coordinator, self.acc.count());
+        let due = self.since_svd >= sh.cfg.svd_stride || members >= self.stages[self.stage_idx];
+        if !due || members < 2 {
+            return Ok(());
+        }
+        self.since_svd = 0;
+        let started = sh.now();
+        sh.emit(EventKind::Begin, started, lane, "svd", "svd", &[("members", members.into())]);
+        let round = match self.acc.estimate()? {
+            Some(update) => Some(self.publish(update)?),
+            None => None,
+        };
+        let finished = sh.now();
+        let took = finished.saturating_sub(started);
+        if let Some((kind, defect, bound)) = round {
+            // Nested span naming the update flavour this round took
+            // (incremental fold vs full/refresh recompute), emitted
+            // retroactively with the measured bounds so the outer "svd"
+            // span stays stable for analytics.
+            let folded = kind == UpdateKind::Incremental;
+            let inner = if folded { "subspace_update" } else { "subspace_refresh" };
+            let args = [("defect", defect.into()), ("error_bound", bound.into())];
+            sh.emit(EventKind::Begin, started, lane, "svd", inner, &args);
+            sh.emit(EventKind::End, finished, lane, "svd", inner, &[]);
+            sh.meter(|m| {
+                let timing = if folded { &m.subspace_update } else { &m.subspace_refresh };
+                timing.observe(ns(took));
+                m.subspace_defect.set(defect);
+            });
+        }
+        sh.emit(EventKind::End, finished, lane, "svd", "svd", &[]);
+        sh.observe("svd", took);
+        Ok(())
+    }
+
+    /// One round's estimate: the convergence test against the previous
+    /// one, then the safe/live files and the journal. Returns what the
+    /// round's trace span reports.
+    fn publish(&mut self, update: SubspaceUpdate) -> Result<(UpdateKind, f64, f64), EsseError> {
+        self.svd_rounds += 1;
+        let members = self.acc.count();
+        let mut rho = f64::NAN;
+        if let Some(prev) = &self.previous {
+            rho = similarity(prev, &update.subspace);
+            self.sh.meter(|m| m.rho.set(rho));
+            let args = [("rho", rho.into()), ("members", members.into())];
+            self.note(self.sh.now(), "svd", "convergence_check", &args);
+            if self.conv.check(rho) {
+                let now = self.sh.now();
+                self.note(now, "workflow", "converged", &args);
+                self.halt(now);
+            }
+        }
+        if let Some((ck, cov)) = &self.ck {
+            self.svd_version += 1;
+            // Covariance files first (safe/live publish), then the
+            // journal record as commit point.
+            cov.publish(&encode_subspace_blob(&update.subspace), self.svd_version)?;
+            ck.record_svd(members, self.svd_version, rho)?;
+            if self.conv.converged() {
+                ck.record_converged(members, rho)?;
+            }
+        }
+        self.previous = Some(update.subspace);
+        Ok((update.kind, update.defect, update.error_bound))
+    }
+
+    /// Step 4, pool growth: if the current stage is complete but the
+    /// run has not converged, move to the next stage and top up the
+    /// pool before the pipeline drains (§4.1). Returns whether it did.
+    fn advance_stage(&mut self) -> bool {
+        let last = self.stage_idx + 1 == self.stages.len();
+        if last || self.conv.converged() || self.acc.count() < self.stages[self.stage_idx] {
+            return false;
+        }
+        self.stage_idx += 1;
+        let target = self.stages[self.stage_idx];
+        self.note(self.sh.now(), "workflow", "stage_advance", &[("target", target.into())]);
+        self.plan_stage();
+        true
+    }
+
+    /// The last step: stop the pool, decompose whatever the completion
+    /// policy admits, and report the run's health.
+    fn finish(mut self, central: Vec<f64>) -> Result<MtcOutcome, EsseError> {
+        let (sh, cfg, lane) = (self.sh, self.sh.cfg, Lane::Coordinator);
+        sh.cancel.store(true, Ordering::Relaxed);
+        for rec in &mut self.records {
+            rec.attempts = self.ledger.member(rec.id as u64).issued;
+        }
+        let members_cancelled =
+            self.records.iter().filter(|r| r.state == TaskState::Cancelled).count();
+        let members = self.acc.count();
+        if self.deadline_expired && members < 2 {
+            let budget = cfg.deadline.expect("deadline fired");
+            return Err(EsseError::Deadline { elapsed: sh.now(), budget });
+        }
+
+        // Completion policy: a final SVD over everything that arrived.
+        let recompute = cfg.completion != CompletionPolicy::CancelImmediately;
+        let mut subspace = self.previous.take();
+        if recompute || subspace.is_none() {
+            let args = [("members", members.into())];
+            sh.emit(EventKind::Begin, sh.now(), lane, "svd", "svd_final", &args);
+            if let Some(update) = self.acc.estimate()? {
+                self.svd_rounds += 1;
+                subspace = Some(update.subspace);
+            }
+            sh.emit(EventKind::End, sh.now(), lane, "svd", "svd_final", &[]);
+        }
+        let subspace = subspace.ok_or(EsseError::NotEnoughMembers { have: members, need: 2 })?;
+
+        let mut faults = std::mem::take(&mut self.report);
+        let replaced = self.ledger.count(Member::replaced);
+        faults.replaced = replaced;
+        let workers = cfg.workers.max(1);
+        faults.workers_died = workers - sh.alive.load(Ordering::SeqCst).min(workers);
+        // Statistical health: permanent losses (and deadline
+        // truncation) are reported explicitly, never silently. A
+        // quarantined member whose replacement budget ran out is its
+        // own degradation class, distinct from crash-shaped losses.
+        let converged = self.conv.converged();
+        let truncated = self.deadline_expired && !converged;
+        let lost_members = self.members_failed
+            + if truncated { members_cancelled + self.members_wasted } else { 0 };
+        let quarantined = self.members_quarantined_lost;
+        let planned = self.records.len().max(1) as f64;
+        let health = if lost_members == 0 && quarantined == 0 {
+            RunHealth::Full
+        } else {
+            let succeeded =
+                self.records.iter().filter(|r| r.outcome == Some(TaskOutcome::Success)).count();
+            let coverage = succeeded as f64 / planned;
+            let args = [
+                ("coverage", coverage.into()),
+                ("lost", lost_members.into()),
+                ("quarantined", quarantined.into()),
+                ("replaced", replaced.into()),
+            ];
+            self.note(sh.now(), "workflow", "degraded", &args);
+            RunHealth::Degraded { coverage, lost_members, quarantined, replaced }
+        };
+        sh.meter(|m| {
+            m.replaced.add(replaced as u64);
+            m.cancelled.add(members_cancelled as u64);
+            m.workers_died.add(faults.workers_died as u64);
+            m.members_done.set(members as f64);
+            m.coverage.set(members as f64 / planned);
+        });
+        Ok(MtcOutcome {
+            central,
+            subspace,
+            converged,
+            rho_history: self.conv.history().to_vec(),
+            makespan: sh.now(),
+            members_used: members,
+            members_failed: self.members_failed,
+            members_wasted: self.members_wasted,
+            members_cancelled,
+            svd_rounds: self.svd_rounds,
+            deadline_expired: self.deadline_expired,
+            health,
+            faults,
+            records: self.records,
+        })
     }
 }
 
@@ -590,1050 +1354,71 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
     /// `run(&mean, &prior)` / `run_resuming(&mean, &prior, &previous)`.)
     pub fn run(&self, init: RunInit<'_>) -> Result<MtcOutcome, EsseError> {
         let cfg = &self.config;
-        let mean0 = init.mean;
-        let obs = self.recorder;
-        let met = self.metrics.map(Meters::new);
-        let met = met.as_ref();
-        let retry = &cfg.retry;
-        let faults = cfg.faults.as_ref();
-        let mut validator = self.validator.clone();
-        let ck = self.checkpoint;
-        // The on-disk safe/live covariance files live beside the
-        // journal; every published subspace goes through them so a
-        // resumed run recovers its "previous" estimate from disk.
-        let disk_cov = match ck {
-            Some(ck) => Some(DiskTripleBuffer::create(ck.dir())?),
+        let workers = cfg.workers.max(1);
+        let sh = Shared {
+            cfg,
+            t0: Instant::now(),
+            obs: self.recorder,
+            met: self.metrics.map(Meters::new),
+            cancel: AtomicBool::new(false),
+            alive: AtomicUsize::new(workers),
+        };
+        let ck = match self.checkpoint {
+            Some(ck) => Some((ck, DiskTripleBuffer::create(ck.dir())?)),
             None => None,
         };
-        let t0 = Instant::now();
-        if obs.enabled() && !init.resume.is_empty() {
-            obs.instant_at(
-                0,
-                Lane::Coordinator,
-                "workflow",
-                "resumed",
-                vec![("members", init.resume.len().into())],
-            );
+        let lane = Lane::Coordinator;
+        if !init.resume.is_empty() {
+            let args = [("members", init.resume.len().into())];
+            sh.emit(EventKind::Instant, Duration::ZERO, lane, "workflow", "resumed", &args);
         }
         let gen = PerturbationGenerator::new(init.prior, cfg.perturb.clone());
         // Central forecast first: the differ needs it.
-        if obs.enabled() {
-            obs.begin_at(
-                ns(t0.elapsed()),
-                Lane::Coordinator,
-                "phase",
-                "central_forecast",
-                Vec::new(),
-            );
-        }
-        let central = self.model.forecast(mean0, cfg.start_time, cfg.duration, None)?;
-        if obs.enabled() {
-            obs.end_at(ns(t0.elapsed()), Lane::Coordinator, "phase", "central_forecast");
-        }
+        sh.emit(EventKind::Begin, sh.now(), lane, "phase", "central_forecast", &[]);
+        let central = self.model.forecast(init.mean, cfg.start_time, cfg.duration, None)?;
+        sh.emit(EventKind::End, sh.now(), lane, "phase", "central_forecast", &[]);
 
         let (task_tx, task_rx) = unbounded::<Attempt>();
         let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
-        let cancel = AtomicBool::new(false);
-        let workers_alive = AtomicUsize::new(cfg.workers.max(1));
-
-        let stages = cfg.schedule.stages();
-        let pool_target = |n: usize| ((n as f64 * cfg.pool_factor).ceil() as usize).max(n);
-
-        let resumed: std::collections::HashSet<TaskId> =
-            init.resume.iter().map(|(id, _)| *id).collect();
-        let mut records: Vec<TaskRecord> = Vec::new();
-        let mut book = MemberBook::default();
-        let mut enqueued = 0usize;
-        let mut sent = 0usize;
-        // `enqueued` counts *member ids issued*, including resumed ids
-        // that are skipped; `sent` counts attempt messages pushed to the
-        // pool (first attempts + retries + speculative duplicates).
-        let enqueue_to = |target: usize,
-                          records: &mut Vec<TaskRecord>,
-                          book: &mut MemberBook,
-                          enqueued: &mut usize,
-                          sent: &mut usize,
-                          tx: &Sender<Attempt>| {
-            while *enqueued < target {
-                let id = *enqueued;
-                if resumed.contains(&id) {
-                    let mut rec = TaskRecord::pending(id);
-                    rec.state = TaskState::Done;
-                    rec.outcome = Some(TaskOutcome::Success);
-                    records.push(rec);
-                    book.push_resumed();
-                } else {
-                    let now = t0.elapsed();
-                    let mut rec = TaskRecord::pending(id);
-                    rec.enqueued_at = Some(now);
-                    records.push(rec);
-                    book.push_planned();
-                    tx.send(Attempt { id, attempt: 0 }).expect("task channel open");
-                    *sent += 1;
-                    if obs.enabled() {
-                        obs.instant_at(
-                            ns(now),
-                            Lane::Coordinator,
-                            "sched",
-                            "enqueued",
-                            vec![("member", id.into())],
-                        );
-                    }
-                }
-                *enqueued += 1;
+        let crew = Crew { sh: &sh, model: self.model, mean0: init.mean, gen: &gen };
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (crew, task_rx, msg_tx) = (&crew, task_rx.clone(), msg_tx.clone());
+                scope.spawn(move || crew.work(w, task_rx, msg_tx));
             }
-        };
-
-        let outcome = std::thread::scope(|scope| -> Result<MtcOutcome, EsseError> {
-            // --- Workers: the MTC pool. ---
-            for w in 0..cfg.workers.max(1) {
-                let task_rx: Receiver<Attempt> = task_rx.clone();
-                let msg_tx: Sender<WorkerMsg> = msg_tx.clone();
-                let gen = &gen;
-                let cancel = &cancel;
-                let workers_alive = &workers_alive;
-                let model = self.model;
-                scope.spawn(move || {
-                    let mut tasks_started = 0usize;
-                    loop {
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match task_rx.recv_timeout(Duration::from_millis(5)) {
-                            Ok(Attempt { id, attempt }) => {
-                                tasks_started += 1;
-                                let started = t0.elapsed();
-                                // Receiver may be gone during shutdown; ignore send errors.
-                                let _ = msg_tx.send(WorkerMsg::Started { id, at: started });
-                                let dies =
-                                    faults.is_some_and(|p| p.worker_dies(w, tasks_started));
-                                let fault = if dies {
-                                    None
-                                } else {
-                                    faults.and_then(|p| p.fault_for(id, attempt))
-                                };
-                                if let Some(FaultKind::Straggle(extra)) = fault {
-                                    // Straggler: the work happens, just late.
-                                    std::thread::sleep(extra);
-                                }
-                                let res = if dies {
-                                    Err(ForecastError::Injected(format!(
-                                        "worker {w} died running member {id}"
-                                    )))
-                                } else {
-                                    match fault {
-                                        Some(FaultKind::Crash) => Err(ForecastError::Injected(
-                                            format!("injected crash (member {id}, attempt {attempt})"),
-                                        )),
-                                        Some(FaultKind::TransientIo) => {
-                                            Err(ForecastError::Injected(format!(
-                                                "transient I/O error (member {id}, attempt {attempt})"
-                                            )))
-                                        }
-                                        _ => {
-                                            let x0 = gen.perturb(mean0, id);
-                                            let seed = gen.forecast_seed(id);
-                                            let mut r = model.forecast(
-                                                &x0,
-                                                cfg.start_time,
-                                                cfg.duration,
-                                                Some(seed),
-                                            );
-                                            // Semantic payload corruption:
-                                            // the forecast "succeeds" but
-                                            // its bytes are wrong — only
-                                            // the ingest validator can
-                                            // catch it.
-                                            if let (Ok(xf), Some(p)) = (&mut r, faults) {
-                                                if let Some(kind) =
-                                                    p.corruption_for(id, attempt)
-                                                {
-                                                    let block =
-                                                        (xf.len() / 5).max(1);
-                                                    kind.apply(
-                                                        p.seed, id as u64, block, xf,
-                                                    );
-                                                }
-                                            }
-                                            r
-                                        }
-                                    }
-                                };
-                                let finished = t0.elapsed();
-                                if let Some(m) = met {
-                                    m.attempts.inc();
-                                    m.member_runtime.observe(ns(finished.saturating_sub(started)));
-                                }
-                                if obs.enabled() {
-                                    let lane = Lane::Worker(w as u32);
-                                    obs.begin_at(
-                                        ns(started),
-                                        lane,
-                                        "task",
-                                        "member",
-                                        vec![("member", id.into()), ("attempt", u64::from(attempt).into())],
-                                    );
-                                    if res.is_err() {
-                                        obs.instant_at(
-                                            ns(finished),
-                                            lane,
-                                            "task",
-                                            "member_failed",
-                                            vec![
-                                                ("member", id.into()),
-                                                ("attempt", u64::from(attempt).into()),
-                                            ],
-                                        );
-                                    }
-                                    obs.end_at(ns(finished), lane, "task", "member");
-                                    obs.observe("member", ns(finished.saturating_sub(started)));
-                                }
-                                let _ = msg_tx.send(WorkerMsg::Done {
-                                    id,
-                                    attempt,
-                                    worker: w,
-                                    started,
-                                    finished,
-                                    result: res,
-                                });
-                                if dies {
-                                    if obs.enabled() {
-                                        obs.instant_at(
-                                            ns(finished),
-                                            Lane::Worker(w as u32),
-                                            "fault",
-                                            "worker_died",
-                                            vec![("worker", w.into())],
-                                        );
-                                    }
-                                    workers_alive.fetch_sub(1, Ordering::SeqCst);
-                                    break;
-                                }
-                            }
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                });
+            drop(msg_tx); // the coordinator keeps only msg_rx
+            let (validator, tasks) = (self.validator.clone(), (task_tx, task_rx));
+            let mut run = Run::new(&sh, ck, validator, &init, central.clone(), tasks);
+            run.plan_stage();
+            // Resumed members may already complete early stages.
+            while run.advance_stage() {}
+            if run.conv.converged() {
+                // The replayed history had already converged.
+                run.halt(sh.now());
             }
-            drop(msg_tx); // coordinator keeps only msg_rx
-
-            // --- Coordinator: differ + SVD + convergence + recovery. ---
-            let mut acc = make_estimator(
-                &cfg.subspace,
-                central.clone(),
-                cfg.mode_rel_tol,
-                cfg.max_rank,
-                cfg.linalg,
-            );
-            for (id, result) in init.resume {
-                acc.add_member(*id, result);
-                // Resumed members were validated before they were
-                // journalled; they re-arm the decided-prefix stats.
-                if let Some(v) = validator.as_mut() {
-                    v.note_decided(*id as u64, result);
-                }
-            }
-            let mut conv = match init.replay {
-                Some(r) => ConvergenceTest::restore(cfg.tolerance, &r.rho_history),
-                None => ConvergenceTest::new(cfg.tolerance),
-            };
-            let mut previous: Option<ErrorSubspace> = init.replay.and_then(|r| r.previous.clone());
-            let mut converged = false;
-            let mut members_failed = 0usize;
-            let mut members_wasted = 0usize;
-            // Members quarantined and never healed (replacement budget
-            // exhausted) — reported separately from `members_failed`.
-            let mut members_quarantined_lost = 0usize;
-            let mut svd_rounds = 0usize;
-            let mut svd_version: u64 = init.replay.map_or(0, |r| r.svd_version);
-            let mut stage_idx = 0usize;
-            // Resume restores the SVD stride phase: members folded from
-            // the journal that the dead coordinator never decomposed
-            // still count toward the next round.
-            let mut since_svd =
-                init.replay.map_or(0, |r| acc.count().saturating_sub(r.last_svd_members));
-            let mut got = 0usize;
-            let mut converged_at: Option<Duration> = None;
-            let mut runtime_sum = Duration::ZERO;
-            let mut runtime_count = 0u32;
-            let mut freport = FaultReport::default();
-            // Backoff-pending retries: (ready_at, member, attempt index).
-            let mut retry_queue: Vec<(Duration, TaskId, u32)> = Vec::new();
-            // The jitter stream is owned by the workflow and seeded from
-            // its own config; it is only advanced when a retry is
-            // actually scheduled, so zero-fault runs never consume it.
-            let mut jitter_rng = StdRng::seed_from_u64(cfg.perturb.base_seed ^ 0x7E57_FA17);
-
-            /// Drain queued attempts after a cancellation point
-            /// (convergence, deadline, pool death): they will never be
-            /// picked up.
-            fn drain_queued(
-                task_rx: &Receiver<Attempt>,
-                records: &mut [TaskRecord],
-                book: &mut MemberBook,
-                got: &mut usize,
-                obs: &dyn Recorder,
-                now: Duration,
-            ) {
-                while let Ok(att) = task_rx.try_recv() {
-                    *got += 1;
-                    book.inflight[att.id] = book.inflight[att.id].saturating_sub(1);
-                    if !book.resolved[att.id] {
-                        records[att.id].state = TaskState::Cancelled;
-                        book.resolved[att.id] = true;
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "task",
-                                "cancelled",
-                                vec![("member", att.id.into())],
-                            );
-                        }
-                    }
-                }
-            }
-
-            enqueue_to(
-                pool_target(stages[0]),
-                &mut records,
-                &mut book,
-                &mut enqueued,
-                &mut sent,
-                &task_tx,
-            );
-            // Resumed members may already complete early stages: advance
-            // and top up the pool before entering the receive loop.
-            while stage_idx + 1 < stages.len() && acc.count() >= stages[stage_idx] {
-                stage_idx += 1;
-                enqueue_to(
-                    pool_target(stages[stage_idx]),
-                    &mut records,
-                    &mut book,
-                    &mut enqueued,
-                    &mut sent,
-                    &task_tx,
-                );
-            }
-
-            // Main receive loop: runs until every issued attempt is
-            // accounted for and no retry is pending.
-            let mut deadline_expired = false;
-            while got < sent || !retry_queue.is_empty() {
-                // Bounded wait so deadlines, backoff releases and the
-                // straggler scan run even while results are scarce.
+            // Runs until every issued attempt is accounted for and no
+            // member waits out a backoff. The wait is bounded so
+            // deadlines, backoff releases and the straggler scan run
+            // even while results are scarce.
+            while run.unsettled() {
                 let msg = msg_rx.recv_timeout(Duration::from_millis(5));
-                let now = t0.elapsed();
-                if let Some(dl) = cfg.deadline {
-                    if !deadline_expired && now >= dl {
-                        deadline_expired = true;
-                        converged_at.get_or_insert(now);
-                        cancel.store(true, Ordering::Relaxed);
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "workflow",
-                                "deadline_expired",
-                                vec![("tmax_ms", (dl.as_millis() as u64).into())],
-                            );
-                        }
-                        // Backoff-pending retries die with the deadline.
-                        for (_, id, _) in retry_queue.drain(..) {
-                            if !book.resolved[id] {
-                                records[id].state = TaskState::Cancelled;
-                                book.resolved[id] = true;
-                            }
-                        }
-                        drain_queued(&task_rx, &mut records, &mut book, &mut got, obs, now);
-                    }
-                }
-                if !converged && !deadline_expired && !retry_queue.is_empty() {
-                    // Release retries whose backoff has elapsed.
-                    let mut i = 0;
-                    while i < retry_queue.len() {
-                        if retry_queue[i].0 <= now {
-                            let (_, id, attempt) = retry_queue.swap_remove(i);
-                            book.inflight[id] += 1;
-                            sent += 1;
-                            records[id].enqueued_at = Some(now);
-                            task_tx.send(Attempt { id, attempt }).expect("task channel open");
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "sched",
-                                    "enqueued",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempt", u64::from(attempt).into()),
-                                    ],
-                                );
-                            }
-                        } else {
-                            i += 1;
+                let now = sh.now();
+                run.tick(now)?;
+                match msg {
+                    Ok(WorkerMsg::Started { id, at }) => run.on_started(id, at),
+                    Ok(WorkerMsg::Done(done)) => {
+                        // A stopped run only drains in-flight results.
+                        if run.on_done(now, done)? && !run.stopped() {
+                            run.svd_round()?;
+                            run.advance_stage();
                         }
                     }
-                }
-                if workers_alive.load(Ordering::SeqCst) == 0 && got < sent {
-                    // The whole pool died: nothing queued will ever run.
-                    drain_queued(&task_rx, &mut records, &mut book, &mut got, obs, now);
-                    for (_, id, _) in retry_queue.drain(..) {
-                        if !book.resolved[id] {
-                            records[id].state = TaskState::Done;
-                            records[id].outcome =
-                                Some(TaskOutcome::Failed("worker pool died".into()));
-                            book.resolved[id] = true;
-                            if let Some(ck) = ck {
-                                ck.record_failed(id, book.attempts[id] as i32)?;
-                            }
-                            members_failed += 1;
-                            if let Some(m) = met {
-                                m.failed.inc();
-                            }
-                        }
-                    }
-                }
-                // Straggler speculation: re-launch members that have been
-                // running much longer than the mean on the (free) pool;
-                // the first finisher resolves the member.
-                if retry.speculative && !converged && !deadline_expired && runtime_count >= 2 {
-                    let mean_rt = runtime_sum / runtime_count;
-                    let threshold = mean_rt.mul_f64(retry.speculation_factor);
-                    for id in 0..records.len() {
-                        if book.resolved[id] || book.speculated[id] || book.inflight[id] != 1 {
-                            continue;
-                        }
-                        let Some(since) = book.running_since[id] else { continue };
-                        if now.saturating_sub(since) > threshold {
-                            let attempt = book.attempts[id];
-                            book.attempts[id] += 1;
-                            book.inflight[id] += 1;
-                            book.speculated[id] = true;
-                            book.spec_attempt[id] = Some(attempt);
-                            sent += 1;
-                            freport.speculative_launches += 1;
-                            if let Some(m) = met {
-                                m.spec_launches.inc();
-                            }
-                            task_tx.send(Attempt { id, attempt }).expect("task channel open");
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "speculative_launch",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempt", u64::from(attempt).into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                }
-                let (id, attempt, w, started, finished, res) = match msg {
-                    Ok(WorkerMsg::Started { id, at }) => {
-                        book.running_since[id] = Some(at);
-                        if records[id].state == TaskState::Pending {
-                            records[id].state = TaskState::Running;
-                        }
-                        continue;
-                    }
-                    Ok(WorkerMsg::Done { id, attempt, worker, started, finished, result }) => {
-                        (id, attempt, worker, started, finished, result)
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                };
-                got += 1;
-                book.inflight[id] = book.inflight[id].saturating_sub(1);
-                if book.inflight[id] == 0 {
-                    book.running_since[id] = None;
-                }
-                if book.resolved[id] {
-                    // Late duplicate of an already-resolved member: the
-                    // losing side of a speculation race, or a result
-                    // arriving after cancellation. Only the speculative
-                    // attempt itself counts as a loss — the original
-                    // losing to its twin is already scored as a win.
-                    if book.spec_attempt[id] == Some(attempt) {
-                        freport.speculative_losses += 1;
-                        if let Some(m) = met {
-                            m.spec_losses.inc();
-                        }
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "fault",
-                                "speculative_loss",
-                                vec![("member", id.into())],
-                            );
-                        }
-                    }
-                    continue;
-                }
-                // Per-task timeout: an over-budget attempt is discarded
-                // even if it technically succeeded (its slot was needed
-                // elsewhere; paper §4 point 1 — timeliness).
-                let runtime = finished.saturating_sub(started);
-                let timed_out =
-                    res.is_ok() && retry.task_timeout.is_some_and(|limit| runtime > limit);
-                if timed_out {
-                    freport.timeouts += 1;
-                    if let Some(m) = met {
-                        m.timeouts.inc();
-                    }
-                    if obs.enabled() {
-                        obs.instant_at(
-                            ns(now),
-                            Lane::Coordinator,
-                            "fault",
-                            "task_timeout",
-                            vec![
-                                ("member", id.into()),
-                                ("runtime_ms", (runtime.as_millis() as u64).into()),
-                            ],
-                        );
-                    }
-                }
-                let rec = &mut records[id];
-                rec.worker = Some(w);
-                rec.started_at = Some(started);
-                rec.finished_at = Some(finished);
-                rec.state = TaskState::Done;
-                match res {
-                    Ok(xf)
-                        if !timed_out
-                            && !validator
-                                .as_ref()
-                                .map_or(Verdict::Pass, |v| v.validate_member(id as u64, &xf))
-                                .is_pass() =>
-                    {
-                        // Semantic quarantine: the attempt "succeeded"
-                        // but its payload is wrong — it never enters
-                        // the spread matrix.
-                        let Verdict::Quarantine(reason) = validator
-                            .as_ref()
-                            .map_or(Verdict::Pass, |v| v.validate_member(id as u64, &xf))
-                        else {
-                            unreachable!("guard matched a quarantine verdict")
-                        };
-                        runtime_sum += runtime;
-                        runtime_count += 1;
-                        freport.quarantined += 1;
-                        book.quarantined[id] = true;
-                        if let Some(m) = met {
-                            m.quarantined.inc();
-                        }
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "fault",
-                                "member_quarantined",
-                                vec![
-                                    ("member", id.into()),
-                                    ("reason", u64::from(reason.code()).into()),
-                                ],
-                            );
-                        }
-                        if converged || deadline_expired {
-                            // The member would have been wasted anyway;
-                            // the corrupt payload is simply never spared.
-                            book.resolved[id] = true;
-                            rec.outcome = Some(TaskOutcome::Wasted);
-                            members_wasted += 1;
-                        } else {
-                            // The quarantine is a journalled decision:
-                            // resume replays it bit-for-bit.
-                            if let Some(ck) = ck {
-                                ck.record_quarantined(id, reason.code())?;
-                            }
-                            if book.inflight[id] > 0 {
-                                // A twin attempt may still deliver a
-                                // clean copy of this member.
-                                rec.state = TaskState::Running;
-                            } else if book.attempts[id] < retry.max_attempts {
-                                // Self-healing: seed a replacement
-                                // attempt under the retry budget.
-                                let prior = book.attempts[id];
-                                let delay = retry.backoff_delay(prior, &mut jitter_rng);
-                                let attempt_next = book.attempts[id];
-                                book.attempts[id] += 1;
-                                retry_queue.push((now + delay, id, attempt_next));
-                                freport.retries += 1;
-                                if let Some(m) = met {
-                                    m.retries.inc();
-                                }
-                                rec.state = TaskState::Pending;
-                                rec.outcome = None;
-                                if obs.enabled() {
-                                    obs.instant_at(
-                                        ns(now),
-                                        Lane::Coordinator,
-                                        "fault",
-                                        "replacement_scheduled",
-                                        vec![
-                                            ("member", id.into()),
-                                            ("attempt", u64::from(attempt_next).into()),
-                                        ],
-                                    );
-                                }
-                            } else {
-                                book.resolved[id] = true;
-                                rec.outcome = Some(TaskOutcome::Failed(format!(
-                                    "quarantined: {}",
-                                    reason.describe()
-                                )));
-                                if let Some(ck) = ck {
-                                    ck.record_failed(id, book.attempts[id] as i32)?;
-                                }
-                                members_quarantined_lost += 1;
-                                if obs.enabled() {
-                                    obs.instant_at(
-                                        ns(now),
-                                        Lane::Coordinator,
-                                        "fault",
-                                        "member_lost_quarantine",
-                                        vec![
-                                            ("member", id.into()),
-                                            ("attempts", u64::from(book.attempts[id]).into()),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Ok(xf) if !timed_out => {
-                        runtime_sum += runtime;
-                        runtime_count += 1;
-                        book.resolved[id] = true;
-                        if book.spec_attempt[id] == Some(attempt) {
-                            freport.speculative_wins += 1;
-                            if let Some(m) = met {
-                                m.spec_wins.inc();
-                            }
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "speculative_win",
-                                    vec![("member", id.into())],
-                                );
-                            }
-                        }
-                        if deadline_expired && !converged {
-                            // Paper: late runs are safely ignored.
-                            rec.outcome = Some(TaskOutcome::Wasted);
-                            members_wasted += 1;
-                        } else if converged {
-                            // Completion policy decides the fate of members
-                            // that were in flight at convergence (§4.1).
-                            let spare = match cfg.completion {
-                                CompletionPolicy::CancelImmediately => false,
-                                CompletionPolicy::UseCompleted => true,
-                                CompletionPolicy::SpareNearlyDone(frac) => {
-                                    // Spare only members that had already run
-                                    // ≥ frac of the mean runtime when the
-                                    // convergence fired ("spare any ensemble
-                                    // calculations close to finishing").
-                                    let mean_rt = if runtime_count > 0 {
-                                        runtime_sum / runtime_count
-                                    } else {
-                                        Duration::ZERO
-                                    };
-                                    let t_conv = converged_at.unwrap_or_default();
-                                    let progress = t_conv.saturating_sub(started);
-                                    progress.as_secs_f64() >= frac * mean_rt.as_secs_f64()
-                                }
-                            };
-                            if spare {
-                                rec.outcome = Some(TaskOutcome::Success);
-                                if let Some(ck) = ck {
-                                    // Blob first, journal record second:
-                                    // the record is the commit point.
-                                    ck.record_member(id, book.attempts[id], &xf)?;
-                                }
-                                acc.add_member(id, &xf);
-                                if let Some(v) = validator.as_mut() {
-                                    v.note_decided(id as u64, &xf);
-                                }
-                            } else {
-                                rec.outcome = Some(TaskOutcome::Wasted);
-                                members_wasted += 1;
-                            }
-                        } else {
-                            rec.outcome = Some(TaskOutcome::Success);
-                            if let Some(ck) = ck {
-                                ck.record_member(id, book.attempts[id], &xf)?;
-                            }
-                            acc.add_member(id, &xf);
-                            if let Some(v) = validator.as_mut() {
-                                v.note_decided(id as u64, &xf);
-                            }
-                            since_svd += 1;
-                        }
-                    }
-                    failed => {
-                        // Timed out, or the attempt reported an error.
-                        let reason = match &failed {
-                            Err(e) => e.to_string(),
-                            Ok(_) => format!("attempt exceeded task timeout ({runtime:?})"),
-                        };
-                        if book.inflight[id] > 0 {
-                            // A twin attempt (speculation) is still out
-                            // there; let it decide the member's fate.
-                            rec.state = TaskState::Running;
-                        } else if !converged
-                            && !deadline_expired
-                            && book.attempts[id] < retry.max_attempts
-                        {
-                            // Requeue with exponential backoff + jitter.
-                            let prior = book.attempts[id];
-                            let delay = retry.backoff_delay(prior, &mut jitter_rng);
-                            let attempt_next = book.attempts[id];
-                            book.attempts[id] += 1;
-                            retry_queue.push((now + delay, id, attempt_next));
-                            freport.retries += 1;
-                            if let Some(m) = met {
-                                m.retries.inc();
-                            }
-                            rec.state = TaskState::Pending;
-                            rec.outcome = None;
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "retry_scheduled",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempt", u64::from(attempt_next).into()),
-                                        ("delay_ms", (delay.as_millis() as u64).into()),
-                                    ],
-                                );
-                            }
-                        } else {
-                            book.resolved[id] = true;
-                            rec.outcome = Some(TaskOutcome::Failed(reason));
-                            if let Some(ck) = ck {
-                                ck.record_failed(id, book.attempts[id] as i32)?;
-                            }
-                            members_failed += 1;
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "member_failed_permanent",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempts", u64::from(book.attempts[id]).into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                }
-                if let Some(m) = met {
-                    match &records[id].outcome {
-                        Some(TaskOutcome::Success) => m.completed.inc(),
-                        Some(TaskOutcome::Wasted) => m.wasted.inc(),
-                        Some(TaskOutcome::Failed(_)) => m.failed.inc(),
-                        None => {}
-                    }
-                    m.members_done.set(acc.count() as f64);
-                    m.coverage.set(acc.count() as f64 / records.len().max(1) as f64);
-                    if let Some(w) = records[id].queue_wait() {
-                        m.queue_wait.observe(w.as_nanos() as u64);
-                    }
-                }
-                if obs.enabled() {
-                    let tns = ns(t0.elapsed());
-                    obs.counter_at(tns, Lane::Coordinator, "members_done", acc.count() as f64);
-                    obs.counter_at(tns, Lane::Coordinator, "members_failed", members_failed as f64);
-                    obs.counter_at(tns, Lane::Coordinator, "members_wasted", members_wasted as f64);
-                    if freport.retries > 0 {
-                        obs.counter_at(tns, Lane::Coordinator, "retries", freport.retries as f64);
-                    }
-                    if freport.timeouts > 0 {
-                        obs.counter_at(tns, Lane::Coordinator, "timeouts", freport.timeouts as f64);
-                    }
-                }
-                if converged || deadline_expired {
-                    continue; // draining in-flight results
-                }
-                // Continuous SVD stage.
-                let stage_target = stages[stage_idx];
-                let at_stride = since_svd >= cfg.svd_stride;
-                let at_stage = acc.count() >= stage_target;
-                if (at_stride || at_stage) && acc.count() >= 2 {
-                    since_svd = 0;
-                    let svd_started = t0.elapsed();
-                    if obs.enabled() {
-                        obs.begin_at(
-                            ns(svd_started),
-                            Lane::Coordinator,
-                            "svd",
-                            "svd",
-                            vec![("members", acc.count().into())],
-                        );
-                    }
-                    let mut round_meta: Option<(UpdateKind, f64, f64)> = None;
-                    if let Some(update) = acc.estimate()? {
-                        svd_rounds += 1;
-                        round_meta = Some((update.kind, update.defect, update.error_bound));
-                        let estimate = update.subspace;
-                        let mut round_rho = f64::NAN;
-                        if let Some(prev) = &previous {
-                            let rho = similarity(prev, &estimate);
-                            round_rho = rho;
-                            if let Some(m) = met {
-                                m.rho.set(rho);
-                            }
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(t0.elapsed()),
-                                    Lane::Coordinator,
-                                    "svd",
-                                    "convergence_check",
-                                    vec![("rho", rho.into()), ("members", acc.count().into())],
-                                );
-                            }
-                            if conv.check(rho) {
-                                converged = true;
-                                converged_at = Some(t0.elapsed());
-                                cancel.store(true, Ordering::Relaxed);
-                                if obs.enabled() {
-                                    obs.instant_at(
-                                        ns(t0.elapsed()),
-                                        Lane::Coordinator,
-                                        "workflow",
-                                        "converged",
-                                        vec![("rho", rho.into()), ("members", acc.count().into())],
-                                    );
-                                }
-                                // Backoff-pending retries are cancelled,
-                                // then the queue is drained.
-                                for (_, rid, _) in retry_queue.drain(..) {
-                                    if !book.resolved[rid] {
-                                        records[rid].state = TaskState::Cancelled;
-                                        book.resolved[rid] = true;
-                                    }
-                                }
-                                let tnow = t0.elapsed();
-                                drain_queued(
-                                    &task_rx,
-                                    &mut records,
-                                    &mut book,
-                                    &mut got,
-                                    obs,
-                                    tnow,
-                                );
-                            }
-                        }
-                        if let Some(ck) = ck {
-                            svd_version += 1;
-                            // Covariance files first (safe/live publish),
-                            // then the journal record as commit point.
-                            if let Some(buf) = &disk_cov {
-                                buf.publish(&encode_subspace_blob(&estimate), svd_version)?;
-                            }
-                            ck.record_svd(acc.count(), svd_version, round_rho)?;
-                            if converged {
-                                ck.record_converged(acc.count(), round_rho)?;
-                            }
-                        }
-                        previous = Some(estimate);
-                    }
-                    let svd_finished = t0.elapsed();
-                    if obs.enabled() {
-                        // Nested span naming the update flavour this round
-                        // took (incremental fold vs full/refresh recompute),
-                        // emitted retroactively with the measured bounds so
-                        // the outer "svd" span stays stable for analytics.
-                        if let Some((kind, defect, bound)) = round_meta {
-                            let inner = match kind {
-                                UpdateKind::Incremental => "subspace_update",
-                                UpdateKind::Full | UpdateKind::Refresh => "subspace_refresh",
-                            };
-                            obs.begin_at(
-                                ns(svd_started),
-                                Lane::Coordinator,
-                                "svd",
-                                inner,
-                                vec![("defect", defect.into()), ("error_bound", bound.into())],
-                            );
-                            obs.end_at(ns(svd_finished), Lane::Coordinator, "svd", inner);
-                        }
-                        obs.end_at(ns(svd_finished), Lane::Coordinator, "svd", "svd");
-                        obs.observe("svd", ns(svd_finished.saturating_sub(svd_started)));
-                    }
-                    if let Some(m) = met {
-                        if let Some((kind, defect, _)) = round_meta {
-                            let dur = ns(svd_finished.saturating_sub(svd_started));
-                            match kind {
-                                UpdateKind::Incremental => m.subspace_update.observe(dur),
-                                UpdateKind::Full | UpdateKind::Refresh => {
-                                    m.subspace_refresh.observe(dur)
-                                }
-                            }
-                            m.subspace_defect.set(defect);
-                        }
-                    }
-                }
-                // Pool growth: if the current stage is complete but not
-                // converged, move to the next stage and top up the pool
-                // (before the pipeline drains — §4.1).
-                if !converged && acc.count() >= stage_target && stage_idx + 1 < stages.len() {
-                    stage_idx += 1;
-                    if obs.enabled() {
-                        obs.instant_at(
-                            ns(t0.elapsed()),
-                            Lane::Coordinator,
-                            "workflow",
-                            "stage_advance",
-                            vec![("target", stages[stage_idx].into())],
-                        );
-                    }
-                    enqueue_to(
-                        pool_target(stages[stage_idx]),
-                        &mut records,
-                        &mut book,
-                        &mut enqueued,
-                        &mut sent,
-                        &task_tx,
-                    );
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            cancel.store(true, Ordering::Relaxed);
-            drop(task_tx);
-            // Copy the attempt counters into the public records.
-            for (rec, attempts) in records.iter_mut().zip(&book.attempts) {
-                rec.attempts = *attempts;
-            }
-            // Cancelled-but-pending bookkeeping.
-            let members_cancelled =
-                records.iter().filter(|r| r.state == TaskState::Cancelled).count();
-
-            if deadline_expired && acc.count() < 2 {
-                return Err(EsseError::Deadline {
-                    elapsed: t0.elapsed(),
-                    budget: cfg.deadline.expect("deadline fired"),
-                });
-            }
-
-            // Completion policy: a final SVD over everything that arrived.
-            let final_subspace = if matches!(
-                cfg.completion,
-                CompletionPolicy::UseCompleted | CompletionPolicy::SpareNearlyDone(_)
-            ) || previous.is_none()
-            {
-                if obs.enabled() {
-                    obs.begin_at(
-                        ns(t0.elapsed()),
-                        Lane::Coordinator,
-                        "svd",
-                        "svd_final",
-                        vec![("members", acc.count().into())],
-                    );
-                }
-                let decomposed = match acc.estimate()? {
-                    Some(update) => {
-                        svd_rounds += 1;
-                        Some(update.subspace)
-                    }
-                    None => None,
-                };
-                if obs.enabled() {
-                    obs.end_at(ns(t0.elapsed()), Lane::Coordinator, "svd", "svd_final");
-                }
-                decomposed
-            } else {
-                previous.clone()
-            };
-            let subspace = final_subspace
-                .or(previous)
-                .ok_or(EsseError::NotEnoughMembers { have: acc.count(), need: 2 })?;
-
-            // Quarantined members that a later attempt healed.
-            freport.replaced = (0..records.len())
-                .filter(|&i| {
-                    book.quarantined[i] && matches!(records[i].outcome, Some(TaskOutcome::Success))
-                })
-                .count();
-            if let Some(m) = met {
-                m.replaced.add(freport.replaced as u64);
-            }
-            // Statistical health: permanent losses (and deadline
-            // truncation) are reported explicitly, never silently. A
-            // quarantined member whose replacement budget ran out is
-            // its own degradation class, distinct from crash-shaped
-            // losses.
-            let truncated = deadline_expired && !converged;
-            let lost =
-                members_failed + if truncated { members_cancelled + members_wasted } else { 0 };
-            let health = if lost == 0 && members_quarantined_lost == 0 {
-                RunHealth::Full
-            } else {
-                let planned = records.len().max(1);
-                let succeeded = records
-                    .iter()
-                    .filter(|r| matches!(r.outcome, Some(TaskOutcome::Success)))
-                    .count();
-                let coverage = succeeded as f64 / planned as f64;
-                if obs.enabled() {
-                    obs.instant_at(
-                        ns(t0.elapsed()),
-                        Lane::Coordinator,
-                        "workflow",
-                        "degraded",
-                        vec![
-                            ("coverage", coverage.into()),
-                            ("lost", lost.into()),
-                            ("quarantined", members_quarantined_lost.into()),
-                            ("replaced", freport.replaced.into()),
-                        ],
-                    );
-                }
-                RunHealth::Degraded {
-                    coverage,
-                    lost_members: lost,
-                    quarantined: members_quarantined_lost,
-                    replaced: freport.replaced,
-                }
-            };
-            freport.workers_died =
-                cfg.workers.max(1) - workers_alive.load(Ordering::SeqCst).min(cfg.workers.max(1));
-            if let Some(m) = met {
-                m.cancelled.add(members_cancelled as u64);
-                m.workers_died.add(freport.workers_died as u64);
-                m.members_done.set(acc.count() as f64);
-                m.coverage.set(acc.count() as f64 / records.len().max(1) as f64);
-            }
-
-            Ok(MtcOutcome {
-                central,
-                subspace,
-                converged,
-                rho_history: conv.history().to_vec(),
-                makespan: t0.elapsed(),
-                members_used: acc.count(),
-                members_failed,
-                members_wasted,
-                members_cancelled,
-                svd_rounds,
-                deadline_expired,
-                health,
-                faults: freport,
-                records,
-            })
-        })?;
-        Ok(outcome)
+            run.finish(central)
+        })
     }
 }
 
@@ -1641,6 +1426,8 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
 mod tests {
     use super::*;
     use esse_core::model::LinearGaussianModel;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn setup() -> (LinearGaussianModel, ErrorSubspace, Vec<f64>) {
         let rates = [0.98, 0.95, 0.3, 0.3, 0.2, 0.1];

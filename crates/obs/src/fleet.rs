@@ -31,6 +31,7 @@
 //! offset is clamped into the feasibility interval, cross-process edges
 //! never point backwards when the interval is non-empty.
 
+use crate::crc::crc32;
 use crate::event::{ArgValue, Event, EventKind, Lane};
 use crate::trace::Trace;
 use std::collections::BTreeMap;
@@ -42,20 +43,6 @@ pub const BATCH_VERSION: u8 = 1;
 /// Decode refuses batches claiming more events than this (corruption
 /// guard: a flipped length byte must not trigger a huge allocation).
 pub const MAX_BATCH_EVENTS: u32 = 1 << 20;
-
-/// CRC-32 (IEEE 802.3, reflected), bitwise — identical polynomial to
-/// the pool record and wire frame checksums.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// SplitMix64 — the deterministic id mixer.
 fn mix64(mut z: u64) -> u64 {

@@ -30,6 +30,8 @@
 //! * [`analyze`] — trace analytics: per-phase breakdowns, queue-wait
 //!   decomposition, windowed throughput, stragglers, the critical path,
 //!   and lane-group speedup (Fig 3 vs Fig 4 from events alone);
+//! * [`crc`] — the workspace's one CRC-32, used by every checksummed
+//!   format from span batches here up to the journal and the wire;
 //! * [`registry`] — live named metrics (counters/gauges/histograms)
 //!   with Prometheus-text and JSON exposition;
 //! * [`monitor`] — a background heartbeat thread summarizing a run in
@@ -41,6 +43,7 @@
 //! consumer downstream (exporters, timelines, tests) is agnostic.
 
 pub mod analyze;
+pub mod crc;
 pub mod event;
 pub mod export;
 pub mod fleet;

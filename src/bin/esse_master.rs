@@ -29,7 +29,10 @@
 //!   at the next fencing epoch;
 //! * **seed** the members the current stage still lacks — first issue,
 //!   requeue and quarantine replacement all enter the pool through
-//!   `Coordinator::issue_epoch`;
+//!   `Coordinator::issue_epoch`. Which members those are, what a lost
+//!   attempt costs and when a member is lost for good is the
+//!   [`MemberLedger`]'s answer — the same rules the in-process engine
+//!   (`esse::mtc::workflow`) runs; this file keeps the I/O;
 //! * run the continuous SVD + convergence test at deterministic
 //!   decided-prefix **checkpoints** on one persistent subspace estimator
 //!   that folds each forecast once, publishing each estimate through
@@ -72,17 +75,16 @@ use esse::linalg::LinalgCtx;
 use esse::mtc::journal::{
     config_hash, encode_subspace_blob, Journal, JournalRecord, JournalState, SvdRound,
 };
+use esse::mtc::ledger::{Budget, Fate, Loss, Member, MemberLedger};
 use esse::mtc::pool::{
     ClaimScan, LeaseState, LeaseWatch, PoolManifest, ResultRecord, TaskPool, TaskSpec,
-    CODE_REJECTED,
+    CODE_LEASE_BUDGET, CODE_QUARANTINE_BUDGET, CODE_REJECTED,
 };
 use esse::mtc::{DiskTripleBuffer, LockError, RetryPolicy, WorkdirLock};
 use esse_obs::event::{ArgValue, Lane};
 use esse_obs::recorder::{Recorder, RecorderExt, NULL};
 use esse_obs::registry::{Counter, MetricsRegistry};
 use esse_obs::ring::RingRecorder;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs;
@@ -122,11 +124,6 @@ fn parse_subspace_flag(v: &str) -> Option<SubspaceStrategy> {
 const JOURNAL: &str = "run.journal";
 /// Quarantine subdirectory for forecast files that failed validation.
 const QUARANTINE: &str = "quarantine";
-/// Exit code journalled when a member exhausts its lease-requeue budget.
-const CODE_LEASE_BUDGET: i32 = -9;
-/// Exit code journalled when a member keeps failing semantic validation
-/// past the requeue budget (replacements could not heal it).
-const CODE_QUARANTINE_BUDGET: i32 = -10;
 /// Exit code of a run parked because the journal itself could not be
 /// appended (ENOSPC, failed fsync): the run stops cleanly and waits for
 /// `--resume` on a healthy disk.
@@ -174,37 +171,6 @@ fn or_die<T>(result: io::Result<T>, what: &str) -> T {
         eprintln!("esse_master: cannot {what}: {e}; --resume continues the run");
         std::process::exit(1);
     })
-}
-
-/// Per-member run bookkeeping; `decided` = completed ∪ permanently
-/// failed. Only decided members extend the deterministic prefix.
-#[derive(Default)]
-struct MemberBook {
-    /// Completed members → attempts consumed (ascending iteration).
-    completed: BTreeMap<u64, u32>,
-    /// Permanently failed members (exit-code budget or lease budget).
-    failed: BTreeSet<u64>,
-    /// Deterministic-failure attempts consumed so far (counts real exit
-    /// codes, not lease expiries).
-    attempts: HashMap<u64, u32>,
-    /// Lease-expiry and quarantine requeues consumed so far (separate,
-    /// generous budget so worker kills never flip a member to failed).
-    requeues: HashMap<u64, u32>,
-    /// Backoff holds: do not reseed the member before this instant.
-    hold_until: HashMap<u64, Instant>,
-}
-
-impl MemberBook {
-    fn decided(&self, m: u64) -> bool {
-        self.completed.contains_key(&m) || self.failed.contains(&m)
-    }
-
-    /// Completed member ids inside the contiguous decided prefix from
-    /// member 0 — the only ids a checkpoint SVD may consume.
-    fn prefix_eligible(&self) -> Vec<u64> {
-        let prefix = (0u64..).take_while(|&m| self.decided(m));
-        prefix.filter(|m| self.completed.contains_key(m)).collect()
-    }
 }
 
 /// Mode relative tolerance shared by every subspace estimate.
@@ -293,9 +259,6 @@ struct Coordinator<'a> {
     trace_run: u64,
     incarnation: u64,
     lease_ms: u64,
-    requeue_budget: u32,
-    retry: RetryPolicy,
-    rng: StdRng,
     m_granted: Counter,
     m_renewed: Counter,
     m_expired: Counter,
@@ -304,16 +267,14 @@ struct Coordinator<'a> {
     m_ingested: Counter,
     m_quarantined: Counter,
 
-    book: MemberBook,
+    /// Every member's attempts, requeues, backoff hold and fate.
+    ledger: MemberLedger,
     /// Current fencing epoch per member.
     epochs: HashMap<u64, u32>,
     /// Members with a pending task or a live claim in this scan.
     outstanding: HashSet<u64>,
     watch: LeaseWatch,
     validator: ForecastValidator,
-    /// Every member ever quarantined (journal history included, so a
-    /// resume keeps the healed/lost split honest).
-    quarantined_members: BTreeSet<u64>,
     /// Members this incarnation lost to the replacement budget.
     quarantined_lost: usize,
 
@@ -397,19 +358,25 @@ impl Coordinator<'_> {
         Ok(())
     }
 
-    /// Charge one requeue (lease expiry or quarantine) to `m`'s budget
-    /// and reissue it — or, the budget spent, journal the permanent
-    /// loss under `lost_code`. Returns whether the member was reissued.
-    fn requeue(&mut self, m: u64, lost_code: i32) -> io::Result<bool> {
-        let requeues = self.book.requeues.entry(m).or_insert(0);
-        *requeues += 1;
-        if *requeues > self.requeue_budget {
-            eprintln!("esse_master: member {m} lost after {requeues} requeues (code {lost_code})");
-            self.journal.append(&JournalRecord::MemberFailed { member: m, code: lost_code });
-            self.book.failed.insert(m);
-            return Ok(false);
+    /// An attempt of `m` was lost: charge `budget` and do what the
+    /// ledger answers — reissue now, leave the member to
+    /// [`seed`](Self::seed) once its backoff has passed, or journal the
+    /// permanent loss. Returns whether the member lives on.
+    fn requeue(&mut self, m: u64, budget: Budget, code: i32, now: Duration) -> io::Result<bool> {
+        match self.ledger.lose(m, budget, code, now) {
+            Loss::Lost { code } => {
+                let spent = self.ledger.member(m);
+                eprintln!(
+                    "esse_master: member {m} lost (code {code}) after {} failed attempt(s) \
+                     and {} requeue(s)",
+                    spent.attempts, spent.requeues
+                );
+                self.journal.append(&JournalRecord::MemberFailed { member: m, code });
+                Ok(false)
+            }
+            Loss::Reissue { after } if after.is_zero() => self.issue_epoch(m).map(|()| true),
+            Loss::Reissue { .. } | Loss::Covered => Ok(true),
         }
-        self.issue_epoch(m).map(|()| true)
     }
 
     /// Move a forecast file that failed validation (checksum *or* the
@@ -425,7 +392,7 @@ impl Coordinator<'_> {
             fs::rename(self.workdir.join(&name), qdir.join(&name))?;
         }
         self.journal.append(&JournalRecord::MemberQuarantined { member: m, reason });
-        self.quarantined_members.insert(m);
+        self.ledger.mark_quarantined(m);
         eprintln!("esse_master: quarantined member {m}: {why}");
         Ok(())
     }
@@ -458,7 +425,7 @@ impl Coordinator<'_> {
     }
 
     /// Step 1: ingest published results.
-    fn ingest(&mut self, results: &[ResultRecord]) -> io::Result<()> {
+    fn ingest(&mut self, results: &[ResultRecord], now: Duration) -> io::Result<()> {
         for r in results {
             let m = r.member;
             let task = (m, r.epoch);
@@ -476,33 +443,21 @@ impl Coordinator<'_> {
                 self.pool.fence_result(r)?;
                 continue;
             }
-            if self.book.decided(m) {
+            if self.ledger.decided(m) {
                 self.pool.consume_result(r)?;
                 continue;
             }
-            let attempts = self.book.attempts.get(&m).copied().unwrap_or(0) + 1;
             if r.code != 0 && r.code != CODE_REJECTED {
                 // A real (deterministic) task failure: count it against
-                // the task-attempt budget.
-                self.book.attempts.insert(m, attempts);
-                if attempts >= self.retry.max_attempts {
-                    self.journal.append(&JournalRecord::MemberFailed { member: m, code: r.code });
-                    self.book.failed.insert(m);
-                    eprintln!(
-                        "esse_master: member {m} failed permanently (code {}, {attempts} attempts)",
-                        r.code
-                    );
-                } else {
-                    let delay = self.retry.backoff_delay(attempts, &mut self.rng);
-                    self.book.hold_until.insert(m, Instant::now() + delay);
-                }
+                // the task-attempt budget, under its own exit code.
+                self.requeue(m, Budget::Attempts, r.code, now)?;
             } else {
                 match self.gate(r) {
                     Ok(xf) => {
                         // The journal record is the commit point.
+                        let attempts = self.ledger.complete(m);
                         self.journal
                             .append(&JournalRecord::MemberCompleted { member: m, attempts });
-                        self.book.completed.insert(m, attempts);
                         self.validator.note_decided(m, &xf);
                         self.m_ingested.inc();
                         self.task_instant("pool", "result_ingested", task, &[]);
@@ -516,7 +471,7 @@ impl Coordinator<'_> {
                         self.m_quarantined.inc();
                         let extra = [("reason", reason as u64)];
                         self.task_instant("fault", "member_quarantined", task, &extra);
-                        if self.requeue(m, CODE_QUARANTINE_BUDGET)? {
+                        if self.requeue(m, Budget::Requeues, CODE_QUARANTINE_BUDGET, now)? {
                             let next = (m, r.epoch + 1);
                             self.task_instant("pool", "replacement_scheduled", next, &extra);
                         } else {
@@ -553,12 +508,13 @@ impl Coordinator<'_> {
     }
 
     /// Step 2: the lease watchdog — reclaim claims whose heartbeat
-    /// stalled for `lease_ms` on the coordinator's own clock `now_ms`.
-    fn watch_leases(&mut self, claims: &[ClaimScan], now_ms: u64) -> io::Result<()> {
+    /// stalled for `lease_ms` on the coordinator's own clock.
+    fn watch_leases(&mut self, claims: &[ClaimScan], now: Duration) -> io::Result<()> {
+        let now_ms = now.as_millis() as u64;
         for c in claims {
             let task = (c.spec.member, c.spec.epoch);
             let (m, epoch) = task;
-            if self.book.decided(m) || epoch != self.epoch(m) {
+            if self.ledger.decided(m) || epoch != self.epoch(m) {
                 // Leftover claim of an ingested or already-requeued
                 // incarnation; sweep it.
                 self.pool.remove_claim(&c.spec)?;
@@ -579,7 +535,7 @@ impl Coordinator<'_> {
                     // Seed the successor FIRST, then drop the dead
                     // claim: there is never a moment where the member
                     // has no incarnation on disk.
-                    self.requeue(m, CODE_LEASE_BUDGET)?;
+                    self.requeue(m, Budget::Requeues, CODE_LEASE_BUDGET, now)?;
                     self.pool.remove_claim(&c.spec)?;
                     self.watch.forget(m);
                 }
@@ -590,10 +546,9 @@ impl Coordinator<'_> {
 
     /// Step 3: seed the members below `target` that are neither decided,
     /// outstanding, nor held back by a retry backoff.
-    fn seed(&mut self, target: u64) -> io::Result<()> {
-        for m in 0..target {
-            let held = self.book.hold_until.get(&m).is_some_and(|t| Instant::now() < *t);
-            if !self.book.decided(m) && !self.outstanding.contains(&m) && !held {
+    fn seed(&mut self, target: u64, now: Duration) -> io::Result<()> {
+        for m in self.ledger.seedable(target, now) {
+            if !self.outstanding.contains(&m) {
                 self.issue_epoch(m)?;
             }
         }
@@ -603,7 +558,7 @@ impl Coordinator<'_> {
     /// Step 4: the continuous SVD + convergence test at decided-prefix
     /// checkpoints (deterministic under any worker interleaving).
     fn checkpoints(&mut self, cps: &[usize]) -> io::Result<()> {
-        let eligible = self.book.prefix_eligible();
+        let eligible = self.ledger.prefix_eligible();
         for &cp in cps {
             let c = cp as u64;
             if self.conv.converged() {
@@ -1013,13 +968,6 @@ fn main() {
         trace_run,
         incarnation,
         lease_ms,
-        requeue_budget,
-        retry: RetryPolicy::retries(task_attempts).with_backoff(
-            Duration::from_millis(20),
-            2.0,
-            0.0,
-        ),
-        rng: StdRng::seed_from_u64(base_seed ^ 0x00D1_7A5C),
         m_granted: metrics.counter("esse_pool_lease_granted_total"),
         m_renewed: metrics.counter("esse_pool_lease_renewed_total"),
         m_expired: metrics.counter("esse_pool_lease_expired_total"),
@@ -1027,14 +975,17 @@ fn main() {
         m_seeded: metrics.counter("esse_pool_tasks_seeded_total"),
         m_ingested: metrics.counter("esse_pool_results_ingested_total"),
         m_quarantined: metrics.counter("esse_quarantined_total"),
-        book: MemberBook::default(),
+        ledger: MemberLedger::new(
+            RetryPolicy::retries(task_attempts).with_backoff(Duration::from_millis(20), 2.0, 0.0),
+            requeue_budget,
+            base_seed ^ 0x00D1_7A5C,
+        ),
         // Recover the authoritative fencing-epoch map from the pool
         // dirs; raised to the journal's high-water marks below.
         epochs: pool.epochs().expect("recover epochs"),
         outstanding: HashSet::new(),
         watch: LeaseWatch::new(),
         validator,
-        quarantined_members: state.quarantine_reasons.iter().map(|&(m, _)| m).collect(),
         quarantined_lost: 0,
         estimator: new_estimator(&strategy, &central),
         disk_cov: DiskTripleBuffer::create(&workdir).expect("safe/live covariance files"),
@@ -1078,11 +1029,15 @@ fn main() {
 
     // --- Resume: fold journalled members back in, checksum-validating
     // every forecast file. Corrupt or missing files are quarantined and
-    // the member is requeued — never silently ingested (§4.2). ---
+    // the member is requeued — never silently ingested (§4.2). Past
+    // quarantines count too, so the healed/lost split stays honest. ---
+    for &(m, _) in &state.quarantine_reasons {
+        co.ledger.mark_quarantined(m);
+    }
     for (m, attempts) in &state.completed {
         match fileio::read_vector(workdir.join(files::fc(*m as usize))) {
             Ok(xf) => {
-                co.book.completed.insert(*m, *attempts);
+                co.ledger.decide(*m, Fate::Completed(*attempts));
                 co.validator.note_decided(*m, &xf);
             }
             Err(e) => or_die(
@@ -1091,10 +1046,12 @@ fn main() {
             ),
         }
     }
-    co.book.failed.extend(&state.failed);
+    for &m in &state.failed {
+        co.ledger.decide(m, Fate::Failed);
+    }
     println!(
         "esse_master: starting with {0} members in the differ (resumed {0})",
-        co.book.completed.len()
+        co.ledger.completed_ids().count()
     );
 
     // --- Schedule + checkpoints. ---
@@ -1102,7 +1059,8 @@ fn main() {
     let stages = schedule.stages();
     let cps = checkpoints(initial, max, &stages);
     let mut stage_idx = 0usize;
-    while stage_idx + 1 < stages.len() && (0..stages[stage_idx] as u64).all(|m| co.book.decided(m))
+    while stage_idx + 1 < stages.len()
+        && (0..stages[stage_idx] as u64).all(|m| co.ledger.decided(m))
     {
         stage_idx += 1;
     }
@@ -1136,10 +1094,11 @@ fn main() {
         let scan = or_die(pool.scan(), "scan the task pool");
         co.outstanding = scan.pending.iter().map(|t| t.member).collect();
         co.outstanding.extend(scan.claims.iter().map(|c| c.spec.member));
-        or_die(co.ingest(&scan.results), "ingest a result");
-        or_die(co.watch_leases(&scan.claims, t0.elapsed().as_millis() as u64), "requeue a claim");
+        let now = t0.elapsed();
+        or_die(co.ingest(&scan.results, now), "ingest a result");
+        or_die(co.watch_leases(&scan.claims, now), "requeue a claim");
         if !co.conv.converged() {
-            or_die(co.seed(stages[stage_idx] as u64), "seed a task");
+            or_die(co.seed(stages[stage_idx] as u64, now), "seed a task");
         }
         or_die(co.checkpoints(&cps), "publish a checkpoint");
         if co.conv.converged() {
@@ -1147,7 +1106,7 @@ fn main() {
         }
 
         // --- Stage growth / completion. ---
-        if (0..stages[stage_idx] as u64).all(|m| co.book.decided(m)) {
+        if (0..stages[stage_idx] as u64).all(|m| co.ledger.decided(m)) {
             if stage_idx + 1 == stages.len() {
                 break;
             }
@@ -1194,11 +1153,11 @@ fn main() {
     // `--subspace`; the checkpoint estimator is released first, so two
     // spread matrices are never resident at once. ---
     drop(co.estimator);
-    let book = &co.book;
-    let eligible = book.prefix_eligible();
+    let ledger = &co.ledger;
+    let eligible = ledger.prefix_eligible();
     let ids: Vec<u64> = match co.converged_members {
         Some(c) => eligible[..(c as usize).min(eligible.len())].to_vec(),
-        None => book.completed.keys().copied().collect(),
+        None => ledger.completed_ids().collect(),
     };
     let Some(posterior) = subspace_over(&workdir, &central, &ids) else {
         eprintln!("esse_master: not enough members for an SVD");
@@ -1210,7 +1169,7 @@ fn main() {
     println!(
         "esse_master: done — {} members ({} failed), converged={}, rank {}, total variance {:.5}",
         posterior.members,
-        book.failed.len(),
+        ledger.count(|e| e.fate == Some(Fate::Failed)),
         co.conv.converged(),
         posterior.subspace.rank(),
         posterior.subspace.total_variance()
@@ -1218,7 +1177,7 @@ fn main() {
     // The quarantine ledger: a member counts as *replaced* (healed) once
     // a later attempt of it completed; quarantined-and-lost members are
     // the explicit degraded-health breakdown, distinct from lease losses.
-    let replaced = co.quarantined_members.iter().filter(|m| book.completed.contains_key(m)).count();
+    let replaced = ledger.count(Member::replaced);
     m_replaced.add(replaced as u64);
     println!(
         "esse_master: pool stats — leases granted {}, renewed {}, expired {}, \
@@ -1233,7 +1192,7 @@ fn main() {
     );
     println!(
         "esse_master: quarantine stats — quarantined {} member(s), replaced {}, lost {}",
-        co.quarantined_members.len(),
+        ledger.count(|e| e.quarantined),
         replaced,
         co.quarantined_lost
     );
