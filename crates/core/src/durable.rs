@@ -4,13 +4,14 @@
 //!
 //! The paper's ESSE is file-based so a real-time forecast survives
 //! infrastructure trouble (§4.1, §4.2); that only works if "written to
-//! disk" actually means *on* the disk. This module supplies the two
+//! disk" actually means *on* the disk. This module supplies the
 //! ingredients every durable format here is built from:
 //!
-//! * [`crc32`] — the IEEE CRC-32 checksum (the workspace's one
-//!   implementation, re-exported from [`esse_obs::crc`]), so readers
-//!   detect truncated or bit-flipped files instead of silently
-//!   ingesting them;
+//! * [`crc32`] and [`codec`] — the IEEE CRC-32 checksum and the byte
+//!   reader/writer, sealed envelope and stream frame built on it (the
+//!   workspace's one implementation of each, re-exported from
+//!   [`esse_obs`]), so readers detect truncated or bit-flipped files
+//!   instead of silently ingesting them;
 //! * [`atomic_write`] — write-to-temp, `fsync` the temp file, rename
 //!   over the target, then `fsync` the parent directory, so a published
 //!   file survives power loss and concurrent readers never observe a
@@ -20,6 +21,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+pub use esse_obs::codec;
 pub use esse_obs::crc::{crc32, crc32_update};
 
 /// `fsync` a directory so a rename/create inside it survives power

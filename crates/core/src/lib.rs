@@ -28,7 +28,8 @@
 //! lives in the `esse-mtc` crate. [`realtime`] models the
 //! observation/forecaster/simulation timelines of Fig. 1; [`smoother`]
 //! and [`adaptive_sampling`] implement the extensions referenced in
-//! §3/§7.
+//! §3/§7. [`durable`] and [`format`] are the crash-durable file
+//! primitives and the vector/subspace byte formats every layer shares.
 
 pub mod adaptive;
 pub mod adaptive_sampling;
@@ -39,6 +40,7 @@ pub mod diagnostics;
 pub mod driver;
 pub mod durable;
 pub mod error;
+pub mod format;
 pub mod model;
 pub mod obs;
 pub mod perturb;

@@ -7,8 +7,10 @@
 //! restarted without rerunning all jobs". This module makes that
 //! guarantee hold against *coordinator* death at any instant:
 //!
-//! * [`Journal`] — an append-only log of checksummed, versioned records
-//!   ([`JournalRecord`]): run config hash, member completions/failures,
+//! * [`Journal`] — an append-only log: an 8-byte header (`ESSEJNL` +
+//!   [`JOURNAL_VERSION`]) followed by one stream frame
+//!   ([`esse_core::durable::codec::frame`]: `len | body | crc`) per
+//!   [`JournalRecord`] — run config hash, member completions/failures,
 //!   SVD publications, convergence, assimilation, completion. Appends
 //!   follow fsync-the-file discipline (the directory is fsynced at
 //!   creation), and replay truncates a torn tail — a record is either
@@ -16,7 +18,8 @@
 //! * [`JournalState`] — a pure fold over replayed records. Any prefix
 //!   of a valid journal folds to a valid state, which is what makes
 //!   killing the coordinator at an arbitrary byte offset recoverable.
-//! * [`Checkpoint`] — a journal plus per-member result blobs in one
+//! * [`Checkpoint`] — a journal plus per-member result blobs (state
+//!   vectors in the one `ESV2` encoding, [`esse_core::format`]) in one
 //!   directory, the durable mirror of the in-memory differ. The engine
 //!   ([`crate::workflow::MtcEsse::with_checkpoint`]) records each
 //!   completed member; [`Checkpoint::open`] validates every blob
@@ -24,25 +27,31 @@
 //!   [`ResumeState`] that [`crate::workflow::RunInit::resuming`] can
 //!   rehydrate — completed members are never re-run.
 
-use esse_core::durable::{atomic_write, crc32, fsync_dir};
-use parking_lot::Mutex;
+use esse_core::durable::codec::{frame, magic, CodecError, Reader, Writer};
+use esse_core::durable::{atomic_write, fsync_dir};
+use esse_core::format::{vector_from_bytes, vector_to_bytes};
 use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
-/// Journal file magic + format version ("ESSEJNL" + version byte).
-const JOURNAL_MAGIC: &[u8; 8] = b"ESSEJNL\x01";
+/// Format version byte after the `ESSEJNL` magic (2: records are
+/// `len | body | crc` stream frames, one fixed length per kind).
+pub const JOURNAL_VERSION: u8 = 2;
 
-/// Member checkpoint blob magic ("ESCK" + version byte).
-const MEMBER_MAGIC: &[u8; 4] = b"ESCK";
-/// Current member blob format version.
-const MEMBER_VERSION: u8 = 1;
+/// Header length: magic + version byte.
+const HEADER_LEN: usize = magic::JOURNAL.len() + 1;
+
+/// The subspace bytes the coordinators publish through the safe/live
+/// covariance protocol: the one `ESS2` encoding, under the name the
+/// perf ledger imports.
+pub use esse_core::format::subspace_to_bytes as encode_subspace_blob;
 
 /// One durable event in the run's history.
 ///
-/// Payloads are fixed little-endian encodings; every record is framed
-/// with a length prefix and a CRC-32 trailer on disk, so readers can
-/// tell a torn tail from a complete record.
+/// Bodies are a kind byte plus fixed little-endian fields; every record
+/// is one stream frame on disk, so readers can tell a torn tail from a
+/// complete record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalRecord {
     /// The run began under this configuration fingerprint. Always the
@@ -75,9 +84,8 @@ pub enum JournalRecord {
     MemberQuarantined {
         /// Member index.
         member: u64,
-        /// Stable [`esse_core::validate::Reason`] code (0 for records
-        /// written before reasons existed). Persisted so a resumed run
-        /// replays the same decision bit-for-bit.
+        /// Stable [`esse_core::validate::Reason`] code. Persisted so a
+        /// resumed run replays the same decision bit-for-bit.
         reason: u32,
     },
     /// The continuous SVD stage published a new subspace estimate to
@@ -145,96 +153,66 @@ impl JournalRecord {
         }
     }
 
-    /// Encode the record payload (kind byte + fields, little endian).
+    /// Encode the frame body (kind byte + fields, little endian).
     fn encode(&self) -> Vec<u8> {
-        let mut out = vec![self.kind()];
+        let mut w = Writer::with_capacity(32);
+        w.u8(self.kind());
         match *self {
-            JournalRecord::RunStart { config_hash } => {
-                out.extend_from_slice(&config_hash.to_le_bytes());
-            }
+            JournalRecord::RunStart { config_hash } => w.u64(config_hash),
             JournalRecord::MemberCompleted { member, attempts } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                out.extend_from_slice(&attempts.to_le_bytes());
+                w.u64(member);
+                w.u32(attempts);
             }
             JournalRecord::MemberFailed { member, code } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                out.extend_from_slice(&code.to_le_bytes());
+                w.u64(member);
+                w.i32(code);
             }
             JournalRecord::MemberQuarantined { member, reason } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                // Reason 0 keeps the legacy 8-byte payload so journals
-                // written before reason codes replay byte-identically.
-                if reason != 0 {
-                    out.extend_from_slice(&reason.to_le_bytes());
-                }
+                w.u64(member);
+                w.u32(reason);
             }
             JournalRecord::SvdPublished { members, version, rho } => {
-                out.extend_from_slice(&members.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&rho.to_bits().to_le_bytes());
+                w.u64(members);
+                w.u64(version);
+                w.f64(rho);
             }
             JournalRecord::Converged { members, rho } => {
-                out.extend_from_slice(&members.to_le_bytes());
-                out.extend_from_slice(&rho.to_bits().to_le_bytes());
+                w.u64(members);
+                w.f64(rho);
             }
-            JournalRecord::Assimilated { innovations } => {
-                out.extend_from_slice(&innovations.to_le_bytes());
-            }
-            JournalRecord::RunComplete { members } => {
-                out.extend_from_slice(&members.to_le_bytes());
-            }
+            JournalRecord::Assimilated { innovations } => w.u64(innovations),
+            JournalRecord::RunComplete { members } => w.u64(members),
             JournalRecord::EpochAdvanced { member, epoch } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
+                w.u64(member);
+                w.u32(epoch);
             }
-            JournalRecord::CoordinatorStarted { incarnation } => {
-                out.extend_from_slice(&incarnation.to_le_bytes());
-            }
+            JournalRecord::CoordinatorStarted { incarnation } => w.u64(incarnation),
         }
-        out
+        w.into_bytes()
     }
 
-    /// Decode a payload produced by [`JournalRecord::encode`]. `None`
-    /// for unknown kinds or short payloads (treated as torn/corrupt).
-    fn decode(payload: &[u8]) -> Option<JournalRecord> {
-        let (&kind, rest) = payload.split_first()?;
-        let u64_at = |off: usize| -> Option<u64> {
-            rest.get(off..off + 8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+    /// Decode a body produced by [`JournalRecord::encode`]: exactly one
+    /// record, no trailing bytes. Replay treats any error as a torn or
+    /// corrupt frame.
+    fn decode(body: &[u8]) -> Result<JournalRecord, CodecError> {
+        let mut r = Reader::new(body);
+        let rec = match r.u8()? {
+            1 => JournalRecord::RunStart { config_hash: r.u64()? },
+            2 => JournalRecord::MemberCompleted { member: r.u64()?, attempts: r.u32()? },
+            3 => JournalRecord::MemberFailed { member: r.u64()?, code: r.i32()? },
+            4 => JournalRecord::MemberQuarantined { member: r.u64()?, reason: r.u32()? },
+            5 => {
+                JournalRecord::SvdPublished { members: r.u64()?, version: r.u64()?, rho: r.f64()? }
+            }
+            6 => JournalRecord::Converged { members: r.u64()?, rho: r.f64()? },
+            7 => JournalRecord::Assimilated { innovations: r.u64()? },
+            8 => JournalRecord::RunComplete { members: r.u64()? },
+            9 => JournalRecord::EpochAdvanced { member: r.u64()?, epoch: r.u32()? },
+            10 => JournalRecord::CoordinatorStarted { incarnation: r.u64()? },
+            kind => return Err(CodecError::BadType(kind)),
         };
-        let rec = match kind {
-            1 => JournalRecord::RunStart { config_hash: u64_at(0)? },
-            2 => JournalRecord::MemberCompleted {
-                member: u64_at(0)?,
-                attempts: u32::from_le_bytes(rest.get(8..12)?.try_into().unwrap()),
-            },
-            3 => JournalRecord::MemberFailed {
-                member: u64_at(0)?,
-                code: i32::from_le_bytes(rest.get(8..12)?.try_into().unwrap()),
-            },
-            4 => JournalRecord::MemberQuarantined {
-                member: u64_at(0)?,
-                reason: match rest.get(8..12) {
-                    Some(b) => u32::from_le_bytes(b.try_into().unwrap()),
-                    None => 0,
-                },
-            },
-            5 => JournalRecord::SvdPublished {
-                members: u64_at(0)?,
-                version: u64_at(8)?,
-                rho: f64::from_bits(u64_at(16)?),
-            },
-            6 => JournalRecord::Converged { members: u64_at(0)?, rho: f64::from_bits(u64_at(8)?) },
-            7 => JournalRecord::Assimilated { innovations: u64_at(0)? },
-            8 => JournalRecord::RunComplete { members: u64_at(0)? },
-            9 => JournalRecord::EpochAdvanced {
-                member: u64_at(0)?,
-                epoch: u32::from_le_bytes(rest.get(8..12)?.try_into().unwrap()),
-            },
-            10 => JournalRecord::CoordinatorStarted { incarnation: u64_at(0)? },
-            _ => return None,
-        };
-        // Reject trailing garbage so a frame is exactly one record.
-        (rec.encode().len() == payload.len()).then_some(rec)
+        r.done()?;
+        Ok(rec)
     }
 }
 
@@ -269,7 +247,9 @@ impl Journal {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
         let mut file = fs::File::create(&path)?;
-        file.write_all(JOURNAL_MAGIC)?;
+        let mut header = [JOURNAL_VERSION; HEADER_LEN];
+        header[..magic::JOURNAL.len()].copy_from_slice(&magic::JOURNAL);
+        file.write_all(&header)?;
         file.sync_all()?;
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -287,27 +267,23 @@ impl Journal {
     /// torn or corrupt frame; everything before it is returned.
     pub fn replay(path: impl AsRef<Path>) -> io::Result<Replay> {
         let raw = fs::read(path)?;
-        if raw.len() < JOURNAL_MAGIC.len() || raw[..7] != JOURNAL_MAGIC[..7] {
+        let header = raw.strip_prefix(&magic::JOURNAL).and_then(|rest| rest.split_first());
+        let Some((&found, mut rest)) = header else {
             return Err(corrupt("missing journal magic"));
-        }
-        if raw[7] != JOURNAL_MAGIC[7] {
-            return Err(corrupt(format!("unsupported journal version {}", raw[7])));
+        };
+        if found != JOURNAL_VERSION {
+            return Err(corrupt(format!(
+                "unsupported journal version {found} (this build reads version {JOURNAL_VERSION})"
+            )));
         }
         let mut records = Vec::new();
-        let mut pos = JOURNAL_MAGIC.len();
-        // Frame: [len u32][crc u32 of payload][payload: len bytes].
-        while let Some(head) = raw.get(pos..pos + 8) {
-            let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
-            let Some(payload) = raw.get(pos + 8..pos + 8 + len) else { break };
-            if crc32(payload) != crc {
-                break;
-            }
-            let Some(rec) = JournalRecord::decode(payload) else { break };
+        while let Ok((body, used)) = frame::split(rest) {
+            let Ok(rec) = JournalRecord::decode(body) else { break };
             records.push(rec);
-            pos += 8 + len;
+            rest = &rest[used..];
         }
-        Ok(Replay { records, valid_len: pos as u64, torn_bytes: (raw.len() - pos) as u64 })
+        let torn_bytes = rest.len() as u64;
+        Ok(Replay { records, valid_len: raw.len() as u64 - torn_bytes, torn_bytes })
     }
 
     /// Open an existing journal for appending: replay it, truncate any
@@ -360,13 +336,10 @@ impl Journal {
         if left != u64::MAX {
             self.fail_after.store(left - 1, Ordering::SeqCst);
         }
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let mut file = self.file.lock();
-        file.write_all(&frame)?;
+        // A panicked appender cannot leave the file half-updated in a
+        // way replay does not already handle, so poisoning is ignored.
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.write_all(&frame::encode(&rec.encode()))?;
         file.sync_data()
     }
 }
@@ -513,108 +486,6 @@ pub fn config_hash(parts: &[(&str, String)]) -> u64 {
 // Checkpoint: journal + member result blobs in one directory.
 // ---------------------------------------------------------------------
 
-/// Encode a member result vector as a checksummed blob
-/// (`ESCK`, version byte, length, f64 payload, CRC-32 trailer).
-pub fn encode_member_blob(data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 8 + 8 * data.len() + 4);
-    out.extend_from_slice(MEMBER_MAGIC);
-    out.push(MEMBER_VERSION);
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    for &v in data {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Decode and validate a member blob. Truncations and bit flips fail
-/// the CRC and are reported as corrupt, never silently ingested.
-pub fn decode_member_blob(raw: &[u8]) -> io::Result<Vec<f64>> {
-    let bad = |msg: &str| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("corrupt member checkpoint: {msg}"))
-    };
-    if raw.len() < 17 || &raw[..4] != MEMBER_MAGIC {
-        return Err(bad("missing magic"));
-    }
-    if raw[4] != MEMBER_VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let crc = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != crc {
-        return Err(bad("checksum mismatch"));
-    }
-    let n = u64::from_le_bytes(body[5..13].try_into().unwrap()) as usize;
-    let payload = &body[13..];
-    if payload.len() != 8 * n {
-        return Err(bad("length mismatch"));
-    }
-    Ok(payload
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-        .collect())
-}
-
-/// Magic prefix of a subspace blob (disk triple-buffer payload).
-const SUBSPACE_MAGIC: &[u8; 4] = b"ESSB";
-
-/// Encode an error subspace as a checksummed blob — the payload the
-/// workflow publishes through the on-disk safe/live protocol
-/// ([`crate::triple_buffer::DiskTripleBuffer`]).
-pub fn encode_subspace_blob(sub: &esse_core::subspace::ErrorSubspace) -> Vec<u8> {
-    let (n, k) = sub.modes.shape();
-    let mut out = Vec::with_capacity(4 + 1 + 16 + 8 * (k + n * k) + 4);
-    out.extend_from_slice(SUBSPACE_MAGIC);
-    out.push(MEMBER_VERSION);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(k as u64).to_le_bytes());
-    for &v in &sub.variances {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    for j in 0..k {
-        for &v in sub.modes.col(j) {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Decode and validate a subspace blob.
-pub fn decode_subspace_blob(raw: &[u8]) -> io::Result<esse_core::subspace::ErrorSubspace> {
-    let bad = |msg: &str| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("corrupt subspace checkpoint: {msg}"))
-    };
-    if raw.len() < 25 || &raw[..4] != SUBSPACE_MAGIC {
-        return Err(bad("missing magic"));
-    }
-    if raw[4] != MEMBER_VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let crc = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != crc {
-        return Err(bad("checksum mismatch"));
-    }
-    let n = u64::from_le_bytes(body[5..13].try_into().unwrap()) as usize;
-    let k = u64::from_le_bytes(body[13..21].try_into().unwrap()) as usize;
-    let payload = &body[21..];
-    if payload.len() != 8 * (k + n * k) {
-        return Err(bad("size mismatch"));
-    }
-    let f = |b: &[u8]| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap()));
-    let variances: Vec<f64> = payload[..8 * k].chunks_exact(8).map(f).collect();
-    let mut modes = esse_linalg::Matrix::zeros(n, k);
-    for j in 0..k {
-        for i in 0..n {
-            modes.set(i, j, f(&payload[8 * (k + j * n + i)..8 * (k + j * n + i) + 8]));
-        }
-    }
-    Ok(esse_core::subspace::ErrorSubspace { modes, variances })
-}
-
 /// What [`Checkpoint::open`] recovered for the engine to resume from.
 #[derive(Debug, Clone, Default)]
 pub struct ResumeState {
@@ -693,7 +564,7 @@ impl Checkpoint {
         for &(member, _attempts) in &state.completed {
             let member = member as usize;
             let path = Self::member_path(&ck.dir, member);
-            match fs::read(&path).and_then(|raw| decode_member_blob(&raw)) {
+            match fs::read(&path).and_then(|raw| vector_from_bytes(&raw)) {
                 Ok(data) => out.completed.push((member, data)),
                 Err(_) => {
                     ck.quarantine(member)?;
@@ -747,7 +618,7 @@ impl Checkpoint {
     /// between the two leaves an unreferenced blob, which is harmless —
     /// replay treats the member as incomplete and re-runs it.
     pub fn record_member(&self, member: usize, attempts: u32, data: &[f64]) -> io::Result<()> {
-        atomic_write(Self::member_path(&self.dir, member), &encode_member_blob(data))?;
+        atomic_write(Self::member_path(&self.dir, member), &vector_to_bytes(data))?;
         self.journal.append(&JournalRecord::MemberCompleted { member: member as u64, attempts })
     }
 
@@ -848,7 +719,7 @@ mod tests {
         let all = Journal::replay(&jpath).unwrap().records;
         let enc = |r: &[JournalRecord]| -> Vec<Vec<u8>> { r.iter().map(|x| x.encode()).collect() };
         let cut = dir.join("cut.journal");
-        for n in JOURNAL_MAGIC.len()..=full.len() {
+        for n in HEADER_LEN..=full.len() {
             fs::write(&cut, &full[..n]).unwrap();
             let replay = Journal::replay(&cut).unwrap();
             let k = replay.records.len();
@@ -872,7 +743,7 @@ mod tests {
         let clean = Journal::replay(&jpath).unwrap().records;
         let enc = |r: &[JournalRecord]| -> Vec<Vec<u8>> { r.iter().map(|x| x.encode()).collect() };
         let mutated = dir.join("mut.journal");
-        for byte in JOURNAL_MAGIC.len()..full.len() {
+        for byte in HEADER_LEN..full.len() {
             let mut raw = full.clone();
             raw[byte] ^= 0x10;
             fs::write(&mutated, &raw).unwrap();
@@ -909,16 +780,16 @@ mod tests {
     #[test]
     fn member_blob_roundtrip_and_corruption() {
         let data = vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE, 1e300];
-        let blob = encode_member_blob(&data);
-        assert_eq!(decode_member_blob(&blob).unwrap(), data);
+        let blob = vector_to_bytes(&data);
+        assert_eq!(vector_from_bytes(&blob).unwrap(), data);
         for n in 0..blob.len() {
-            assert!(decode_member_blob(&blob[..n]).is_err(), "truncation at {n} accepted");
+            assert!(vector_from_bytes(&blob[..n]).is_err(), "truncation at {n} accepted");
         }
         for byte in 0..blob.len() {
             for bit in 0..8 {
                 let mut bad = blob.clone();
                 bad[byte] ^= 1 << bit;
-                assert!(decode_member_blob(&bad).is_err(), "bit flip at {byte}.{bit} accepted");
+                assert!(vector_from_bytes(&bad).is_err(), "bit flip at {byte}.{bit} accepted");
             }
         }
     }
@@ -968,19 +839,6 @@ mod tests {
             Ok(_) => panic!("create over an existing journal must fail"),
         };
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
-    }
-
-    #[test]
-    fn quarantine_reason_zero_keeps_the_legacy_encoding() {
-        // Reason 0 must encode exactly like the pre-reason record so
-        // old journals and new zero-reason records are byte-identical.
-        let legacy = JournalRecord::MemberQuarantined { member: 7, reason: 0 };
-        assert_eq!(legacy.encode().len(), 1 + 8);
-        let modern = JournalRecord::MemberQuarantined { member: 7, reason: 4 };
-        assert_eq!(modern.encode().len(), 1 + 8 + 4);
-        for rec in [legacy, modern] {
-            assert_eq!(JournalRecord::decode(&rec.encode()), Some(rec));
-        }
     }
 
     #[test]

@@ -29,11 +29,16 @@
 //!   child mid-run — the paper's task-cancellation protocol).
 //!   `pool/SHUTDOWN` tells idle workers the run is over.
 //!
-//! All records reuse the CRC-framed discipline of the v2 fileio formats
-//! and every publish goes through [`esse_core::durable::atomic_write`],
-//! so a torn record is detected and skipped, never trusted.
+//! Every record is one sealed envelope ([`esse_core::durable::codec`]:
+//! magic, [`POOL_VERSION`], fields, CRC-32) and every publish goes
+//! through [`esse_core::durable::atomic_write`], so a torn record is
+//! detected and skipped, never trusted. Each record type has exactly one
+//! field encoding ([`Record::put`]/[`Record::get`]); the sealed disk
+//! record and the `esse-net` wire message both call it, so a record that
+//! crosses a socket and one that crosses a rename cannot drift apart.
 
-use esse_core::durable::{atomic_write, crc32};
+use esse_core::durable::atomic_write;
+use esse_core::durable::codec::{magic, seal, unseal, CodecError, Reader, Writer};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -54,41 +59,37 @@ pub const CANCEL_TOMBSTONE: &str = "CANCEL";
 /// Shutdown tombstone: the run is complete, workers should exit.
 pub const SHUTDOWN_TOMBSTONE: &str = "SHUTDOWN";
 
-const MANIFEST_MAGIC: &[u8; 4] = b"ESPM";
-const TASK_MAGIC: &[u8; 4] = b"ESTK";
-const RESULT_MAGIC: &[u8; 4] = b"ESRS";
-const HEARTBEAT_MAGIC: &[u8; 4] = b"ESHB";
-const POOL_VERSION: u8 = 1;
+/// Version byte of every pool record (2: one fixed length per record).
+pub const POOL_VERSION: u8 = 2;
 
-fn bad(what: &str, why: &str) -> io::Error {
+fn bad(what: &str, why: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corrupt pool {what}: {why}"))
 }
 
-/// Frame `payload` as magic + version + payload + CRC-32 trailer.
-fn frame(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + payload.len() + 4);
-    out.extend_from_slice(magic);
-    out.push(POOL_VERSION);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
+/// A pool record: one field encoding, used sealed on disk
+/// ([`Record::encode`]/[`Record::decode`]) and bare inside wire
+/// messages (`esse_net::msg`).
+pub trait Record: Sized {
+    /// Envelope magic of the on-disk record.
+    const MAGIC: [u8; 4];
+    /// Name used in error messages.
+    const WHAT: &'static str;
 
-/// Validate a frame written by [`frame`] and return the payload.
-fn unframe<'a>(magic: &[u8; 4], raw: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
-    if raw.len() < 9 || &raw[..4] != magic {
-        return Err(bad(what, "missing magic"));
+    /// Write the fields, in order.
+    fn put(&self, w: &mut Writer);
+
+    /// Read the fields back.
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// The sealed on-disk record.
+    fn encode(&self) -> Vec<u8> {
+        seal(Self::MAGIC, POOL_VERSION, |w| self.put(w))
     }
-    if raw[4] != POOL_VERSION {
-        return Err(bad(what, "unsupported version"));
+
+    /// Validate and decode a sealed on-disk record.
+    fn decode(raw: &[u8]) -> io::Result<Self> {
+        unseal(Self::MAGIC, POOL_VERSION, raw, Self::get).map_err(|e| bad(Self::WHAT, e))
     }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(bad(what, "checksum mismatch"));
-    }
-    Ok(&body[5..])
 }
 
 /// Run-wide parameters every worker needs to execute a task, written
@@ -116,46 +117,29 @@ pub struct PoolManifest {
     pub trace_run_id: u64,
 }
 
-impl PoolManifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        p.extend_from_slice(&(self.domain.len() as u32).to_le_bytes());
-        p.extend_from_slice(self.domain.as_bytes());
-        p.extend_from_slice(&self.hours.to_bits().to_le_bytes());
-        p.extend_from_slice(&self.white_noise.to_bits().to_le_bytes());
-        p.extend_from_slice(&self.base_seed.to_le_bytes());
-        p.extend_from_slice(&self.lease_ms.to_le_bytes());
-        p.extend_from_slice(&self.config_hash.to_le_bytes());
-        p.extend_from_slice(&self.trace_run_id.to_le_bytes());
-        frame(MANIFEST_MAGIC, &p)
+impl Record for PoolManifest {
+    const MAGIC: [u8; 4] = magic::MANIFEST;
+    const WHAT: &'static str = "manifest";
+
+    fn put(&self, w: &mut Writer) {
+        w.blob(self.domain.as_bytes());
+        w.f64(self.hours);
+        w.f64(self.white_noise);
+        w.u64(self.base_seed);
+        w.u64(self.lease_ms);
+        w.u64(self.config_hash);
+        w.u64(self.trace_run_id);
     }
 
-    fn decode(raw: &[u8]) -> io::Result<PoolManifest> {
-        let p = unframe(MANIFEST_MAGIC, raw, "manifest")?;
-        if p.len() < 4 {
-            return Err(bad("manifest", "truncated"));
-        }
-        let dlen = u32::from_le_bytes(p[..4].try_into().unwrap()) as usize;
-        // A 5-word tail is a pre-tracing manifest (run id 0); 6 words
-        // carry the trace context.
-        let words = match p.len().checked_sub(4 + dlen) {
-            Some(40) => 5,
-            Some(48) => 6,
-            _ => return Err(bad("manifest", "length mismatch")),
-        };
-        let domain = String::from_utf8(p[4..4 + dlen].to_vec())
-            .map_err(|_| bad("manifest", "domain not UTF-8"))?;
-        let u = |i: usize| {
-            u64::from_le_bytes(p[4 + dlen + 8 * i..4 + dlen + 8 * (i + 1)].try_into().unwrap())
-        };
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(PoolManifest {
-            domain,
-            hours: f64::from_bits(u(0)),
-            white_noise: f64::from_bits(u(1)),
-            base_seed: u(2),
-            lease_ms: u(3),
-            config_hash: u(4),
-            trace_run_id: if words == 6 { u(5) } else { 0 },
+            domain: r.string()?,
+            hours: r.f64()?,
+            white_noise: r.f64()?,
+            base_seed: r.u64()?,
+            lease_ms: r.u64()?,
+            config_hash: r.u64()?,
+            trace_run_id: r.u64()?,
         })
     }
 }
@@ -174,7 +158,7 @@ pub struct TaskSpec {
     pub seed: u64,
     /// Coordinator-assigned parent span id for distributed tracing
     /// (`esse_obs::fleet::span_id(run_id, member, epoch)`); 0 when the
-    /// run is untraced or the record predates tracing.
+    /// run is untraced.
     pub parent_span: u64,
 }
 
@@ -183,33 +167,21 @@ impl TaskSpec {
     pub fn file_name(&self) -> String {
         format!("t{:06}.e{:05}", self.member, self.epoch)
     }
+}
 
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(28);
-        p.extend_from_slice(&self.member.to_le_bytes());
-        p.extend_from_slice(&self.epoch.to_le_bytes());
-        p.extend_from_slice(&self.seed.to_le_bytes());
-        p.extend_from_slice(&self.parent_span.to_le_bytes());
-        frame(TASK_MAGIC, &p)
+impl Record for TaskSpec {
+    const MAGIC: [u8; 4] = magic::TASK;
+    const WHAT: &'static str = "task record";
+
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.member);
+        w.u32(self.epoch);
+        w.u64(self.seed);
+        w.u64(self.parent_span);
     }
 
-    fn decode(raw: &[u8]) -> io::Result<TaskSpec> {
-        let p = unframe(TASK_MAGIC, raw, "task record")?;
-        // 20 bytes is a pre-tracing record (parent span 0); 28 carries
-        // the trace context.
-        if p.len() != 20 && p.len() != 28 {
-            return Err(bad("task record", "length mismatch"));
-        }
-        Ok(TaskSpec {
-            member: u64::from_le_bytes(p[..8].try_into().unwrap()),
-            epoch: u32::from_le_bytes(p[8..12].try_into().unwrap()),
-            seed: u64::from_le_bytes(p[12..20].try_into().unwrap()),
-            parent_span: if p.len() == 28 {
-                u64::from_le_bytes(p[20..28].try_into().unwrap())
-            } else {
-                0
-            },
-        })
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(TaskSpec { member: r.u64()?, epoch: r.u32()?, seed: r.u64()?, parent_span: r.u64()? })
     }
 }
 
@@ -249,8 +221,7 @@ pub struct ResultRecord {
     /// CRC-32 trailer of the published forecast file (0 on failure).
     pub fc_crc: u32,
     /// Validator [`esse_core::validate::Reason`] code accompanying a
-    /// [`CODE_REJECTED`] result (0 otherwise, and for records written
-    /// before semantic validation existed).
+    /// [`CODE_REJECTED`] result (0 otherwise).
     pub reason: u32,
 }
 
@@ -259,40 +230,29 @@ impl ResultRecord {
     pub fn file_name(&self) -> String {
         format!("r{:06}.e{:05}", self.member, self.epoch)
     }
+}
 
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(28);
-        p.extend_from_slice(&self.member.to_le_bytes());
-        p.extend_from_slice(&self.epoch.to_le_bytes());
-        p.extend_from_slice(&self.code.to_le_bytes());
-        p.extend_from_slice(&self.pid.to_le_bytes());
-        p.extend_from_slice(&self.fc_crc.to_le_bytes());
-        // Reason 0 keeps the legacy 24-byte payload so pre-validation
-        // records and new zero-reason records are byte-identical.
-        if self.reason != 0 {
-            p.extend_from_slice(&self.reason.to_le_bytes());
-        }
-        frame(RESULT_MAGIC, &p)
+impl Record for ResultRecord {
+    const MAGIC: [u8; 4] = magic::RESULT;
+    const WHAT: &'static str = "result record";
+
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.member);
+        w.u32(self.epoch);
+        w.i32(self.code);
+        w.u32(self.pid);
+        w.u32(self.fc_crc);
+        w.u32(self.reason);
     }
 
-    fn decode(raw: &[u8]) -> io::Result<ResultRecord> {
-        let p = unframe(RESULT_MAGIC, raw, "result record")?;
-        // 24 bytes is a pre-validation record (reason 0); 28 carries a
-        // validator reason code.
-        if p.len() != 24 && p.len() != 28 {
-            return Err(bad("result record", "length mismatch"));
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ResultRecord {
-            member: u64::from_le_bytes(p[..8].try_into().unwrap()),
-            epoch: u32::from_le_bytes(p[8..12].try_into().unwrap()),
-            code: i32::from_le_bytes(p[12..16].try_into().unwrap()),
-            pid: u32::from_le_bytes(p[16..20].try_into().unwrap()),
-            fc_crc: u32::from_le_bytes(p[20..24].try_into().unwrap()),
-            reason: if p.len() == 28 {
-                u32::from_le_bytes(p[24..28].try_into().unwrap())
-            } else {
-                0
-            },
+            member: r.u64()?,
+            epoch: r.u32()?,
+            code: r.i32()?,
+            pid: r.u32()?,
+            fc_crc: r.u32()?,
+            reason: r.u32()?,
         })
     }
 }
@@ -309,23 +269,17 @@ pub struct Heartbeat {
     pub counter: u64,
 }
 
-impl Heartbeat {
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(12);
-        p.extend_from_slice(&self.pid.to_le_bytes());
-        p.extend_from_slice(&self.counter.to_le_bytes());
-        frame(HEARTBEAT_MAGIC, &p)
+impl Record for Heartbeat {
+    const MAGIC: [u8; 4] = magic::HEARTBEAT;
+    const WHAT: &'static str = "heartbeat";
+
+    fn put(&self, w: &mut Writer) {
+        w.u32(self.pid);
+        w.u64(self.counter);
     }
 
-    fn decode(raw: &[u8]) -> io::Result<Heartbeat> {
-        let p = unframe(HEARTBEAT_MAGIC, raw, "heartbeat")?;
-        if p.len() != 12 {
-            return Err(bad("heartbeat", "length mismatch"));
-        }
-        Ok(Heartbeat {
-            pid: u32::from_le_bytes(p[..4].try_into().unwrap()),
-            counter: u64::from_le_bytes(p[4..12].try_into().unwrap()),
-        })
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Heartbeat { pid: r.u32()?, counter: r.u64()? })
     }
 }
 
@@ -905,22 +859,6 @@ mod tests {
         assert_eq!(ResultRecord::decode(&r.encode()).unwrap(), r);
         for byte in 0..r.encode().len() {
             let mut flip = r.encode();
-            flip[byte] ^= 1;
-            assert!(ResultRecord::decode(&flip).is_err(), "flip at {byte} accepted");
-        }
-    }
-
-    #[test]
-    fn result_record_reason_uses_the_legacy_length_when_zero() {
-        let plain = ResultRecord { member: 1, epoch: 2, code: 0, pid: 3, fc_crc: 4, reason: 0 };
-        let rejected =
-            ResultRecord { member: 1, epoch: 2, code: CODE_REJECTED, pid: 3, fc_crc: 0, reason: 5 };
-        // Reason 0 encodes exactly like a pre-validation record.
-        assert_eq!(plain.encode().len() + 4, rejected.encode().len());
-        assert_eq!(ResultRecord::decode(&plain.encode()).unwrap(), plain);
-        assert_eq!(ResultRecord::decode(&rejected.encode()).unwrap(), rejected);
-        for byte in 0..rejected.encode().len() {
-            let mut flip = rejected.encode();
             flip[byte] ^= 1;
             assert!(ResultRecord::decode(&flip).is_err(), "flip at {byte} accepted");
         }

@@ -28,9 +28,9 @@
 //! [`LeaseWatch`]: crate::pool::LeaseWatch
 
 use crate::pool::{Heartbeat, PoolManifest, ResultRecord, TaskPool, TaskSpec};
-use parking_lot::Mutex;
 use std::io;
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What a claim attempt produced.
@@ -189,7 +189,7 @@ impl DiskTransport {
     /// Park for up to `grace` when the watched coordinator dies,
     /// adopting a restarted coordinator found through `master.lock`.
     pub fn with_coordinator_grace(self, grace: Duration) -> DiskTransport {
-        self.watch.lock().grace = grace;
+        self.watch.lock().unwrap_or_else(PoisonError::into_inner).grace = grace;
         self
     }
 
@@ -273,7 +273,7 @@ impl PoolTransport for DiskTransport {
     }
 
     fn coordinator_alive(&self) -> bool {
-        let mut w = self.watch.lock();
+        let mut w = self.watch.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(old) = w.parent_pid else { return true };
         if w.dead {
             return false;

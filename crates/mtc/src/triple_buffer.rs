@@ -11,14 +11,13 @@
 //! always finds a *complete, consistent* version, never a half-written
 //! one, and the writer never overwrites the newest complete version.
 
-use esse_core::durable::{atomic_write, crc32, fsync_dir};
-use parking_lot::Mutex;
+use esse_core::durable::codec::{magic, seal, unseal, CodecError};
+use esse_core::durable::{atomic_write, fsync_dir};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
-/// Magic prefix of a safe/live covariance frame on disk.
-const DISK_MAGIC: &[u8; 4] = b"ESTB";
 /// Format version of the on-disk frame.
 const DISK_VERSION: u8 = 1;
 
@@ -31,10 +30,10 @@ const DISK_VERSION: u8 = 1;
 /// their CRC-32 trailer, so a writer killed mid-`publish` leaves at
 /// worst one torn live file and a stale-but-intact safe file.
 ///
-/// Frame layout: `"ESTB"` + format byte + `u64` version counter +
-/// `u64` payload length + payload bytes + CRC-32 trailer over all of
-/// the preceding bytes. The payload is opaque (the workflow stores an
-/// encoded error subspace).
+/// Frame layout: one sealed envelope ([`esse_core::durable::codec`],
+/// magic `ESTB`) around `u64` version counter + `u64` payload length +
+/// payload bytes. The payload is opaque (the workflow stores an `ESS2`
+/// error subspace).
 pub struct DiskTripleBuffer {
     dir: PathBuf,
     write_lock: Mutex<()>,
@@ -62,34 +61,29 @@ impl DiskTripleBuffer {
         self.dir.join(Self::LIVE[(version % 2) as usize])
     }
 
-    fn encode(payload: &[u8], version: u64) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(4 + 1 + 8 + 8 + payload.len() + 4);
-        frame.extend_from_slice(DISK_MAGIC);
-        frame.push(DISK_VERSION);
-        frame.extend_from_slice(&version.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let crc = crc32(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame
+    /// The frame [`publish`](Self::publish) writes for `payload` at
+    /// `version`.
+    pub fn encode(payload: &[u8], version: u64) -> Vec<u8> {
+        seal(magic::COVARIANCE, DISK_VERSION, |w| {
+            w.reserve(20 + payload.len());
+            w.u64(version);
+            w.u64(payload.len() as u64);
+            w.bytes(payload);
+        })
     }
 
+    /// Validate one frame: its payload and version, or why not.
+    pub fn try_decode(raw: &[u8]) -> Result<(Vec<u8>, u64), CodecError> {
+        unseal(magic::COVARIANCE, DISK_VERSION, raw, |r| {
+            let version = r.u64()?;
+            let len = r.count()?;
+            Ok((r.take(len)?.to_vec(), version))
+        })
+    }
+
+    /// A frame that does not validate simply loses the vote.
     fn decode(raw: &[u8]) -> Option<(Vec<u8>, u64)> {
-        if raw.len() < 4 + 1 + 8 + 8 + 4 || &raw[..4] != DISK_MAGIC {
-            return None;
-        }
-        let (body, trailer) = raw.split_at(raw.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().ok()?);
-        if crc32(body) != stored || body[4] != DISK_VERSION {
-            return None;
-        }
-        let version = u64::from_le_bytes(body[5..13].try_into().ok()?);
-        let len = u64::from_le_bytes(body[13..21].try_into().ok()?) as usize;
-        let payload = &body[21..];
-        if payload.len() != len {
-            return None;
-        }
-        Some((payload.to_vec(), version))
+        Self::try_decode(raw).ok()
     }
 
     /// Writer side: write the frame to the live file selected by the
@@ -98,7 +92,7 @@ impl DiskTripleBuffer {
     /// leaves a valid live frame that [`recover`](Self::recover) will
     /// still find.
     pub fn publish(&self, payload: &[u8], version: u64) -> io::Result<()> {
-        let _guard = self.write_lock.lock();
+        let _guard = self.write_lock.lock().unwrap_or_else(PoisonError::into_inner);
         let frame = Self::encode(payload, version);
         {
             let mut f = fs::File::create(self.live_path(version))?;
@@ -127,7 +121,7 @@ impl DiskTripleBuffer {
     /// live slots may be the only recoverable state). Intended for
     /// completed or parked runs; never call it under a live writer.
     pub fn prune_superseded(&self) -> io::Result<usize> {
-        let _guard = self.write_lock.lock();
+        let _guard = self.write_lock.lock().unwrap_or_else(PoisonError::into_inner);
         let Some((_, safe_version)) = self.read_safe()? else {
             return Ok(0);
         };

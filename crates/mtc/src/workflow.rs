@@ -34,7 +34,7 @@
 //! (`Run::journal`) and validator.
 
 use crate::fault::{FaultKind, FaultPlan, FaultReport, RetryPolicy, RunHealth};
-use crate::journal::{encode_subspace_blob, Checkpoint};
+use crate::journal::Checkpoint;
 use crate::ledger::{Budget, Fate, Loss, Member, MemberLedger};
 use crate::pool::{CODE_ATTEMPTS_EXHAUSTED, CODE_POOL_DIED, CODE_QUARANTINE_BUDGET};
 use crate::task::{TaskId, TaskOutcome, TaskRecord, TaskState};
@@ -42,6 +42,7 @@ use crate::triple_buffer::DiskTripleBuffer;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse_core::convergence::{similarity, ConvergenceTest};
+use esse_core::format::subspace_to_bytes;
 use esse_core::model::{ForecastError, ForecastModel};
 use esse_core::perturb::{PerturbConfig, PerturbationGenerator};
 use esse_core::subspace::{
@@ -1162,7 +1163,7 @@ impl<'r> Run<'r> {
             self.svd_version += 1;
             // Covariance files first (safe/live publish), then the
             // journal record as commit point.
-            cov.publish(&encode_subspace_blob(&update.subspace), self.svd_version)?;
+            cov.publish(&subspace_to_bytes(&update.subspace), self.svd_version)?;
             ck.record_svd(members, self.svd_version, rho)?;
             if self.conv.converged() {
                 ck.record_converged(members, rho)?;

@@ -1,235 +1,10 @@
 //! Wire framing: length prefix + CRC trailer around an opaque body.
 //!
-//! Layout of one frame, all integers little-endian:
-//!
-//! ```text
-//! +----------------+----------------------+----------------+
-//! | len: u32 LE    | body (len bytes)     | crc: u32 LE    |
-//! |                | type byte + payload  | crc32(body)    |
-//! +----------------+----------------------+----------------+
-//! ```
-//!
-//! The codec is a pure function of byte buffers — [`decode`] never
-//! touches a socket — so every failure mode is testable exhaustively:
-//! truncation at *any* byte yields [`FrameError::Truncated`], a length
-//! prefix above [`MAX_FRAME`] yields [`FrameError::TooLarge`] before a
-//! single body byte is trusted, and any corruption of the body or the
-//! trailer yields [`FrameError::Corrupt`] with both CRCs. The stream
-//! helpers [`read_frame`]/[`write_frame`] are a thin adapter over the
-//! same layout.
-//!
-//! The CRC is the same crc32 the on-disk pool records use
-//! (`esse_core::durable::crc32`): one integrity story for the pool
-//! whether a record crossed a filesystem or a socket.
+//! The frame is the workspace's one stream frame,
+//! [`esse_obs::codec::frame`] (`len u32 | body | crc32(body)`), which
+//! the run journal uses too; this module re-exports it under the path
+//! the protocol layer has always used. The CRC is the same crc32 the
+//! on-disk pool records use: one integrity story for the pool whether a
+//! record crossed a filesystem or a socket.
 
-use esse_core::durable::crc32;
-use std::fmt;
-use std::io::{self, Read, Write};
-
-/// Hard cap on the body length of a single frame.
-///
-/// Large enough for a full forecast payload of any domain the binaries
-/// accept (the demo domains are a few thousand f64s; 8 MiB allows
-/// ~1M values), small enough that a corrupt length prefix cannot make
-/// a reader allocate unbounded memory.
-pub const MAX_FRAME: usize = 8 * 1024 * 1024;
-
-/// Bytes of overhead per frame (length prefix + CRC trailer).
-pub const FRAME_OVERHEAD: usize = 8;
-
-/// Why a buffer failed to decode as a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
-    /// The buffer ends before the frame does; not an integrity failure,
-    /// the reader simply needs more bytes.
-    Truncated {
-        /// Total bytes the full frame would occupy.
-        needed: usize,
-        /// Bytes actually available.
-        have: usize,
-    },
-    /// The length prefix exceeds [`MAX_FRAME`]; the frame is rejected
-    /// before any allocation or body read.
-    TooLarge {
-        /// The advertised body length.
-        advertised: usize,
-    },
-    /// The CRC trailer does not match the body: bytes were damaged in
-    /// flight.
-    Corrupt {
-        /// CRC carried in the trailer.
-        expected: u32,
-        /// CRC recomputed over the received body.
-        actual: u32,
-    },
-    /// The body is empty — every valid body carries at least a type
-    /// byte.
-    Empty,
-}
-
-impl fmt::Display for FrameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameError::Truncated { needed, have } => {
-                write!(f, "truncated frame: need {needed} bytes, have {have}")
-            }
-            FrameError::TooLarge { advertised } => {
-                write!(f, "frame body of {advertised} bytes exceeds cap of {MAX_FRAME}")
-            }
-            FrameError::Corrupt { expected, actual } => {
-                write!(f, "frame crc mismatch: trailer {expected:#010x}, body {actual:#010x}")
-            }
-            FrameError::Empty => write!(f, "empty frame body"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<FrameError> for io::Error {
-    fn from(e: FrameError) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e)
-    }
-}
-
-/// Encode one body into a self-delimiting frame.
-///
-/// # Panics
-///
-/// If `body` is empty or longer than [`MAX_FRAME`] — both are
-/// programming errors on the sending side, not runtime conditions.
-pub fn encode(body: &[u8]) -> Vec<u8> {
-    assert!(!body.is_empty(), "refusing to encode an empty frame body");
-    assert!(body.len() <= MAX_FRAME, "frame body of {} bytes exceeds cap", body.len());
-    let mut out = Vec::with_capacity(body.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out
-}
-
-/// Decode the first frame in `buf`.
-///
-/// Returns the body and the total number of bytes the frame consumed,
-/// so a caller holding a receive buffer can drain it frame by frame.
-pub fn decode(buf: &[u8]) -> Result<(Vec<u8>, usize), FrameError> {
-    if buf.len() < 4 {
-        return Err(FrameError::Truncated { needed: 4, have: buf.len() });
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge { advertised: len });
-    }
-    if len == 0 {
-        return Err(FrameError::Empty);
-    }
-    let total = 4 + len + 4;
-    if buf.len() < total {
-        return Err(FrameError::Truncated { needed: total, have: buf.len() });
-    }
-    let body = &buf[4..4 + len];
-    let expected = u32::from_le_bytes(buf[4 + len..total].try_into().unwrap());
-    let actual = crc32(body);
-    if expected != actual {
-        return Err(FrameError::Corrupt { expected, actual });
-    }
-    Ok((body.to_vec(), total))
-}
-
-/// Write one framed body to a stream.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    w.write_all(&encode(body))?;
-    w.flush()
-}
-
-/// Read one framed body from a stream, verifying length and CRC.
-///
-/// A clean EOF before the first header byte surfaces as
-/// [`io::ErrorKind::UnexpectedEof`]; integrity failures surface as
-/// [`io::ErrorKind::InvalidData`] wrapping the [`FrameError`].
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 4];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge { advertised: len }.into());
-    }
-    if len == 0 {
-        return Err(FrameError::Empty.into());
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let mut trailer = [0u8; 4];
-    r.read_exact(&mut trailer)?;
-    let expected = u32::from_le_bytes(trailer);
-    let actual = crc32(&body);
-    if expected != actual {
-        return Err(FrameError::Corrupt { expected, actual }.into());
-    }
-    Ok(body)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_decodes_to_the_same_body() {
-        let body = b"\x01hello, pool".to_vec();
-        let frame = encode(&body);
-        assert_eq!(frame.len(), body.len() + FRAME_OVERHEAD);
-        let (decoded, consumed) = decode(&frame).unwrap();
-        assert_eq!(decoded, body);
-        assert_eq!(consumed, frame.len());
-    }
-
-    #[test]
-    fn two_frames_drain_in_order() {
-        let mut buf = encode(b"\x01first");
-        buf.extend_from_slice(&encode(b"\x02second"));
-        let (a, used) = decode(&buf).unwrap();
-        assert_eq!(a, b"\x01first");
-        let (b, _) = decode(&buf[used..]).unwrap();
-        assert_eq!(b, b"\x02second");
-    }
-
-    #[test]
-    fn truncation_at_every_byte_is_truncated_not_corrupt() {
-        let frame = encode(b"\x03abcdef");
-        for cut in 0..frame.len() {
-            match decode(&frame[..cut]) {
-                Err(FrameError::Truncated { needed, have }) => {
-                    assert_eq!(have, cut);
-                    assert!(needed > cut);
-                }
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn stream_roundtrip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"\x04payload").unwrap();
-        write_frame(&mut wire, b"\x05more").unwrap();
-        let mut r = io::Cursor::new(wire);
-        assert_eq!(read_frame(&mut r).unwrap(), b"\x04payload");
-        assert_eq!(read_frame(&mut r).unwrap(), b"\x05more");
-        assert_eq!(read_frame(&mut r).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_reading_the_body() {
-        let mut buf = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
-        buf.extend_from_slice(&[0u8; 16]);
-        assert!(matches!(decode(&buf), Err(FrameError::TooLarge { .. })));
-        let mut r = io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap_err().kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn zero_length_body_is_rejected() {
-        let buf = 0u32.to_le_bytes().to_vec();
-        assert_eq!(decode(&buf), Err(FrameError::Empty));
-    }
-}
+pub use esse_obs::codec::frame::*;

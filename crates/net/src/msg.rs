@@ -2,8 +2,12 @@
 //!
 //! Every message body is `type byte + fields`, fields in fixed order,
 //! integers little-endian, strings and blobs length-prefixed with a
-//! `u32`. The conversation is strictly worker-initiated
-//! request/response over one connection:
+//! `u32`, written and read through the workspace's one byte codec
+//! ([`esse_obs::codec`]). Pool records inside a message use the same
+//! field encoding as their on-disk form
+//! ([`esse_mtc::pool::Record::put`]/[`get`](esse_mtc::pool::Record::get)).
+//! The conversation is strictly worker-initiated request/response over
+//! one connection:
 //!
 //! ```text
 //! worker                          coordinator
@@ -28,9 +32,8 @@
 //! epoch. The reply is advisory — the coordinator's own epoch check on
 //! ingest remains the only authority on staleness.
 
-use crate::frame::MAX_FRAME;
-use esse_mtc::pool::{Heartbeat, PoolManifest, ResultRecord, TaskSpec};
-use std::fmt;
+use esse_mtc::pool::{Heartbeat, PoolManifest, Record, ResultRecord, TaskSpec};
+use esse_obs::codec::{CodecError, Reader, Writer};
 
 /// Protocol revision; bumped on any wire-incompatible change. A
 /// coordinator rejects a `Hello` carrying any other value.
@@ -153,40 +156,9 @@ pub enum Message {
     },
 }
 
-/// Why a frame body failed to decode as a message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MsgError {
-    /// Body ended before the message did.
-    Truncated,
-    /// Unknown type byte.
-    BadType(u8),
-    /// A string field was not UTF-8.
-    BadUtf8,
-    /// Bytes left over after the message.
-    TrailingBytes(usize),
-    /// A length-prefixed field exceeded the frame cap.
-    FieldTooLarge(usize),
-}
-
-impl fmt::Display for MsgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MsgError::Truncated => write!(f, "message body truncated"),
-            MsgError::BadType(t) => write!(f, "unknown message type {t:#04x}"),
-            MsgError::BadUtf8 => write!(f, "string field is not utf-8"),
-            MsgError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            MsgError::FieldTooLarge(n) => write!(f, "field of {n} bytes exceeds frame cap"),
-        }
-    }
-}
-
-impl std::error::Error for MsgError {}
-
-impl From<MsgError> for std::io::Error {
-    fn from(e: MsgError) -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-    }
-}
+/// Why a frame body failed to decode as a message: the shared codec's
+/// error, under the name this crate has always exported.
+pub type MsgError = CodecError;
 
 const T_HELLO: u8 = 0x01;
 const T_WELCOME: u8 = 0x02;
@@ -211,186 +183,85 @@ const T_TRACE: u8 = 0x14;
 const T_TRACE_ACK: u8 = 0x15;
 const T_REJECTED: u8 = 0x16;
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MsgError> {
-        if self.pos + n > self.buf.len() {
-            return Err(MsgError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, MsgError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, MsgError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, MsgError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i32(&mut self) -> Result<i32, MsgError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, MsgError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn blob(&mut self) -> Result<Vec<u8>, MsgError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME {
-            return Err(MsgError::FieldTooLarge(n));
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, MsgError> {
-        String::from_utf8(self.blob()?).map_err(|_| MsgError::BadUtf8)
-    }
-
-    fn done(&self) -> Result<(), MsgError> {
-        match self.buf.len() - self.pos {
-            0 => Ok(()),
-            n => Err(MsgError::TrailingBytes(n)),
-        }
-    }
-}
-
-fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
-    out.extend_from_slice(&spec.member.to_le_bytes());
-    out.extend_from_slice(&spec.epoch.to_le_bytes());
-    out.extend_from_slice(&spec.seed.to_le_bytes());
-    out.extend_from_slice(&spec.parent_span.to_le_bytes());
-}
-
-fn get_spec(r: &mut Reader<'_>) -> Result<TaskSpec, MsgError> {
-    Ok(TaskSpec { member: r.u64()?, epoch: r.u32()?, seed: r.u64()?, parent_span: r.u64()? })
-}
-
-fn put_rec(out: &mut Vec<u8>, rec: &ResultRecord) {
-    out.extend_from_slice(&rec.member.to_le_bytes());
-    out.extend_from_slice(&rec.epoch.to_le_bytes());
-    out.extend_from_slice(&rec.code.to_le_bytes());
-    out.extend_from_slice(&rec.pid.to_le_bytes());
-    out.extend_from_slice(&rec.fc_crc.to_le_bytes());
-    out.extend_from_slice(&rec.reason.to_le_bytes());
-}
-
-fn get_rec(r: &mut Reader<'_>) -> Result<ResultRecord, MsgError> {
-    Ok(ResultRecord {
-        member: r.u64()?,
-        epoch: r.u32()?,
-        code: r.i32()?,
-        pid: r.u32()?,
-        fc_crc: r.u32()?,
-        reason: r.u32()?,
-    })
-}
-
 impl Message {
     /// Encode into a frame body (type byte first).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+        let mut w = Writer::with_capacity(64);
         match self {
             Message::Hello { proto, worker_id, pid, config_hash } => {
-                out.push(T_HELLO);
-                out.extend_from_slice(&proto.to_le_bytes());
-                out.extend_from_slice(&worker_id.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&config_hash.to_le_bytes());
+                w.u8(T_HELLO);
+                w.u32(*proto);
+                w.u64(*worker_id);
+                w.u32(*pid);
+                w.u64(*config_hash);
             }
             Message::Welcome { manifest, mean, prior } => {
-                out.push(T_WELCOME);
-                put_blob(&mut out, manifest.domain.as_bytes());
-                out.extend_from_slice(&manifest.hours.to_le_bytes());
-                out.extend_from_slice(&manifest.white_noise.to_le_bytes());
-                out.extend_from_slice(&manifest.base_seed.to_le_bytes());
-                out.extend_from_slice(&manifest.lease_ms.to_le_bytes());
-                out.extend_from_slice(&manifest.config_hash.to_le_bytes());
-                out.extend_from_slice(&manifest.trace_run_id.to_le_bytes());
-                put_blob(&mut out, mean);
-                put_blob(&mut out, prior);
+                w.u8(T_WELCOME);
+                manifest.put(&mut w);
+                w.blob(mean);
+                w.blob(prior);
             }
             Message::Reject { reason } => {
-                out.push(T_REJECT);
-                put_blob(&mut out, reason.as_bytes());
+                w.u8(T_REJECT);
+                w.blob(reason.as_bytes());
             }
-            Message::Claim => out.push(T_CLAIM),
+            Message::Claim => w.u8(T_CLAIM),
             Message::Task { spec } => {
-                out.push(T_TASK);
-                put_spec(&mut out, spec);
+                w.u8(T_TASK);
+                spec.put(&mut w);
             }
-            Message::Idle => out.push(T_IDLE),
-            Message::Cancelled => out.push(T_CANCELLED),
-            Message::Shutdown => out.push(T_SHUTDOWN),
+            Message::Idle => w.u8(T_IDLE),
+            Message::Cancelled => w.u8(T_CANCELLED),
+            Message::Shutdown => w.u8(T_SHUTDOWN),
             Message::Renew { spec, hb } => {
-                out.push(T_RENEW);
-                put_spec(&mut out, spec);
-                out.extend_from_slice(&hb.pid.to_le_bytes());
-                out.extend_from_slice(&hb.counter.to_le_bytes());
+                w.u8(T_RENEW);
+                spec.put(&mut w);
+                hb.put(&mut w);
             }
-            Message::RenewOk => out.push(T_RENEW_OK),
-            Message::Fenced => out.push(T_FENCED),
+            Message::RenewOk => w.u8(T_RENEW_OK),
+            Message::Fenced => w.u8(T_FENCED),
             Message::Result { rec, payload_len } => {
-                out.push(T_RESULT);
-                put_rec(&mut out, rec);
-                out.extend_from_slice(&payload_len.to_le_bytes());
+                w.u8(T_RESULT);
+                rec.put(&mut w);
+                w.u64(*payload_len);
             }
             Message::Rejected { rec } => {
-                out.push(T_REJECTED);
-                put_rec(&mut out, rec);
+                w.u8(T_REJECTED);
+                rec.put(&mut w);
             }
             Message::Data { chunk } => {
-                out.push(T_DATA);
-                put_blob(&mut out, chunk);
+                w.u8(T_DATA);
+                w.blob(chunk);
             }
-            Message::ResultEnd => out.push(T_RESULT_END),
-            Message::ResultAck => out.push(T_RESULT_ACK),
+            Message::ResultEnd => w.u8(T_RESULT_END),
+            Message::ResultAck => w.u8(T_RESULT_ACK),
             Message::Release { spec } => {
-                out.push(T_RELEASE);
-                put_spec(&mut out, spec);
+                w.u8(T_RELEASE);
+                spec.put(&mut w);
             }
-            Message::ReleaseAck => out.push(T_RELEASE_ACK),
-            Message::Query => out.push(T_QUERY),
+            Message::ReleaseAck => w.u8(T_RELEASE_ACK),
+            Message::Query => w.u8(T_QUERY),
             Message::RunInfo { cancelled, shutdown } => {
-                out.push(T_RUN_INFO);
-                out.push(u8::from(*cancelled));
-                out.push(u8::from(*shutdown));
+                w.u8(T_RUN_INFO);
+                w.u8(u8::from(*cancelled));
+                w.u8(u8::from(*shutdown));
             }
             Message::Trace { bytes } => {
-                out.push(T_TRACE);
-                put_blob(&mut out, bytes);
+                w.u8(T_TRACE);
+                w.blob(bytes);
             }
             Message::TraceAck { server_ns } => {
-                out.push(T_TRACE_ACK);
-                out.extend_from_slice(&server_ns.to_le_bytes());
+                w.u8(T_TRACE_ACK);
+                w.u64(*server_ns);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Decode a frame body. The whole body must be consumed.
     pub fn decode(body: &[u8]) -> Result<Message, MsgError> {
         let mut r = Reader::new(body);
+        let r = &mut r;
         let msg = match r.u8()? {
             T_HELLO => Message::Hello {
                 proto: r.u32()?,
@@ -398,52 +269,30 @@ impl Message {
                 pid: r.u32()?,
                 config_hash: r.u64()?,
             },
-            T_WELCOME => {
-                let domain = r.string()?;
-                let hours = r.f64()?;
-                let white_noise = r.f64()?;
-                let base_seed = r.u64()?;
-                let lease_ms = r.u64()?;
-                let config_hash = r.u64()?;
-                let trace_run_id = r.u64()?;
-                let mean = r.blob()?;
-                let prior = r.blob()?;
-                Message::Welcome {
-                    manifest: PoolManifest {
-                        domain,
-                        hours,
-                        white_noise,
-                        base_seed,
-                        lease_ms,
-                        config_hash,
-                        trace_run_id,
-                    },
-                    mean,
-                    prior,
-                }
-            }
+            T_WELCOME => Message::Welcome {
+                manifest: PoolManifest::get(r)?,
+                mean: r.blob()?.to_vec(),
+                prior: r.blob()?.to_vec(),
+            },
             T_REJECT => Message::Reject { reason: r.string()? },
             T_CLAIM => Message::Claim,
-            T_TASK => Message::Task { spec: get_spec(&mut r)? },
+            T_TASK => Message::Task { spec: TaskSpec::get(r)? },
             T_IDLE => Message::Idle,
             T_CANCELLED => Message::Cancelled,
             T_SHUTDOWN => Message::Shutdown,
-            T_RENEW => Message::Renew {
-                spec: get_spec(&mut r)?,
-                hb: Heartbeat { pid: r.u32()?, counter: r.u64()? },
-            },
+            T_RENEW => Message::Renew { spec: TaskSpec::get(r)?, hb: Heartbeat::get(r)? },
             T_RENEW_OK => Message::RenewOk,
             T_FENCED => Message::Fenced,
-            T_RESULT => Message::Result { rec: get_rec(&mut r)?, payload_len: r.u64()? },
-            T_REJECTED => Message::Rejected { rec: get_rec(&mut r)? },
-            T_DATA => Message::Data { chunk: r.blob()? },
+            T_RESULT => Message::Result { rec: ResultRecord::get(r)?, payload_len: r.u64()? },
+            T_REJECTED => Message::Rejected { rec: ResultRecord::get(r)? },
+            T_DATA => Message::Data { chunk: r.blob()?.to_vec() },
             T_RESULT_END => Message::ResultEnd,
             T_RESULT_ACK => Message::ResultAck,
-            T_RELEASE => Message::Release { spec: get_spec(&mut r)? },
+            T_RELEASE => Message::Release { spec: TaskSpec::get(r)? },
             T_RELEASE_ACK => Message::ReleaseAck,
             T_QUERY => Message::Query,
             T_RUN_INFO => Message::RunInfo { cancelled: r.u8()? != 0, shutdown: r.u8()? != 0 },
-            T_TRACE => Message::Trace { bytes: r.blob()? },
+            T_TRACE => Message::Trace { bytes: r.blob()?.to_vec() },
             T_TRACE_ACK => Message::TraceAck { server_ns: r.u64()? },
             t => return Err(MsgError::BadType(t)),
         };

@@ -21,7 +21,7 @@
 //!
 //! [`LeaseWatch`]: esse_mtc::pool::LeaseWatch
 
-use crate::frame::write_frame;
+use crate::frame::{read_frame, write_frame};
 use crate::msg::{Message, PROTO_VERSION};
 use crate::names;
 use esse_core::durable::atomic_write;
@@ -288,79 +288,56 @@ fn accept_loop(
     }
 }
 
-/// Read the frame header + body, tolerating read timeouts so the
-/// connection thread can observe the stop flag while idle. Returns
+/// Read one frame through [`read_frame`], tolerating read timeouts so
+/// the connection thread can observe the stop flag while idle. Returns
 /// `Ok(None)` when the server is stopping and no frame is in flight.
 fn read_frame_or_stop(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    match read_exact_patient(stream, &mut header, stop, true)? {
-        ReadOutcome::Stopped => return Ok(None),
-        ReadOutcome::Done => {}
+    let mut patient = PatientRead { stream, stop, in_flight: false, strikes: 0 };
+    match read_frame(&mut patient) {
+        Ok(body) => Ok(Some(body)),
+        // The adapter's own give-up, before any byte of a frame arrived.
+        Err(e) if e.kind() == io::ErrorKind::TimedOut && !patient.in_flight => Ok(None),
+        Err(e) => Err(e),
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > crate::frame::MAX_FRAME {
-        return Err(crate::frame::FrameError::TooLarge { advertised: len }.into());
-    }
-    if len == 0 {
-        return Err(crate::frame::FrameError::Empty.into());
-    }
-    let mut rest = vec![0u8; len + 4];
-    match read_exact_patient(stream, &mut rest, stop, false)? {
-        ReadOutcome::Stopped => return Ok(None),
-        ReadOutcome::Done => {}
-    }
-    let (body, trailer) = rest.split_at(len);
-    let expected = u32::from_le_bytes(trailer.try_into().unwrap());
-    let actual = esse_core::durable::crc32(body);
-    if expected != actual {
-        return Err(crate::frame::FrameError::Corrupt { expected, actual }.into());
-    }
-    Ok(Some(body.to_vec()))
 }
 
-enum ReadOutcome {
-    Done,
-    Stopped,
+/// A `Read` over one frame's worth of a socket that rides out read
+/// timeouts. A stop request wins at once while no byte of the frame has
+/// arrived; once a frame is partially read we keep going until the peer
+/// stalls for four timeouts in a row, so framing is never lost
+/// mid-message. Either way the give-up is a `TimedOut` error.
+struct PatientRead<'a> {
+    stream: &'a mut TcpStream,
+    stop: &'a AtomicBool,
+    in_flight: bool,
+    strikes: u32,
 }
 
-/// `read_exact` across read timeouts. When `idle_ok` and no byte has
-/// arrived yet, a stop request wins; once a frame is partially read we
-/// keep going so framing is never lost mid-message.
-fn read_exact_patient(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    idle_ok: bool,
-) -> io::Result<ReadOutcome> {
-    let mut filled = 0usize;
-    let mut stop_strikes = 0u32;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed"));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    if filled == 0 && idle_ok {
-                        return Ok(ReadOutcome::Stopped);
+impl Read for PatientRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    self.in_flight |= n > 0;
+                    self.strikes = 0;
+                    return Ok(n);
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if !self.stop.load(Ordering::SeqCst) {
+                        continue;
                     }
-                    stop_strikes += 1;
-                    if stop_strikes >= 4 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "stopping with a frame in flight",
-                        ));
+                    self.strikes += 1;
+                    if !self.in_flight || self.strikes >= 4 {
+                        return Err(io::Error::new(io::ErrorKind::TimedOut, "server stopping"));
                     }
                 }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
         }
     }
-    Ok(ReadOutcome::Done)
 }
 
 fn serve_connection(

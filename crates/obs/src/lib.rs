@@ -32,6 +32,8 @@
 //!   and lane-group speedup (Fig 3 vs Fig 4 from events alone);
 //! * [`crc`] — the workspace's one CRC-32, used by every checksummed
 //!   format from span batches here up to the journal and the wire;
+//! * [`codec`] — the one byte reader/writer, sealed envelope and stream
+//!   frame those formats are all built from;
 //! * [`registry`] — live named metrics (counters/gauges/histograms)
 //!   with Prometheus-text and JSON exposition;
 //! * [`monitor`] — a background heartbeat thread summarizing a run in
@@ -43,6 +45,7 @@
 //! consumer downstream (exporters, timelines, tests) is agnostic.
 
 pub mod analyze;
+pub mod codec;
 pub mod crc;
 pub mod event;
 pub mod export;

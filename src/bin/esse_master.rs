@@ -72,9 +72,7 @@ use esse::core::subspace::{
 use esse::core::validate::{finite_stat, ForecastValidator, Reason, ValidatorConfig, Verdict};
 use esse::fileio;
 use esse::linalg::LinalgCtx;
-use esse::mtc::journal::{
-    config_hash, encode_subspace_blob, Journal, JournalRecord, JournalState, SvdRound,
-};
+use esse::mtc::journal::{config_hash, Journal, JournalRecord, JournalState, SvdRound};
 use esse::mtc::ledger::{Budget, Fate, Loss, Member, MemberLedger};
 use esse::mtc::pool::{
     ClaimScan, LeaseState, LeaseWatch, PoolManifest, ResultRecord, TaskPool, TaskSpec,
@@ -603,7 +601,8 @@ impl Coordinator<'_> {
             // Safe/live covariance files first, then the journal
             // record as the commit point (§4.1 on disk).
             self.svd_version += 1;
-            self.disk_cov.publish(&encode_subspace_blob(&update.subspace), self.svd_version)?;
+            self.disk_cov
+                .publish(&fileio::subspace_to_bytes(&update.subspace), self.svd_version)?;
             self.journal.append(&JournalRecord::SvdPublished {
                 members: c,
                 version: self.svd_version,
@@ -690,6 +689,15 @@ fn lock_workdir(workdir: &Path) -> WorkdirLock {
             std::process::exit(2);
         }
     }
+}
+
+/// Refuse to resume: one line on stderr, exit code 2, and the workdir
+/// left as found — the lock is released by hand because `exit` runs no
+/// destructors.
+fn refuse_resume(lock: WorkdirLock, why: String) -> ! {
+    eprintln!("esse_master: {why}");
+    drop(lock);
+    std::process::exit(2);
 }
 
 /// `--gc` mode: prune the fenced-result history, consumed trace
@@ -782,11 +790,17 @@ fn main() {
     }
     std::fs::create_dir_all(&workdir).expect("create workdir");
 
-    let _lock = lock_workdir(&workdir);
+    let lock = lock_workdir(&workdir);
 
     // --- Journal: create fresh, or replay (truncating any torn tail). ---
     let (journal, state) = if resume && journal_path.exists() {
-        let (journal, replay) = Journal::open(&journal_path).expect("open journal");
+        let (journal, replay) = match Journal::open(&journal_path) {
+            Ok(opened) => opened,
+            // A foreign file or another build's journal version.
+            Err(e) => {
+                refuse_resume(lock, format!("cannot resume from {}: {e}", journal_path.display()))
+            }
+        };
         if replay.torn_bytes > 0 {
             eprintln!(
                 "esse_master: truncated {} torn byte(s) from the journal tail",
@@ -795,11 +809,13 @@ fn main() {
         }
         let state = JournalState::replay(&replay.records);
         if let Some(h) = state.config_hash.filter(|&h| h != run_hash) {
-            eprintln!(
-                "esse_master: journal belongs to a different run \
-                 (config hash {h:#018x} != {run_hash:#018x}); refusing to mix results"
+            refuse_resume(
+                lock,
+                format!(
+                    "journal belongs to a different run \
+                     (config hash {h:#018x} != {run_hash:#018x}); refusing to mix results"
+                ),
             );
-            std::process::exit(2);
         }
         (journal, state)
     } else {

@@ -12,10 +12,8 @@ mod common;
 use common::smooth_t_prior;
 use esse::core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse::core::model::PeForecastModel;
-use esse::mtc::journal::{
-    decode_member_blob, encode_member_blob, encode_subspace_blob, Checkpoint, Journal,
-    JournalRecord,
-};
+use esse::fileio::{vector_from_bytes, vector_to_bytes};
+use esse::mtc::journal::{encode_subspace_blob, Checkpoint, Journal, JournalRecord};
 use esse::mtc::workflow::{MtcConfig, MtcEsse, ReplayState, RunInit};
 use std::path::{Path, PathBuf};
 
@@ -53,7 +51,7 @@ fn write_journal(dir: &Path, records: &[JournalRecord]) -> Vec<u8> {
 }
 
 /// Byte offsets at which each frame ends (the magic header is frame 0's
-/// start); walking the `[len][crc][payload]` framing directly.
+/// start); walking the `[len][body][crc]` framing directly.
 fn frame_ends(raw: &[u8]) -> Vec<usize> {
     let mut ends = Vec::new();
     let mut pos = 8;
@@ -131,15 +129,15 @@ fn journal_survives_any_single_bit_flip() {
 #[test]
 fn member_blob_rejects_truncation_and_bit_flips() {
     let data: Vec<f64> = (0..17).map(|i| (i as f64).sin()).collect();
-    let blob = encode_member_blob(&data);
-    assert_eq!(decode_member_blob(&blob).unwrap(), data);
+    let blob = vector_to_bytes(&data);
+    assert_eq!(vector_from_bytes(&blob).unwrap(), data);
     for cut in 0..blob.len() {
-        assert!(decode_member_blob(&blob[..cut]).is_err(), "truncation at {cut} accepted");
+        assert!(vector_from_bytes(&blob[..cut]).is_err(), "truncation at {cut} accepted");
     }
     for pos in 0..blob.len() {
         let mut bad = blob.clone();
         bad[pos] ^= 1 << (pos % 8);
-        assert!(decode_member_blob(&bad).is_err(), "bit flip at {pos} accepted");
+        assert!(vector_from_bytes(&bad).is_err(), "bit flip at {pos} accepted");
     }
 }
 

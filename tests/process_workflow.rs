@@ -112,6 +112,35 @@ fn resume_refuses_mismatched_configuration() {
 }
 
 #[test]
+fn resume_refuses_a_journal_of_another_format_version() {
+    let dir = workdir("jversion");
+    run_master(&dir, &[]);
+    // Overwrite the version byte after the 7-byte magic: what a journal
+    // written by another build looks like.
+    let journal = dir.join("run.journal");
+    let mut raw = std::fs::read(&journal).unwrap();
+    raw[7] = 1;
+    std::fs::write(&journal, &raw).unwrap();
+    let listing = |dir: &Path| -> Vec<_> {
+        let mut names: Vec<_> =
+            std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        names.sort();
+        names
+    };
+    let before = listing(&dir);
+    let out = master_cmd(&dir, &["--resume"]).output().unwrap();
+    // A typed refusal, not a panic: exit code 2 and one line naming the
+    // journal and the version found.
+    assert_eq!(out.status.code(), Some(2), "expected a version refusal");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "stderr: {err}");
+    assert!(err.contains("run.journal") && err.contains("version 1"), "stderr: {err}");
+    // The workdir is untouched: same files (no stranded lock), same journal.
+    assert_eq!(listing(&dir), before);
+    assert_eq!(std::fs::read(&journal).unwrap(), raw);
+}
+
+#[test]
 fn crashed_master_resumes_to_a_bit_identical_posterior() {
     // Reference: an uninterrupted run.
     let ref_dir = workdir("crash-ref");
