@@ -7,7 +7,7 @@
 //! T/S. Land cells are masked; fluxes never cross the mask.
 
 use crate::eos;
-use crate::field::{Field2, Field3};
+use crate::field::Field3;
 use crate::grid::Grid;
 use crate::state::OceanState;
 use crate::{GRAVITY, RHO0};
@@ -77,6 +77,11 @@ impl RefProfile {
         let w = (z - z0) / (z1 - z0).max(1e-12);
         self.values[k - 1] * (1.0 - w) + self.values[k] * w
     }
+
+    /// [`RefProfile::at`] the center depth of every cell.
+    pub(crate) fn at_levels(&self, grid: &Grid) -> Field3 {
+        Field3::from_fn(grid.nx, grid.ny, grid.nz, |i, j, k| self.at(grid.level_depth(i, j, k)))
+    }
 }
 
 /// Linear interpolation of a column's (T, S) to depth `z`.
@@ -99,115 +104,264 @@ fn column_interp(grid: &Grid, state: &OceanState, i: usize, j: usize, z: f64) ->
     (state.t.get(i, j, nz - 1), state.s.get(i, j, nz - 1))
 }
 
+/// Layer thickness of every cell (0 on land).
+pub(crate) fn layer_thicknesses(grid: &Grid) -> Field3 {
+    Field3::from_fn(grid.nx, grid.ny, grid.nz, |i, j, k| grid.layer_thickness(i, j, k))
+}
+
+/// `f(i, j)` of every horizontal cell, row-major.
+pub(crate) fn per_column<T>(grid: &Grid, f: impl Fn(usize, usize) -> T) -> Vec<T> {
+    let f = &f;
+    (0..grid.ny).flat_map(|j| (0..grid.nx).map(move |i| f(i, j))).collect()
+}
+
 /// Hydrostatic baroclinic pressure anomaly field φ = p'/ρ₀ (m²/s²) at
 /// level centers, integrated downward from the surface, relative to the
 /// resting reference profile `rho_ref`.
 pub fn baroclinic_pressure(grid: &Grid, t: &Field3, s: &Field3, rho_ref: &RefProfile) -> Field3 {
-    let (nx, ny, nz) = (grid.nx, grid.ny, grid.nz);
-    let mut phi = Field3::zeros(nx, ny, nz);
-    for j in 0..ny {
-        for i in 0..nx {
-            if !grid.is_wet(i, j) {
-                continue;
-            }
-            let mut p = 0.0; // pressure anomaly / rho0 at current interface
-            for k in 0..nz {
-                let hk = grid.layer_thickness(i, j, k);
-                let z_center = grid.level_depth(i, j, k);
-                let rho =
-                    eos::density_anomaly(t.get(i, j, k), s.get(i, j, k)) - rho_ref.at(z_center);
-                // Pressure at level center: interface pressure + half layer.
-                let at_center = p + GRAVITY * rho / RHO0 * (0.5 * hk);
-                phi.set(i, j, k, at_center);
-                p += GRAVITY * rho / RHO0 * hk;
-            }
+    let mut phi = Field3::zeros(grid.nx, grid.ny, grid.nz);
+    let h = layer_thicknesses(grid);
+    let rho_ref = rho_ref.at_levels(grid);
+    let wet = per_column(grid, |i, j| grid.is_wet(i, j));
+    pressure_into(&mut phi, t, s, &h, &rho_ref, &wet);
+    phi
+}
+
+/// [`baroclinic_pressure`] over precomputed layer thicknesses `h`,
+/// reference densities `rho_ref` (at each cell's center depth) and wet
+/// flags, one level at a time; φ is 0 on land.
+pub(crate) fn pressure_into(
+    phi: &mut Field3,
+    t: &Field3,
+    s: &Field3,
+    h: &Field3,
+    rho_ref: &Field3,
+    wet: &[bool],
+) {
+    let n2 = wet.len();
+    // Pressure anomaly / rho0 at the top interface of the current level.
+    let mut p = vec![0.0; n2];
+    let levels = phi.as_mut_slice().chunks_exact_mut(n2).zip(t.as_slice().chunks_exact(n2));
+    let inputs = s.as_slice().chunks_exact(n2).zip(h.as_slice().chunks_exact(n2));
+    for ((phi, t), ((s, h), r)) in levels.zip(inputs.zip(rho_ref.as_slice().chunks_exact(n2))) {
+        for c in 0..n2 {
+            let rho = eos::density_anomaly(t[c], s[c]) - r[c];
+            // Pressure at level center: interface pressure + half layer.
+            phi[c] = if wet[c] { p[c] + GRAVITY * rho / RHO0 * (0.5 * h[c]) } else { 0.0 };
+            p[c] += GRAVITY * rho / RHO0 * h[c];
         }
     }
-    phi
+}
+
+/// Which horizontal neighbours of a cell are wet; a neighbour off the
+/// grid counts as land. Fluxes and gradients never reach across land.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WetNeighbours {
+    pub w: bool,
+    pub e: bool,
+    pub s: bool,
+    pub n: bool,
+}
+
+impl WetNeighbours {
+    /// The neighbours of `(i, j)` on `grid`.
+    pub(crate) fn of(grid: &Grid, i: usize, j: usize) -> WetNeighbours {
+        WetNeighbours {
+            w: i > 0 && grid.is_wet(i - 1, j),
+            e: i + 1 < grid.nx && grid.is_wet(i + 1, j),
+            s: j > 0 && grid.is_wet(i, j - 1),
+            n: j + 1 < grid.ny && grid.is_wet(i, j + 1),
+        }
+    }
+}
+
+/// Cell `(i, j, k)` of a level-major field (the [`Field3`] layout) as
+/// the stencil operators read it: its flat index `n`, the strides to its
+/// neighbours and which horizontal neighbours are wet. Layer thicknesses
+/// come from a closure over the level index, so the same operator runs
+/// on thicknesses derived from the grid or read from a table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    pub n: usize,
+    pub k: usize,
+    pub nx: usize,
+    pub n2: usize,
+    pub nz: usize,
+    pub wet: WetNeighbours,
+}
+
+impl Cell {
+    /// Cell `(i, j, k)` of `grid`.
+    pub(crate) fn of(grid: &Grid, i: usize, j: usize, k: usize) -> Cell {
+        let (nx, n2) = (grid.nx, grid.nx * grid.ny);
+        Cell { n: k * n2 + j * nx + i, k, nx, n2, nz: grid.nz, wet: WetNeighbours::of(grid, i, j) }
+    }
+
+    /// The cell at level `k` of the same column.
+    #[inline(always)]
+    pub(crate) fn level(self, k: usize) -> Cell {
+        Cell { n: self.n - self.k * self.n2 + k * self.n2, k, ..self }
+    }
+
+    /// Masked centered x-derivative.
+    #[inline(always)]
+    pub(crate) fn ddx(self, f: &[f64], dx: f64) -> f64 {
+        let n = self.n;
+        masked_diff(self.wet.w.then(|| f[n - 1]), f[n], self.wet.e.then(|| f[n + 1]), dx)
+    }
+
+    /// Masked centered y-derivative.
+    #[inline(always)]
+    pub(crate) fn ddy(self, f: &[f64], dy: f64) -> f64 {
+        let (n, nx) = (self.n, self.nx);
+        masked_diff(self.wet.s.then(|| f[n - nx]), f[n], self.wet.n.then(|| f[n + nx]), dy)
+    }
+
+    /// Masked 5-point horizontal Laplacian.
+    #[inline(always)]
+    pub(crate) fn laplacian(self, f: &[f64], dx: f64, dy: f64) -> f64 {
+        let (n, nx) = (self.n, self.nx);
+        let c = f[n];
+        let mut acc = 0.0;
+        if self.wet.w {
+            acc += (f[n - 1] - c) / (dx * dx);
+        }
+        if self.wet.e {
+            acc += (f[n + 1] - c) / (dx * dx);
+        }
+        if self.wet.s {
+            acc += (f[n - nx] - c) / (dy * dy);
+        }
+        if self.wet.n {
+            acc += (f[n + nx] - c) / (dy * dy);
+        }
+        acc
+    }
+
+    /// First-order upwind horizontal advection tendency
+    /// `-(u ∂f/∂x + v ∂f/∂y)`, with no flux from land.
+    #[inline(always)]
+    pub(crate) fn upwind(self, f: &[f64], u: f64, v: f64, dx: f64, dy: f64) -> f64 {
+        let (n, nx) = (self.n, self.nx);
+        let c = f[n];
+        let mut tend = 0.0;
+        if u > 0.0 {
+            if self.wet.w {
+                tend -= u * (c - f[n - 1]) / dx;
+            }
+        } else if u < 0.0 && self.wet.e {
+            tend -= u * (f[n + 1] - c) / dx;
+        }
+        if v > 0.0 {
+            if self.wet.s {
+                tend -= v * (c - f[n - nx]) / dy;
+            }
+        } else if v < 0.0 && self.wet.n {
+            tend -= v * (f[n + nx] - c) / dy;
+        }
+        tend
+    }
+
+    /// Explicit vertical diffusion tendency with diffusivity `kv`; `h(k)`
+    /// is the column's layer thickness at level `k`.
+    #[inline(always)]
+    pub(crate) fn vertical_diffusion(self, f: &[f64], kv: f64, h: impl Fn(usize) -> f64) -> f64 {
+        let (n, n2, k) = (self.n, self.n2, self.k);
+        let hk = h(k).max(1e-6);
+        let c = f[n];
+        let mut flux = 0.0;
+        if k > 0 {
+            let hup = h(k - 1).max(1e-6);
+            let dz = 0.5 * (hk + hup);
+            flux += kv * (f[n - n2] - c) / dz;
+        }
+        if k + 1 < self.nz {
+            let hdn = h(k + 1).max(1e-6);
+            let dz = 0.5 * (hk + hdn);
+            flux += kv * (f[n + n2] - c) / dz;
+        }
+        flux / hk
+    }
+
+    /// Upwind vertical advection tendency `-w ∂f/∂z` given the column's
+    /// interface velocities `w` (positive up, length `nz+1`, from
+    /// [`Cell::w_column`]; `k` increases downward).
+    #[inline(always)]
+    pub(crate) fn vertical_advection(self, f: &[f64], w: &[f64], h: impl Fn(usize) -> f64) -> f64 {
+        let (n, n2, k) = (self.n, self.n2, self.k);
+        let c = f[n];
+        // Cell-center vertical velocity.
+        let wc = 0.5 * (w[k] + w[k + 1]);
+        if wc > 0.0 {
+            // Upward flow: information comes from the layer below.
+            if k + 1 < self.nz {
+                let dz = 0.5 * (h(k) + h(k + 1)).max(1e-6);
+                -wc * (c - f[n + n2]) / dz
+            } else {
+                0.0
+            }
+        } else if wc < 0.0 {
+            // Downward flow: information comes from the layer above.
+            if k > 0 {
+                let dz = 0.5 * (h(k) + h(k - 1)).max(1e-6);
+                -wc * (f[n - n2] - c) / dz
+            } else {
+                0.0
+            }
+        } else {
+            0.0
+        }
+    }
+
+    /// Fill `w` (length `nz+1`) with the column's vertical velocity at
+    /// layer interfaces (positive up, m/s), integrating the horizontal
+    /// divergence of `(u, v)` up from `w = 0` at the seabed.
+    #[inline(always)]
+    pub(crate) fn w_column(
+        self,
+        w: &mut [f64],
+        (u, v): (&[f64], &[f64]),
+        (dx, dy): (f64, f64),
+        h: impl Fn(usize) -> f64,
+    ) {
+        w[self.nz] = 0.0;
+        for k in (0..self.nz).rev() {
+            let c = self.level(k);
+            let dudx = c.ddx(u, dx);
+            let dvdy = c.ddy(v, dy);
+            w[k] = w[k + 1] - h(k) * (dudx + dvdy);
+        }
+    }
+}
+
+/// Centered difference of `(left, center, right)` over spacing `d`,
+/// one-sided where only one neighbour exists, zero where neither does.
+#[inline]
+fn masked_diff(l: Option<f64>, c: f64, r: Option<f64>, d: f64) -> f64 {
+    match (l, r) {
+        (Some(l), Some(r)) => (r - l) / (2.0 * d),
+        (Some(l), None) => (c - l) / d,
+        (None, Some(r)) => (r - c) / d,
+        (None, None) => 0.0,
+    }
 }
 
 /// Masked centered x-gradient of a level slice at `(i, j)` (1/m units of field/m).
 #[inline]
 pub fn grad_x(grid: &Grid, f: &Field3, i: usize, j: usize, k: usize) -> f64 {
-    let nx = grid.nx;
-    let wet = |ii: usize| grid.is_wet(ii, j);
-    let (il, ir) = (i.saturating_sub(1), (i + 1).min(nx - 1));
-    let l_ok = il != i && wet(il);
-    let r_ok = ir != i && wet(ir);
-    match (l_ok, r_ok) {
-        (true, true) => (f.get(ir, j, k) - f.get(il, j, k)) / (2.0 * grid.dx),
-        (true, false) => (f.get(i, j, k) - f.get(il, j, k)) / grid.dx,
-        (false, true) => (f.get(ir, j, k) - f.get(i, j, k)) / grid.dx,
-        (false, false) => 0.0,
-    }
+    Cell::of(grid, i, j, k).ddx(f.as_slice(), grid.dx)
 }
 
 /// Masked centered y-gradient.
 #[inline]
 pub fn grad_y(grid: &Grid, f: &Field3, i: usize, j: usize, k: usize) -> f64 {
-    let ny = grid.ny;
-    let wet = |jj: usize| grid.is_wet(i, jj);
-    let (jl, jr) = (j.saturating_sub(1), (j + 1).min(ny - 1));
-    let l_ok = jl != j && wet(jl);
-    let r_ok = jr != j && wet(jr);
-    match (l_ok, r_ok) {
-        (true, true) => (f.get(i, jr, k) - f.get(i, jl, k)) / (2.0 * grid.dy),
-        (true, false) => (f.get(i, j, k) - f.get(i, jl, k)) / grid.dy,
-        (false, true) => (f.get(i, jr, k) - f.get(i, j, k)) / grid.dy,
-        (false, false) => 0.0,
-    }
-}
-
-/// Masked centered gradient of a 2-D field (η).
-#[inline]
-pub fn grad2_x(grid: &Grid, f: &Field2, i: usize, j: usize) -> f64 {
-    let nx = grid.nx;
-    let wet = |ii: usize| grid.is_wet(ii, j);
-    let (il, ir) = (i.saturating_sub(1), (i + 1).min(nx - 1));
-    let l_ok = il != i && wet(il);
-    let r_ok = ir != i && wet(ir);
-    match (l_ok, r_ok) {
-        (true, true) => (f.get(ir, j) - f.get(il, j)) / (2.0 * grid.dx),
-        (true, false) => (f.get(i, j) - f.get(il, j)) / grid.dx,
-        (false, true) => (f.get(ir, j) - f.get(i, j)) / grid.dx,
-        (false, false) => 0.0,
-    }
-}
-
-/// Masked centered y-gradient of a 2-D field.
-#[inline]
-pub fn grad2_y(grid: &Grid, f: &Field2, i: usize, j: usize) -> f64 {
-    let ny = grid.ny;
-    let wet = |jj: usize| grid.is_wet(i, jj);
-    let (jl, jr) = (j.saturating_sub(1), (j + 1).min(ny - 1));
-    let l_ok = jl != j && wet(jl);
-    let r_ok = jr != j && wet(jr);
-    match (l_ok, r_ok) {
-        (true, true) => (f.get(i, jr) - f.get(i, jl)) / (2.0 * grid.dy),
-        (true, false) => (f.get(i, j) - f.get(i, jl)) / grid.dy,
-        (false, true) => (f.get(i, jr) - f.get(i, j)) / grid.dy,
-        (false, false) => 0.0,
-    }
+    Cell::of(grid, i, j, k).ddy(f.as_slice(), grid.dy)
 }
 
 /// Masked 5-point horizontal Laplacian of a 3-D field at `(i, j, k)`.
 #[inline]
 pub fn laplacian(grid: &Grid, f: &Field3, i: usize, j: usize, k: usize) -> f64 {
-    let c = f.get(i, j, k);
-    let mut acc = 0.0;
-    if i > 0 && grid.is_wet(i - 1, j) {
-        acc += (f.get(i - 1, j, k) - c) / (grid.dx * grid.dx);
-    }
-    if i + 1 < grid.nx && grid.is_wet(i + 1, j) {
-        acc += (f.get(i + 1, j, k) - c) / (grid.dx * grid.dx);
-    }
-    if j > 0 && grid.is_wet(i, j - 1) {
-        acc += (f.get(i, j - 1, k) - c) / (grid.dy * grid.dy);
-    }
-    if j + 1 < grid.ny && grid.is_wet(i, j + 1) {
-        acc += (f.get(i, j + 1, k) - c) / (grid.dy * grid.dy);
-    }
-    acc
+    Cell::of(grid, i, j, k).laplacian(f.as_slice(), grid.dx, grid.dy)
 }
 
 /// First-order upwind horizontal advection tendency `-(u ∂f/∂x + v ∂f/∂y)`
@@ -222,96 +376,30 @@ pub fn upwind_advection(
     j: usize,
     k: usize,
 ) -> f64 {
-    let c = f.get(i, j, k);
-    let mut tend = 0.0;
-    // x-direction
-    if u > 0.0 {
-        if i > 0 && grid.is_wet(i - 1, j) {
-            tend -= u * (c - f.get(i - 1, j, k)) / grid.dx;
-        }
-    } else if u < 0.0 && i + 1 < grid.nx && grid.is_wet(i + 1, j) {
-        tend -= u * (f.get(i + 1, j, k) - c) / grid.dx;
-    }
-    // y-direction
-    if v > 0.0 {
-        if j > 0 && grid.is_wet(i, j - 1) {
-            tend -= v * (c - f.get(i, j - 1, k)) / grid.dy;
-        }
-    } else if v < 0.0 && j + 1 < grid.ny && grid.is_wet(i, j + 1) {
-        tend -= v * (f.get(i, j + 1, k) - c) / grid.dy;
-    }
-    tend
+    Cell::of(grid, i, j, k).upwind(f.as_slice(), u, v, grid.dx, grid.dy)
 }
 
 /// Vertical velocity at layer *interfaces* (positive up, m/s), length
 /// `nz+1` per column, diagnosed from the horizontal divergence
 /// integrated from the bottom (w = 0 at the seabed).
 pub fn diagnose_w_column(grid: &Grid, u: &Field3, v: &Field3, i: usize, j: usize) -> Vec<f64> {
-    let nz = grid.nz;
-    let mut w = vec![0.0; nz + 1];
-    if !grid.is_wet(i, j) {
-        return w;
-    }
-    // Integrate continuity upward: w_top(k) = w_bottom(k) - h_k * div_k.
-    for k in (0..nz).rev() {
-        let dudx = grad_x(grid, u, i, j, k);
-        let dvdy = grad_y(grid, v, i, j, k);
-        let hk = grid.layer_thickness(i, j, k);
-        w[k] = w[k + 1] - hk * (dudx + dvdy);
+    let mut w = vec![0.0; grid.nz + 1];
+    if grid.is_wet(i, j) {
+        Cell::of(grid, i, j, 0).w_column(
+            &mut w,
+            (u.as_slice(), v.as_slice()),
+            (grid.dx, grid.dy),
+            |k| grid.layer_thickness(i, j, k),
+        );
     }
     w
-}
-
-/// Upwind vertical advection tendency `-w ∂f/∂z` of a tracer at
-/// `(i, j, k)` given interface velocities `w` (positive up, length
-/// `nz+1`, from [`diagnose_w_column`]; `k` increases downward).
-#[inline]
-pub fn vertical_advection(grid: &Grid, f: &Field3, w: &[f64], i: usize, j: usize, k: usize) -> f64 {
-    let nz = grid.nz;
-    let c = f.get(i, j, k);
-    // Cell-center vertical velocity.
-    let wc = 0.5 * (w[k] + w[k + 1]);
-    if wc > 0.0 {
-        // Upward flow: information comes from the layer below.
-        if k + 1 < nz {
-            let dz =
-                0.5 * (grid.layer_thickness(i, j, k) + grid.layer_thickness(i, j, k + 1)).max(1e-6);
-            -wc * (c - f.get(i, j, k + 1)) / dz
-        } else {
-            0.0
-        }
-    } else if wc < 0.0 {
-        // Downward flow: information comes from the layer above.
-        if k > 0 {
-            let dz =
-                0.5 * (grid.layer_thickness(i, j, k) + grid.layer_thickness(i, j, k - 1)).max(1e-6);
-            -wc * (f.get(i, j, k - 1) - c) / dz
-        } else {
-            0.0
-        }
-    } else {
-        0.0
-    }
 }
 
 /// Vertical diffusion tendency (explicit) for a tracer column.
 #[inline]
 pub fn vertical_diffusion(grid: &Grid, f: &Field3, kv: f64, i: usize, j: usize, k: usize) -> f64 {
-    let nz = grid.nz;
-    let hk = grid.layer_thickness(i, j, k).max(1e-6);
-    let c = f.get(i, j, k);
-    let mut flux = 0.0;
-    if k > 0 {
-        let hup = grid.layer_thickness(i, j, k - 1).max(1e-6);
-        let dz = 0.5 * (hk + hup);
-        flux += kv * (f.get(i, j, k - 1) - c) / dz;
-    }
-    if k + 1 < nz {
-        let hdn = grid.layer_thickness(i, j, k + 1).max(1e-6);
-        let dz = 0.5 * (hk + hdn);
-        flux += kv * (f.get(i, j, k + 1) - c) / dz;
-    }
-    flux / hk
+    Cell::of(grid, i, j, k)
+        .vertical_diffusion(f.as_slice(), kv, |kk| grid.layer_thickness(i, j, kk))
 }
 
 #[cfg(test)]

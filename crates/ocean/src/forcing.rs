@@ -71,18 +71,33 @@ impl Forcing {
     /// Predominantly alongshore (meridional) wind, strongest near the
     /// coast (eastern side), decaying offshore.
     pub fn wind_stress(&self, grid: &Grid, i: usize, j: usize, time: f64) -> (f64, f64) {
+        let (amp_x, amp_y) = self.wind_amplitudes(time);
+        (amp_x * Self::latitude_factor(grid, j), amp_y * self.coastal_factor(grid, i))
+    }
+
+    /// The time-dependent factors of [`Forcing::wind_stress`]: the
+    /// cross-shore and alongshore amplitudes at `time`.
+    pub(crate) fn wind_amplitudes(&self, time: f64) -> (f64, f64) {
         let env = self.envelope(time);
+        (0.15 * self.tau_peak * env, self.tau_peak * env)
+    }
+
+    /// Cross-shore profile of the alongshore stress at column `i`.
+    pub(crate) fn coastal_factor(&self, grid: &Grid, i: usize) -> f64 {
         // Distance west of the coastline proxy: use distance from the
         // eastern domain edge as the coastal proximity scale.
         let x_from_coast = (grid.nx - 1 - i) as f64 * grid.dx;
         let coastal = (-x_from_coast / self.coastal_scale).exp();
-        let tau_y = self.tau_peak * env * (0.35 + 0.65 * coastal);
-        // Small cross-shore component with latitude variation for realism.
-        let tau_x = 0.15 * self.tau_peak * env * ((j as f64 / grid.ny.max(1) as f64) * 3.0).sin();
-        (tau_x, tau_y)
+        0.35 + 0.65 * coastal
     }
 
-    /// Net surface heat flux (W/m², positive = warming) — diurnal cycle.
+    /// Latitude variation of the small cross-shore stress at row `j`.
+    pub(crate) fn latitude_factor(grid: &Grid, j: usize) -> f64 {
+        ((j as f64 / grid.ny.max(1) as f64) * 3.0).sin()
+    }
+
+    /// Net surface heat flux (W/m², positive = warming) — diurnal cycle,
+    /// uniform in space.
     pub fn heat_flux(&self, _grid: &Grid, _i: usize, _j: usize, time: f64) -> f64 {
         let day_phase = (time / 86400.0).fract();
         self.heat_flux_amp * (2.0 * std::f64::consts::PI * (day_phase - 0.25)).sin()

@@ -1,8 +1,9 @@
 //! The primitive-equation model driver (`pemodel` of the paper).
 
 use crate::boundary::Sponge;
-use crate::dynamics as dyn_ops;
-use crate::field::{Field2, Field3};
+use crate::dynamics::{self as dyn_ops, Cell, WetNeighbours};
+use crate::eos;
+use crate::field::Field3;
 use crate::forcing::Forcing;
 use crate::grid::Grid;
 use crate::state::OceanState;
@@ -38,9 +39,6 @@ pub struct ModelConfig {
     pub noise_t: f64,
     /// Stochastic model-error correlation length (cells).
     pub noise_corr_cells: f64,
-    /// Free-surface smoothing factor per barotropic substep (A-grid
-    /// checkerboard damping, dimensionless 0..1).
-    pub eta_smooth: f64,
 }
 
 impl Default for ModelConfig {
@@ -57,7 +55,6 @@ impl Default for ModelConfig {
             sponge_tau: 2.0 * 86400.0,
             noise_t: 0.02,
             noise_corr_cells: 3.0,
-            eta_smooth: 0.02,
         }
     }
 }
@@ -107,8 +104,120 @@ fn grid_min_dz(g: &Grid, i: usize, j: usize, k: usize) -> f64 {
     dz.max(1e-3)
 }
 
+/// Everything a step would otherwise re-derive from the grid, forcing,
+/// sponge and reference profile: constant per model, built once. 3-D
+/// tables are in the [`Field3`] layout, 2-D ones row-major.
+struct Tables {
+    wet: Vec<bool>,
+    neighbours: Vec<WetNeighbours>,
+    /// Layer thickness of every cell.
+    h: Field3,
+    /// [`grid_min_dz`] of every cell.
+    min_dz: Field3,
+    /// Reference density anomaly at every cell's center depth.
+    rho_ref: Field3,
+    /// Vertical profile of the model error, `exp(−z/150 m)`.
+    decay: Field3,
+    /// Model-error suppression inside the sponge band, per column.
+    sponge_damp: Vec<f64>,
+    /// [`Forcing::coastal_factor`] per column index `i`.
+    coastal: Vec<f64>,
+    /// [`Forcing::latitude_factor`] per row.
+    latitude: Vec<f64>,
+    /// Sigma-layer fractions `sigma_w[k+1] − sigma_w[k]`.
+    dsigma: Vec<f64>,
+    faces: Faces,
+    /// [`Grid::barotropic_dt_limit`].
+    dt_bt: f64,
+}
+
+impl Tables {
+    fn new(
+        g: &Grid,
+        forcing: &Forcing,
+        config: &ModelConfig,
+        sponge: &Sponge,
+        rho_ref: &dyn_ops::RefProfile,
+    ) -> Tables {
+        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+        Tables {
+            wet: dyn_ops::per_column(g, |i, j| g.is_wet(i, j)),
+            neighbours: dyn_ops::per_column(g, |i, j| WetNeighbours::of(g, i, j)),
+            h: dyn_ops::layer_thicknesses(g),
+            min_dz: Field3::from_fn(nx, ny, nz, |i, j, k| grid_min_dz(g, i, j, k)),
+            rho_ref: rho_ref.at_levels(g),
+            decay: Field3::from_fn(nx, ny, nz, |i, j, k| (-(g.level_depth(i, j, k)) / 150.0).exp()),
+            sponge_damp: dyn_ops::per_column(g, |i, j| {
+                1.0 - (sponge.rate(i, j) * config.sponge_tau).min(1.0)
+            }),
+            coastal: (0..nx).map(|i| forcing.coastal_factor(g, i)).collect(),
+            latitude: (0..ny).map(|j| Forcing::latitude_factor(g, j)).collect(),
+            dsigma: (0..nz).map(|k| g.sigma_w[k + 1] - g.sigma_w[k]).collect(),
+            faces: Faces::new(g),
+            dt_bt: g.barotropic_dt_limit(),
+        }
+    }
+}
+
+/// C-grid faces of the barotropic subcycle: x-face `(i−½, j)` at
+/// `j·(nx+1) + i`, y-face `(i, j−½)` at `j·nx + i`. A face is open when
+/// the cells on both sides are wet. A closed face has depth 0.0 and its
+/// velocity is held at +0.0, so fluxes and divergences sum over every
+/// face without asking which are open — with the same bits as skipping
+/// the closed ones.
+struct Faces {
+    open_x: Vec<bool>,
+    h_x: Vec<f64>,
+    open_y: Vec<bool>,
+    h_y: Vec<f64>,
+    /// Open x-faces (west + east) of each cell, at least 1.
+    nopen_x: Vec<f64>,
+    /// Open y-faces (south + north) of each cell, at least 1.
+    nopen_y: Vec<f64>,
+}
+
+impl Faces {
+    fn new(g: &Grid) -> Faces {
+        let (nx, ny) = (g.nx, g.ny);
+        let fx = |i: usize, j: usize| j * (nx + 1) + i;
+        let fy = |i: usize, j: usize| j * nx + i;
+        let mut open_x = vec![false; (nx + 1) * ny];
+        let mut h_x = vec![0.0f64; (nx + 1) * ny];
+        for j in 0..ny {
+            for i in 1..nx {
+                if g.is_wet(i - 1, j) && g.is_wet(i, j) {
+                    open_x[fx(i, j)] = true;
+                    h_x[fx(i, j)] = 0.5 * (g.depth(i - 1, j) + g.depth(i, j));
+                }
+            }
+        }
+        let mut open_y = vec![false; nx * (ny + 1)];
+        let mut h_y = vec![0.0f64; nx * (ny + 1)];
+        for j in 1..ny {
+            for i in 0..nx {
+                if g.is_wet(i, j - 1) && g.is_wet(i, j) {
+                    open_y[fy(i, j)] = true;
+                    h_y[fy(i, j)] = 0.5 * (g.depth(i, j - 1) + g.depth(i, j));
+                }
+            }
+        }
+        let count = |a: bool, b: bool| (a as u32 + b as u32).max(1) as f64;
+        let nopen_x = dyn_ops::per_column(g, |i, j| count(open_x[fx(i, j)], open_x[fx(i + 1, j)]));
+        let nopen_y = dyn_ops::per_column(g, |i, j| count(open_y[fy(i, j)], open_y[fy(i, j + 1)]));
+        Faces { open_x, h_x, open_y, h_y, nopen_x, nopen_y }
+    }
+}
+
 /// The stochastic primitive-equation model: grid + forcing + parameters
 /// + climatology (initial state, used by the sponge).
+///
+/// `grid`, `forcing`, `config` and `climatology` are construction
+/// inputs. What `new` derives from them — the sponges, the noise
+/// generator, the reference density profile and the geometry and forcing
+/// tables the step runs on — is not rebuilt when a field is changed
+/// afterwards: to change a parameter, build a new model from the changed
+/// inputs. (Replacing `climatology` as a sponge target between steps is
+/// fine; the reference profile keeps the one it was built from.)
 pub struct PeModel {
     /// Model grid.
     pub grid: Grid,
@@ -121,7 +230,7 @@ pub struct PeModel {
     sponge: Sponge,
     sponge_vel: Sponge,
     noise: NoiseGenerator,
-    rho_ref: dyn_ops::RefProfile,
+    tables: Tables,
 }
 
 impl PeModel {
@@ -141,7 +250,8 @@ impl PeModel {
         // Reference profile from the climatology: cancels the
         // sigma-coordinate pressure-gradient error of the resting state.
         let rho_ref = dyn_ops::RefProfile::from_state(&grid, &climatology, 64);
-        PeModel { grid, forcing, config, climatology, sponge, sponge_vel, noise, rho_ref }
+        let tables = Tables::new(&grid, &forcing, &config, &sponge, &rho_ref);
+        PeModel { grid, forcing, config, climatology, sponge, sponge_vel, noise, tables }
     }
 
     /// Packed state-vector length.
@@ -166,393 +276,115 @@ impl PeModel {
         rng: Option<&mut StdRng>,
         dt: f64,
     ) -> Result<(), ModelError> {
-        let g = &self.grid;
-        let cfg = &self.config;
-        // CFL guard (advective).
-        let umax = state.max_speed().max(0.01);
-        let cfl = 0.9 * g.dx.min(g.dy) / umax;
-        if dt > cfl {
-            return Err(ModelError::CflViolation { dt, limit: cfl });
-        }
+        let limit = self.cfl_limit(state);
+        self.advance(state, rng, dt, limit)
+    }
 
-        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+    /// Advective CFL limit (s) of `state`: one scan for the fastest cell.
+    fn cfl_limit(&self, state: &OceanState) -> f64 {
+        let umax = state.max_speed().max(0.01);
+        0.9 * self.grid.dx.min(self.grid.dy) / umax
+    }
+
+    /// [`PeModel::step_dt`] with `state`'s CFL limit already known.
+    fn advance(
+        &self,
+        state: &mut OceanState,
+        rng: Option<&mut StdRng>,
+        dt: f64,
+        limit: f64,
+    ) -> Result<(), ModelError> {
+        if dt > limit {
+            return Err(ModelError::CflViolation { dt, limit });
+        }
+        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.grid.nz);
+        let tb = &self.tables;
+        let n2 = nx * ny;
         let time = state.time;
 
         // --- 1. Baroclinic pressure from the current T/S. ---
-        let phi = dyn_ops::baroclinic_pressure(g, &state.t, &state.s, &self.rho_ref);
+        let mut phi = Field3::zeros(nx, ny, nz);
+        dyn_ops::pressure_into(&mut phi, &state.t, &state.s, &tb.h, &tb.rho_ref, &tb.wet);
 
         // --- 2. Provisional momentum update (everything except the
         //        barotropic surface-pressure gradient). ---
-        let mut u_star = state.u.clone();
-        let mut v_star = state.v.clone();
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    if !g.is_wet(i, j) {
-                        continue;
-                    }
-                    // Vertical viscosity clamped for explicit stability on
-                    // thin (stretched-sigma) surface layers.
-                    let dz_min = grid_min_dz(g, i, j, k);
-                    let kvm = cfg.kv_m.min(0.2 * dz_min * dz_min / dt);
-                    let mut du = -dyn_ops::grad_x(g, &phi, i, j, k)
-                        + cfg.ah * dyn_ops::laplacian(g, &state.u, i, j, k)
-                        + dyn_ops::vertical_diffusion(g, &state.u, kvm, i, j, k);
-                    let mut dv = -dyn_ops::grad_y(g, &phi, i, j, k)
-                        + cfg.ah * dyn_ops::laplacian(g, &state.v, i, j, k)
-                        + dyn_ops::vertical_diffusion(g, &state.v, kvm, i, j, k);
-                    // Wind stress enters the top layer; linear drag the bottom.
-                    if k == 0 {
-                        let (tx, ty) = self.forcing.wind_stress(g, i, j, time);
-                        let h0 = g.layer_thickness(i, j, 0).max(1e-3);
-                        du += tx / (RHO0 * h0);
-                        dv += ty / (RHO0 * h0);
-                    }
-                    if k == nz - 1 {
-                        du -= cfg.bottom_drag * state.u.get(i, j, k);
-                        dv -= cfg.bottom_drag * state.v.get(i, j, k);
-                    }
-                    du -= cfg.rayleigh_drag * state.u.get(i, j, k);
-                    dv -= cfg.rayleigh_drag * state.v.get(i, j, k);
-                    // Semi-implicit Coriolis: exact rotation of the
-                    // provisional velocity by angle f·dt. The barotropic
-                    // subcycle below is rotation-free — Coriolis acts on
-                    // the full velocity exactly once per baroclinic step
-                    // (an O(f·dt) splitting error, and unconditionally
-                    // neutral, unlike explicit rotation inside the
-                    // subcycle which amplifies by √(1+f²Δt²) per substep).
-                    let f = g.coriolis(j);
-                    let (cth, sth) = ((f * dt).cos(), (f * dt).sin());
-                    let u0 = state.u.get(i, j, k) + dt * du;
-                    let v0 = state.v.get(i, j, k) + dt * dv;
-                    u_star.set(i, j, k, cth * u0 + sth * v0);
-                    v_star.set(i, j, k, -sth * u0 + cth * v0);
-                }
-            }
-        }
+        let (mut u_star, mut v_star) = self.momentum(state, &phi, dt);
 
-        // --- 3. Split-explicit barotropic subcycle. ---
-        // Depth means of the provisional velocity.
-        let mut ubar = Field2::zeros(nx, ny);
-        let mut vbar = Field2::zeros(nx, ny);
-        for j in 0..ny {
-            for i in 0..nx {
-                if !g.is_wet(i, j) {
-                    continue;
-                }
-                let mut su = 0.0;
-                let mut sv = 0.0;
-                for k in 0..nz {
-                    let w = g.sigma_w[k + 1] - g.sigma_w[k];
-                    su += w * u_star.get(i, j, k);
-                    sv += w * v_star.get(i, j, k);
-                }
-                ubar.set(i, j, su);
-                vbar.set(i, j, sv);
+        // --- 3. Split-explicit barotropic subcycle on the depth means of
+        //        the provisional velocity. ---
+        let mut mean_u = vec![0.0; n2];
+        let mut mean_v = vec![0.0; n2];
+        for ((&w, u), v) in tb
+            .dsigma
+            .iter()
+            .zip(u_star.as_slice().chunks_exact(n2))
+            .zip(v_star.as_slice().chunks_exact(n2))
+        {
+            for c in 0..n2 {
+                mean_u[c] += w * u[c];
+                mean_v[c] += w * v[c];
             }
         }
-        let dt_bt = g.barotropic_dt_limit().min(dt);
-        let n_sub = (dt / dt_bt).ceil() as usize;
-        let dt_bt = dt / n_sub as f64;
+        let mut ubar = mean_u.clone();
+        let mut vbar = mean_v.clone();
         let mut eta = state.eta.clone();
-        // C-grid barotropic subcycle: face-normal velocities (uf between
-        // cells in x, vf in y), conservative flux divergence for eta, and
-        // explicit Coriolis from face-averaged tangential velocity. The
-        // C-grid staggering has consistent gradient/divergence adjoints
-        // and exactly closed boundaries, which the collocated form lacks
-        // (an A-grid forward-backward subcycle pumps energy at edges).
-        let nfx = (nx + 1) * ny; // x-faces
-        let nfy = nx * (ny + 1); // y-faces
-        let fx = |i: usize, j: usize| j * (nx + 1) + i; // face (i-1/2, j) at index i
-        let fy = |i: usize, j: usize| j * nx + i; // face (i, j-1/2) at index j
-        let wet = |i: usize, j: usize| g.is_wet(i, j);
-        // Face openness and face depths.
-        let mut open_x = vec![false; nfx];
-        let mut h_x = vec![0.0f64; nfx];
-        for j in 0..ny {
-            for i in 1..nx {
-                if wet(i - 1, j) && wet(i, j) {
-                    open_x[fx(i, j)] = true;
-                    h_x[fx(i, j)] = 0.5 * (g.depth(i - 1, j) + g.depth(i, j));
-                }
-            }
-        }
-        let mut open_y = vec![false; nfy];
-        let mut h_y = vec![0.0f64; nfy];
-        for j in 1..ny {
-            for i in 0..nx {
-                if wet(i, j - 1) && wet(i, j) {
-                    open_y[fy(i, j)] = true;
-                    h_y[fy(i, j)] = 0.5 * (g.depth(i, j - 1) + g.depth(i, j));
-                }
-            }
-        }
-        // Initialize face velocities from the cell-centered depth means.
-        let mut uf = vec![0.0f64; nfx];
-        for j in 0..ny {
-            for i in 1..nx {
-                if open_x[fx(i, j)] {
-                    uf[fx(i, j)] = 0.5 * (ubar.get(i - 1, j) + ubar.get(i, j));
-                }
-            }
-        }
-        let mut vf = vec![0.0f64; nfy];
-        for j in 1..ny {
-            for i in 0..nx {
-                if open_y[fy(i, j)] {
-                    vf[fy(i, j)] = 0.5 * (vbar.get(i, j - 1) + vbar.get(i, j));
-                }
-            }
-        }
-        // Divergence damping coefficient (m²/s): damps divergent
-        // (inertia-gravity) modes that the rotation/gravity splitting
-        // can otherwise pump, without touching geostrophic flow — the
-        // standard stabilizer of split-explicit free-surface models.
-        let nu_div = 0.01 * g.dx.min(g.dy).powi(2) / dt_bt;
-        let mut divg = vec![0.0f64; nx * ny];
-        for _ in 0..n_sub {
-            // Velocity divergence at cell centers (for the damping term).
-            for j in 0..ny {
-                for i in 0..nx {
-                    let d = if wet(i, j) {
-                        let ue = if open_x[fx(i + 1, j)] { uf[fx(i + 1, j)] } else { 0.0 };
-                        let uw = if open_x[fx(i, j)] { uf[fx(i, j)] } else { 0.0 };
-                        let vn = if open_y[fy(i, j + 1)] { vf[fy(i, j + 1)] } else { 0.0 };
-                        let vs = if open_y[fy(i, j)] { vf[fy(i, j)] } else { 0.0 };
-                        (ue - uw) / g.dx + (vn - vs) / g.dy
-                    } else {
-                        0.0
-                    };
-                    divg[j * nx + i] = d;
-                }
-            }
-            // Momentum on faces (forward): -g dη/dn + ν_d ∂(∇·u)/∂n.
-            let mut uf_new = uf.clone();
-            for j in 0..ny {
-                for i in 1..nx {
-                    let ix = fx(i, j);
-                    if !open_x[ix] {
-                        continue;
-                    }
-                    let detax = (eta.get(i, j) - eta.get(i - 1, j)) / g.dx;
-                    let ddiv = (divg[j * nx + i] - divg[j * nx + i - 1]) / g.dx;
-                    uf_new[ix] = uf[ix] + dt_bt * (-GRAVITY * detax + nu_div * ddiv);
-                }
-            }
-            uf = uf_new;
-            let mut vf_new = vf.clone();
-            for j in 1..ny {
-                for i in 0..nx {
-                    let iy = fy(i, j);
-                    if !open_y[iy] {
-                        continue;
-                    }
-                    let detay = (eta.get(i, j) - eta.get(i, j - 1)) / g.dy;
-                    let ddiv = (divg[j * nx + i] - divg[(j - 1) * nx + i]) / g.dy;
-                    vf_new[iy] = vf[iy] + dt_bt * (-GRAVITY * detay + nu_div * ddiv);
-                }
-            }
-            vf = vf_new;
-            // Continuity (backward): exactly conservative flux divergence.
-            for j in 0..ny {
-                for i in 0..nx {
-                    if !wet(i, j) {
-                        continue;
-                    }
-                    let fe = if open_x[fx(i + 1, j)] {
-                        h_x[fx(i + 1, j)] * uf[fx(i + 1, j)]
-                    } else {
-                        0.0
-                    };
-                    let fw = if open_x[fx(i, j)] { h_x[fx(i, j)] * uf[fx(i, j)] } else { 0.0 };
-                    let fn_ = if open_y[fy(i, j + 1)] {
-                        h_y[fy(i, j + 1)] * vf[fy(i, j + 1)]
-                    } else {
-                        0.0
-                    };
-                    let fs = if open_y[fy(i, j)] { h_y[fy(i, j)] * vf[fy(i, j)] } else { 0.0 };
-                    let div = (fe - fw) / g.dx + (fn_ - fs) / g.dy;
-                    eta.add(i, j, -dt_bt * div);
-                }
-            }
-        }
-        // Map face velocities back to the cell-centered depth means.
-        for j in 0..ny {
-            for i in 0..nx {
-                if !wet(i, j) {
-                    continue;
-                }
-                let uw = if open_x[fx(i, j)] { uf[fx(i, j)] } else { 0.0 };
-                let ue = if open_x[fx(i + 1, j)] { uf[fx(i + 1, j)] } else { 0.0 };
-                let nopen = (open_x[fx(i, j)] as u32 + open_x[fx(i + 1, j)] as u32).max(1);
-                ubar.set(i, j, (uw + ue) / nopen as f64);
-                let vs = if open_y[fy(i, j)] { vf[fy(i, j)] } else { 0.0 };
-                let vn = if open_y[fy(i, j + 1)] { vf[fy(i, j + 1)] } else { 0.0 };
-                let mopen = (open_y[fy(i, j)] as u32 + open_y[fy(i, j + 1)] as u32).max(1);
-                vbar.set(i, j, (vs + vn) / mopen as f64);
-            }
-        }
-        let _ = cfg.eta_smooth; // checkerboard damping unnecessary on the C-grid
+        self.barotropic(&mut ubar, &mut vbar, eta.as_mut_slice(), dt);
 
         // --- 4. Recombine: replace the depth mean of u* with the final
         //        barotropic velocity. ---
-        for j in 0..ny {
-            for i in 0..nx {
-                if !g.is_wet(i, j) {
-                    continue;
-                }
-                let mut su = 0.0;
-                let mut sv = 0.0;
-                for k in 0..nz {
-                    let w = g.sigma_w[k + 1] - g.sigma_w[k];
-                    su += w * u_star.get(i, j, k);
-                    sv += w * v_star.get(i, j, k);
-                }
-                let du = ubar.get(i, j) - su;
-                let dv = vbar.get(i, j) - sv;
-                for k in 0..nz {
-                    u_star.add(i, j, k, du);
-                    v_star.add(i, j, k, dv);
+        for (u, v) in u_star
+            .as_mut_slice()
+            .chunks_exact_mut(n2)
+            .zip(v_star.as_mut_slice().chunks_exact_mut(n2))
+        {
+            for c in 0..n2 {
+                if tb.wet[c] {
+                    u[c] += ubar[c] - mean_u[c];
+                    v[c] += vbar[c] - mean_v[c];
                 }
             }
         }
 
         // --- 5. Tracer advection-diffusion with the *old* velocity
         //        (explicit, upwind) + surface fluxes + model error. ---
-        let mut t_new = state.t.clone();
-        let mut s_new = state.s.clone();
-        // Stochastic model error: one correlated field per step scaled by
-        // a vertical profile decaying with depth.
-        let noise_scale = (dt / cfg.dt).sqrt();
-        let noise_field = rng.map(|r| self.noise.sample(g, r));
-        for j in 0..ny {
-            for i in 0..nx {
-                if !g.is_wet(i, j) {
-                    continue;
-                }
-                let wcol = dyn_ops::diagnose_w_column(g, &state.u, &state.v, i, j);
-                for k in 0..nz {
-                    let u = state.u.get(i, j, k);
-                    let v = state.v.get(i, j, k);
-                    let mut dtt = dyn_ops::upwind_advection(g, &state.t, u, v, i, j, k)
-                        + dyn_ops::vertical_advection(g, &state.t, &wcol, i, j, k)
-                        + cfg.kh * dyn_ops::laplacian(g, &state.t, i, j, k)
-                        + dyn_ops::vertical_diffusion(g, &state.t, cfg.kv, i, j, k);
-                    let dss = dyn_ops::upwind_advection(g, &state.s, u, v, i, j, k)
-                        + dyn_ops::vertical_advection(g, &state.s, &wcol, i, j, k)
-                        + cfg.kh * dyn_ops::laplacian(g, &state.s, i, j, k)
-                        + dyn_ops::vertical_diffusion(g, &state.s, cfg.kv, i, j, k);
-                    if k == 0 {
-                        // Surface heat flux: Q / (rho0 cp h).
-                        let q = self.forcing.heat_flux(g, i, j, time);
-                        let h0 = g.layer_thickness(i, j, 0).max(1e-3);
-                        dtt += q / (RHO0 * 3990.0 * h0);
-                    }
-                    t_new.add(i, j, k, dt * dtt);
-                    s_new.add(i, j, k, dt * dss);
-                    if let Some(nf) = &noise_field {
-                        // Model error concentrated in the upper ocean and
-                        // suppressed inside the sponge band: the boundary
-                        // zone is pinned to exterior data, so perturbing it
-                        // would fabricate spurious boundary uncertainty.
-                        let depth_factor = (-(g.level_depth(i, j, k)) / 150.0).exp();
-                        let sponge_damp = 1.0 - (self.sponge.rate(i, j) * cfg.sponge_tau).min(1.0);
-                        t_new.add(i, j, k, nf.get(i, j) * depth_factor * noise_scale * sponge_damp);
-                    }
-                }
-            }
-        }
+        let (mut t_new, mut s_new) = self.tracers(state, rng, dt);
 
         // --- 5b. Convective adjustment: hydrostatic models cannot
         //        resolve convection, so density inversions created by
         //        upwelling or surface cooling are removed by mixing
         //        adjacent layers (thickness-weighted), as in HOPS-class
         //        models. ---
-        for j in 0..ny {
-            for i in 0..nx {
-                if !g.is_wet(i, j) {
-                    continue;
-                }
-                for _pass in 0..nz {
-                    let mut mixed = false;
-                    for k in 0..nz - 1 {
-                        let r_up =
-                            crate::eos::density_anomaly(t_new.get(i, j, k), s_new.get(i, j, k));
-                        let r_dn = crate::eos::density_anomaly(
-                            t_new.get(i, j, k + 1),
-                            s_new.get(i, j, k + 1),
-                        );
-                        if r_up > r_dn + 1e-12 {
-                            let h1 = g.layer_thickness(i, j, k);
-                            let h2 = g.layer_thickness(i, j, k + 1);
-                            let w1 = h1 / (h1 + h2);
-                            let w2 = 1.0 - w1;
-                            let tm = w1 * t_new.get(i, j, k) + w2 * t_new.get(i, j, k + 1);
-                            let sm = w1 * s_new.get(i, j, k) + w2 * s_new.get(i, j, k + 1);
-                            t_new.set(i, j, k, tm);
-                            t_new.set(i, j, k + 1, tm);
-                            s_new.set(i, j, k, sm);
-                            s_new.set(i, j, k + 1, sm);
-                            mixed = true;
-                        }
-                    }
-                    if !mixed {
-                        break;
-                    }
-                }
-            }
-        }
+        self.convect(&mut t_new, &mut s_new);
 
         // --- 6. Sponge relaxation toward climatology at open boundaries. ---
-        for k in 0..nz {
-            let n2 = nx * ny;
-            let rel = |f: &mut Field3, clim: &Field3| {
-                let range = k * n2..(k + 1) * n2;
-                let target = &clim.as_slice()[range.clone()];
-                let mut level = f.as_slice()[range.clone()].to_vec();
-                self.sponge.relax_level(dt, &mut level, target);
-                f.as_mut_slice()[range].copy_from_slice(&level);
-            };
-            rel(&mut t_new, &self.climatology.t);
-            rel(&mut s_new, &self.climatology.s);
-            let rel_vel = |f: &mut Field3, clim: &Field3| {
-                let range = k * n2..(k + 1) * n2;
-                let target = &clim.as_slice()[range.clone()];
-                let mut level = f.as_slice()[range.clone()].to_vec();
-                self.sponge_vel.relax_level(dt, &mut level, target);
-                f.as_mut_slice()[range].copy_from_slice(&level);
-            };
-            rel_vel(&mut u_star, &self.climatology.u);
-            rel_vel(&mut v_star, &self.climatology.v);
+        let clim = &self.climatology;
+        for (f, target, sponge) in [
+            (&mut t_new, &clim.t, &self.sponge),
+            (&mut s_new, &clim.s, &self.sponge),
+            (&mut u_star, &clim.u, &self.sponge_vel),
+            (&mut v_star, &clim.v, &self.sponge_vel),
+        ] {
+            for (level, target) in
+                f.as_mut_slice().chunks_exact_mut(n2).zip(target.as_slice().chunks_exact(n2))
+            {
+                sponge.relax_level(dt, level, target);
+            }
         }
-        {
-            let target = self.climatology.eta.as_slice().to_vec();
-            let mut level = eta.as_slice().to_vec();
-            self.sponge.relax_level(dt, &mut level, &target);
-            eta.as_mut_slice().copy_from_slice(&level);
-        }
+        self.sponge.relax_level(dt, eta.as_mut_slice(), clim.eta.as_slice());
 
         // Volume constraint: an open regional domain with sponges does not
         // conserve volume exactly; remove the spurious domain-mean drift.
         {
             let mut sum = 0.0;
             let mut n = 0.0;
-            for j in 0..ny {
-                for i in 0..nx {
-                    if g.is_wet(i, j) {
-                        sum += eta.get(i, j);
-                        n += 1.0;
-                    }
-                }
+            for (&e, _) in eta.as_slice().iter().zip(&tb.wet).filter(|(_, &wet)| wet) {
+                sum += e;
+                n += 1.0;
             }
             if n > 0.0 {
                 let mean = sum / n;
-                for j in 0..ny {
-                    for i in 0..nx {
-                        if g.is_wet(i, j) {
-                            eta.add(i, j, -mean);
-                        }
-                    }
+                for (e, _) in eta.as_mut_slice().iter_mut().zip(&tb.wet).filter(|(_, &wet)| wet) {
+                    *e += -mean;
                 }
             }
         }
@@ -570,6 +402,272 @@ impl PeModel {
         Ok(())
     }
 
+    /// Step 2: the provisional velocity `(u*, v*)` — baroclinic pressure
+    /// gradient, viscosity, wind, drag, then the Coriolis rotation.
+    fn momentum(&self, state: &OceanState, phi: &Field3, dt: f64) -> (Field3, Field3) {
+        let g = &self.grid;
+        let cfg = &self.config;
+        let tb = &self.tables;
+        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+        let n2 = nx * ny;
+        let (u, v, phi) = (state.u.as_slice(), state.v.as_slice(), phi.as_slice());
+        let mut u_star = state.u.clone();
+        let mut v_star = state.v.clone();
+        // Semi-implicit Coriolis: exact rotation of the provisional
+        // velocity by angle f·dt. The barotropic subcycle is rotation-free
+        // — Coriolis acts on the full velocity exactly once per baroclinic
+        // step (an O(f·dt) splitting error, and unconditionally neutral,
+        // unlike explicit rotation inside the subcycle which amplifies by
+        // √(1+f²Δt²) per substep).
+        let rotation: Vec<(f64, f64)> = (0..ny)
+            .map(|j| {
+                let f = g.coriolis(j);
+                ((f * dt).cos(), (f * dt).sin())
+            })
+            .collect();
+        let (amp_x, amp_y) = self.forcing.wind_amplitudes(state.time);
+        for k in 0..nz {
+            for (j, &(cth, sth)) in rotation.iter().enumerate() {
+                for i in 0..nx {
+                    let c2 = j * nx + i;
+                    if !tb.wet[c2] {
+                        continue;
+                    }
+                    let n = k * n2 + c2;
+                    let cell = Cell { n, k, nx, n2, nz, wet: tb.neighbours[c2] };
+                    let h = |kk: usize| tb.h.as_slice()[kk * n2 + c2];
+                    // Vertical viscosity clamped for explicit stability on
+                    // thin (stretched-sigma) surface layers.
+                    let dz_min = tb.min_dz.as_slice()[n];
+                    let kvm = cfg.kv_m.min(0.2 * dz_min * dz_min / dt);
+                    let mut du = -cell.ddx(phi, g.dx)
+                        + cfg.ah * cell.laplacian(u, g.dx, g.dy)
+                        + cell.vertical_diffusion(u, kvm, h);
+                    let mut dv = -cell.ddy(phi, g.dy)
+                        + cfg.ah * cell.laplacian(v, g.dx, g.dy)
+                        + cell.vertical_diffusion(v, kvm, h);
+                    // Wind stress enters the top layer; linear drag the bottom.
+                    if k == 0 {
+                        let (tx, ty) = (amp_x * tb.latitude[j], amp_y * tb.coastal[i]);
+                        let h0 = h(0).max(1e-3);
+                        du += tx / (RHO0 * h0);
+                        dv += ty / (RHO0 * h0);
+                    }
+                    if k == nz - 1 {
+                        du -= cfg.bottom_drag * u[n];
+                        dv -= cfg.bottom_drag * v[n];
+                    }
+                    du -= cfg.rayleigh_drag * u[n];
+                    dv -= cfg.rayleigh_drag * v[n];
+                    let u0 = u[n] + dt * du;
+                    let v0 = v[n] + dt * dv;
+                    u_star.as_mut_slice()[n] = cth * u0 + sth * v0;
+                    v_star.as_mut_slice()[n] = -sth * u0 + cth * v0;
+                }
+            }
+        }
+        (u_star, v_star)
+    }
+
+    /// Step 3: the split-explicit barotropic subcycle. `ubar`/`vbar`
+    /// carry the depth-mean velocity in and the subcycled one out (wet
+    /// cells); `eta` advances in place.
+    ///
+    /// C-grid: face-normal velocities (`uf` between cells in x, `vf` in
+    /// y), conservative flux divergence for η. The C-grid staggering has
+    /// consistent gradient/divergence adjoints and exactly closed
+    /// boundaries, which the collocated form lacks (an A-grid
+    /// forward-backward subcycle pumps energy at edges). Every loop runs
+    /// over row slices without branching: see [`Faces`].
+    fn barotropic(&self, ubar: &mut [f64], vbar: &mut [f64], eta: &mut [f64], dt: f64) {
+        let g = &self.grid;
+        let fa = &self.tables.faces;
+        let (nx, ny, dx, dy) = (g.nx, g.ny, g.dx, g.dy);
+        let dt_bt = self.tables.dt_bt.min(dt);
+        let n_sub = (dt / dt_bt).ceil() as usize;
+        let dt_bt = dt / n_sub as f64;
+        // Row `j` of the x-faces, of the y-faces on its southern edge
+        // (`yrow(j + 1)` is its northern edge) and of the cells.
+        let xrow = |j: usize| j * (nx + 1)..(j + 1) * (nx + 1);
+        let yrow = |j: usize| j * nx..(j + 1) * nx;
+        let crow = yrow;
+
+        // Face velocities from the cell-centered depth means.
+        let mut uf = vec![0.0f64; (nx + 1) * ny];
+        let mut vf = vec![0.0f64; nx * (ny + 1)];
+        for j in 0..ny {
+            let (uf, open, ub) = (&mut uf[xrow(j)], &fa.open_x[xrow(j)], &ubar[crow(j)]);
+            for i in 1..nx {
+                uf[i] = if open[i] { 0.5 * (ub[i - 1] + ub[i]) } else { 0.0 };
+            }
+        }
+        for j in 1..ny {
+            let (vf, open) = (&mut vf[yrow(j)], &fa.open_y[yrow(j)]);
+            let (vs, vn) = (&vbar[crow(j - 1)], &vbar[crow(j)]);
+            for i in 0..nx {
+                vf[i] = if open[i] { 0.5 * (vs[i] + vn[i]) } else { 0.0 };
+            }
+        }
+
+        // Divergence damping coefficient (m²/s): damps divergent
+        // (inertia-gravity) modes that the rotation/gravity splitting
+        // can otherwise pump, without touching geostrophic flow — the
+        // standard stabilizer of split-explicit free-surface models.
+        let nu_div = 0.01 * dx.min(dy).powi(2) / dt_bt;
+        let mut divg = vec![0.0f64; nx * ny];
+        for _ in 0..n_sub {
+            // Velocity divergence at cell centers (0.0 on land: every
+            // face of a land cell is closed).
+            for j in 0..ny {
+                let (d, uf) = (&mut divg[crow(j)], &uf[xrow(j)]);
+                let (vs, vn) = (&vf[yrow(j)], &vf[yrow(j + 1)]);
+                for i in 0..nx {
+                    d[i] = (uf[i + 1] - uf[i]) / dx + (vn[i] - vs[i]) / dy;
+                }
+            }
+            // Momentum on faces (forward): -g dη/dn + ν_d ∂(∇·u)/∂n.
+            for j in 0..ny {
+                let (uf, open) = (&mut uf[xrow(j)], &fa.open_x[xrow(j)]);
+                let (e, d) = (&eta[crow(j)], &divg[crow(j)]);
+                for i in 1..nx {
+                    let detax = (e[i] - e[i - 1]) / dx;
+                    let ddiv = (d[i] - d[i - 1]) / dx;
+                    let next = uf[i] + dt_bt * (-GRAVITY * detax + nu_div * ddiv);
+                    uf[i] = if open[i] { next } else { 0.0 };
+                }
+            }
+            for j in 1..ny {
+                let (vf, open) = (&mut vf[yrow(j)], &fa.open_y[yrow(j)]);
+                let (es, en) = (&eta[crow(j - 1)], &eta[crow(j)]);
+                let (ds, dn) = (&divg[crow(j - 1)], &divg[crow(j)]);
+                for i in 0..nx {
+                    let detay = (en[i] - es[i]) / dy;
+                    let ddiv = (dn[i] - ds[i]) / dy;
+                    let next = vf[i] + dt_bt * (-GRAVITY * detay + nu_div * ddiv);
+                    vf[i] = if open[i] { next } else { 0.0 };
+                }
+            }
+            // Continuity (backward): exactly conservative flux divergence.
+            // A land cell's divergence is +0.0, and η + (−dt·0.0) = η.
+            for j in 0..ny {
+                let (e, uf, hx) = (&mut eta[crow(j)], &uf[xrow(j)], &fa.h_x[xrow(j)]);
+                let (vs, vn) = (&vf[yrow(j)], &vf[yrow(j + 1)]);
+                let (hs, hn) = (&fa.h_y[yrow(j)], &fa.h_y[yrow(j + 1)]);
+                for i in 0..nx {
+                    let div = (hx[i + 1] * uf[i + 1] - hx[i] * uf[i]) / dx
+                        + (hn[i] * vn[i] - hs[i] * vs[i]) / dy;
+                    e[i] += -dt_bt * div;
+                }
+            }
+        }
+
+        // Map face velocities back to the cell-centered depth means.
+        for j in 0..ny {
+            let (ub, vb) = (&mut ubar[crow(j)], &mut vbar[crow(j)]);
+            let (uf, nu, nv) = (&uf[xrow(j)], &fa.nopen_x[crow(j)], &fa.nopen_y[crow(j)]);
+            let (vs, vn) = (&vf[yrow(j)], &vf[yrow(j + 1)]);
+            for i in 0..nx {
+                ub[i] = (uf[i] + uf[i + 1]) / nu[i];
+                vb[i] = (vs[i] + vn[i]) / nv[i];
+            }
+        }
+    }
+
+    /// Step 5: T and S advanced by upwind advection with the old
+    /// velocity, diffusion, the surface heat flux and (with `rng`) the
+    /// model error.
+    fn tracers(&self, state: &OceanState, rng: Option<&mut StdRng>, dt: f64) -> (Field3, Field3) {
+        let g = &self.grid;
+        let cfg = &self.config;
+        let tb = &self.tables;
+        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
+        let n2 = nx * ny;
+        let (u, v) = (state.u.as_slice(), state.v.as_slice());
+        let (t, s) = (state.t.as_slice(), state.s.as_slice());
+        let mut t_new = state.t.clone();
+        let mut s_new = state.s.clone();
+        // Stochastic model error: one correlated field per step scaled by
+        // a vertical profile decaying with depth.
+        let noise_scale = (dt / cfg.dt).sqrt();
+        let noise_field = rng.map(|r| self.noise.sample(g, r));
+        // Surface heat flux: Q / (rho0 cp h).
+        let q = self.forcing.heat_flux(g, 0, 0, state.time);
+        let mut wcol = vec![0.0; nz + 1];
+        for c2 in 0..n2 {
+            if !tb.wet[c2] {
+                continue;
+            }
+            let column = Cell { n: c2, k: 0, nx, n2, nz, wet: tb.neighbours[c2] };
+            let h = |kk: usize| tb.h.as_slice()[kk * n2 + c2];
+            column.w_column(&mut wcol, (u, v), (g.dx, g.dy), h);
+            for k in 0..nz {
+                let cell = column.level(k);
+                let n = cell.n;
+                let mut dtt = cell.upwind(t, u[n], v[n], g.dx, g.dy)
+                    + cell.vertical_advection(t, &wcol, h)
+                    + cfg.kh * cell.laplacian(t, g.dx, g.dy)
+                    + cell.vertical_diffusion(t, cfg.kv, h);
+                let dss = cell.upwind(s, u[n], v[n], g.dx, g.dy)
+                    + cell.vertical_advection(s, &wcol, h)
+                    + cfg.kh * cell.laplacian(s, g.dx, g.dy)
+                    + cell.vertical_diffusion(s, cfg.kv, h);
+                if k == 0 {
+                    let h0 = h(0).max(1e-3);
+                    dtt += q / (RHO0 * 3990.0 * h0);
+                }
+                t_new.as_mut_slice()[n] += dt * dtt;
+                s_new.as_mut_slice()[n] += dt * dss;
+                if let Some(nf) = &noise_field {
+                    // Model error concentrated in the upper ocean and
+                    // suppressed inside the sponge band: the boundary
+                    // zone is pinned to exterior data, so perturbing it
+                    // would fabricate spurious boundary uncertainty.
+                    t_new.as_mut_slice()[n] += nf.as_slice()[c2]
+                        * tb.decay.as_slice()[n]
+                        * noise_scale
+                        * tb.sponge_damp[c2];
+                }
+            }
+        }
+        (t_new, s_new)
+    }
+
+    /// Step 5b: mix adjacent layers of each wet column until it is
+    /// statically stable (at most `nz` passes).
+    fn convect(&self, t: &mut Field3, s: &mut Field3) {
+        let tb = &self.tables;
+        let (n2, nz) = (tb.wet.len(), self.grid.nz);
+        let (t, s, h) = (t.as_mut_slice(), s.as_mut_slice(), tb.h.as_slice());
+        for c2 in 0..n2 {
+            if !tb.wet[c2] {
+                continue;
+            }
+            for _pass in 0..nz {
+                let mut mixed = false;
+                for k in 0..nz - 1 {
+                    let (up, dn) = (k * n2 + c2, (k + 1) * n2 + c2);
+                    let r_up = eos::density_anomaly(t[up], s[up]);
+                    let r_dn = eos::density_anomaly(t[dn], s[dn]);
+                    if r_up > r_dn + 1e-12 {
+                        let (h1, h2) = (h[up], h[dn]);
+                        let w1 = h1 / (h1 + h2);
+                        let w2 = 1.0 - w1;
+                        let tm = w1 * t[up] + w2 * t[dn];
+                        let sm = w1 * s[up] + w2 * s[dn];
+                        t[up] = tm;
+                        t[dn] = tm;
+                        s[up] = sm;
+                        s[dn] = sm;
+                        mixed = true;
+                    }
+                }
+                if !mixed {
+                    break;
+                }
+            }
+        }
+    }
+
     /// Integrate `state` forward by `duration` seconds (rounded up to a
     /// whole number of baroclinic steps).
     ///
@@ -584,10 +682,10 @@ impl PeModel {
         mut rng: Option<&mut StdRng>,
     ) -> Result<usize, ModelError> {
         let steps = (duration / self.config.dt).ceil().max(0.0) as usize;
-        let g = &self.grid;
+        // One speed scan per (sub)step serves both the subcycling
+        // decision here and the CFL guard of the step that follows.
+        let mut cfl = self.cfl_limit(state);
         for _ in 0..steps {
-            let umax = state.max_speed().max(0.01);
-            let cfl = 0.9 * g.dx.min(g.dy) / umax;
             // 60% headroom: the jet can accelerate within the step.
             let n_sub = (1.6 * self.config.dt / cfl).ceil().max(1.0) as usize;
             if n_sub > 16 {
@@ -595,7 +693,8 @@ impl PeModel {
             }
             let dt_sub = self.config.dt / n_sub as f64;
             for _ in 0..n_sub {
-                self.step_dt(state, rng.as_deref_mut(), dt_sub)?;
+                self.advance(state, rng.as_deref_mut(), dt_sub, cfl)?;
+                cfl = self.cfl_limit(state);
             }
         }
         Ok(steps)

@@ -35,9 +35,10 @@ impl NoiseGenerator {
         let (nx, ny) = (grid.nx, grid.ny);
         let mut f =
             Field2::from_fn(nx, ny, |i, j| if grid.is_wet(i, j) { randn(rng) } else { 0.0 });
-        // Diffusive smoothing (5-point, mask-aware).
+        // Diffusive smoothing (5-point, mask-aware), alternating between
+        // two buffers: land cells are 0.0 in both and never written.
+        let mut g = f.clone();
         for _ in 0..self.smoothing_passes {
-            let mut g = f.clone();
             for j in 0..ny {
                 for i in 0..nx {
                     if !grid.is_wet(i, j) {
@@ -68,7 +69,7 @@ impl NoiseGenerator {
                     g.set(i, j, 0.5 * c + 0.5 * nb);
                 }
             }
-            f = g;
+            std::mem::swap(&mut f, &mut g);
         }
         // Re-standardize to the requested amplitude over wet cells.
         let mut sum = 0.0;

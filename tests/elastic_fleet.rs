@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 // lease expires, and the makespan comparison below needs the sixteen
 // members' compute, not that one stall, to dominate both runs.
 const DOMAIN: &str = "monterey:24,24,6";
-const HOURS: &str = if cfg!(debug_assertions) { "1" } else { "16" };
+const HOURS: &str = if cfg!(debug_assertions) { "3" } else { "40" };
 const INITIAL: &str = "6";
 const MAX: &str = "16";
 // Low tolerance drives the adaptive schedule toward --max so there is

@@ -126,7 +126,7 @@ fn a_member_that_outlasts_its_lease_is_renewed_not_expired() {
     // Each member runs for about a second — between two and three
     // 400 ms leases — in either build profile; the worker's wait loop
     // must keep renewing the whole time.
-    let hours = if cfg!(debug_assertions) { "6" } else { "48" };
+    let hours = if cfg!(debug_assertions) { "18" } else { "120" };
     let scenario =
         ["--domain", "monterey:24,24,6", "--hours", hours, "--initial", "2", "--max", "2"];
     let (log, _) =
