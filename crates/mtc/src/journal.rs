@@ -11,10 +11,10 @@
 //!   [`JOURNAL_VERSION`]) followed by one stream frame
 //!   ([`esse_core::durable::codec::frame`]: `len | body | crc`) per
 //!   [`JournalRecord`] — run config hash, member completions/failures,
-//!   SVD publications, convergence, assimilation, completion. Appends
-//!   follow fsync-the-file discipline (the directory is fsynced at
-//!   creation), and replay truncates a torn tail — a record is either
-//!   fully in the log or it never happened.
+//!   SVD publications, convergence, completion. Appends follow
+//!   fsync-the-file discipline (the directory is fsynced at creation),
+//!   and replay truncates a torn tail — a record is either fully in the
+//!   log or it never happened.
 //! * [`JournalState`] — a pure fold over replayed records. Any prefix
 //!   of a valid journal folds to a valid state, which is what makes
 //!   killing the coordinator at an arbitrary byte offset recoverable.
@@ -106,11 +106,6 @@ pub enum JournalRecord {
         /// The similarity value that crossed the threshold.
         rho: f64,
     },
-    /// The posterior was assimilated against observations.
-    Assimilated {
-        /// Innovations (observations) used.
-        innovations: u64,
-    },
     /// The run finished and published its posterior.
     RunComplete {
         /// Members in the final subspace.
@@ -146,7 +141,6 @@ impl JournalRecord {
             JournalRecord::MemberQuarantined { .. } => 4,
             JournalRecord::SvdPublished { .. } => 5,
             JournalRecord::Converged { .. } => 6,
-            JournalRecord::Assimilated { .. } => 7,
             JournalRecord::RunComplete { .. } => 8,
             JournalRecord::EpochAdvanced { .. } => 9,
             JournalRecord::CoordinatorStarted { .. } => 10,
@@ -180,7 +174,6 @@ impl JournalRecord {
                 w.u64(members);
                 w.f64(rho);
             }
-            JournalRecord::Assimilated { innovations } => w.u64(innovations),
             JournalRecord::RunComplete { members } => w.u64(members),
             JournalRecord::EpochAdvanced { member, epoch } => {
                 w.u64(member);
@@ -205,7 +198,6 @@ impl JournalRecord {
                 JournalRecord::SvdPublished { members: r.u64()?, version: r.u64()?, rho: r.f64()? }
             }
             6 => JournalRecord::Converged { members: r.u64()?, rho: r.f64()? },
-            7 => JournalRecord::Assimilated { innovations: r.u64()? },
             8 => JournalRecord::RunComplete { members: r.u64()? },
             9 => JournalRecord::EpochAdvanced { member: r.u64()?, epoch: r.u32()? },
             10 => JournalRecord::CoordinatorStarted { incarnation: r.u64()? },
@@ -374,15 +366,10 @@ pub struct JournalState {
     /// quarantined, ascending by id — members present here but absent
     /// from `quarantined` were healed by a replacement.
     pub quarantine_reasons: Vec<(u64, u32)>,
-    /// Total quarantine events replayed (a member can contribute more
-    /// than one).
-    pub quarantine_events: u64,
     /// SVD publications in order.
     pub svd_rounds: Vec<SvdRound>,
     /// The convergence record, if the criterion fired.
     pub converged: Option<(u64, f64)>,
-    /// Innovations assimilated, if assimilation ran.
-    pub assimilated: Option<u64>,
     /// Members in the published posterior, if the run completed.
     pub complete: Option<u64>,
     /// Fencing-epoch high-water mark per member, ascending by id: the
@@ -429,13 +416,11 @@ impl JournalState {
                         Ok(i) => st.quarantine_reasons[i].1 = reason,
                         Err(i) => st.quarantine_reasons.insert(i, (member, reason)),
                     }
-                    st.quarantine_events += 1;
                 }
                 JournalRecord::SvdPublished { members, version, rho } => {
                     st.svd_rounds.push(SvdRound { members, version, rho });
                 }
                 JournalRecord::Converged { members, rho } => st.converged = Some((members, rho)),
-                JournalRecord::Assimilated { innovations } => st.assimilated = Some(innovations),
                 JournalRecord::RunComplete { members } => st.complete = Some(members),
                 JournalRecord::EpochAdvanced { member, epoch } => {
                     match st.epoch_high_water.binary_search_by_key(&member, |(m, _)| *m) {
@@ -665,7 +650,6 @@ mod tests {
             JournalRecord::CoordinatorStarted { incarnation: 2 },
             JournalRecord::EpochAdvanced { member: 3, epoch: 2 },
             JournalRecord::Converged { members: 8, rho: 0.995 },
-            JournalRecord::Assimilated { innovations: 12 },
             JournalRecord::RunComplete { members: 8 },
         ]
     }
@@ -765,12 +749,10 @@ mod tests {
         assert_eq!(st.failed, vec![1]);
         assert_eq!(st.quarantined, vec![3, 5]);
         assert_eq!(st.quarantine_reasons, vec![(3, 0), (5, 3)]);
-        assert_eq!(st.quarantine_events, 2);
         assert_eq!(st.svd_rounds.len(), 2);
         assert_eq!(st.rho_history(), vec![0.97]);
         assert_eq!(st.last_svd_members(), 4);
         assert_eq!(st.converged, Some((8, 0.995)));
-        assert_eq!(st.assimilated, Some(12));
         assert_eq!(st.complete, Some(8));
         // Epoch high-water keeps the max ever issued, per member.
         assert_eq!(st.epoch_high_water, vec![(0, 1), (3, 2)]);

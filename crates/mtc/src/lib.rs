@@ -9,14 +9,14 @@
 //! in one process: worker threads pulling perturb/forecast attempts, a
 //! continuously running differ, and a continuous SVD + convergence
 //! stage, as a receive loop over the steps `tick → on_done →
-//! svd_round → advance_stage → finish`. `esse_master` (in the `esse`
-//! package) is the paper's master script over a fleet of worker
-//! *processes*: it seeds lease-carrying task records into the [`pool`]
-//! (reached from disk or, via [`transport`], over TCP), commits every
-//! state transition to the [`journal`], and publishes each estimate
-//! through the paper's safe/live covariance files ([`triple_buffer`]).
-//! Both ask the [`ledger`] what the loss of an attempt costs, when a
-//! member is reissued and when it is lost for good.
+//! svd_round → advance_stage → finish`. [`coordinator`] is the paper's
+//! master script over a fleet of workers, behind pool, journal and
+//! store ports; `esse_master` (in the `esse` package) runs it over the
+//! on-disk [`pool`], the [`journal`] and the safe/live covariance files
+//! ([`triple_buffer`]), and workers reach the pool from disk or, via
+//! [`transport`], over TCP. Both ask the [`ledger`] what the loss of an
+//! attempt costs, when a member is reissued and when it is lost for
+//! good.
 //!
 //! **The simulator** — [`sim`] is a discrete-event model of the
 //! execution platforms the paper measured: the 240-core Opteron home
@@ -28,6 +28,7 @@
 //! (CPU speed ratios, filesystem behaviour, scheduler latency), not by
 //! replaying constants.
 
+pub mod coordinator;
 pub mod coverage;
 pub mod fault;
 pub mod journal;

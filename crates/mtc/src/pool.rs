@@ -39,6 +39,7 @@
 
 use esse_core::durable::atomic_write;
 use esse_core::durable::codec::{magic, seal, unseal, CodecError, Reader, Writer};
+use esse_obs::fleet::SpanBatch;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -372,32 +373,6 @@ impl TaskPool {
         Ok(())
     }
 
-    /// Remove every pending task (convergence cancellation). Returns
-    /// how many were cancelled.
-    pub fn cancel_pending(&self) -> io::Result<usize> {
-        let mut n = 0;
-        for entry in fs::read_dir(self.pending_dir())? {
-            let entry = entry?;
-            match fs::remove_file(entry.path()) {
-                Ok(()) => n += 1,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(n)
-    }
-
-    /// Fence off a stale-epoch result: move it to `results/stale/` so
-    /// it is never scanned again but survives for post-mortem.
-    pub fn fence_result(&self, rec: &ResultRecord) -> io::Result<()> {
-        let name = rec.file_name();
-        match fs::rename(self.results_dir().join(&name), self.stale_dir().join(&name)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Remove a consumed result record (after its journal commit, or
     /// after deciding the member). Missing is fine — idempotent.
     pub fn consume_result(&self, rec: &ResultRecord) -> io::Result<()> {
@@ -599,6 +574,21 @@ impl TaskPool {
         Ok(out)
     }
 
+    /// The span batches of trace run `run_id` shipped into the pool, and
+    /// why each unreadable sidecar (a killed worker's torn write) was
+    /// dropped whole. Batches of any other run are skipped.
+    pub fn span_batches(&self, run_id: u64) -> (Vec<SpanBatch>, Vec<String>) {
+        let (mut batches, mut dropped) = (Vec::new(), Vec::new());
+        for p in self.trace_sidecars().unwrap_or_default() {
+            match fs::read(&p).map_err(|e| e.to_string()).and_then(|b| SpanBatch::decode(&b)) {
+                Ok(b) if b.run_id == run_id => batches.push(b),
+                Ok(_) => {}
+                Err(why) => dropped.push(format!("{}: {why}", p.display())),
+            }
+        }
+        (batches, dropped)
+    }
+
     // --- Garbage collection -----------------------------------------------
 
     /// Prune bounded pool history, keeping the newest `keep` entries of
@@ -674,6 +664,50 @@ impl TaskPool {
             }
         }
         Ok(report)
+    }
+}
+
+impl crate::coordinator::PoolPort for TaskPool {
+    fn seed(&self, spec: &TaskSpec) -> io::Result<()> {
+        TaskPool::seed(self, spec)
+    }
+
+    /// Moves the record to `results/stale/`: never scanned again, kept
+    /// for post-mortems.
+    fn fence_result(&self, rec: &ResultRecord) -> io::Result<()> {
+        let name = rec.file_name();
+        match fs::rename(self.results_dir().join(&name), self.stale_dir().join(&name)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    fn consume_result(&self, rec: &ResultRecord) -> io::Result<()> {
+        TaskPool::consume_result(self, rec)
+    }
+
+    fn remove_claim(&self, spec: &TaskSpec) -> io::Result<()> {
+        TaskPool::remove_claim(self, spec)
+    }
+
+    fn cancel_pending(&self) -> io::Result<usize> {
+        let mut n = 0;
+        for entry in fs::read_dir(self.pending_dir())? {
+            match fs::remove_file(entry?.path()) {
+                Ok(()) => n += 1,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(n)
+    }
+
+    fn write_cancel(&self) -> io::Result<()> {
+        TaskPool::write_cancel(self)
+    }
+
+    fn trace_sidecar(&self, member: u64, epoch: u32) -> Option<Vec<u8>> {
+        self.trace_sidecar_for(member, epoch).and_then(|p| fs::read(p).ok())
     }
 }
 
@@ -815,6 +849,7 @@ impl LeaseWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::PoolPort;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("esse-pool-{tag}-{}", std::process::id()));

@@ -519,11 +519,13 @@ fn journal_stream_roundtrips_and_stops_at_a_malformed_record() {
     let good = std::fs::read(&path).unwrap();
     assert_eq!(Journal::replay(&path).unwrap().records, records);
     // Well-framed (CRC-clean) bodies that are not a record: an unknown
-    // kind, a known kind one field short, a known kind with a byte over.
+    // kind, the retired kind 7 (never written by any build), a known
+    // kind one field short, a known kind with a byte over.
     let mut rng = Rng::new(0x10C5);
+    let retired = [&[7u8][..], &128u64.to_le_bytes()].concat();
     let short_quarantine = [&[4u8][..], &7u64.to_le_bytes()].concat();
     let long_run_start = [&[1u8][..], &rng.bytes(9)].concat();
-    for body in [vec![0xEE; 9], short_quarantine, long_run_start] {
+    for body in [vec![0xEE; 9], retired, short_quarantine, long_run_start] {
         let raw = [&good[..], &frame::encode(&body)].concat();
         std::fs::write(&path, &raw).unwrap();
         let replay = Journal::replay(&path).unwrap();

@@ -204,13 +204,11 @@ fn corrupt_sidecars_are_rejected_whole_and_never_poison_the_merge() {
     pool.write_trace_sidecar("r000002.e00001.trace", &flipped).expect("flipped sidecar");
 
     // The collector decodes what it can and drops corrupt batches whole.
-    let paths = pool.trace_sidecars().expect("scan sidecars");
-    assert_eq!(paths.len(), 3);
-    let decoded: Vec<Result<SpanBatch, String>> =
-        paths.iter().map(|p| SpanBatch::decode(&std::fs::read(p).unwrap())).collect();
-    let ok: Vec<SpanBatch> = decoded.iter().filter_map(|r| r.as_ref().ok().cloned()).collect();
-    assert_eq!(ok.len(), 1, "exactly the uncorrupted batch survives: {decoded:?}");
-    assert_eq!(ok[0], good);
+    assert_eq!(pool.trace_sidecars().expect("scan sidecars").len(), 3);
+    let (ok, dropped) = pool.span_batches(run);
+    assert_eq!(ok, vec![good], "exactly the uncorrupted batch survives: {dropped:?}");
+    assert_eq!(dropped.len(), 2);
+    assert!(pool.span_batches(run + 1).0.is_empty(), "another run's batch never merges");
 
     let mut trace = coord.drain();
     fleet::merge_batches(&mut trace, &ok);

@@ -36,7 +36,6 @@ fn sample_records() -> Vec<JournalRecord> {
         JournalRecord::MemberCompleted { member: 2, attempts: 2 },
         JournalRecord::SvdPublished { members: 6, version: 2, rho: 0.97 },
         JournalRecord::Converged { members: 6, rho: 0.97 },
-        JournalRecord::Assimilated { innovations: 128 },
         JournalRecord::RunComplete { members: 6 },
     ]
 }

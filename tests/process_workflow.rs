@@ -183,6 +183,30 @@ fn crashed_master_resumes_to_a_bit_identical_posterior() {
 }
 
 #[test]
+fn a_failed_journal_append_parks_the_master_and_resume_finishes_the_run() {
+    let ref_dir = workdir("park-ref");
+    run_master(&ref_dir, &[]);
+
+    // The 11th append of the incarnation fails like a full disk.
+    let dir = workdir("park");
+    let out = master_cmd(&dir, &["--fail-appends", "10"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "a parked run exits 4: {err}");
+    assert!(err.contains("journal append failed"), "stderr: {err}");
+    // Exactly the appends before the failure are durable, and nothing
+    // is torn.
+    let replay = Journal::replay(dir.join("run.journal")).expect("replay journal");
+    assert_eq!((replay.records.len(), replay.torn_bytes), (10, 0));
+
+    run_master(&dir, &["--resume"]);
+    assert_eq!(
+        std::fs::read(dir.join("posterior.sub")).unwrap(),
+        std::fs::read(ref_dir.join("posterior.sub")).unwrap(),
+        "the resumed posterior differs from an uninterrupted run's"
+    );
+}
+
+#[test]
 fn incremental_and_full_checkpoint_lanes_write_the_same_posterior() {
     // A schedule that never converges, so every checkpoint fires under
     // both estimators; the posterior is a fresh full recompute either
