@@ -3,20 +3,21 @@
 //! Dependencies are tracked using separate (per perturbation index)
 //! files containing the error codes of the singleton scripts."
 //!
-//! [`Coordinator`] holds the rules and none of the I/O. It reaches the
-//! world through a [`PoolPort`], a [`JournalPort`] and a [`StorePort`],
-//! each covering only the calls its steps make; the pool scan and the
-//! clock (a [`Duration`] on the caller's run clock, as [`MemberLedger`]
-//! takes it) are handed into each [`step`](Coordinator::step).
-//! `esse_master` plugs in the on-disk pool, the fsynced journal and the
-//! workdir files; a test plugs in memory and a virtual clock.
+//! [`Coordinator`] holds the rules and none of the I/O: a [`PoolPort`],
+//! a [`JournalPort`] and a [`StorePort`] cover the calls its steps make,
+//! and the pool scan and the run clock are handed into each
+//! [`step`](Coordinator::step). It is the one coordinator of the
+//! workspace: `esse_master` plugs in the on-disk pool, the fsynced journal
+//! and the workdir files for a fleet of worker processes;
+//! [`crate::workflow::MtcEsse`] plugs in [`crate::mem`] and a crew of
+//! threads. It prints nothing: operator lines go to [`Setup::progress`].
 //!
 //! **Determinism.** Checkpoints fire when the *decided prefix* — the
 //! contiguous run of members from index 0 whose fate is settled — crosses
 //! fixed member counts, and each decomposes exactly the first `c`
-//! completed members of that prefix in ascending index order. Forecasts
-//! are pure functions of `(member, seed)` and requeues reuse the member's
-//! seed, so the rho sequence, the convergence point and the
+//! completed members of that prefix in ascending order. Forecasts are
+//! pure functions of `(member, seed)` and requeues reuse the seed, so the
+//! rho sequence, the convergence point and the
 //! [`posterior`](Coordinator::posterior) are bit-identical under any
 //! worker count, arrival order, kill schedule or resume.
 //!
@@ -24,28 +25,34 @@
 //! or store shows its effect, and [`Coordinator::resume`] rebuilds the
 //! coordinator from any replayed journal prefix. A failed append returns
 //! [`CoordError::Parked`] at once: nothing after it touches a port.
+//!
+//! **Time.** A claim that never heartbeats is timed from its first
+//! observation, so for a crew the lease *is* the task timeout. Past the
+//! Tmax deadline late results are ignored (paper §4 point 1). A straggler
+//! may be raced by a twin at its member's next epoch; whichever epoch
+//! lands first is ingested — the one exception to "consume only the
+//! current epoch".
 
-use crate::fault::RetryPolicy;
+use crate::fault::{FaultReport, RetryPolicy};
 use crate::journal::{JournalRecord, JournalState};
 use crate::ledger::{Budget, Fate, Loss, Member, MemberLedger};
 use crate::pool::{
     ClaimScan, LeaseState, LeaseWatch, PoolScan, ResultRecord, TaskSpec, CODE_LEASE_BUDGET,
     CODE_QUARANTINE_BUDGET, CODE_REJECTED,
 };
-use esse_core::adaptive::EnsembleSchedule;
+use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse_core::convergence::{similarity, ConvergenceTest};
-use esse_core::format::subspace_to_bytes;
 use esse_core::perturb::PerturbationGenerator;
 use esse_core::subspace::{
-    make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy, SubspaceUpdate,
+    make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy, SubspaceUpdate, UpdateKind,
 };
 use esse_core::validate::{finite_stat, ForecastValidator, Reason, Verdict};
 use esse_linalg::LinalgCtx;
 use esse_obs::event::{ArgValue, Lane};
 use esse_obs::recorder::{Recorder, RecorderExt};
-use esse_obs::registry::{Counter, MetricsRegistry};
+use esse_obs::registry::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use std::{fmt, io};
 
 /// The task pool as the coordinator uses it (the caller takes the scan).
@@ -72,14 +79,55 @@ pub trait JournalPort {
     fn append(&self, rec: &JournalRecord) -> io::Result<()>;
 }
 
+/// No journal: every append succeeds and is forgotten.
+impl<J: JournalPort> JournalPort for Option<&J> {
+    fn append(&self, rec: &JournalRecord) -> io::Result<()> {
+        self.map_or(Ok(()), |j| j.append(rec))
+    }
+}
+
 /// Where member forecasts and covariance estimates live.
 pub trait StorePort {
-    /// Member `member`'s forecast and the CRC-32 of its stored bytes.
+    /// Member `member`'s committed forecast and the CRC-32 of its bytes.
     fn read_forecast(&self, member: u64) -> io::Result<(Vec<f64>, u32)>;
+    /// The forecast a result record reports, for the ingestion gate.
+    fn read_result(&self, rec: &ResultRecord) -> io::Result<(Vec<f64>, u32)> {
+        self.read_forecast(rec.member)
+    }
+    /// Make the forecast of `rec` the member's own, durably, right
+    /// before the `MemberCompleted` append that commits it.
+    fn commit(&self, _rec: &ResultRecord) -> io::Result<()> {
+        Ok(())
+    }
     /// Move a forecast out of reach, kept for post-mortems; missing is fine.
     fn quarantine_forecast(&self, member: u64) -> io::Result<()>;
-    /// Publish covariance bytes at `version` (paper §4.1's safe file).
-    fn publish_covariance(&self, bytes: &[u8], version: u64) -> io::Result<()>;
+    /// Publish a checkpoint estimate at `version` (paper §4.1's safe
+    /// file), in the one `ESS2` encoding.
+    fn publish_covariance(&self, estimate: &ErrorSubspace, version: u64) -> io::Result<()>;
+    /// The checkpoint estimator holds `member`'s forecast now.
+    fn release(&self, _member: u64) {}
+}
+
+/// Which stream an operator line belongs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// Progress (stdout in `esse_master`).
+    Info,
+    /// A member-level fault (stderr in `esse_master`).
+    Warn,
+}
+
+/// The sink every operator line goes to; the library prints nothing.
+pub type Progress<'a> = &'a dyn Fn(Level, fmt::Arguments<'_>);
+
+/// A [`Progress`] sink that drops every line.
+pub fn quiet(_: Level, _: fmt::Arguments<'_>) {}
+
+/// `say!(sink, Level, "format", args…)`: one operator line.
+macro_rules! say {
+    ($sink:expr, $level:ident, $($fmt:tt)*) => {
+        ($sink)(Level::$level, format_args!($($fmt)*))
+    };
 }
 
 /// Why a step stopped the run; everything journalled so far replays.
@@ -107,6 +155,15 @@ impl fmt::Display for CoordError {
 
 impl std::error::Error for CoordError {}
 
+impl From<CoordError> for esse_core::EsseError {
+    fn from(e: CoordError) -> esse_core::EsseError {
+        match e {
+            CoordError::Parked(e) => esse_core::EsseError::Io(e),
+            CoordError::Failed(why) => esse_core::EsseError::Io(io::Error::other(why)),
+        }
+    }
+}
+
 /// What every coordinator call returns.
 pub type Result<T = (), E = CoordError> = std::result::Result<T, E>;
 
@@ -122,38 +179,49 @@ pub struct Setup<'a> {
     pub gen: &'a PerturbationGenerator<'a>,
     /// The central forecast every spread is taken about.
     pub central: &'a [f64],
-    /// The semantic ingestion gate.
-    pub validator: ForecastValidator,
-    /// The checkpoint estimator (the posterior is a full recompute).
+    /// The semantic ingestion gate (`None`: every payload passes).
+    pub validator: Option<ForecastValidator>,
+    /// The checkpoint estimator.
     pub strategy: SubspaceStrategy,
-    /// Initial ensemble size.
-    pub initial: usize,
-    /// Maximum ensemble size.
-    pub max: usize,
+    /// Relative σ cutoff of every estimate's retained modes.
+    pub mode_rel_tol: f64,
+    /// Rank cap of every estimate.
+    pub max_rank: usize,
+    /// Kernel context of the estimators.
+    pub linalg: LinalgCtx,
+    /// Ensemble stages (paper §4.1: "increase N to N2").
+    pub schedule: EnsembleSchedule,
+    /// Checkpoint every this many decided members (and every stage).
+    pub stride: usize,
+    /// Seed `ceil(pool_factor · stage)` members per stage (≥ 1).
+    pub pool_factor: f64,
     /// Convergence tolerance on the similarity of successive estimates.
     pub tolerance: f64,
+    /// Which claims still count once the run has converged.
+    pub completion: CompletionPolicy,
+    /// Tmax on the run clock: past it, late results are ignored.
+    pub deadline: Option<Duration>,
     /// A claim whose heartbeat stalls this long is reclaimed.
     pub lease_ms: u64,
-    /// Attempts a member may fail with a nonzero exit code.
-    pub task_attempts: u32,
+    /// Attempts a member may fail, and the backoff between them.
+    pub retry: RetryPolicy,
     /// Requeues (expired leases, quarantines) a member may take.
     pub requeue_budget: u32,
     /// Fleet-wide trace run id: nonzero iff tracing is on.
     pub trace_run: u64,
     /// This coordinator's incarnation (from [`begin_incarnation`]).
     pub incarnation: u64,
-    /// Where coordinator-lane trace instants go.
+    /// Where coordinator-lane trace events go.
     pub rec: &'a dyn Recorder,
-    /// Where the pool, ingest and quarantine counters live.
+    /// Where the pool, ingest, quarantine and subspace meters live.
     pub metrics: &'a MetricsRegistry,
+    /// Where operator lines go.
+    pub progress: Progress<'a>,
 }
 
-/// Mode relative tolerance and rank cap of every subspace estimate.
-const SVD_REL_TOL: f64 = 1e-4;
-const SVD_MAX_RANK: usize = 64;
-
-fn new_estimator(strategy: &SubspaceStrategy, central: &[f64]) -> Box<dyn SubspaceEstimator> {
-    make_estimator(strategy, central.to_vec(), SVD_REL_TOL, SVD_MAX_RANK, LinalgCtx::default())
+fn new_estimator(setup: &Setup, strategy: &SubspaceStrategy) -> Box<dyn SubspaceEstimator> {
+    let Setup { central, mode_rel_tol, max_rank, linalg, .. } = *setup;
+    make_estimator(strategy, central.to_vec(), mode_rel_tol, max_rank, linalg)
 }
 
 /// Fold the forecasts of `ids` into `est`. They are journalled as
@@ -174,17 +242,6 @@ fn estimate(est: &mut dyn SubspaceEstimator) -> Result<Option<SubspaceUpdate>> {
     est.estimate().map_err(|e| CoordError::Failed(format!("subspace update failed: {e}")))
 }
 
-/// A one-shot full recompute over exactly `ids`: same ids, same bytes.
-fn subspace_over(
-    store: &impl StorePort,
-    central: &[f64],
-    ids: &[u64],
-) -> Result<Option<SubspaceUpdate>> {
-    let mut est = new_estimator(&SubspaceStrategy::FullRecompute, central);
-    fold_members(est.as_mut(), store, ids)?;
-    estimate(est.as_mut())
-}
-
 /// Journal a new coordinator incarnation before it touches the pool
 /// (`RunStart` first on a fresh journal) and return its number: the TCP
 /// endpoint generation and the trace labels derive from it. `None`, with
@@ -195,19 +252,21 @@ pub fn begin_incarnation(
     journal: &impl JournalPort,
     state: &JournalState,
     config_hash: u64,
-    max: usize,
-    tolerance: f64,
+    (max, tolerance): (usize, f64),
+    say: Progress,
 ) -> Result<Option<u64>> {
     if let Some(members) = state.complete {
         if ConvergenceTest::restore(tolerance, &state.rho_history()).converged()
             || state.completed.len() >= max
         {
-            println!("esse_master: run already complete ({members} members); nothing to do");
+            say!(say, Info, "run already complete ({members} members); nothing to do");
             return Ok(None);
         }
-        println!(
-            "esse_master: completed run falls short of the requested schedule \
-             (max {max}, tolerance {tolerance}); extending"
+        say!(
+            say,
+            Info,
+            "completed run falls short of the requested schedule (max {max}, \
+            tolerance {tolerance}); extending"
         );
     }
     let append = |rec| journal.append(&rec).map_err(CoordError::Parked);
@@ -217,7 +276,7 @@ pub fn begin_incarnation(
     let incarnation = state.incarnations + 1;
     append(JournalRecord::CoordinatorStarted { incarnation })?;
     if incarnation > 1 {
-        println!("esse_master: coordinator incarnation {incarnation} (resuming a crashed run)");
+        say!(say, Info, "coordinator incarnation {incarnation} (resuming a crashed run)");
     }
     Ok(Some(incarnation))
 }
@@ -237,27 +296,49 @@ pub struct Coordinator<'a, P, J, S> {
     m_seeded: Counter,
     m_ingested: Counter,
     m_quarantined: Counter,
+    m_rho: Gauge,
+    m_defect: Gauge,
+    m_update: Histogram,
+    m_refresh: Histogram,
     ledger: MemberLedger,
     /// Current fencing epoch per member.
     epochs: HashMap<u64, u32>,
     /// Members with a pending task or a live claim in this scan.
     outstanding: HashSet<u64>,
     watch: LeaseWatch,
-    quarantined_lost: usize,
+    /// When each claim `(member, epoch)` was first observed.
+    claimed_at: HashMap<(u64, u32), Duration>,
+    /// Sum and count of claim-to-ingest runtimes: the straggler yardstick.
+    runtime: (Duration, u32),
+    /// The clock of the previous step.
+    last_step: Duration,
+    /// Members with a speculative launch not yet scored, with the
+    /// original claim's epoch while that claim may still land first.
+    races: HashMap<u64, Option<u32>>,
+    report: FaultReport,
+    /// Journalled `MemberFailed` code of every lost member.
+    pub(crate) failed: BTreeMap<u64, i32>,
     stages: Vec<usize>,
-    /// Decided-prefix member counts at which the SVD runs: every multiple
-    /// of the stride and every stage boundary.
+    /// Seed ceiling so far: members `0..planned` were seeded.
+    pub(crate) planned: u64,
+    /// Decided-prefix member counts at which the SVD runs.
     cps: Vec<usize>,
-    /// The one subspace lane: a persistent estimator over the append-only
-    /// decided prefix, so every forecast is folded once.
+    /// The persistent estimator over the decided prefix.
     estimator: Option<Box<dyn SubspaceEstimator>>,
-    conv: ConvergenceTest,
+    pub(crate) conv: ConvergenceTest,
     converged_members: Option<u64>,
+    /// When convergence or the deadline stopped the issue of work, and
+    /// whether the members the completion policy drops are abandoned.
+    halted_at: Option<Duration>,
+    swept: bool,
+    deadline_expired: bool,
     fired: BTreeSet<u64>,
     last_fired: Option<u64>,
     /// The estimate of `last_fired`, once this incarnation has one.
     previous: Option<(u64, ErrorSubspace)>,
     svd_version: u64,
+    /// Subspace estimates this incarnation formed at checkpoints.
+    pub(crate) rounds: usize,
     cancelled_tasks: usize,
 }
 
@@ -283,15 +364,14 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
                 round.map(|r| r.members)
             })
             .filter(|_| conv.converged());
-        let stages = EnsembleSchedule::new(setup.initial, setup.max).stages();
-        let stride = (setup.initial / 2).max(4);
+        let stages = setup.schedule.stages();
+        let max = setup.schedule.max;
         let mut cps: BTreeSet<usize> =
-            (1..).map(|k| k * stride).take_while(|&c| c <= setup.max).collect();
-        cps.extend(stages.iter().copied().filter(|&c| c <= setup.max));
-        let backoff = Duration::from_millis(20);
-        let retry = RetryPolicy::retries(setup.task_attempts).with_backoff(backoff, 2.0, 0.0);
+            (1..).map(|k| k * setup.stride).take_while(|&c| c <= max).collect();
+        cps.extend(stages.iter().copied().filter(|&c| c <= max));
         let jitter_seed = setup.gen.config.base_seed ^ 0x00D1_7A5C;
-        let counter = |name| setup.metrics.counter(name);
+        let ledger = MemberLedger::new(setup.retry.clone(), setup.requeue_budget, jitter_seed);
+        let (counter, metrics) = (|name| setup.metrics.counter(name), setup.metrics);
         let mut co = Coordinator {
             pool,
             journal,
@@ -303,20 +383,34 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             m_seeded: counter("esse_pool_tasks_seeded_total"),
             m_ingested: counter("esse_pool_results_ingested_total"),
             m_quarantined: counter("esse_quarantined_total"),
-            ledger: MemberLedger::new(retry, setup.requeue_budget, jitter_seed),
+            m_rho: metrics.gauge("esse_convergence_rho"),
+            m_defect: metrics.gauge("esse_subspace_defect"),
+            m_update: metrics.histogram("esse_subspace_update_ns"),
+            m_refresh: metrics.histogram("esse_subspace_refresh_ns"),
+            ledger,
             epochs: pool_epochs,
             outstanding: HashSet::new(),
             watch: LeaseWatch::new(),
-            quarantined_lost: 0,
+            claimed_at: HashMap::new(),
+            runtime: (Duration::ZERO, 0),
+            last_step: Duration::ZERO,
+            races: HashMap::new(),
+            report: FaultReport::default(),
+            failed: state.failed.iter().map(|&m| (m, 0)).collect(),
             stages,
+            planned: 0,
             cps: cps.into_iter().filter(|&c| c >= 2).collect(),
             estimator: None,
             converged_members,
             conv,
+            halted_at: None,
+            swept: false,
+            deadline_expired: false,
             fired: state.svd_rounds.iter().map(|r| r.members).collect(),
             last_fired: state.svd_rounds.last().map(|r| r.members),
             previous: None,
             svd_version: state.svd_rounds.last().map_or(0, |r| r.version),
+            rounds: 0,
             cancelled_tasks: 0,
             setup,
         };
@@ -350,7 +444,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             match co.store.read_forecast(m) {
                 Ok((xf, _)) => {
                     co.ledger.decide(m, Fate::Completed(attempts));
-                    co.setup.validator.note_decided(m, &xf);
+                    co.setup.validator.iter_mut().for_each(|v| v.note_decided(m, &xf));
                 }
                 Err(e) => co.quarantine(m, Reason::CorruptPayload.code(), &e.to_string())?,
             }
@@ -358,25 +452,89 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         for &m in &state.failed {
             co.ledger.decide(m, Fate::Failed);
         }
-        let resumed = co.ledger.completed_ids().count();
-        println!("esse_master: starting with {resumed} members in the differ (resumed {resumed})");
+        let n = co.ledger.completed_ids().count();
+        say!(co.setup.progress, Info, "starting with {n} members in the differ (resumed {n})");
         Ok(co)
     }
 
     /// One loop turn over a fresh pool `scan` at `now`: ingest → watch
-    /// leases → seed → checkpoints. `Ok(true)` once the run is over:
-    /// converged, or every stage decided.
+    /// leases → deadline → seed and speculate → checkpoints. `Ok(true)`
+    /// once the run is over: the deadline passed, or it converged and
+    /// the completion policy has the claims it keeps, or every stage and
+    /// every seeded member is decided.
     pub fn step(&mut self, scan: &PoolScan, now: Duration) -> Result<bool> {
-        let stage = self.stage();
+        let (stage, halted) = (self.stage(), self.halted_at.is_some());
         self.outstanding = scan.pending.iter().map(|t| t.member).collect();
         self.outstanding.extend(scan.claims.iter().map(|c| c.spec.member));
         self.ingest(&scan.results, now)?;
         self.watch_leases(&scan.claims, now)?;
-        if let Some(target) = stage.filter(|_| !self.conv.converged()) {
-            self.seed(target, now)?;
+        if let Some(tmax) = self.setup.deadline.filter(|&d| now >= d && !self.deadline_expired) {
+            self.deadline_expired = true;
+            let tmax_ms = tmax.as_millis() as u64;
+            self.instant("workflow", "deadline_expired", vec![("tmax_ms", tmax_ms.into())]);
+            self.halt(now)?;
         }
-        self.checkpoints()?;
-        Ok(self.conv.converged() || self.stage().is_none())
+        if self.conv.converged() && self.halted_at.is_none() {
+            self.halt(now)?;
+        }
+        if halted && !self.swept {
+            // The first scan taken after the cancellation shows every
+            // claim that escaped it.
+            self.sweep(&scan.claims);
+        }
+        if self.halted_at.is_none() {
+            // Past the last stage, over-provisioned members still retry.
+            self.seed(stage.map_or(self.planned, |s| self.target(s)), now)?;
+            self.speculate(&scan.claims, now)?;
+        }
+        self.checkpoints(now)?;
+        self.last_step = now;
+        let undecided = (0..self.planned).any(|m| !self.ledger.decided(m));
+        Ok(self.deadline_expired
+            || if self.conv.converged() {
+                self.swept && !undecided
+            } else {
+                self.stage().is_none() && !undecided
+            })
+    }
+
+    /// When the run clock next needs a [`step`](Self::step) although the
+    /// pool has not changed: at once (`now`) when the last step opened a
+    /// stage it did not seed yet, else when a lease or backoff runs out,
+    /// the deadline passes or a claim turns straggler. `None`: only a
+    /// pool change.
+    pub fn next_wake(&self, now: Duration) -> Option<Duration> {
+        if self.halted_at.is_some() && !self.swept {
+            return Some(now);
+        }
+        let ceiling = self.stage().map_or(self.planned, |s| self.target(s));
+        let seedable = self.ledger.seedable(ceiling, now);
+        if self.halted_at.is_none() && seedable.iter().any(|m| !self.outstanding.contains(m)) {
+            return Some(now);
+        }
+        let now_ms = now.as_millis() as u64;
+        let lease = self.watch.next_expiry(self.setup.lease_ms, now_ms).map(Duration::from_millis);
+        let ready = self.ledger.parked(self.planned).map(|m| self.ledger.member(m).ready_at);
+        let limit = self.straggler_threshold();
+        let live = self.claimed_at.iter().filter(|((m, e), _)| *e == self.epoch(*m));
+        let straggle = live.filter(|((m, _), _)| !self.races.contains_key(m));
+        let straggle = straggle.filter_map(|(_, &t)| limit.map(|limit| t + limit));
+        let deadline = self.setup.deadline.filter(|_| self.halted_at.is_none());
+        let times = ready.chain(straggle).chain(lease).chain(deadline);
+        times.filter(|&t| t > now).min()
+    }
+
+    /// The crew is gone: fail every undecided member with `code`.
+    pub fn fail_undecided(&mut self, code: i32) -> Result {
+        self.ledger.close();
+        for m in 0..self.planned {
+            if !self.ledger.decided(m) {
+                self.ledger.decide(m, Fate::Failed);
+                self.failed.insert(m, code);
+                self.append(JournalRecord::MemberFailed { member: m, code })?;
+            }
+        }
+        Ok(())
     }
 
     /// Has the convergence test fired?
@@ -384,18 +542,52 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         self.conv.converged()
     }
 
-    /// The final posterior: the first `converged_members` completed
-    /// members of the decided prefix (not whatever happened to arrive),
-    /// or every completed member of an unconverged run. A full recompute,
-    /// run after the checkpoint estimator is released.
-    pub fn posterior(&mut self) -> Result<SubspaceUpdate> {
-        self.estimator = None;
+    /// Did the Tmax deadline stop the run?
+    pub fn deadline_expired(&self) -> bool {
+        self.deadline_expired
+    }
+
+    /// What recovery did (crew deaths are the caller's to add); a raced
+    /// member never decided by either epoch counts as a lost race.
+    pub fn report(&self) -> FaultReport {
+        let mut report = self.report.clone();
+        report.speculative_losses += self.races.len();
+        report.replaced = self.ledger.count(Member::replaced);
+        report
+    }
+
+    /// The members of the final posterior: the first `converged_members`
+    /// of the decided prefix under [`CompletionPolicy::CancelImmediately`]
+    /// (not whatever happened to arrive), else every completed member.
+    pub fn posterior_ids(&self) -> Vec<u64> {
         let eligible = self.ledger.prefix_eligible();
-        let ids: Vec<u64> = match self.converged_members {
-            Some(c) => eligible[..(c as usize).min(eligible.len())].to_vec(),
-            None => self.ledger.completed_ids().collect(),
+        match self.converged_members {
+            Some(c) if self.setup.completion == CompletionPolicy::CancelImmediately => {
+                eligible[..(c as usize).min(eligible.len())].to_vec()
+            }
+            _ => self.ledger.completed_ids().collect(),
+        }
+    }
+
+    /// The final posterior over [`posterior_ids`](Self::posterior_ids),
+    /// bit-identical to a one-shot full recompute over them. The
+    /// checkpoint estimator is extended when it holds a prefix of the
+    /// ids (always, within one incarnation); otherwise, or under the
+    /// incremental strategy, every forecast is re-read.
+    pub fn posterior(&mut self) -> Result<SubspaceUpdate> {
+        let ids = self.posterior_ids();
+        let full = SubspaceStrategy::FullRecompute;
+        let live = self.estimator.take().filter(|est| {
+            let held = est.member_ids();
+            self.setup.strategy == full && held.iter().zip(&ids).all(|(&h, &m)| h as u64 == m)
+        });
+        let mut est = match live {
+            Some(est) if est.count() <= ids.len() => est,
+            _ => new_estimator(&self.setup, &full),
         };
-        let update = subspace_over(self.store, self.setup.central, &ids)?;
+        let folded = est.count();
+        fold_members(est.as_mut(), self.store, &ids[folded..])?;
+        let update = estimate(est.as_mut())?;
         update.ok_or_else(|| CoordError::Failed("not enough members for an SVD".into()))
     }
 
@@ -406,16 +598,21 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         self.append(JournalRecord::RunComplete { members: members as u64 })?;
         let failed = ledger.count(|e| e.fate == Some(Fate::Failed));
         let (converged, rank, variance) = (self.conv.converged(), sub.rank(), sub.total_variance());
-        println!(
-            "esse_master: done — {members} members ({failed} failed), converged={converged}, \
-             rank {rank}, total variance {variance:.5}"
+        let say = self.setup.progress;
+        say!(
+            say,
+            Info,
+            "done — {members} members ({failed} failed), converged={converged}, \
+            rank {rank}, total variance {variance:.5}"
         );
         // Replaced: quarantined, then healed by a later attempt.
         let replaced = ledger.count(Member::replaced);
         self.setup.metrics.counter("esse_replaced_total").add(replaced as u64);
-        println!(
-            "esse_master: pool stats — leases granted {}, renewed {}, expired {}, \
-             results fenced {}, tasks seeded {}, ingested {}, cancelled {}",
+        say!(
+            say,
+            Info,
+            "pool stats — leases granted {}, renewed {}, expired {}, results fenced {}, \
+            tasks seeded {}, ingested {}, cancelled {}",
             self.m_granted.get(),
             self.m_renewed.get(),
             self.m_expired.get(),
@@ -424,10 +621,13 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             self.m_ingested.get(),
             self.cancelled_tasks
         );
-        println!(
-            "esse_master: quarantine stats — quarantined {} member(s), replaced {replaced}, lost {}",
-            ledger.count(|e| e.quarantined),
-            self.quarantined_lost
+        let lost = self.failed.values().filter(|&&code| code == CODE_QUARANTINE_BUDGET).count();
+        let quarantined = ledger.count(|e| e.quarantined);
+        say!(
+            say,
+            Info,
+            "quarantine stats — quarantined {quarantined} member(s), \
+            replaced {replaced}, lost {lost}"
         );
         Ok(())
     }
@@ -445,7 +645,9 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
 
     fn instant(&self, cat: &'static str, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
         let rec = self.setup.rec;
-        rec.instant_at(rec.now_ns(), Lane::Coordinator, cat, name, args);
+        if rec.enabled() {
+            rec.instant_at(rec.now_ns(), Lane::Coordinator, cat, name, args);
+        }
     }
 
     fn epoch(&self, m: u64) -> u32 {
@@ -501,17 +703,30 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
     fn requeue(&mut self, m: u64, budget: Budget, code: i32, now: Duration) -> Result<bool> {
         match self.ledger.lose(m, budget, code, now) {
             Loss::Lost { code } => {
-                let spent = self.ledger.member(m);
-                eprintln!(
-                    "esse_master: member {m} lost (code {code}) after {} failed attempt(s) \
-                     and {} requeue(s)",
-                    spent.attempts, spent.requeues
+                let Member { attempts, requeues, .. } = self.ledger.member(m);
+                let say = self.setup.progress;
+                say!(
+                    say,
+                    Warn,
+                    "member {m} lost (code {code}) after {attempts} failed attempt(s) \
+                    and {requeues} requeue(s)"
                 );
                 self.append(JournalRecord::MemberFailed { member: m, code })?;
+                self.failed.insert(m, code);
+                self.task_instant("fault", "member_lost", (m, self.epoch(m)), &[]);
                 Ok(false)
             }
-            Loss::Reissue { after } if after.is_zero() => self.issue_epoch(m).map(|()| true),
-            Loss::Reissue { .. } | Loss::Covered => Ok(true),
+            Loss::Reissue { after } => {
+                self.report.retries += 1;
+                let delay_ms = after.as_millis() as u64;
+                let task = (m, self.epoch(m) + 1);
+                self.task_instant("fault", "retry_scheduled", task, &[("delay_ms", delay_ms)]);
+                if after.is_zero() {
+                    self.issue_epoch(m)?;
+                }
+                Ok(true)
+            }
+            Loss::Covered => Ok(true),
         }
     }
 
@@ -521,7 +736,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         io(self.store.quarantine_forecast(m), "quarantine a forecast")?;
         self.append(JournalRecord::MemberQuarantined { member: m, reason })?;
         self.ledger.mark_quarantined(m);
-        eprintln!("esse_master: quarantined member {m}: {why}");
+        say!(self.setup.progress, Warn, "quarantined member {m}: {why}");
         Ok(())
     }
 
@@ -533,16 +748,16 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             return Err((r.reason, format!("worker self-check rejection ({why})")));
         }
         let corrupt = |why: String| (Reason::CorruptPayload.code(), why);
-        let (xf, crc) = self.store.read_forecast(r.member).map_err(|e| corrupt(e.to_string()))?;
+        let (xf, crc) = self.store.read_result(r).map_err(|e| corrupt(e.to_string()))?;
         if crc != r.fc_crc {
             let recorded = r.fc_crc;
             return Err(corrupt(format!(
                 "forecast CRC {crc:#010x} != result record {recorded:#010x}"
             )));
         }
-        match self.setup.validator.validate_member(r.member, &xf) {
-            Verdict::Pass => Ok(xf),
-            Verdict::Quarantine(reason) => {
+        match self.setup.validator.as_ref().map(|v| v.validate_member(r.member, &xf)) {
+            None | Some(Verdict::Pass) => Ok(xf),
+            Some(Verdict::Quarantine(reason)) => {
                 Err((reason.code(), format!("failed semantic validation: {}", reason.describe())))
             }
         }
@@ -551,16 +766,20 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
     /// Step 1: ingest published results.
     fn ingest(&mut self, results: &[ResultRecord], now: Duration) -> Result {
         for r in results {
-            let m = r.member;
-            let task = (m, r.epoch);
-            let current = self.epoch(m);
-            if r.epoch != current {
+            let (m, task, current) = (r.member, (r.member, r.epoch), self.epoch(r.member));
+            // A speculation race: the original epoch still counts.
+            let original = self.races.get(&m) == Some(&Some(r.epoch));
+            if r.epoch != current && !original {
                 // Fencing: a zombie published after its lease expired and
                 // the task was requeued. Never ingested.
                 self.m_fenced.inc();
                 self.task_instant("pool", "fencing_rejected", task, &[("current", current as u64)]);
-                let stale = r.epoch;
-                eprintln!("esse_master: fenced stale result for member {m} (epoch {stale} != current {current})");
+                let (say, stale) = (self.setup.progress, r.epoch);
+                say!(
+                    say,
+                    Warn,
+                    "fenced stale result for member {m} (epoch {stale} != current {current})"
+                );
                 io(self.pool.fence_result(r), "fence a stale result")?;
                 continue;
             }
@@ -568,33 +787,62 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
                 io(self.pool.consume_result(r), "consume a result")?;
                 continue;
             }
-            if r.code != 0 && r.code != CODE_REJECTED {
-                // A task failure: charged to the attempt budget.
-                self.requeue(m, Budget::Attempts, r.code, now)?;
-            } else {
-                match self.gate(r) {
-                    Ok(xf) => {
-                        // The journal record is the commit point.
-                        let attempts = self.ledger.complete(m);
-                        self.append(JournalRecord::MemberCompleted { member: m, attempts })?;
-                        self.setup.validator.note_decided(m, &xf);
-                        self.m_ingested.inc();
-                        self.task_instant("pool", "result_ingested", task, &[]);
-                        self.note_trace_batch(task);
+            // A claim the scans never saw ran within the last step.
+            let ran = now.saturating_sub(self.claimed_at.remove(&task).unwrap_or(self.last_step));
+            // A task failure is charged to the attempt budget, a refused
+            // payload to the requeue budget, unless the twin races on.
+            let failed = r.code != 0 && r.code != CODE_REJECTED;
+            match if failed { Err(None) } else { self.gate(r).map_err(Some) } {
+                Ok(xf) => {
+                    // The store commit, then the journal record as the
+                    // commit point.
+                    io(self.store.commit(r), "commit a forecast")?;
+                    let attempts = self.ledger.complete(m);
+                    self.append(JournalRecord::MemberCompleted { member: m, attempts })?;
+                    self.setup.validator.iter_mut().for_each(|v| v.note_decided(m, &xf));
+                    self.m_ingested.inc();
+                    self.task_instant("pool", "result_ingested", task, &[]);
+                    self.note_trace_batch(task);
+                    self.runtime = (self.runtime.0 + ran, self.runtime.1 + 1);
+                    if let Some(open) = self.races.remove(&m) {
+                        let report = &mut self.report;
+                        let (score, name) = match open != Some(r.epoch) {
+                            true => (&mut report.speculative_wins, "speculative_win"),
+                            false => (&mut report.speculative_losses, "speculative_loss"),
+                        };
+                        *score += 1;
+                        self.task_instant("fault", name, task, &[]);
                     }
-                    Err((reason, why)) => {
+                }
+                Err(refused) => {
+                    if let Some((reason, why)) = &refused {
                         // The replacement runs at the next epoch, so the
                         // quarantined bytes can never race it in.
-                        self.quarantine(m, reason, &why)?;
+                        self.quarantine(m, *reason, why)?;
                         self.m_quarantined.inc();
-                        let extra = [("reason", reason as u64)];
-                        self.task_instant("fault", "member_quarantined", task, &extra);
+                        self.report.quarantined += 1;
+                        self.task_instant(
+                            "fault",
+                            "member_quarantined",
+                            task,
+                            &[("reason", *reason as u64)],
+                        );
+                    }
+                    if original {
+                        // The twin carries the member on.
+                        self.races.insert(m, None);
+                    } else if let Some((reason, _)) = refused {
                         if self.requeue(m, Budget::Requeues, CODE_QUARANTINE_BUDGET, now)? {
-                            let next = (m, r.epoch + 1);
-                            self.task_instant("pool", "replacement_scheduled", next, &extra);
-                        } else {
-                            self.quarantined_lost += 1;
+                            let extra = [("reason", reason as u64)];
+                            self.task_instant(
+                                "pool",
+                                "replacement_scheduled",
+                                (m, self.epoch(m)),
+                                &extra,
+                            );
                         }
+                    } else {
+                        self.requeue(m, Budget::Attempts, r.code, now)?;
                     }
                 }
             }
@@ -625,27 +873,37 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         for c in claims {
             let task = (c.spec.member, c.spec.epoch);
             let (m, epoch) = task;
-            if self.ledger.decided(m) || epoch != self.epoch(m) {
+            let original = self.races.get(&m) == Some(&Some(epoch));
+            if self.ledger.decided(m) || (epoch != self.epoch(m) && !original) {
                 // A leftover of an ingested or requeued incarnation.
                 io(self.pool.remove_claim(&c.spec), "remove a claim")?;
+                self.claimed_at.remove(&task);
                 continue;
             }
             let counter = c.heartbeat.map(|hb| hb.counter);
             match self.watch.observe(m, epoch, counter, now_ms, self.setup.lease_ms) {
                 LeaseState::Granted => {
                     self.m_granted.inc();
+                    self.claimed_at.insert(task, now);
                     self.task_instant("pool", "lease_granted", task, &[]);
                 }
                 LeaseState::Renewed => self.m_renewed.inc(),
                 LeaseState::Held => {}
                 LeaseState::Expired => {
                     self.m_expired.inc();
+                    self.report.timeouts += 1;
                     self.task_instant("pool", "lease_expired", task, &[]);
-                    eprintln!("esse_master: lease expired for member {m} (epoch {epoch})");
+                    say!(self.setup.progress, Warn, "lease expired for member {m} (epoch {epoch})");
                     // Successor first, then the dead claim: the member
-                    // always has an incarnation in the pool.
-                    self.requeue(m, Budget::Requeues, CODE_LEASE_BUDGET, now)?;
+                    // always has an incarnation in the pool. A raced
+                    // original just leaves the race to its twin.
+                    if original {
+                        self.races.insert(m, None);
+                    } else {
+                        self.requeue(m, Budget::Requeues, CODE_LEASE_BUDGET, now)?;
+                    }
                     io(self.pool.remove_claim(&c.spec), "remove a claim")?;
+                    self.claimed_at.remove(&task);
                     self.watch.forget(m);
                 }
             }
@@ -653,10 +911,11 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         Ok(())
     }
 
-    /// Step 3: seed the members below `target` that are neither decided,
+    /// Step 3: seed the members below `ceiling` that are neither decided,
     /// outstanding, nor held back by a retry backoff.
-    fn seed(&mut self, target: u64, now: Duration) -> Result {
-        for m in self.ledger.seedable(target, now) {
+    fn seed(&mut self, ceiling: u64, now: Duration) -> Result {
+        self.planned = ceiling;
+        for m in self.ledger.seedable(self.planned, now) {
             if !self.outstanding.contains(&m) {
                 self.issue_epoch(m)?;
             }
@@ -664,12 +923,86 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         Ok(())
     }
 
+    /// The seed ceiling once `stage` is open: `ceil(pool_factor · stage)`.
+    fn target(&self, stage: u64) -> u64 {
+        let over = (stage as f64 * self.setup.pool_factor).ceil() as u64;
+        self.planned.max(over).max(stage)
+    }
+
+    /// A claim running this long is a straggler; `None` without
+    /// speculation or before two runtimes are known.
+    fn straggler_threshold(&self) -> Option<Duration> {
+        let (retry, (sum, n)) = (&self.setup.retry, self.runtime);
+        (retry.speculative && n >= 2).then(|| (sum / n).mul_f64(retry.speculation_factor))
+    }
+
+    /// Race each straggler with a twin at the member's next epoch; the
+    /// original claim stays live and whichever lands first is ingested.
+    fn speculate(&mut self, claims: &[ClaimScan], now: Duration) -> Result {
+        let Some(limit) = self.straggler_threshold() else { return Ok(()) };
+        for c in claims {
+            let (m, epoch) = (c.spec.member, c.spec.epoch);
+            let Some(&since) = self.claimed_at.get(&(m, epoch)) else { continue };
+            let racing = self.races.contains_key(&m);
+            if racing || epoch != self.epoch(m) || now.saturating_sub(since) <= limit {
+                continue;
+            }
+            self.races.insert(m, Some(epoch));
+            self.report.speculative_launches += 1;
+            self.issue_epoch(m)?;
+            self.task_instant("fault", "speculative_launch", (m, epoch + 1), &[]);
+        }
+        Ok(())
+    }
+
+    /// Stop issuing work (convergence or the deadline): close the ledger
+    /// and cancel what is pending. After a deadline or under
+    /// `CancelImmediately` every undecided member is abandoned now;
+    /// otherwise the next step's [`sweep`](Self::sweep) picks the claims
+    /// to drain.
+    fn halt(&mut self, now: Duration) -> Result {
+        self.halted_at = Some(now);
+        self.ledger.close();
+        if self.deadline_expired || self.setup.completion == CompletionPolicy::CancelImmediately {
+            self.sweep(&[]);
+        }
+        self.cancelled_tasks = io(self.pool.cancel_pending(), "cancel pending tasks")?;
+        io(self.pool.write_cancel(), "write the CANCEL tombstone")
+    }
+
+    /// Abandon every undecided member but those whose claim the
+    /// completion policy keeps: `UseCompleted` keeps every live claim,
+    /// `SpareNearlyDone(f)` those granted ≥ f × the mean runtime before
+    /// the halt.
+    fn sweep(&mut self, claims: &[ClaimScan]) {
+        self.swept = true;
+        let halted_at = self.halted_at.unwrap_or_default();
+        let (sum, n) = self.runtime;
+        let mean = sum.checked_div(n).unwrap_or_default().as_secs_f64();
+        let keeps = |since: Duration| match self.setup.completion {
+            CompletionPolicy::CancelImmediately => false,
+            CompletionPolicy::UseCompleted => true,
+            CompletionPolicy::SpareNearlyDone(f) => {
+                halted_at.saturating_sub(since).as_secs_f64() >= f * mean
+            }
+        };
+        let claimed = |c: &&ClaimScan| self.claimed_at.get(&(c.spec.member, c.spec.epoch)).copied();
+        let kept: HashSet<u64> = claims
+            .iter()
+            .filter(|c| claimed(c).is_some_and(keeps))
+            .map(|c| c.spec.member)
+            .collect();
+        for m in (0..self.planned).filter(|m| !kept.contains(m)) {
+            self.ledger.decide(m, Fate::Abandoned);
+        }
+    }
+
     /// Step 4: the SVD + convergence test at decided-prefix checkpoints.
-    fn checkpoints(&mut self) -> Result {
+    fn checkpoints(&mut self, now: Duration) -> Result {
         let eligible = self.ledger.prefix_eligible();
         for cp in self.cps.clone() {
             let c = cp as u64;
-            if self.conv.converged() {
+            if self.conv.converged() || self.deadline_expired {
                 break;
             }
             if self.fired.contains(&c) || eligible.len() < cp {
@@ -682,9 +1015,9 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
                 self.previous = match self.last_fired {
                     None => None,
                     Some(p) => {
-                        let ids = &eligible[..p as usize];
-                        let Some(update) = subspace_over(self.store, self.setup.central, ids)?
-                        else {
+                        let mut est = new_estimator(&self.setup, &SubspaceStrategy::FullRecompute);
+                        fold_members(est.as_mut(), self.store, &eligible[..p as usize])?;
+                        let Some(update) = estimate(est.as_mut())? else {
                             let why = format!("cannot rebuild the estimate of checkpoint {p}");
                             return Err(CoordError::Failed(why));
                         };
@@ -692,20 +1025,27 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
                     }
                 };
             }
-            let Setup { strategy, central, .. } = &self.setup;
-            let est = self.estimator.get_or_insert_with(|| new_estimator(strategy, central));
+            let (t0, started) = (self.setup.rec.now_ns(), Instant::now());
+            let setup = &self.setup;
+            let est = self.estimator.get_or_insert_with(|| new_estimator(setup, &setup.strategy));
             let folded = est.count();
             fold_members(est.as_mut(), self.store, &eligible[folded..cp])?;
             let Some(update) = estimate(est.as_mut())? else {
                 break;
             };
-            let args = vec![("members", c.into()), ("defect", update.defect.into())];
-            self.instant("svd", update.kind.label(), args);
+            if self.setup.strategy == SubspaceStrategy::FullRecompute {
+                eligible[folded..cp].iter().for_each(|&m| self.store.release(m));
+            }
+            self.rounds += 1;
+            self.svd_span((t0, started.elapsed()), c, &update);
             let mut round_rho = f64::NAN;
             if let Some((_, prev)) = &self.previous {
                 let rho = similarity(prev, &update.subspace);
                 round_rho = rho;
-                println!("esse_master: N={cp} rho={rho:.4} (tol {:.3})", self.conv.tol);
+                self.m_rho.set(rho);
+                say!(self.setup.progress, Info, "N={cp} rho={rho:.4} (tol {:.3})", self.conv.tol);
+                let args = vec![("rho", rho.into()), ("members", c.into())];
+                self.instant("svd", "convergence_check", args);
                 if finite_stat(rho).is_pass() && self.conv.check(rho) {
                     self.converged_members = Some(c);
                 }
@@ -714,8 +1054,8 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             // commit point (§4.1).
             self.svd_version += 1;
             let version = self.svd_version;
-            let bytes = subspace_to_bytes(&update.subspace);
-            io(self.store.publish_covariance(&bytes, version), "publish a checkpoint")?;
+            let published = self.store.publish_covariance(&update.subspace, version);
+            io(published, "publish a checkpoint")?;
             self.append(JournalRecord::SvdPublished { members: c, version, rho: round_rho })?;
             let args = vec![("members", c.into()), ("version", version.into())];
             self.instant("svd", "svd_published", args);
@@ -724,16 +1064,139 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             self.previous = Some((c, update.subspace));
             if self.conv.converged() {
                 self.append(JournalRecord::Converged { members: c, rho: round_rho })?;
-                self.cancelled_tasks = io(self.pool.cancel_pending(), "cancel pending tasks")?;
-                io(self.pool.write_cancel(), "write the CANCEL tombstone")?;
-                println!(
-                    "esse_master: converged; cancelled {} queued members",
-                    self.cancelled_tasks
-                );
-                let args = vec![("members", c.into()), ("rho", round_rho.into())];
-                self.instant("convergence", "converged", args);
+                self.halt(now)?;
+                let cancelled = self.cancelled_tasks;
+                say!(self.setup.progress, Info, "converged; cancelled {cancelled} queued members");
+                let args = vec![("rho", round_rho.into()), ("members", c.into())];
+                self.instant("workflow", "converged", args);
             }
         }
+        // Past the last checkpoint the posterior only extends the decided
+        // prefix: fold it as it grows, so the store need not hold it.
+        let last = self.cps.last().is_some_and(|&c| self.fired.contains(&(c as u64)));
+        let full = self.setup.strategy == SubspaceStrategy::FullRecompute;
+        if let Some(est) =
+            self.estimator.as_mut().filter(|_| last && full && !self.conv.converged())
+        {
+            let rest = &eligible[est.count()..];
+            fold_members(est.as_mut(), self.store, rest)?;
+            rest.iter().for_each(|&m| self.store.release(m));
+        }
         Ok(())
+    }
+
+    /// The `svd/svd` span of one checkpoint estimate that began at `t0`
+    /// and `took` so long, with the update flavour nested inside, and its
+    /// meters.
+    fn svd_span(&self, (t0, took): (u64, Duration), members: u64, update: &SubspaceUpdate) {
+        let (rec, lane, took) = (self.setup.rec, Lane::Coordinator, took.as_nanos() as u64);
+        let (inner, timing) = match update.kind {
+            UpdateKind::Incremental => ("subspace_update", &self.m_update),
+            _ => ("subspace_refresh", &self.m_refresh),
+        };
+        timing.observe(took);
+        self.m_defect.set(update.defect);
+        if rec.enabled() {
+            let args =
+                vec![("defect", update.defect.into()), ("error_bound", update.error_bound.into())];
+            rec.begin_at(t0, lane, "svd", "svd", vec![("members", members.into())]);
+            rec.begin_at(t0, lane, "svd", inner, args);
+            rec.end_at(t0 + took, lane, "svd", inner);
+            rec.end_at(t0 + took, lane, "svd", "svd");
+            rec.observe("svd", took);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::Checkpoint;
+    use crate::mem::MemPool;
+    use esse_core::format::subspace_to_bytes;
+    use esse_obs::recorder::NULL;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const DIM: usize = 12;
+
+    /// A member forecast: a pure function of its seed.
+    fn forecast(seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..DIM).map(|i| rng.gen::<f64>() / (1.0 + i as f64)).collect()
+    }
+
+    /// Run a 4 → 16 schedule over the in-memory ports with an inline
+    /// worker that fails every attempt of `lost`; return the posterior
+    /// bytes, those of a fresh full recompute over the same ids, whether
+    /// the run converged, and whether the first id's forecast was
+    /// released from memory once folded.
+    fn posterior_against_fresh(
+        tolerance: f64,
+        lost: Option<u64>,
+    ) -> (Vec<u8>, Vec<u8>, bool, bool) {
+        let prior = ErrorSubspace::isotropic(&mut StdRng::seed_from_u64(1), DIM, 3, 1.0);
+        let gen = PerturbationGenerator::new(&prior, Default::default());
+        let (central, metrics) = (vec![0.0; DIM], MetricsRegistry::new());
+        let (pool, journal) = (MemPool::new(1, &NULL, None).unwrap(), None::<&Checkpoint>);
+        let setup = Setup {
+            gen: &gen,
+            central: &central,
+            validator: None,
+            strategy: SubspaceStrategy::FullRecompute,
+            mode_rel_tol: 1e-4,
+            max_rank: 64,
+            linalg: LinalgCtx::default(),
+            schedule: EnsembleSchedule::new(4, 16),
+            stride: 4,
+            pool_factor: 1.0,
+            tolerance,
+            completion: CompletionPolicy::CancelImmediately,
+            deadline: None,
+            lease_ms: u64::MAX,
+            retry: RetryPolicy::disabled(),
+            requeue_budget: 0,
+            trace_run: 0,
+            incarnation: 1,
+            rec: &NULL,
+            metrics: &metrics,
+            progress: &quiet,
+        };
+        let state = JournalState::default();
+        let ports = (&pool, &journal, &pool);
+        let mut co = Coordinator::resume(&state, HashMap::new(), ports, setup).unwrap();
+        for tick in 0.. {
+            while let Some((spec, _)) = pool.claim(false) {
+                let code = if Some(spec.member) == lost { 3 } else { 0 };
+                let (member, epoch) = (spec.member, spec.epoch);
+                let rec = ResultRecord { member, epoch, code, pid: 0, fc_crc: 0, reason: 0 };
+                pool.publish(rec, (code == 0).then(|| forecast(spec.seed)));
+            }
+            if co.step(&pool.snapshot().0, Duration::from_millis(tick)).unwrap() {
+                break;
+            }
+        }
+        let ids = co.posterior_ids();
+        let got = subspace_to_bytes(&co.posterior().unwrap().subspace);
+        let mut fresh = new_estimator(&co.setup, &SubspaceStrategy::FullRecompute);
+        for &m in &ids {
+            fresh.add_member(m as usize, &forecast(gen.forecast_seed(m as usize)));
+        }
+        let want = subspace_to_bytes(&fresh.estimate().unwrap().unwrap().subspace);
+        (got, want, co.converged(), pool.read_forecast(ids[0]).is_err())
+    }
+
+    #[test]
+    fn the_posterior_extends_the_checkpoint_estimator_to_the_bytes_of_a_fresh_one() {
+        for (what, tolerance, lost, converges) in [
+            ("converged", 0.9, None, true),
+            ("unconverged", 1e-12, None, false),
+            ("a failed member in the prefix", 1e-12, Some(2), false),
+        ] {
+            let (got, want, converged, released) = posterior_against_fresh(tolerance, lost);
+            assert_eq!(converged, converges, "{what}");
+            assert_eq!(got, want, "{what}: posterior bytes differ from a full recompute");
+            assert!(released, "{what}: a folded forecast stayed in memory");
+        }
     }
 }

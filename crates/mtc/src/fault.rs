@@ -421,11 +421,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Total recovery actions taken (retries + speculative launches).
-    pub fn recovery_actions(&self) -> usize {
-        self.retries + self.speculative_launches
-    }
-
     /// Did anything at all go wrong / get recovered?
     pub fn is_clean(&self) -> bool {
         *self == FaultReport::default()

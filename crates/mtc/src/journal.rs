@@ -20,12 +20,13 @@
 //!   killing the coordinator at an arbitrary byte offset recoverable.
 //! * [`Checkpoint`] — a journal plus per-member result blobs (state
 //!   vectors in the one `ESV2` encoding, [`esse_core::format`]) in one
-//!   directory, the durable mirror of the in-memory differ. The engine
-//!   ([`crate::workflow::MtcEsse::with_checkpoint`]) records each
-//!   completed member; [`Checkpoint::open`] validates every blob
-//!   against its CRC, quarantines corrupt files, and hands back a
-//!   [`ResumeState`] that [`crate::workflow::RunInit::resuming`] can
-//!   rehydrate — completed members are never re-run.
+//!   directory, the journal port of an in-process run
+//!   ([`crate::workflow::MtcEsse::with_checkpoint`]), whose store writes
+//!   each completed member's blob before the record that commits it.
+//!   [`Checkpoint::open`] validates every blob against its CRC and
+//!   quarantines corrupt files; the next run with the checkpoint
+//!   resumes through `Coordinator::resume` — completed members are
+//!   never re-run.
 
 use esse_core::durable::codec::{frame, magic, CodecError, Reader, Writer};
 use esse_core::durable::{atomic_write, fsync_dir};
@@ -444,13 +445,6 @@ impl JournalState {
     pub fn rho_history(&self) -> Vec<f64> {
         self.svd_rounds.iter().map(|r| r.rho).filter(|r| r.is_finite()).collect()
     }
-
-    /// Member count at the latest SVD publication (0 if none ran yet):
-    /// the resumed coordinator uses it to continue the SVD cadence
-    /// exactly where the dead one left off.
-    pub fn last_svd_members(&self) -> u64 {
-        self.svd_rounds.last().map_or(0, |r| r.members)
-    }
 }
 
 /// Fingerprint a run configuration as FNV-1a over canonical
@@ -470,21 +464,6 @@ pub fn config_hash(parts: &[(&str, String)]) -> u64 {
 // ---------------------------------------------------------------------
 // Checkpoint: journal + member result blobs in one directory.
 // ---------------------------------------------------------------------
-
-/// What [`Checkpoint::open`] recovered for the engine to resume from.
-#[derive(Debug, Clone, Default)]
-pub struct ResumeState {
-    /// Completed members with validated results, ascending by id —
-    /// feed to [`crate::workflow::RunInit::resuming`].
-    pub completed: Vec<(usize, Vec<f64>)>,
-    /// Members recorded as permanently failed.
-    pub failed: Vec<usize>,
-    /// Members whose blobs failed validation and were quarantined this
-    /// open (they must be re-run).
-    pub quarantined: Vec<usize>,
-    /// The journal fold (SVD cadence, convergence, completion flags).
-    pub state: JournalState,
-}
 
 /// A checkpoint directory: `run.journal` + one blob per completed
 /// member + a `quarantine/` corner for files that failed validation.
@@ -521,71 +500,36 @@ impl Checkpoint {
     }
 
     /// Open an existing checkpoint: replay the journal (truncating a
-    /// torn tail), refuse a configuration-hash mismatch, validate every
-    /// completed member's blob, quarantine the corrupt ones (journaled
-    /// as [`JournalRecord::MemberQuarantined`] so the next incarnation
-    /// knows too), and return the state to resume from.
-    pub fn open(dir: impl AsRef<Path>, expect_hash: u64) -> io::Result<(Checkpoint, ResumeState)> {
+    /// torn tail) and refuse a configuration-hash mismatch. A run on it
+    /// resumes through `Coordinator::resume`, which re-validates every
+    /// completed member's blob and quarantines (and journals) the corrupt
+    /// ones.
+    pub fn open(dir: impl AsRef<Path>, expect_hash: u64) -> io::Result<(Checkpoint, JournalState)> {
         let dir = dir.as_ref().to_path_buf();
         let (journal, replay) = Journal::open(dir.join(Self::JOURNAL))?;
         let state = JournalState::replay(&replay.records);
         match state.config_hash {
-            Some(h) if h == expect_hash => {}
-            Some(h) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "checkpoint config hash mismatch: journal {h:#018x}, expected {expect_hash:#018x} — refusing to mix runs"
-                    ),
-                ));
-            }
-            None => {
-                return Err(corrupt("no RunStart record survived replay"));
-            }
+            Some(h) if h == expect_hash => Ok((Checkpoint { dir, journal }, state)),
+            Some(h) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint config hash mismatch: journal {h:#018x}, expected \
+                     {expect_hash:#018x} — refusing to mix runs"
+                ),
+            )),
+            None => Err(corrupt("no RunStart record survived replay")),
         }
-        let ck = Checkpoint { dir, journal };
-        let mut out = ResumeState { state: state.clone(), ..ResumeState::default() };
-        out.failed = state.failed.iter().map(|&m| m as usize).collect();
-        for &(member, _attempts) in &state.completed {
-            let member = member as usize;
-            let path = Self::member_path(&ck.dir, member);
-            match fs::read(&path).and_then(|raw| vector_from_bytes(&raw)) {
-                Ok(data) => out.completed.push((member, data)),
-                Err(_) => {
-                    ck.quarantine(member)?;
-                    out.quarantined.push(member);
-                }
-            }
-        }
-        // The journal fold in `out.state` should reflect the
-        // quarantines we just performed.
-        for &m in &out.quarantined {
-            let m = m as u64;
-            if let Ok(i) = out.state.completed.binary_search_by_key(&m, |(id, _)| *id) {
-                out.state.completed.remove(i);
-            }
-            if let Err(i) = out.state.quarantined.binary_search(&m) {
-                out.state.quarantined.insert(i, m);
-            }
-        }
-        Ok((ck, out))
     }
 
-    /// Move a member's (invalid) blob to `quarantine/` and journal it.
-    fn quarantine(&self, member: usize) -> io::Result<()> {
-        let src = Self::member_path(&self.dir, member);
+    /// Move member `member`'s blob, if any, to `quarantine/`.
+    pub fn quarantine_member(&self, member: u64) -> io::Result<()> {
+        let src = Self::member_path(&self.dir, member as usize);
         if src.exists() {
             let qdir = self.dir.join(Self::QUARANTINE);
             fs::create_dir_all(&qdir)?;
             fs::rename(&src, qdir.join(format!("member_{member}.ck")))?;
         }
-        self.record_quarantined(member, esse_core::validate::Reason::CorruptPayload.code())
-    }
-
-    /// Journal a semantic quarantine decision (validator verdict at
-    /// ingestion) so resume replays the same decision bit-for-bit.
-    pub fn record_quarantined(&self, member: usize, reason: u32) -> io::Result<()> {
-        self.journal.append(&JournalRecord::MemberQuarantined { member: member as u64, reason })
+        Ok(())
     }
 
     /// The checkpoint directory.
@@ -598,28 +542,29 @@ impl Checkpoint {
         &self.journal
     }
 
-    /// Durably record a completed member: the result blob is published
-    /// atomically first, then the journal record commits it. A crash
-    /// between the two leaves an unreferenced blob, which is harmless —
-    /// replay treats the member as incomplete and re-runs it.
-    pub fn record_member(&self, member: usize, attempts: u32, data: &[f64]) -> io::Result<()> {
-        atomic_write(Self::member_path(&self.dir, member), &vector_to_bytes(data))?;
-        self.journal.append(&JournalRecord::MemberCompleted { member: member as u64, attempts })
+    /// The fold of the journal as it stands on disk.
+    pub fn state(&self) -> io::Result<JournalState> {
+        Ok(JournalState::replay(&Journal::replay(self.dir.join(Self::JOURNAL))?.records))
     }
 
-    /// Record a permanent member failure.
-    pub fn record_failed(&self, member: usize, code: i32) -> io::Result<()> {
-        self.journal.append(&JournalRecord::MemberFailed { member: member as u64, code })
+    /// Durably publish member `member`'s result blob. The journal record
+    /// that commits it comes after: a crash between the two leaves an
+    /// unreferenced blob, which is harmless — replay treats the member
+    /// as incomplete and re-runs it.
+    pub fn write_member(&self, member: u64, data: &[f64]) -> io::Result<()> {
+        atomic_write(Self::member_path(&self.dir, member as usize), &vector_to_bytes(data))
     }
 
-    /// Record an SVD publication.
-    pub fn record_svd(&self, members: usize, version: u64, rho: f64) -> io::Result<()> {
-        self.journal.append(&JournalRecord::SvdPublished { members: members as u64, version, rho })
+    /// Member `member`'s result blob, checked against its CRC.
+    pub fn read_member(&self, member: u64) -> io::Result<Vec<f64>> {
+        vector_from_bytes(&fs::read(Self::member_path(&self.dir, member as usize))?)
     }
+}
 
-    /// Record convergence.
-    pub fn record_converged(&self, members: usize, rho: f64) -> io::Result<()> {
-        self.journal.append(&JournalRecord::Converged { members: members as u64, rho })
+/// The checkpoint journal as a coordinator's journal port.
+impl crate::coordinator::JournalPort for Checkpoint {
+    fn append(&self, rec: &JournalRecord) -> io::Result<()> {
+        self.journal.append(rec)
     }
 }
 
@@ -751,7 +696,7 @@ mod tests {
         assert_eq!(st.quarantine_reasons, vec![(3, 0), (5, 3)]);
         assert_eq!(st.svd_rounds.len(), 2);
         assert_eq!(st.rho_history(), vec![0.97]);
-        assert_eq!(st.last_svd_members(), 4);
+        assert_eq!(st.svd_rounds.last().map(|r| r.members), Some(4));
         assert_eq!(st.converged, Some((8, 0.995)));
         assert_eq!(st.complete, Some(8));
         // Epoch high-water keeps the max ever issued, per member.
@@ -781,10 +726,13 @@ mod tests {
         let dir = tmpdir("ckpt");
         let hash = config_hash(&[("domain", "toy".into()), ("n", "8".into())]);
         let ck = Checkpoint::create(&dir, hash).unwrap();
-        ck.record_member(0, 1, &[1.0, 2.0]).unwrap();
-        ck.record_member(2, 1, &[3.0, 4.0]).unwrap();
-        ck.record_failed(1, 3).unwrap();
-        ck.record_svd(2, 1, f64::NAN).unwrap();
+        for (member, data) in [(0, [1.0, 2.0]), (2, [3.0, 4.0])] {
+            ck.write_member(member, &data).unwrap();
+            ck.journal().append(&JournalRecord::MemberCompleted { member, attempts: 1 }).unwrap();
+        }
+        ck.journal().append(&JournalRecord::MemberFailed { member: 1, code: 3 }).unwrap();
+        let svd = JournalRecord::SvdPublished { members: 2, version: 1, rho: f64::NAN };
+        ck.journal().append(&svd).unwrap();
         drop(ck);
         // Corrupt member 2's blob.
         let p = Checkpoint::member_path(&dir, 2);
@@ -793,16 +741,19 @@ mod tests {
         raw[mid] ^= 0x01;
         fs::write(&p, raw).unwrap();
 
-        let (_ck, resume) = Checkpoint::open(&dir, hash).unwrap();
-        assert_eq!(resume.completed, vec![(0, vec![1.0, 2.0])]);
-        assert_eq!(resume.failed, vec![1]);
-        assert_eq!(resume.quarantined, vec![2]);
+        let (ck, state) = Checkpoint::open(&dir, hash).unwrap();
+        assert_eq!(state.completed, vec![(0, 1), (2, 1)]);
+        assert_eq!(state.failed, vec![1]);
+        assert_eq!(ck.read_member(0).unwrap(), vec![1.0, 2.0]);
+        assert!(ck.read_member(2).is_err(), "a corrupt blob must not read back");
+        ck.quarantine_member(2).unwrap();
         assert!(dir.join(Checkpoint::QUARANTINE).join("member_2.ck").exists());
         assert!(!p.exists());
-        // A second open sees the quarantine record and doesn't re-quarantine.
-        let (_ck, resume2) = Checkpoint::open(&dir, hash).unwrap();
-        assert!(resume2.quarantined.is_empty());
-        assert_eq!(resume2.state.quarantined, vec![2]);
+        assert_eq!(
+            ck.state().unwrap().completed,
+            state.completed,
+            "moving a blob journals nothing"
+        );
     }
 
     #[test]

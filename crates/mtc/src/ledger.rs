@@ -8,17 +8,14 @@
 //! charged to, how long a failed member is held back, whether it was
 //! ever quarantined, whether its fate is decided. It does no I/O and
 //! owns no clock, thread, recorder or journal — time is a [`Duration`]
-//! on the caller's run clock — so the in-process engine
-//! ([`crate::workflow`]) and the process-fleet master (`esse_master`)
-//! run the same rules over their own channels, files and journals, and
-//! a test can drive any event sequence through it directly.
+//! on the caller's run clock — so [`crate::coordinator`] asks it the
+//! same questions over a fleet or a crew, and a test can drive any event
+//! sequence through it directly.
 //!
-//! A member's life: [`issue`](MemberLedger::issue)d attempts come back
-//! ([`landed`](MemberLedger::landed)) and either
-//! [`complete`](MemberLedger::complete) the member or are
-//! [`lose`](MemberLedger::lose)d. Every loss — a failed exit code, a
-//! timeout, a quarantined payload, an expired lease — gets one answer,
-//! a [`Loss`].
+//! A member's attempts either [`complete`](MemberLedger::complete) it or
+//! are [`lose`](MemberLedger::lose)d. Every loss — a failed exit code, a
+//! quarantined payload, an expired lease or task timeout — gets one
+//! answer, a [`Loss`].
 
 use crate::fault::RetryPolicy;
 use rand::rngs::StdRng;
@@ -44,9 +41,7 @@ pub enum Budget {
 /// The ledger's answer to the loss of one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loss {
-    /// Nothing to do and nothing charged: another attempt of the
-    /// member is still in flight and decides its fate, or the fate is
-    /// already decided.
+    /// Nothing to do and nothing charged: the fate is already decided.
     Covered,
     /// Issue the member again once `after` has passed (zero under
     /// [`Budget::Requeues`]); until then [`MemberLedger::seedable`]
@@ -83,10 +78,6 @@ pub struct Member {
     pub attempts: u32,
     /// Charges against [`Budget::Requeues`].
     pub requeues: u32,
-    /// Attempts handed out so far; the next attempt's index.
-    pub issued: u32,
-    /// Attempts currently out.
-    pub in_flight: u32,
     /// Backoff hold: not seedable before this time on the run clock.
     pub ready_at: Duration,
     /// A payload of the member was quarantined at least once.
@@ -108,11 +99,6 @@ impl Member {
     pub fn replaced(&self) -> bool {
         self.quarantined && self.completed().is_some()
     }
-
-    /// Undecided with nothing in flight: waiting to be issued.
-    fn parked(&self) -> bool {
-        self.fate.is_none() && self.in_flight == 0
-    }
 }
 
 /// Per-member lifecycle state of one run.
@@ -123,7 +109,6 @@ pub struct MemberLedger {
     /// Backoff jitter stream; advanced only when a reissue is held.
     rng: StdRng,
     members: BTreeMap<u64, Member>,
-    in_flight: usize,
     closed: bool,
 }
 
@@ -134,7 +119,7 @@ impl MemberLedger {
     pub fn new(retry: RetryPolicy, requeue_budget: u32, jitter_seed: u64) -> MemberLedger {
         let rng = StdRng::seed_from_u64(jitter_seed);
         let members = BTreeMap::new();
-        MemberLedger { retry, requeue_budget, rng, members, in_flight: 0, closed: false }
+        MemberLedger { retry, requeue_budget, rng, members, closed: false }
     }
 
     /// Member `m`'s entry as it stands.
@@ -144,33 +129,6 @@ impl MemberLedger {
 
     fn entry(&mut self, m: u64) -> &mut Member {
         self.members.entry(m).or_default()
-    }
-
-    /// Hand out one attempt of `m` (first issue, reissue or a racing
-    /// twin) and return its index, counting from 0.
-    pub fn issue(&mut self, m: u64) -> u32 {
-        self.in_flight += 1;
-        let e = self.entry(m);
-        e.in_flight += 1;
-        e.issued += 1;
-        e.issued - 1
-    }
-
-    /// Hand out a speculative twin of an attempt still in flight. The
-    /// duplicate is paid for up front from [`Budget::Attempts`].
-    pub fn issue_twin(&mut self, m: u64) -> u32 {
-        self.entry(m).attempts += 1;
-        self.issue(m)
-    }
-
-    /// One attempt of `m` came back or was withdrawn unrun. Says
-    /// nothing about the member's fate.
-    pub fn landed(&mut self, m: u64) {
-        let e = self.members.entry(m).or_default();
-        if e.in_flight > 0 {
-            e.in_flight -= 1;
-            self.in_flight -= 1;
-        }
     }
 
     /// Decide `m`'s fate; a fate already decided stands.
@@ -202,7 +160,7 @@ impl MemberLedger {
     /// this loss turns out to be the member's last.
     pub fn lose(&mut self, m: u64, budget: Budget, code: i32, now: Duration) -> Loss {
         let e = self.members.entry(m).or_default();
-        if !e.parked() {
+        if e.fate.is_some() {
             return Loss::Covered;
         }
         let spent = match budget {
@@ -245,22 +203,17 @@ impl MemberLedger {
         prefix.filter(|&m| self.member(m).completed().is_some()).collect()
     }
 
-    /// Members below `target` that are undecided with nothing in
-    /// flight: waiting to be issued, held back or not.
+    /// Undecided members below `target`, held back or not.
     pub fn parked(&self, target: u64) -> impl Iterator<Item = u64> + '_ {
-        (0..target).filter(|&m| self.member(m).parked())
+        (0..target).filter(|&m| !self.decided(m))
     }
 
     /// The [`parked`](Self::parked) members whose backoff hold has
-    /// passed at `now`: issue these. Empty once [`close`](Self::close)d.
+    /// passed at `now`: issue these (the caller skips those it has out).
+    /// Empty once [`close`](Self::close)d.
     pub fn seedable(&self, target: u64, now: Duration) -> Vec<u64> {
         let target = if self.closed { 0 } else { target };
         self.parked(target).filter(|&m| self.member(m).ready_at <= now).collect()
-    }
-
-    /// Attempts currently out, over all members.
-    pub fn in_flight_total(&self) -> usize {
-        self.in_flight
     }
 
     /// Members whose entry satisfies `pred`: the permanently failed,
@@ -291,9 +244,6 @@ mod tests {
     /// One event in the life of member 0, with what it must answer.
     #[derive(Clone, Copy)]
     enum Ev {
-        /// Issue an attempt; expect this attempt index.
-        Issue(u32),
-        Twin(u32),
         /// The clock reads this many milliseconds from here on.
         At(u32),
         /// An attempt lands and is lost to this budget under this code.
@@ -319,11 +269,8 @@ mod tests {
             3,
             0,
             &[
-                Issue(0),
                 Lose(Attempts, EXIT, after(2)),
-                Issue(1),
                 Lose(Attempts, EXIT, after(4)),
-                Issue(2),
                 Lose(Attempts, EXIT, Lost { code: EXIT }),
                 Charged(3, 0),
                 Seedable(false),
@@ -335,13 +282,13 @@ mod tests {
             "retries disabled: the first failure is the last",
             1,
             0,
-            &[Issue(0), Lose(Attempts, EXIT, Lost { code: EXIT })],
+            &[Lose(Attempts, EXIT, Lost { code: EXIT })],
         ),
         (
             "a quarantine charged to attempts (in process) finds no budget",
             1,
             2,
-            &[Issue(0), Lose(Attempts, QUARANTINE, Lost { code: QUARANTINE })],
+            &[Lose(Attempts, QUARANTINE, Lost { code: QUARANTINE })],
         ),
         (
             "a quarantine charged to requeues (the master) is replaced at once, lost only \
@@ -349,12 +296,9 @@ mod tests {
             1,
             2,
             &[
-                Issue(0),
                 Lose(Requeues, QUARANTINE, after(0)),
                 Seedable(true),
-                Issue(1),
                 Lose(Requeues, QUARANTINE, after(0)),
-                Issue(2),
                 Lose(Requeues, QUARANTINE, Lost { code: QUARANTINE }),
                 Charged(0, 3),
             ],
@@ -364,14 +308,10 @@ mod tests {
             2,
             16,
             &[
-                Issue(0),
                 Lose(Requeues, LEASE, after(0)),
-                Issue(1),
                 Lose(Requeues, LEASE, after(0)),
                 Charged(0, 2),
-                Issue(2),
                 Lose(Attempts, EXIT, after(2)),
-                Issue(3),
                 Complete(2),
                 Charged(1, 2),
             ],
@@ -382,38 +322,32 @@ mod tests {
             0,
             &[
                 Seedable(true),
-                Issue(0),
-                Seedable(false),
                 At(10),
                 Lose(Attempts, EXIT, after(2)),
                 At(11),
                 Seedable(false),
                 At(12),
                 Seedable(true),
-                Issue(1),
+                Complete(2),
                 Seedable(false),
             ],
         ),
         (
-            "a twin in flight covers a loss and is paid for up front",
+            "a decided member's late losses are covered and charge nothing",
             3,
             0,
             &[
-                Issue(0),
-                Twin(1),
-                Charged(1, 0),
+                Lose(Attempts, EXIT, after(2)),
+                Complete(2),
                 Lose(Attempts, EXIT, Covered),
                 Charged(1, 0),
-                Lose(Attempts, EXIT, after(4)),
-                Issue(2),
-                Complete(3),
             ],
         ),
         (
             "a closed ledger reissues nothing",
             5,
             0,
-            &[Issue(0), Close, Lose(Attempts, EXIT, Lost { code: EXIT }), Seedable(false)],
+            &[Close, Lose(Attempts, EXIT, Lost { code: EXIT }), Seedable(false)],
         ),
     ];
 
@@ -425,15 +359,11 @@ mod tests {
             for (step, ev) in script.iter().enumerate() {
                 let at = format!("{what}: step {step}");
                 match *ev {
-                    Issue(index) => assert_eq!(l.issue(0), index, "{at}"),
-                    Twin(index) => assert_eq!(l.issue_twin(0), index, "{at}"),
                     At(ms) => now = ms * MS,
                     Lose(budget, code, want) => {
-                        l.landed(0);
                         assert_eq!(l.lose(0, budget, code, now), want, "{at}");
                     }
                     Complete(attempts) => {
-                        l.landed(0);
                         assert_eq!(l.complete(0), attempts, "{at}");
                         assert_eq!(l.member(0).completed(), Some(attempts), "{at}");
                     }
@@ -452,8 +382,6 @@ mod tests {
     fn prefix_eligible_stops_at_the_first_undecided_member() {
         let mut l = ledger(1, 0);
         for m in [0, 1, 2, 4, 5] {
-            l.issue(m);
-            l.landed(m);
             l.mark_quarantined(m);
         }
         l.complete(0);
@@ -480,8 +408,8 @@ mod tests {
             let (max_attempts, requeue_budget) = (1 + (seed % 4) as u32, (seed % 3) as u32);
             let mut l = ledger(max_attempts, requeue_budget);
             let mut rng = StdRng::seed_from_u64(seed);
-            // Per member: the fate first seen, and twins launched.
-            let mut seen: Vec<(Option<Fate>, u32)> = vec![(None, 0); MEMBERS as usize];
+            // Per member: the fate first seen.
+            let mut seen: Vec<Option<Fate>> = vec![None; MEMBERS as usize];
             let (mut completed, mut failed) = (BTreeSet::new(), BTreeSet::new());
             for step in 0..400u32 {
                 let (now, at) = (step * MS, format!("seed {seed} step {step}"));
@@ -490,28 +418,20 @@ mod tests {
                 match rng.gen_range(0..8usize) {
                     0 | 1 => {
                         for s in l.seedable(MEMBERS, now) {
-                            assert!(l.member(s).fate.is_none() && l.member(s).in_flight == 0);
-                            l.issue(s);
+                            let e = l.member(s);
+                            assert!(e.fate.is_none() && e.ready_at <= now, "{at}");
                         }
                     }
-                    2 if was.in_flight == 1 && was.fate.is_none() => {
-                        l.issue_twin(m);
-                        seen[m as usize].1 += 1;
+                    2 | 3 if was.fate.is_none() => {
+                        l.complete(m);
+                        completed.insert(m);
+                        reached[3] += 1;
                     }
-                    3 if was.in_flight > 0 => {
-                        l.landed(m);
-                        if was.fate.is_none() {
-                            l.complete(m);
-                            completed.insert(m);
-                            reached[3] += 1;
-                        }
-                    }
-                    4 | 5 if was.in_flight > 0 => {
-                        l.landed(m);
+                    4 | 5 => {
                         let budget = if rng.gen::<bool>() { Attempts } else { Requeues };
                         match l.lose(m, budget, EXIT, now) {
                             Covered => {
-                                assert!(was.in_flight > 1 || was.fate.is_some(), "{at}");
+                                assert!(was.fate.is_some(), "{at}");
                                 reached[1] += 1;
                             }
                             Lost { code } => {
@@ -538,24 +458,20 @@ mod tests {
                             }
                         }
                     }
-                    6 if was.in_flight == 0 && rng.gen::<f64>() < 0.1 => {
-                        l.decide(m, Fate::Abandoned)
-                    }
+                    6 if rng.gen::<f64>() < 0.1 => l.decide(m, Fate::Abandoned),
                     _ => {}
                 }
                 // No member is both completed and failed.
                 assert!(completed.is_disjoint(&failed), "{at}");
                 assert_eq!(l.completed_ids().collect::<BTreeSet<_>>(), completed, "{at}");
                 assert_eq!(l.count(|e| e.fate == Some(Fate::Failed)), failed.len(), "{at}");
-                let in_flight: u32 = (0..MEMBERS).map(|m| l.member(m).in_flight).sum();
-                assert_eq!(l.in_flight_total(), in_flight as usize, "{at}");
-                for (m, (fate, twins)) in seen.iter_mut().enumerate() {
+                for (m, fate) in seen.iter_mut().enumerate() {
                     let e = l.member(m as u64);
                     // `decided` never reverts and a fate never changes.
                     assert!(fate.is_none() || *fate == e.fate, "{at}: member {m}");
                     *fate = e.fate;
                     // Charges never exceed the budget they went to.
-                    assert!(e.attempts <= max_attempts + *twins, "{at}: member {m}");
+                    assert!(e.attempts <= max_attempts, "{at}: member {m}");
                     assert!(e.requeues <= requeue_budget + 1, "{at}: member {m}");
                 }
                 // Ascending, and it stops at the first undecided id.

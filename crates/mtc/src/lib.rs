@@ -4,19 +4,16 @@
 //!
 //! Two halves, mirroring the paper:
 //!
-//! **The real thing** — two coordinators over one set of member rules.
-//! [`workflow`] implements the decoupled ESSE workflow of paper Fig. 4
-//! in one process: worker threads pulling perturb/forecast attempts, a
-//! continuously running differ, and a continuous SVD + convergence
-//! stage, as a receive loop over the steps `tick → on_done →
-//! svd_round → advance_stage → finish`. [`coordinator`] is the paper's
-//! master script over a fleet of workers, behind pool, journal and
-//! store ports; `esse_master` (in the `esse` package) runs it over the
-//! on-disk [`pool`], the [`journal`] and the safe/live covariance files
-//! ([`triple_buffer`]), and workers reach the pool from disk or, via
-//! [`transport`], over TCP. Both ask the [`ledger`] what the loss of an
-//! attempt costs, when a member is reissued and when it is lost for
-//! good.
+//! **The real thing** — one coordinator, two port sets.
+//! [`coordinator`] is the paper's master script behind pool, journal
+//! and store ports; it asks the [`ledger`] what the loss of an attempt
+//! costs, when a member is reissued and when it is lost for good.
+//! `esse_master` (in the `esse` package) runs it over the on-disk
+//! [`pool`], the [`journal`] and the safe/live covariance files
+//! ([`triple_buffer`]) for a fleet of worker processes, which reach the
+//! pool from disk or, via [`transport`], over TCP. [`workflow`] runs it
+//! in one process (paper Fig. 4) over the in-memory ports of [`mem`] and
+//! a crew of worker threads.
 //!
 //! **The simulator** — [`sim`] is a discrete-event model of the
 //! execution platforms the paper measured: the 240-core Opteron home
@@ -34,6 +31,7 @@ pub mod fault;
 pub mod journal;
 pub mod ledger;
 pub mod lock;
+pub mod mem;
 pub mod metrics;
 pub mod pool;
 pub mod staging;
@@ -58,7 +56,7 @@ pub mod sim {
 }
 
 pub use fault::{CorruptionKind, FaultPlan, FaultReport, RetryPolicy, RunHealth};
-pub use journal::{Checkpoint, Journal, JournalRecord, JournalState, ResumeState};
+pub use journal::{Checkpoint, Journal, JournalRecord, JournalState};
 pub use lock::{LockError, WorkdirLock};
 pub use pool::{
     Heartbeat, LeaseState, LeaseWatch, PoolManifest, PoolScan, ResultRecord, TaskPool, TaskSpec,
@@ -66,4 +64,4 @@ pub use pool::{
 pub use task::{TaskId, TaskOutcome, TaskRecord, TaskState};
 pub use transport::{ClaimOutcome, DiskTransport, PoolTransport, RenewAck, RunState};
 pub use triple_buffer::DiskTripleBuffer;
-pub use workflow::{MtcConfig, MtcConfigBuilder, MtcEsse, MtcOutcome, ReplayState, RunInit};
+pub use workflow::{MtcConfig, MtcConfigBuilder, MtcEsse, MtcOutcome, RunInit};

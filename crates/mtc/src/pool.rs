@@ -197,9 +197,8 @@ pub const CODE_LEASE_BUDGET: i32 = -9;
 /// `MemberFailed` code: the member kept failing semantic validation
 /// until its budget ran out (replacements could not heal it).
 pub const CODE_QUARANTINE_BUDGET: i32 = -10;
-/// `MemberFailed` code of the in-process engine, whose attempts end in
-/// an error value rather than an exit code: every attempt the retry
-/// policy allows failed or timed out.
+/// Result code of an in-process crew attempt, which ends in an error
+/// value rather than an exit code; a member lost to it journals it.
 pub const CODE_ATTEMPTS_EXHAUSTED: i32 = -11;
 /// `MemberFailed` code of the in-process engine: the member was waiting
 /// out a backoff when the last worker thread died.
@@ -822,6 +821,13 @@ impl LeaseWatch {
                 }
             }
         }
+    }
+
+    /// The first instant after `now_ms` at which a watched claim that
+    /// stays silent expires under `lease_ms`.
+    pub fn next_expiry(&self, lease_ms: u64, now_ms: u64) -> Option<u64> {
+        let expiries = self.seen.values().map(|&(_, since)| since.saturating_add(lease_ms));
+        expiries.filter(|&t| t > now_ms).min()
     }
 
     /// Drop all state for a member (its claim was removed or its result

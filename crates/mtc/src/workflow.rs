@@ -1,72 +1,35 @@
-//! The parallel ESSE workflow of paper Fig. 4, on real threads.
+//! The parallel ESSE workflow of paper Fig. 4 in one process.
 //!
-//! Structure (one box per paper concept):
-//!
-//! * **pool of ensemble calculations** — worker threads (`Crew::work`)
-//!   pull perturb/forecast task attempts from a channel; the pool is
-//!   over-provisioned (`M ≥ N`) so the SVD pipeline never drains;
-//! * **continuous differ** — the coordinator receives member results as
-//!   they arrive (any order) and accumulates difference columns;
-//! * **continuous SVD + convergence** — every `svd_stride` new members
-//!   the ensemble is decomposed on the coordinator's own thread and
-//!   compared with the previous subspace;
-//! * **cancellation** — on convergence the cancel flag stops idle
-//!   workers, pending tasks are drained, and the completion policy
-//!   decides what happens to members already computed or still running;
-//! * **failure recovery** — failed or timed-out attempts are requeued
-//!   with exponential backoff under the [`RetryPolicy`] budget, slow
-//!   members can be speculatively re-launched (first finisher wins),
-//!   and exhausted members degrade the run *explicitly*: the outcome
-//!   carries a [`RunHealth`] verdict, never a silent partial ensemble
-//!   (paper §4 point 3: losses are tolerable unless systematic — so
-//!   they must at least be visible).
-//!
-//! [`MtcEsse::run`] is a receive loop over the steps of its private
-//! coordinator state `Run`: `tick` (deadline, elapsed backoffs, pool
-//! death, straggler scan) → `on_done` (classify the attempt once and
-//! act on the ledger's answer; every lost attempt takes the one
-//! `attempt_lost` path) → `svd_round` → `advance_stage`, closed by
-//! `finish`. What a lost attempt costs, when a member is reissued and
-//! when it is lost for good is decided by the
-//! [`crate::ledger::MemberLedger`] — the same rules `esse_master` runs.
-//! This file keeps the threads, the channels and the four optional
-//! sinks: trace recorder and live meters (`Shared`), run journal
-//! (`Run::journal`) and validator.
+//! [`MtcEsse::run`] drives [`crate::coordinator::Coordinator`] — the
+//! master loop `esse_master` runs over a fleet — over the in-memory ports
+//! of [`crate::mem`] and a [`Crew`] of threads, stepping it whenever the
+//! pool changes or its next lease, backoff or deadline instant comes.
+//! This file keeps the configuration and turns the coordinator's
+//! verdicts into an [`MtcOutcome`] with an explicit [`RunHealth`].
 
-use crate::fault::{FaultKind, FaultPlan, FaultReport, RetryPolicy, RunHealth};
-use crate::journal::Checkpoint;
-use crate::ledger::{Budget, Fate, Loss, Member, MemberLedger};
-use crate::pool::{CODE_ATTEMPTS_EXHAUSTED, CODE_POOL_DIED, CODE_QUARANTINE_BUDGET};
-use crate::task::{TaskId, TaskOutcome, TaskRecord, TaskState};
-use crate::triple_buffer::DiskTripleBuffer;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::coordinator::{begin_incarnation, quiet, CoordError, Coordinator, Setup};
+use crate::fault::{FaultPlan, FaultReport, RetryPolicy, RunHealth};
+use crate::journal::{Checkpoint, JournalState};
+use crate::mem::{Crew, MemPool};
+use crate::pool::{CODE_POOL_DIED, CODE_QUARANTINE_BUDGET};
+use crate::task::TaskOutcome::{self, Wasted};
+use crate::task::TaskState::{Cancelled, Done};
+use crate::task::{TaskId, TaskRecord};
 use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
-use esse_core::convergence::{similarity, ConvergenceTest};
-use esse_core::format::subspace_to_bytes;
-use esse_core::model::{ForecastError, ForecastModel};
+use esse_core::model::ForecastModel;
 use esse_core::perturb::{PerturbConfig, PerturbationGenerator};
-use esse_core::subspace::{
-    make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy, SubspaceUpdate, UpdateKind,
-};
-use esse_core::validate::{ForecastValidator, Reason, Verdict};
+use esse_core::subspace::{ErrorSubspace, SubspaceStrategy};
+use esse_core::validate::ForecastValidator;
 use esse_core::{ConfigError, EsseError};
 use esse_linalg::LinalgCtx;
-use esse_obs::registry::{Counter, Gauge, Histogram, MetricsRegistry};
-use esse_obs::{ArgValue, Event, EventKind, Lane, Recorder, NULL};
-use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use esse_obs::registry::MetricsRegistry;
+use esse_obs::{Lane, Recorder, RecorderExt, NULL};
+use std::collections::HashSet;
+use std::sync::Mutex;
+use std::time::Duration;
 
-/// Duration since workflow start as trace nanoseconds.
-fn ns(d: Duration) -> u64 {
-    d.as_nanos() as u64
-}
-
-/// Configuration of the MTC workflow.
-///
-/// Prefer [`MtcConfig::builder`] for new code: it validates the
-/// combination before the engine ever sees it. Struct construction with
-/// `..Default::default()` keeps working for mechanical migration.
+/// Configuration of the MTC workflow; [`MtcConfig::builder`] validates
+/// it before the engine ever sees it.
 #[derive(Debug, Clone)]
 pub struct MtcConfig {
     /// Worker threads (the paper's cluster cores).
@@ -87,7 +50,7 @@ pub struct MtcConfig {
     pub duration: f64,
     /// Forecast start (model seconds).
     pub start_time: f64,
-    /// Run the SVD every this many newly arrived members.
+    /// Checkpoint the SVD at every multiple of this many decided members.
     pub svd_stride: usize,
     /// What to do with in-flight members at convergence.
     pub completion: CompletionPolicy,
@@ -143,42 +106,27 @@ impl MtcConfig {
     /// Validate an already-constructed configuration (the builder calls
     /// this from [`MtcConfigBuilder::build`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.workers == 0 {
-            return Err(ConfigError::new("workers", "must be at least 1"));
-        }
-        if !self.pool_factor.is_finite() || self.pool_factor < 1.0 {
-            return Err(ConfigError::new("pool_factor", "must be finite and ≥ 1 (M ≥ N)"));
-        }
-        if !(self.tolerance > 0.0 && self.tolerance < 1.0) {
-            return Err(ConfigError::new("tolerance", "must lie strictly within (0, 1)"));
-        }
-        if self.mode_rel_tol.is_nan() || self.mode_rel_tol < 0.0 {
-            return Err(ConfigError::new("mode_rel_tol", "must be ≥ 0"));
-        }
-        if self.max_rank == 0 {
-            return Err(ConfigError::new("max_rank", "must be at least 1"));
-        }
-        if self.svd_stride == 0 {
-            return Err(ConfigError::new("svd_stride", "must be at least 1"));
-        }
-        if !self.duration.is_finite() || self.duration < 0.0 {
-            return Err(ConfigError::new("duration", "must be finite and ≥ 0"));
-        }
-        if let CompletionPolicy::SpareNearlyDone(frac) = self.completion {
-            if frac.is_nan() || frac < 0.0 {
-                return Err(ConfigError::new("completion", "SpareNearlyDone fraction must be ≥ 0"));
-            }
-        }
-        if let SubspaceStrategy::Incremental { defect_tol, .. } = self.subspace {
-            if defect_tol.is_nan() || defect_tol < 0.0 {
-                return Err(ConfigError::new("subspace", "Incremental defect_tol must be ≥ 0"));
-            }
-        }
-        if self.linalg.threads == 0 {
-            return Err(ConfigError::new("linalg", "threads must be at least 1"));
-        }
-        if self.linalg.block_size == 0 {
-            return Err(ConfigError::new("linalg", "block_size must be at least 1"));
+        let negative = |x: f64| x.is_nan() || x < 0.0;
+        let (completion, subspace, tol) = (self.completion, self.subspace, self.tolerance);
+        let spare = matches!(completion, CompletionPolicy::SpareNearlyDone(f) if negative(f));
+        let drift =
+            matches!(subspace, SubspaceStrategy::Incremental { defect_tol: t, .. } if negative(t));
+        let (pool, span) = (self.pool_factor, self.duration);
+        let rules = [
+            (self.workers == 0, "workers", "must be at least 1"),
+            (!(pool >= 1.0 && pool.is_finite()), "pool_factor", "must be finite and ≥ 1 (M ≥ N)"),
+            (!(tol > 0.0 && tol < 1.0), "tolerance", "must lie strictly within (0, 1)"),
+            (negative(self.mode_rel_tol), "mode_rel_tol", "must be ≥ 0"),
+            (self.max_rank == 0, "max_rank", "must be at least 1"),
+            (self.svd_stride == 0, "svd_stride", "must be at least 1"),
+            (!span.is_finite() || span < 0.0, "duration", "must be finite and ≥ 0"),
+            (spare, "completion", "SpareNearlyDone fraction must be ≥ 0"),
+            (drift, "subspace", "Incremental defect_tol must be ≥ 0"),
+            (self.linalg.threads == 0, "linalg", "threads must be at least 1"),
+            (self.linalg.block_size == 0, "linalg", "block_size must be at least 1"),
+        ];
+        if let Some(&(_, field, why)) = rules.iter().find(|rule| rule.0) {
+            return Err(ConfigError::new(field, why));
         }
         self.retry.validate()?;
         Ok(())
@@ -192,103 +140,52 @@ pub struct MtcConfigBuilder {
     cfg: MtcConfig,
 }
 
+/// A builder setter per field; `=> Some` wraps an optional one.
+macro_rules! setters {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty $(=> $wrap:ident)?;)*) => {$(
+        $(#[$doc])*
+        pub fn $field(mut self, value: $ty) -> Self {
+            self.cfg.$field = $($wrap)?(value);
+            self
+        }
+    )*};
+}
+
 impl MtcConfigBuilder {
-    /// Worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
-    /// Pool over-provisioning factor (`M = ceil(pool_factor · N)`).
-    pub fn pool_factor(mut self, factor: f64) -> Self {
-        self.cfg.pool_factor = factor;
-        self
-    }
-
-    /// Ensemble growth schedule.
-    pub fn schedule(mut self, schedule: EnsembleSchedule) -> Self {
-        self.cfg.schedule = schedule;
-        self
-    }
-
-    /// Convergence tolerance.
-    pub fn tolerance(mut self, tol: f64) -> Self {
-        self.cfg.tolerance = tol;
-        self
-    }
-
-    /// Relative σ cutoff for retained modes.
-    pub fn mode_rel_tol(mut self, tol: f64) -> Self {
-        self.cfg.mode_rel_tol = tol;
-        self
-    }
-
-    /// Maximum retained rank.
-    pub fn max_rank(mut self, rank: usize) -> Self {
-        self.cfg.max_rank = rank;
-        self
-    }
-
-    /// Perturbation settings.
-    pub fn perturb(mut self, perturb: PerturbConfig) -> Self {
-        self.cfg.perturb = perturb;
-        self
-    }
-
-    /// Forecast duration (model seconds).
-    pub fn duration(mut self, seconds: f64) -> Self {
-        self.cfg.duration = seconds;
-        self
-    }
-
-    /// Forecast start (model seconds).
-    pub fn start_time(mut self, seconds: f64) -> Self {
-        self.cfg.start_time = seconds;
-        self
-    }
-
-    /// SVD stride (members between decompositions).
-    pub fn svd_stride(mut self, stride: usize) -> Self {
-        self.cfg.svd_stride = stride;
-        self
-    }
-
-    /// Completion policy for in-flight members at convergence.
-    pub fn completion(mut self, policy: CompletionPolicy) -> Self {
-        self.cfg.completion = policy;
-        self
-    }
-
-    /// Hard Tmax wall-clock deadline.
-    pub fn deadline(mut self, tmax: Duration) -> Self {
-        self.cfg.deadline = Some(tmax);
-        self
-    }
-
-    /// Failure recovery policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Deterministic fault injection plan.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
-        self
-    }
-
-    /// Subspace estimation strategy (default: bit-identical
-    /// [`SubspaceStrategy::FullRecompute`]).
-    pub fn subspace(mut self, strategy: SubspaceStrategy) -> Self {
-        self.cfg.subspace = strategy;
-        self
-    }
-
-    /// Linalg engine context (threads + cache block size), passed to
-    /// the kernels once at engine construction.
-    pub fn linalg(mut self, ctx: LinalgCtx) -> Self {
-        self.cfg.linalg = ctx;
-        self
+    setters! {
+        /// Worker threads.
+        workers: usize;
+        /// Pool over-provisioning factor (`M = ceil(pool_factor · N)`).
+        pool_factor: f64;
+        /// Ensemble growth schedule.
+        schedule: EnsembleSchedule;
+        /// Convergence tolerance.
+        tolerance: f64;
+        /// Relative σ cutoff for retained modes.
+        mode_rel_tol: f64;
+        /// Maximum retained rank.
+        max_rank: usize;
+        /// Perturbation settings.
+        perturb: PerturbConfig;
+        /// Forecast duration (model seconds).
+        duration: f64;
+        /// Forecast start (model seconds).
+        start_time: f64;
+        /// SVD stride (decided members between checkpoints).
+        svd_stride: usize;
+        /// Completion policy for in-flight members at convergence.
+        completion: CompletionPolicy;
+        /// Hard Tmax wall-clock deadline.
+        deadline: Duration => Some;
+        /// Failure recovery policy.
+        retry: RetryPolicy;
+        /// Deterministic fault injection plan.
+        faults: FaultPlan => Some;
+        /// Subspace estimation strategy (default: bit-identical
+        /// [`SubspaceStrategy::FullRecompute`]).
+        subspace: SubspaceStrategy;
+        /// Linalg engine context (threads + cache block size).
+        linalg: LinalgCtx;
     }
 
     /// Validate and produce the configuration.
@@ -298,56 +195,21 @@ impl MtcConfigBuilder {
     }
 }
 
-/// SVD/convergence state rehydrated from a run journal + the on-disk
-/// safe/live covariance files, so a resumed run continues the
-/// convergence cadence exactly where the dead coordinator left it
-/// instead of restarting the similarity test from scratch.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayState {
-    /// Similarity history from `SvdPublished` journal records.
-    pub rho_history: Vec<f64>,
-    /// The last published subspace (from the safe/live files), used as
-    /// the "previous" estimate of the next convergence check.
-    pub previous: Option<ErrorSubspace>,
-    /// Ensemble size at the last SVD round (restores the stride phase).
-    pub last_svd_members: usize,
-    /// Version counter of the last published subspace.
-    pub svd_version: u64,
-}
-
-/// Input to [`MtcEsse::run`]: the mean state and prior subspace, plus
-/// optional resume bookkeeping (paper §4.2: a stopped ESSE execution
-/// "can be restarted without rerunning all jobs").
+/// Input to [`MtcEsse::run`]: the mean state and the prior subspace. A
+/// stopped run resumes from its [`Checkpoint`] (paper §4.2: it "can be
+/// restarted without rerunning all jobs").
 #[derive(Debug, Clone, Copy)]
 pub struct RunInit<'a> {
     /// Initial mean state.
     pub mean: &'a [f64],
     /// Prior error subspace supplying the perturbation directions.
     pub prior: &'a ErrorSubspace,
-    /// Previously completed `(member index, forecast result)` pairs
-    /// recovered from the bookkeeping directory; those indices are
-    /// folded into the differ up front and never re-enqueued.
-    pub resume: &'a [(TaskId, Vec<f64>)],
-    /// Rehydrated SVD/convergence state from a journal replay.
-    pub replay: Option<&'a ReplayState>,
 }
 
 impl<'a> RunInit<'a> {
-    /// Fresh run from `mean` and `prior`.
+    /// A run from `mean` and `prior`.
     pub fn new(mean: &'a [f64], prior: &'a ErrorSubspace) -> RunInit<'a> {
-        RunInit { mean, prior, resume: &[], replay: None }
-    }
-
-    /// Attach resume bookkeeping from a previous incarnation.
-    pub fn resuming(mut self, previous: &'a [(TaskId, Vec<f64>)]) -> RunInit<'a> {
-        self.resume = previous;
-        self
-    }
-
-    /// Attach rehydrated SVD/convergence state from a journal replay.
-    pub fn rehydrating(mut self, replay: &'a ReplayState) -> RunInit<'a> {
-        self.replay = Some(replay);
-        self
+        RunInit { mean, prior }
     }
 }
 
@@ -370,8 +232,7 @@ pub struct MtcOutcome {
     pub members_used: usize,
     /// Members that failed permanently (retry budget exhausted).
     pub members_failed: usize,
-    /// Members computed but discarded (arrived after convergence under
-    /// `CancelImmediately`) — the paper's "wasted cycles".
+    /// Members computed but not in the posterior: the "wasted cycles".
     pub members_wasted: usize,
     /// Tasks cancelled before starting.
     pub members_cancelled: usize,
@@ -379,11 +240,9 @@ pub struct MtcOutcome {
     pub svd_rounds: usize,
     /// Whether the Tmax deadline fired before convergence/Nmax.
     pub deadline_expired: bool,
-    /// Statistical health: [`RunHealth::Full`], or an explicit
-    /// [`RunHealth::Degraded`] verdict when members were lost.
+    /// [`RunHealth::Full`], or an explicit [`RunHealth::Degraded`].
     pub health: RunHealth,
-    /// What the recovery machinery did (retries, timeouts, speculation,
-    /// worker deaths).
+    /// What the recovery machinery did.
     pub faults: FaultReport,
 }
 
@@ -391,886 +250,9 @@ impl MtcOutcome {
     /// Statistical-coverage report over the planned member set (paper §4
     /// point 3: losses are fine unless they form a systematic hole).
     pub fn coverage(&self) -> crate::coverage::CoverageReport {
-        let completed: Vec<TaskId> = self
-            .records
-            .iter()
-            .filter(|r| matches!(r.outcome, Some(TaskOutcome::Success)))
-            .map(|r| r.id)
-            .collect();
-        crate::coverage::analyze(&completed, self.records.len())
-    }
-}
-
-/// One attempt of one member, as queued to the worker pool.
-#[derive(Debug, Clone, Copy)]
-struct Attempt {
-    id: TaskId,
-    attempt: u32,
-}
-
-/// A finished attempt, as a worker reports it.
-struct Done {
-    id: TaskId,
-    attempt: u32,
-    worker: usize,
-    started: Duration,
-    finished: Duration,
-    result: Result<Vec<f64>, ForecastError>,
-}
-
-/// Messages from workers to the coordinator.
-enum WorkerMsg {
-    /// A worker picked up an attempt (feeds straggler detection).
-    Started { id: TaskId, at: Duration },
-    /// An attempt finished.
-    Done(Done),
-}
-
-/// Live metric handles for one run, registered by
-/// [`MtcEsse::with_metrics`]. Handles are atomics behind `Arc`s, so
-/// workers update them without touching the registry lock.
-struct Meters {
-    members_done: Gauge,
-    coverage: Gauge,
-    rho: Gauge,
-    completed: Counter,
-    failed: Counter,
-    wasted: Counter,
-    cancelled: Counter,
-    attempts: Counter,
-    retries: Counter,
-    timeouts: Counter,
-    spec_launches: Counter,
-    spec_wins: Counter,
-    spec_losses: Counter,
-    workers_died: Counter,
-    quarantined: Counter,
-    replaced: Counter,
-    member_runtime: Histogram,
-    /// Incremental rank-block folds of the subspace lane.
-    subspace_update: Histogram,
-    /// Full recomputes of the subspace lane (every round under
-    /// `FullRecompute`; drift-control refreshes under `Incremental`).
-    subspace_refresh: Histogram,
-    /// Orthonormality defect of the last published estimate.
-    subspace_defect: Gauge,
-    queue_wait: Histogram,
-}
-
-impl Meters {
-    fn new(reg: &MetricsRegistry) -> Meters {
-        Meters {
-            members_done: reg.gauge("esse_members_done"),
-            coverage: reg.gauge("esse_coverage"),
-            rho: reg.gauge("esse_convergence_rho"),
-            completed: reg.counter("esse_tasks_completed_total"),
-            failed: reg.counter("esse_tasks_failed_total"),
-            wasted: reg.counter("esse_tasks_wasted_total"),
-            cancelled: reg.counter("esse_tasks_cancelled_total"),
-            attempts: reg.counter("esse_task_attempts_total"),
-            retries: reg.counter("esse_retries_total"),
-            timeouts: reg.counter("esse_task_timeouts_total"),
-            spec_launches: reg.counter("esse_speculative_launches_total"),
-            spec_wins: reg.counter("esse_speculative_wins_total"),
-            spec_losses: reg.counter("esse_speculative_losses_total"),
-            workers_died: reg.counter("esse_workers_died_total"),
-            quarantined: reg.counter("esse_quarantined_total"),
-            replaced: reg.counter("esse_replaced_total"),
-            member_runtime: reg.histogram("esse_member_runtime_ns"),
-            subspace_update: reg.histogram("esse_subspace_update_ns"),
-            subspace_refresh: reg.histogram("esse_subspace_refresh_ns"),
-            subspace_defect: reg.gauge("esse_subspace_defect"),
-            queue_wait: reg.histogram("esse_queue_wait_ns"),
-        }
-    }
-}
-
-/// Event arguments, built on the stack: nothing is allocated unless a
-/// recorder is attached.
-type Args<'a> = &'a [(&'static str, ArgValue)];
-
-/// What the coordinator and every worker thread share: the config, the
-/// run clock, the pool's two flags, and the two optional sinks both
-/// sides write to — the trace recorder and the live meters. Whether
-/// either sink is attached is asked here and nowhere else.
-struct Shared<'r> {
-    cfg: &'r MtcConfig,
-    t0: Instant,
-    obs: &'r dyn Recorder,
-    met: Option<Meters>,
-    /// Raised when the run stops issuing work; idle workers exit on it.
-    cancel: AtomicBool,
-    /// Worker threads that have not died.
-    alive: AtomicUsize,
-}
-
-impl Shared<'_> {
-    fn now(&self) -> Duration {
-        self.t0.elapsed()
-    }
-
-    /// Record one trace event on the run clock.
-    fn emit(
-        &self,
-        kind: EventKind,
-        at: Duration,
-        lane: Lane,
-        cat: &'static str,
-        name: &'static str,
-        args: Args<'_>,
-    ) {
-        if self.obs.enabled() {
-            let args = args.to_vec();
-            self.obs.record(Event { ts_ns: ns(at), seq: 0, lane, cat, name, kind, args });
-        }
-    }
-
-    fn observe(&self, name: &'static str, latency: Duration) {
-        if self.obs.enabled() {
-            self.obs.observe(name, ns(latency));
-        }
-    }
-
-    fn meter(&self, update: impl FnOnce(&Meters)) {
-        if let Some(m) = &self.met {
-            update(m);
-        }
-    }
-}
-
-/// The worker side of the pool.
-struct Crew<'r, M> {
-    sh: &'r Shared<'r>,
-    model: &'r M,
-    mean0: &'r [f64],
-    gen: &'r PerturbationGenerator<'r>,
-}
-
-impl<M: ForecastModel> Crew<'_, M> {
-    /// Worker `w`: pull attempts until cancelled, report each one's
-    /// start and result.
-    fn work(&self, w: usize, task_rx: Receiver<Attempt>, msg_tx: Sender<WorkerMsg>) {
-        let (sh, lane) = (self.sh, Lane::Worker(w as u32));
-        let mut tasks_started = 0usize;
-        while !sh.cancel.load(Ordering::Relaxed) {
-            let Attempt { id, attempt } = match task_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(att) => att,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            };
-            tasks_started += 1;
-            let started = sh.now();
-            // Receiver may be gone during shutdown; ignore send errors.
-            let _ = msg_tx.send(WorkerMsg::Started { id, at: started });
-            let dies = sh.cfg.faults.as_ref().is_some_and(|p| p.worker_dies(w, tasks_started));
-            let result = if dies {
-                Err(ForecastError::Injected(format!("worker {w} died running member {id}")))
-            } else {
-                self.forecast(id, attempt)
-            };
-            let finished = sh.now();
-            let runtime = finished.saturating_sub(started);
-            sh.meter(|m| {
-                m.attempts.inc();
-                m.member_runtime.observe(ns(runtime));
-            });
-            let args = [("member", id.into()), ("attempt", u64::from(attempt).into())];
-            sh.emit(EventKind::Begin, started, lane, "task", "member", &args);
-            if result.is_err() {
-                sh.emit(EventKind::Instant, finished, lane, "task", "member_failed", &args);
-            }
-            sh.emit(EventKind::End, finished, lane, "task", "member", &[]);
-            sh.observe("member", runtime);
-            let done = Done { id, attempt, worker: w, started, finished, result };
-            let _ = msg_tx.send(WorkerMsg::Done(done));
-            if dies {
-                let args = [("worker", w.into())];
-                sh.emit(EventKind::Instant, finished, lane, "fault", "worker_died", &args);
-                sh.alive.fetch_sub(1, Ordering::SeqCst);
-                break;
-            }
-        }
-    }
-
-    /// Perturb and forecast member `id`, under the fault plan's verdict
-    /// for this attempt.
-    fn forecast(&self, id: TaskId, attempt: u32) -> Result<Vec<f64>, ForecastError> {
-        let cfg = self.sh.cfg;
-        let faults = cfg.faults.as_ref();
-        let injected = |what: &str| {
-            Err(ForecastError::Injected(format!("{what} (member {id}, attempt {attempt})")))
-        };
-        match faults.and_then(|p| p.fault_for(id, attempt)) {
-            Some(FaultKind::Crash) => return injected("injected crash"),
-            Some(FaultKind::TransientIo) => return injected("transient I/O error"),
-            // Straggler: the work happens, just late.
-            Some(FaultKind::Straggle(extra)) => std::thread::sleep(extra),
-            None => {}
-        }
-        let x0 = self.gen.perturb(self.mean0, id);
-        let seed = self.gen.forecast_seed(id);
-        let mut forecast = self.model.forecast(&x0, cfg.start_time, cfg.duration, Some(seed));
-        // Semantic payload corruption: the forecast "succeeds" but its
-        // bytes are wrong — only the ingest validator can catch it.
-        if let (Ok(xf), Some(p)) = (&mut forecast, faults) {
-            if let Some(kind) = p.corruption_for(id, attempt) {
-                kind.apply(p.seed, id as u64, (xf.len() / 5).max(1), xf);
-            }
-        }
-        forecast
-    }
-}
-
-/// What the engine keeps per member beside its [`TaskRecord`] and the
-/// ledger: straggler speculation, which only this coordinator does.
-#[derive(Default, Clone, Copy)]
-struct Flight {
-    /// Attempt index of the speculative twin, once one was launched.
-    spec_attempt: Option<u32>,
-    /// When the most recent attempt started running.
-    running_since: Option<Duration>,
-}
-
-/// Why an attempt that came back does not count.
-enum Cause {
-    /// It reported an error, or outran the per-task timeout.
-    Failed(String),
-    /// The validator refused its payload.
-    Quarantined(Reason),
-}
-
-/// The coordinator of one run: differ, SVD, convergence and recovery.
-/// [`MtcEsse::run`] is a receive loop over its steps — [`Run::tick`],
-/// [`Run::on_done`], [`Run::svd_round`], [`Run::advance_stage`] —
-/// closed by [`Run::finish`].
-struct Run<'r> {
-    sh: &'r Shared<'r>,
-    /// The durable journal and the safe/live covariance files beside
-    /// it: every published subspace goes through them so a resumed run
-    /// recovers its "previous" estimate from disk.
-    ck: Option<(&'r Checkpoint, DiskTripleBuffer)>,
-    validator: Option<ForecastValidator>,
-    task_tx: Sender<Attempt>,
-    /// Held to withdraw attempts no worker will pick up any more.
-    task_rx: Receiver<Attempt>,
-    stages: Vec<usize>,
-    stage_idx: usize,
-    /// One record per member id planned, resumed ids included.
-    records: Vec<TaskRecord>,
-    flights: Vec<Flight>,
-    ledger: MemberLedger,
-    acc: Box<dyn SubspaceEstimator>,
-    conv: ConvergenceTest,
-    previous: Option<ErrorSubspace>,
-    svd_rounds: usize,
-    svd_version: u64,
-    since_svd: usize,
-    deadline_expired: bool,
-    /// When the run stopped issuing work (convergence or deadline).
-    halted_at: Option<Duration>,
-    runtime_sum: Duration,
-    runtime_count: u32,
-    report: FaultReport,
-    members_failed: usize,
-    members_wasted: usize,
-    /// Members quarantined and never healed (replacement budget
-    /// exhausted) — reported separately from `members_failed`.
-    members_quarantined_lost: usize,
-}
-
-impl<'r> Run<'r> {
-    fn new(
-        sh: &'r Shared<'r>,
-        ck: Option<(&'r Checkpoint, DiskTripleBuffer)>,
-        mut validator: Option<ForecastValidator>,
-        init: &RunInit<'_>,
-        central: Vec<f64>,
-        (task_tx, task_rx): (Sender<Attempt>, Receiver<Attempt>),
-    ) -> Run<'r> {
-        let cfg = sh.cfg;
-        let mut acc =
-            make_estimator(&cfg.subspace, central, cfg.mode_rel_tol, cfg.max_rank, cfg.linalg);
-        for (id, result) in init.resume {
-            acc.add_member(*id, result);
-            // Resumed members were validated before they were
-            // journalled; they re-arm the decided-prefix stats.
-            if let Some(v) = validator.as_mut() {
-                v.note_decided(*id as u64, result);
-            }
-        }
-        let replay = init.replay;
-        Run {
-            sh,
-            ck,
-            validator,
-            task_tx,
-            task_rx,
-            stages: cfg.schedule.stages(),
-            stage_idx: 0,
-            records: Vec::new(),
-            flights: Vec::new(),
-            // The jitter stream is seeded from the run's own config and
-            // only advanced when a retry is actually scheduled, so
-            // zero-fault runs never consume it.
-            ledger: MemberLedger::new(cfg.retry.clone(), 0, cfg.perturb.base_seed ^ 0x7E57_FA17),
-            conv: match replay {
-                Some(r) => ConvergenceTest::restore(cfg.tolerance, &r.rho_history),
-                None => ConvergenceTest::new(cfg.tolerance),
-            },
-            previous: replay.and_then(|r| r.previous.clone()),
-            svd_rounds: 0,
-            svd_version: replay.map_or(0, |r| r.svd_version),
-            // Resume restores the SVD stride phase: members folded from
-            // the journal that the dead coordinator never decomposed
-            // still count toward the next round.
-            since_svd: replay.map_or(0, |r| acc.count().saturating_sub(r.last_svd_members)),
-            acc,
-            deadline_expired: false,
-            halted_at: None,
-            runtime_sum: Duration::ZERO,
-            runtime_count: 0,
-            report: FaultReport::default(),
-            members_failed: 0,
-            members_wasted: 0,
-            members_quarantined_lost: 0,
-        }
-    }
-
-    /// A coordinator-lane trace instant.
-    fn note(&self, at: Duration, cat: &'static str, name: &'static str, args: Args<'_>) {
-        self.sh.emit(EventKind::Instant, at, Lane::Coordinator, cat, name, args);
-    }
-
-    /// Write to the run journal, if one is attached.
-    fn journal(&self, write: impl FnOnce(&Checkpoint) -> io::Result<()>) -> io::Result<()> {
-        self.ck.as_ref().map_or(Ok(()), |(ck, _)| write(ck))
-    }
-
-    /// The run no longer issues work: it converged or hit its deadline.
-    fn stopped(&self) -> bool {
-        self.conv.converged() || self.deadline_expired
-    }
-
-    /// Planned members that are undecided with nothing in flight: they
-    /// wait out a backoff.
-    fn parked(&self) -> Vec<u64> {
-        self.ledger.parked(self.records.len() as u64).collect()
-    }
-
-    /// An attempt is out, or a member waits out a backoff.
-    fn unsettled(&self) -> bool {
-        let mut parked = self.ledger.parked(self.records.len() as u64);
-        self.ledger.in_flight_total() > 0 || parked.next().is_some()
-    }
-
-    fn mean_runtime(&self) -> Duration {
-        self.runtime_sum.checked_div(self.runtime_count).unwrap_or_default()
-    }
-
-    /// Issue the next attempt of member `id` to the pool.
-    fn send(&mut self, id: TaskId) {
-        let now = self.sh.now();
-        let attempt = self.ledger.issue(id as u64);
-        self.records[id].enqueued_at = Some(now);
-        self.task_tx.send(Attempt { id, attempt }).expect("task channel open");
-        let args = [("member", id.into()), ("attempt", u64::from(attempt).into())];
-        // A first issue carries no attempt index.
-        self.note(now, "sched", "enqueued", &args[..if attempt == 0 { 1 } else { 2 }]);
-    }
-
-    /// Plan member ids up to the current stage's over-provisioned pool
-    /// size `M = ceil(pool_factor · N)`: ids resumed from an earlier
-    /// incarnation (already in the differ) are recorded as done, the
-    /// rest go to the pool.
-    fn plan_stage(&mut self) {
-        let n = self.stages[self.stage_idx];
-        let target = ((n as f64 * self.sh.cfg.pool_factor).ceil() as usize).max(n);
-        for id in self.records.len()..target {
-            self.records.push(TaskRecord::pending(id));
-            self.flights.push(Flight::default());
-            if self.acc.member_ids().contains(&id) {
-                self.records[id].state = TaskState::Done;
-                self.records[id].outcome = Some(TaskOutcome::Success);
-                self.ledger.decide(id as u64, Fate::Completed(0));
-            } else {
-                self.send(id);
-            }
-        }
-    }
-
-    /// Stop issuing work: raise the cancel flag, close the ledger,
-    /// cancel every member waiting out a backoff and everything still
-    /// queued.
-    fn halt(&mut self, now: Duration) {
-        self.halted_at.get_or_insert(now);
-        self.sh.cancel.store(true, Ordering::Relaxed);
-        self.ledger.close();
-        for m in self.parked() {
-            self.records[m as usize].state = TaskState::Cancelled;
-            self.ledger.decide(m, Fate::Abandoned);
-        }
-        self.drain_queued(now);
-    }
-
-    /// Withdraw queued attempts after a cancellation point
-    /// (convergence, deadline, pool death): they will never be picked
-    /// up.
-    fn drain_queued(&mut self, now: Duration) {
-        while let Ok(att) = self.task_rx.try_recv() {
-            let m = att.id as u64;
-            self.ledger.landed(m);
-            if !self.ledger.decided(m) {
-                self.records[att.id].state = TaskState::Cancelled;
-                self.ledger.decide(m, Fate::Abandoned);
-                self.note(now, "task", "cancelled", &[("member", att.id.into())]);
-            }
-        }
-    }
-
-    /// A result the run has no use for: computed, never ingested.
-    fn waste(&mut self, id: TaskId) {
-        self.records[id].outcome = Some(TaskOutcome::Wasted);
-        self.members_wasted += 1;
-        self.ledger.decide(id as u64, Fate::Abandoned);
-    }
-
-    /// Step 1, every turn of the loop whether or not a result arrived:
-    /// the Tmax deadline, members whose backoff has passed, the death
-    /// of the whole pool, and the straggler scan.
-    fn tick(&mut self, now: Duration) -> io::Result<()> {
-        let deadline = self.sh.cfg.deadline.filter(|&dl| !self.deadline_expired && now >= dl);
-        if let Some(dl) = deadline {
-            self.deadline_expired = true;
-            let tmax_ms = dl.as_millis() as u64;
-            self.note(now, "workflow", "deadline_expired", &[("tmax_ms", tmax_ms.into())]);
-            self.halt(now);
-        }
-        for m in self.ledger.seedable(self.records.len() as u64, now) {
-            self.send(m as usize);
-        }
-        if self.sh.alive.load(Ordering::SeqCst) == 0 && self.ledger.in_flight_total() > 0 {
-            // The whole pool died: nothing queued will ever run, and
-            // nobody is left for a member waiting out its backoff.
-            self.drain_queued(now);
-            for id in self.parked() {
-                let rec = &mut self.records[id as usize];
-                rec.state = TaskState::Done;
-                rec.outcome = Some(TaskOutcome::Failed("worker pool died".into()));
-                self.ledger.decide(id, Fate::Failed);
-                self.journal(|ck| ck.record_failed(id as usize, CODE_POOL_DIED))?;
-                self.members_failed += 1;
-                self.sh.meter(|m| m.failed.inc());
-            }
-        }
-        self.speculate(now);
-        Ok(())
-    }
-
-    /// Straggler speculation: re-launch members that have been running
-    /// much longer than the mean on the (free) pool; the first
-    /// finisher resolves the member.
-    fn speculate(&mut self, now: Duration) {
-        let retry = &self.sh.cfg.retry;
-        if !retry.speculative || self.stopped() || self.runtime_count < 2 {
-            return;
-        }
-        let threshold = self.mean_runtime().mul_f64(retry.speculation_factor);
-        for id in 0..self.records.len() {
-            let (m, flight) = (id as u64, self.flights[id]);
-            let alone = !self.ledger.decided(m)
-                && flight.spec_attempt.is_none()
-                && self.ledger.member(m).in_flight == 1;
-            let Some(since) = flight.running_since.filter(|_| alone) else { continue };
-            if now.saturating_sub(since) <= threshold {
-                continue;
-            }
-            let attempt = self.ledger.issue_twin(m);
-            self.flights[id].spec_attempt = Some(attempt);
-            self.report.speculative_launches += 1;
-            self.sh.meter(|m| m.spec_launches.inc());
-            self.task_tx.send(Attempt { id, attempt }).expect("task channel open");
-            let args = [("member", id.into()), ("attempt", u64::from(attempt).into())];
-            self.note(now, "fault", "speculative_launch", &args);
-        }
-    }
-
-    fn on_started(&mut self, id: TaskId, at: Duration) {
-        self.flights[id].running_since = Some(at);
-        if self.records[id].state == TaskState::Pending {
-            self.records[id].state = TaskState::Running;
-        }
-    }
-
-    /// Step 2: an attempt came back. Classify it once — accepted,
-    /// quarantined, failed or timed out — and act on the ledger's
-    /// answer. Returns `false` for the late duplicate of a member whose
-    /// fate is already decided.
-    fn on_done(&mut self, now: Duration, done: Done) -> io::Result<bool> {
-        let Done { id, attempt, worker, started, finished, result } = done;
-        let m = id as u64;
-        self.ledger.landed(m);
-        if self.ledger.member(m).in_flight == 0 {
-            self.flights[id].running_since = None;
-        }
-        let twin = self.flights[id].spec_attempt == Some(attempt);
-        if self.ledger.decided(m) {
-            // The losing side of a speculation race, or a result
-            // arriving after cancellation. Only the speculative attempt
-            // itself counts as a loss — the original losing to its twin
-            // is already scored as a win.
-            if twin {
-                self.report.speculative_losses += 1;
-                self.sh.meter(|m| m.spec_losses.inc());
-                self.note(now, "fault", "speculative_loss", &[("member", id.into())]);
-            }
-            return Ok(false);
-        }
-        let rec = &mut self.records[id];
-        rec.worker = Some(worker);
-        rec.started_at = Some(started);
-        rec.finished_at = Some(finished);
-        rec.state = TaskState::Done;
-        let runtime = finished.saturating_sub(started);
-        match result {
-            // Per-task timeout: an over-budget attempt is discarded
-            // even though it succeeded (its slot was needed elsewhere;
-            // paper §4 point 1 — timeliness).
-            Ok(_) if self.sh.cfg.retry.task_timeout.is_some_and(|limit| runtime > limit) => {
-                self.report.timeouts += 1;
-                self.sh.meter(|m| m.timeouts.inc());
-                let runtime_ms = runtime.as_millis() as u64;
-                let args = [("member", id.into()), ("runtime_ms", runtime_ms.into())];
-                self.note(now, "fault", "task_timeout", &args);
-                let why = format!("attempt exceeded task timeout ({runtime:?})");
-                self.attempt_lost(id, now, Cause::Failed(why))?;
-            }
-            Ok(xf) => {
-                self.runtime_sum += runtime;
-                self.runtime_count += 1;
-                let verdict = self.validator.as_ref().map(|v| v.validate_member(m, &xf));
-                if let Some(Verdict::Quarantine(reason)) = verdict {
-                    self.quarantine(id, now, reason)?;
-                } else {
-                    if twin {
-                        self.report.speculative_wins += 1;
-                        self.sh.meter(|m| m.spec_wins.inc());
-                        self.note(now, "fault", "speculative_win", &[("member", id.into())]);
-                    }
-                    self.accept(id, started, &xf)?;
-                }
-            }
-            Err(e) => self.attempt_lost(id, now, Cause::Failed(e.to_string()))?,
-        }
-        self.publish_progress(id);
-        Ok(true)
-    }
-
-    /// A clean payload. Before the run stopped it joins the ensemble;
-    /// after a deadline it is ignored ("late runs are safely ignored");
-    /// after convergence the completion policy decides (§4.1).
-    fn accept(&mut self, id: TaskId, started: Duration, xf: &[f64]) -> io::Result<()> {
-        let converged = self.conv.converged();
-        let keep = match self.sh.cfg.completion {
-            _ if !converged => !self.deadline_expired,
-            CompletionPolicy::CancelImmediately => false,
-            CompletionPolicy::UseCompleted => true,
-            // Spare only members that had already run ≥ frac of the
-            // mean runtime when the convergence fired ("spare any
-            // ensemble calculations close to finishing").
-            CompletionPolicy::SpareNearlyDone(frac) => {
-                let progress = self.halted_at.unwrap_or_default().saturating_sub(started);
-                progress.as_secs_f64() >= frac * self.mean_runtime().as_secs_f64()
-            }
-        };
-        if !keep {
-            self.waste(id);
-            return Ok(());
-        }
-        self.records[id].outcome = Some(TaskOutcome::Success);
-        let attempts = self.ledger.complete(id as u64);
-        // Blob first, journal record second: the record is the commit
-        // point.
-        self.journal(|ck| ck.record_member(id, attempts, xf))?;
-        self.acc.add_member(id, xf);
-        if let Some(v) = self.validator.as_mut() {
-            v.note_decided(id as u64, xf);
-        }
-        if !converged {
-            self.since_svd += 1;
-        }
-        Ok(())
-    }
-
-    /// Semantic quarantine: the attempt "succeeded" but its payload is
-    /// wrong — it never enters the spread matrix.
-    fn quarantine(&mut self, id: TaskId, now: Duration, reason: Reason) -> io::Result<()> {
-        self.report.quarantined += 1;
-        self.ledger.mark_quarantined(id as u64);
-        self.sh.meter(|m| m.quarantined.inc());
-        let args = [("member", id.into()), ("reason", u64::from(reason.code()).into())];
-        self.note(now, "fault", "member_quarantined", &args);
-        if self.stopped() {
-            // The member would have been wasted anyway; the corrupt
-            // payload is simply never spared.
-            self.waste(id);
-            return Ok(());
-        }
-        // The quarantine is a journalled decision: resume replays it
-        // bit-for-bit.
-        self.journal(|ck| ck.record_quarantined(id, reason.code()))?;
-        self.attempt_lost(id, now, Cause::Quarantined(reason))
-    }
-
-    /// The one path every lost attempt takes: charge the retry budget
-    /// and do what the ledger answers — wait for a twin still in
-    /// flight, requeue with backoff (a retry, or the self-healing
-    /// replacement of a quarantined member), or record the permanent
-    /// loss.
-    fn attempt_lost(&mut self, id: TaskId, now: Duration, cause: Cause) -> io::Result<()> {
-        let (m, failed) = (id as u64, matches!(cause, Cause::Failed(_)));
-        let code = if failed { CODE_ATTEMPTS_EXHAUSTED } else { CODE_QUARANTINE_BUDGET };
-        match self.ledger.lose(m, Budget::Attempts, code, now) {
-            Loss::Covered => self.records[id].state = TaskState::Running,
-            Loss::Reissue { after } => {
-                self.report.retries += 1;
-                self.sh.meter(|m| m.retries.inc());
-                self.records[id].state = TaskState::Pending;
-                let attempt = u64::from(self.ledger.member(m).issued);
-                let delay_ms = after.as_millis() as u64;
-                let args = [
-                    ("member", id.into()),
-                    ("attempt", attempt.into()),
-                    ("delay_ms", delay_ms.into()),
-                ];
-                if failed {
-                    self.note(now, "fault", "retry_scheduled", &args);
-                } else {
-                    self.note(now, "fault", "replacement_scheduled", &args[..2]);
-                }
-            }
-            Loss::Lost { code } => {
-                let (why, lost_as) = match cause {
-                    Cause::Failed(why) => {
-                        self.members_failed += 1;
-                        (why, "member_failed_permanent")
-                    }
-                    Cause::Quarantined(reason) => {
-                        self.members_quarantined_lost += 1;
-                        (format!("quarantined: {}", reason.describe()), "member_lost_quarantine")
-                    }
-                };
-                self.records[id].outcome = Some(TaskOutcome::Failed(why));
-                self.journal(|ck| ck.record_failed(id, code))?;
-                let attempts = u64::from(self.ledger.member(m).issued);
-                self.note(
-                    now,
-                    "fault",
-                    lost_as,
-                    &[("member", id.into()), ("attempts", attempts.into())],
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Meters and progress counters after member `id`'s attempt.
-    fn publish_progress(&self, id: TaskId) {
-        let (sh, done, planned) = (self.sh, self.acc.count(), self.records.len().max(1));
-        sh.meter(|m| {
-            match &self.records[id].outcome {
-                Some(TaskOutcome::Success) => m.completed.inc(),
-                Some(TaskOutcome::Wasted) => m.wasted.inc(),
-                Some(TaskOutcome::Failed(_)) => m.failed.inc(),
-                None => {}
-            }
-            m.members_done.set(done as f64);
-            m.coverage.set(done as f64 / planned as f64);
-            if let Some(w) = self.records[id].queue_wait() {
-                m.queue_wait.observe(ns(w));
-            }
-        });
-        let counter = |name, value: usize, always: bool| {
-            if always || value > 0 {
-                let kind = EventKind::Counter(value as f64);
-                sh.emit(kind, sh.now(), Lane::Coordinator, "counter", name, &[]);
-            }
-        };
-        counter("members_done", done, true);
-        counter("members_failed", self.members_failed, true);
-        counter("members_wasted", self.members_wasted, true);
-        counter("retries", self.report.retries, false);
-        counter("timeouts", self.report.timeouts, false);
-    }
-
-    /// Step 3, the continuous SVD stage: once `svd_stride` members
-    /// arrived since the last round, or the stage filled, decompose
-    /// the ensemble and compare with the previous estimate.
-    fn svd_round(&mut self) -> Result<(), EsseError> {
-        let (sh, lane, members) = (self.sh, Lane::Coordinator, self.acc.count());
-        let due = self.since_svd >= sh.cfg.svd_stride || members >= self.stages[self.stage_idx];
-        if !due || members < 2 {
-            return Ok(());
-        }
-        self.since_svd = 0;
-        let started = sh.now();
-        sh.emit(EventKind::Begin, started, lane, "svd", "svd", &[("members", members.into())]);
-        let round = match self.acc.estimate()? {
-            Some(update) => Some(self.publish(update)?),
-            None => None,
-        };
-        let finished = sh.now();
-        let took = finished.saturating_sub(started);
-        if let Some((kind, defect, bound)) = round {
-            // Nested span naming the update flavour this round took
-            // (incremental fold vs full/refresh recompute), emitted
-            // retroactively with the measured bounds so the outer "svd"
-            // span stays stable for analytics.
-            let folded = kind == UpdateKind::Incremental;
-            let inner = if folded { "subspace_update" } else { "subspace_refresh" };
-            let args = [("defect", defect.into()), ("error_bound", bound.into())];
-            sh.emit(EventKind::Begin, started, lane, "svd", inner, &args);
-            sh.emit(EventKind::End, finished, lane, "svd", inner, &[]);
-            sh.meter(|m| {
-                let timing = if folded { &m.subspace_update } else { &m.subspace_refresh };
-                timing.observe(ns(took));
-                m.subspace_defect.set(defect);
-            });
-        }
-        sh.emit(EventKind::End, finished, lane, "svd", "svd", &[]);
-        sh.observe("svd", took);
-        Ok(())
-    }
-
-    /// One round's estimate: the convergence test against the previous
-    /// one, then the safe/live files and the journal. Returns what the
-    /// round's trace span reports.
-    fn publish(&mut self, update: SubspaceUpdate) -> Result<(UpdateKind, f64, f64), EsseError> {
-        self.svd_rounds += 1;
-        let members = self.acc.count();
-        let mut rho = f64::NAN;
-        if let Some(prev) = &self.previous {
-            rho = similarity(prev, &update.subspace);
-            self.sh.meter(|m| m.rho.set(rho));
-            let args = [("rho", rho.into()), ("members", members.into())];
-            self.note(self.sh.now(), "svd", "convergence_check", &args);
-            if self.conv.check(rho) {
-                let now = self.sh.now();
-                self.note(now, "workflow", "converged", &args);
-                self.halt(now);
-            }
-        }
-        if let Some((ck, cov)) = &self.ck {
-            self.svd_version += 1;
-            // Covariance files first (safe/live publish), then the
-            // journal record as commit point.
-            cov.publish(&subspace_to_bytes(&update.subspace), self.svd_version)?;
-            ck.record_svd(members, self.svd_version, rho)?;
-            if self.conv.converged() {
-                ck.record_converged(members, rho)?;
-            }
-        }
-        self.previous = Some(update.subspace);
-        Ok((update.kind, update.defect, update.error_bound))
-    }
-
-    /// Step 4, pool growth: if the current stage is complete but the
-    /// run has not converged, move to the next stage and top up the
-    /// pool before the pipeline drains (§4.1). Returns whether it did.
-    fn advance_stage(&mut self) -> bool {
-        let last = self.stage_idx + 1 == self.stages.len();
-        if last || self.conv.converged() || self.acc.count() < self.stages[self.stage_idx] {
-            return false;
-        }
-        self.stage_idx += 1;
-        let target = self.stages[self.stage_idx];
-        self.note(self.sh.now(), "workflow", "stage_advance", &[("target", target.into())]);
-        self.plan_stage();
-        true
-    }
-
-    /// The last step: stop the pool, decompose whatever the completion
-    /// policy admits, and report the run's health.
-    fn finish(mut self, central: Vec<f64>) -> Result<MtcOutcome, EsseError> {
-        let (sh, cfg, lane) = (self.sh, self.sh.cfg, Lane::Coordinator);
-        sh.cancel.store(true, Ordering::Relaxed);
-        for rec in &mut self.records {
-            rec.attempts = self.ledger.member(rec.id as u64).issued;
-        }
-        let members_cancelled =
-            self.records.iter().filter(|r| r.state == TaskState::Cancelled).count();
-        let members = self.acc.count();
-        if self.deadline_expired && members < 2 {
-            let budget = cfg.deadline.expect("deadline fired");
-            return Err(EsseError::Deadline { elapsed: sh.now(), budget });
-        }
-
-        // Completion policy: a final SVD over everything that arrived.
-        let recompute = cfg.completion != CompletionPolicy::CancelImmediately;
-        let mut subspace = self.previous.take();
-        if recompute || subspace.is_none() {
-            let args = [("members", members.into())];
-            sh.emit(EventKind::Begin, sh.now(), lane, "svd", "svd_final", &args);
-            if let Some(update) = self.acc.estimate()? {
-                self.svd_rounds += 1;
-                subspace = Some(update.subspace);
-            }
-            sh.emit(EventKind::End, sh.now(), lane, "svd", "svd_final", &[]);
-        }
-        let subspace = subspace.ok_or(EsseError::NotEnoughMembers { have: members, need: 2 })?;
-
-        let mut faults = std::mem::take(&mut self.report);
-        let replaced = self.ledger.count(Member::replaced);
-        faults.replaced = replaced;
-        let workers = cfg.workers.max(1);
-        faults.workers_died = workers - sh.alive.load(Ordering::SeqCst).min(workers);
-        // Statistical health: permanent losses (and deadline
-        // truncation) are reported explicitly, never silently. A
-        // quarantined member whose replacement budget ran out is its
-        // own degradation class, distinct from crash-shaped losses.
-        let converged = self.conv.converged();
-        let truncated = self.deadline_expired && !converged;
-        let lost_members = self.members_failed
-            + if truncated { members_cancelled + self.members_wasted } else { 0 };
-        let quarantined = self.members_quarantined_lost;
-        let planned = self.records.len().max(1) as f64;
-        let health = if lost_members == 0 && quarantined == 0 {
-            RunHealth::Full
-        } else {
-            let succeeded =
-                self.records.iter().filter(|r| r.outcome == Some(TaskOutcome::Success)).count();
-            let coverage = succeeded as f64 / planned;
-            let args = [
-                ("coverage", coverage.into()),
-                ("lost", lost_members.into()),
-                ("quarantined", quarantined.into()),
-                ("replaced", replaced.into()),
-            ];
-            self.note(sh.now(), "workflow", "degraded", &args);
-            RunHealth::Degraded { coverage, lost_members, quarantined, replaced }
-        };
-        sh.meter(|m| {
-            m.replaced.add(replaced as u64);
-            m.cancelled.add(members_cancelled as u64);
-            m.workers_died.add(faults.workers_died as u64);
-            m.members_done.set(members as f64);
-            m.coverage.set(members as f64 / planned);
-        });
-        Ok(MtcOutcome {
-            central,
-            subspace,
-            converged,
-            rho_history: self.conv.history().to_vec(),
-            makespan: sh.now(),
-            members_used: members,
-            members_failed: self.members_failed,
-            members_wasted: self.members_wasted,
-            members_cancelled,
-            svd_rounds: self.svd_rounds,
-            deadline_expired: self.deadline_expired,
-            health,
-            faults,
-            records: self.records,
-        })
+        let used = self.records.iter().filter(|r| r.outcome == Some(TaskOutcome::Success));
+        let used: Vec<TaskId> = used.map(|r| r.id).collect();
+        crate::coverage::analyze(&used, self.records.len())
     }
 }
 
@@ -1280,13 +262,9 @@ pub struct MtcEsse<'m, M: ForecastModel> {
     pub model: &'m M,
     /// Workflow configuration.
     pub config: MtcConfig,
-    /// Observability sink (no-op unless [`MtcEsse::with_recorder`]).
     recorder: &'m dyn Recorder,
-    /// Live metrics registry (none unless [`MtcEsse::with_metrics`]).
     metrics: Option<&'m MetricsRegistry>,
-    /// Durable run journal (none unless [`MtcEsse::with_checkpoint`]).
     checkpoint: Option<&'m Checkpoint>,
-    /// Semantic ingest gate (none unless [`MtcEsse::with_validator`]).
     validator: Option<ForecastValidator>,
 }
 
@@ -1296,137 +274,236 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         MtcEsse { model, config, recorder: &NULL, metrics: None, checkpoint: None, validator: None }
     }
 
-    /// Attach a semantic forecast validator. Every arriving payload
-    /// must then pass the validator before it enters the spread matrix:
-    /// a quarantined member is journalled with its reason code,
-    /// replaced under the retry budget (fresh attempt index, same
-    /// member), and — only when the budget is exhausted — reported in
-    /// the [`RunHealth::Degraded`] quarantine breakdown. Accepted
-    /// members feed the validator's decided-prefix statistics for the
-    /// ensemble-relative outlier test.
+    /// Gate every payload with `validator`: a refused member is replaced
+    /// under the retry budget or reported in [`RunHealth::Degraded`].
     pub fn with_validator(mut self, validator: ForecastValidator) -> Self {
         self.validator = Some(validator);
         self
     }
 
-    /// Attach a trace recorder. Workers then emit one `task`/`member`
-    /// span per executed attempt on their [`Lane::Worker`] lane
-    /// (timestamped on the same workflow clock as [`TaskRecord`]s), and
-    /// the coordinator emits SVD spans, convergence/deadline instants,
-    /// fault-recovery instants (`retry_scheduled`, `task_timeout`,
-    /// `speculative_launch`, `worker_died`) and progress counters on
-    /// [`Lane::Coordinator`]. With the default
-    /// [`esse_obs::NullRecorder`] every instrumentation site reduces to
-    /// a branch on `enabled()`.
+    /// Trace into `recorder`: a `task`/`member` span per attempt on its
+    /// worker's lane, the coordinator's events on the coordinator's.
     pub fn with_recorder(mut self, recorder: &'m dyn Recorder) -> Self {
         self.recorder = recorder;
         self
     }
 
-    /// Attach a live metrics registry. The run then keeps task-state
-    /// counters (`esse_tasks_*_total`), fault-recovery counters
-    /// (retries, timeouts, speculation, worker deaths), the convergence
-    /// rho gauge, and runtime/queue-wait histograms current while it
-    /// executes — scrape [`MetricsRegistry::snapshot`] at any moment
-    /// for a consistent point-in-time view.
+    /// Keep the task, recovery, pool and subspace meters in `registry`.
     pub fn with_metrics(mut self, registry: &'m MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
     }
 
-    /// Attach a durable run journal. Every member that enters the
-    /// spread matrix is first persisted (result blob + journal record
-    /// as the commit point), permanent failures and SVD rounds are
-    /// journalled, and each published subspace is written through the
-    /// on-disk safe/live covariance files in the checkpoint directory —
-    /// so a coordinator killed at any instant can be resumed via
-    /// [`Checkpoint::open`] + [`RunInit::resuming`]/
-    /// [`RunInit::rehydrating`] without re-running completed members.
+    /// Journal the run into `checkpoint` with member blobs and covariance
+    /// files beside it; a run on a checkpoint that holds members resumes
+    /// it through [`Coordinator::resume`] and never re-runs them.
     pub fn with_checkpoint(mut self, checkpoint: &'m Checkpoint) -> Self {
         self.checkpoint = Some(checkpoint);
         self
     }
 
     /// Run the decoupled uncertainty forecast (Fig. 4).
-    ///
-    /// This is the single entry point: a fresh run is
-    /// `run(RunInit::new(&mean, &prior))`; a restarted one chains
-    /// [`RunInit::resuming`]. (Before the unified API this was the pair
-    /// `run(&mean, &prior)` / `run_resuming(&mean, &prior, &previous)`.)
     pub fn run(&self, init: RunInit<'_>) -> Result<MtcOutcome, EsseError> {
-        let cfg = &self.config;
+        let (cfg, rec, lane) = (&self.config, self.recorder, Lane::Coordinator);
         let workers = cfg.workers.max(1);
-        let sh = Shared {
-            cfg,
-            t0: Instant::now(),
-            obs: self.recorder,
-            met: self.metrics.map(Meters::new),
-            cancel: AtomicBool::new(false),
-            alive: AtomicUsize::new(workers),
-        };
-        let ck = match self.checkpoint {
-            Some(ck) => Some((ck, DiskTripleBuffer::create(ck.dir())?)),
-            None => None,
-        };
-        let lane = Lane::Coordinator;
-        if !init.resume.is_empty() {
-            let args = [("members", init.resume.len().into())];
-            sh.emit(EventKind::Instant, Duration::ZERO, lane, "workflow", "resumed", &args);
-        }
+        let state = self.checkpoint.map_or(Ok(JournalState::default()), Checkpoint::state)?;
+        let pool = MemPool::new(workers, rec, self.checkpoint)?;
         let gen = PerturbationGenerator::new(init.prior, cfg.perturb.clone());
-        // Central forecast first: the differ needs it.
-        sh.emit(EventKind::Begin, sh.now(), lane, "phase", "central_forecast", &[]);
+        // A span edge: begin with `Some(args)`, end with `None`.
+        let span = |cat, name, args: Option<Vec<_>>| match (rec.enabled(), args) {
+            (false, _) => {}
+            (true, Some(args)) => rec.begin_at(rec.now_ns(), lane, cat, name, args),
+            (true, None) => rec.end_at(rec.now_ns(), lane, cat, name),
+        };
+        span("phase", "central_forecast", Some(vec![]));
         let central = self.model.forecast(init.mean, cfg.start_time, cfg.duration, None)?;
-        sh.emit(EventKind::End, sh.now(), lane, "phase", "central_forecast", &[]);
-
-        let (task_tx, task_rx) = unbounded::<Attempt>();
-        let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
-        let crew = Crew { sh: &sh, model: self.model, mean0: init.mean, gen: &gen };
-        std::thread::scope(|scope| {
+        span("phase", "central_forecast", None);
+        if !state.completed.is_empty() && rec.enabled() {
+            let args = vec![("members", state.completed.len().into())];
+            rec.instant_at(rec.now_ns(), lane, "workflow", "resumed", args);
+        }
+        let scratch = MetricsRegistry::new();
+        let journal = self.checkpoint;
+        let (hash, limits) = (state.config_hash.unwrap_or(0), (cfg.schedule.max, cfg.tolerance));
+        let incarnation = begin_incarnation(&journal, &state, hash, limits, &quiet)?;
+        let setup = Setup {
+            gen: &gen,
+            central: &central,
+            validator: self.validator.clone(),
+            strategy: cfg.subspace,
+            mode_rel_tol: cfg.mode_rel_tol,
+            max_rank: cfg.max_rank,
+            linalg: cfg.linalg,
+            schedule: cfg.schedule.clone(),
+            stride: cfg.svd_stride,
+            pool_factor: cfg.pool_factor,
+            tolerance: cfg.tolerance,
+            completion: cfg.completion,
+            deadline: cfg.deadline,
+            // A crew claim never heartbeats: its lease is the task timeout.
+            lease_ms: cfg.retry.task_timeout.map_or(u64::MAX, |t| t.as_millis().max(1) as u64),
+            retry: cfg.retry.clone(),
+            requeue_budget: cfg.retry.max_attempts - 1,
+            trace_run: 0,
+            incarnation: incarnation.unwrap_or(state.incarnations),
+            rec,
+            metrics: self.metrics.unwrap_or(&scratch),
+            progress: &quiet,
+        };
+        let ports = (&pool, &journal, &pool);
+        let mut co = Coordinator::resume(&state, Default::default(), ports, setup)?;
+        let crew = Crew {
+            pool: &pool,
+            model: self.model,
+            mean: init.mean,
+            gen: &gen,
+            window: (cfg.start_time, cfg.duration),
+            faults: cfg.faults.as_ref(),
+            metrics: self.metrics,
+            records: Mutex::default(),
+        };
+        let alive = std::thread::scope(|scope| {
             for w in 0..workers {
-                let (crew, task_rx, msg_tx) = (&crew, task_rx.clone(), msg_tx.clone());
-                scope.spawn(move || crew.work(w, task_rx, msg_tx));
+                let crew = &crew;
+                scope.spawn(move || crew.work(w));
             }
-            drop(msg_tx); // the coordinator keeps only msg_rx
-            let (validator, tasks) = (self.validator.clone(), (task_tx, task_rx));
-            let mut run = Run::new(&sh, ck, validator, &init, central.clone(), tasks);
-            run.plan_stage();
-            // Resumed members may already complete early stages.
-            while run.advance_stage() {}
-            if run.conv.converged() {
-                // The replayed history had already converged.
-                run.halt(sh.now());
-            }
-            // Runs until every issued attempt is accounted for and no
-            // member waits out a backoff. The wait is bounded so
-            // deadlines, backoff releases and the straggler scan run
-            // even while results are scarce.
-            while run.unsettled() {
-                let msg = msg_rx.recv_timeout(Duration::from_millis(5));
-                let now = sh.now();
-                run.tick(now)?;
-                match msg {
-                    Ok(WorkerMsg::Started { id, at }) => run.on_started(id, at),
-                    Ok(WorkerMsg::Done(done)) => {
-                        // A stopped run only drains in-flight results.
-                        if run.on_done(now, done)? && !run.stopped() {
-                            run.svd_round()?;
-                            run.advance_stage();
-                        }
+            let stepped = (|| -> Result<usize, CoordError> {
+                loop {
+                    let (scan, version, alive) = pool.snapshot();
+                    let now = pool.t0.elapsed();
+                    if co.step(&scan, now)? {
+                        return Ok(alive);
                     }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break,
+                    if alive == 0 {
+                        co.fail_undecided(CODE_POOL_DIED)?;
+                        return Ok(0);
+                    }
+                    match co.next_wake(now) {
+                        Some(t) if t <= now => {}
+                        wake => pool.wait(version, wake.and_then(|t| pool.t0.checked_add(t))),
+                    }
                 }
-            }
-            run.finish(central)
+            })();
+            pool.shutdown();
+            stepped
         })
+        .map_err(EsseError::from)?;
+
+        let (ids, expired) = (co.posterior_ids(), co.deadline_expired());
+        if ids.len() < 2 {
+            let elapsed = pool.t0.elapsed();
+            return Err(match cfg.deadline.filter(|_| expired) {
+                Some(budget) => EsseError::Deadline { elapsed, budget },
+                None => EsseError::NotEnoughMembers { have: ids.len(), need: 2 },
+            });
+        }
+        span("svd", "svd_final", Some(vec![("members", ids.len().into())]));
+        let posterior = co.posterior()?;
+        span("svd", "svd_final", None);
+        co.complete(&posterior)?;
+        let mut faults = co.report();
+        faults.workers_died = workers - alive.min(workers);
+        let ran = crew.records.into_inner().unwrap_or_else(|e| e.into_inner());
+        let planned = co.planned.max(ran.keys().last().map_or(0, |&m| m + 1));
+        let used: HashSet<u64> = ids.iter().copied().collect();
+        let records: Vec<TaskRecord> = (0..planned)
+            .map(|m| {
+                let mut r = ran.get(&m).cloned().unwrap_or_else(|| TaskRecord::pending(m as usize));
+                (r.state, r.outcome) = match (co.failed.get(&m), used.contains(&m), r.worker) {
+                    (Some(c), ..) => (Done, Some(TaskOutcome::Failed(format!("lost, code {c}")))),
+                    (None, true, _) => (Done, Some(TaskOutcome::Success)),
+                    (None, false, Some(_)) => (Done, Some(Wasted)),
+                    _ => (Cancelled, None),
+                };
+                r
+            })
+            .collect();
+        let quarantined = co.failed.values().filter(|&&c| c == CODE_QUARANTINE_BUDGET).count();
+        let mut out = MtcOutcome {
+            central: central.clone(),
+            subspace: posterior.subspace,
+            converged: co.converged(),
+            rho_history: co.conv.history().to_vec(),
+            makespan: Duration::ZERO,
+            members_used: ids.len(),
+            members_failed: co.failed.len() - quarantined,
+            members_wasted: records.iter().filter(|r| r.outcome == Some(Wasted)).count(),
+            members_cancelled: records.iter().filter(|r| r.state == Cancelled).count(),
+            records,
+            svd_rounds: co.rounds + 1,
+            deadline_expired: expired,
+            health: RunHealth::Full,
+            faults,
+        };
+        self.finish(&mut out, quarantined);
+        out.makespan = pool.t0.elapsed();
+        Ok(out)
+    }
+
+    /// The run's health verdict — permanent losses, and a deadline's
+    /// truncation, are reported explicitly, never silently — and its
+    /// closing meters and counters.
+    fn finish(&self, out: &mut MtcOutcome, quarantined: usize) {
+        let (rec, lane) = (self.recorder, Lane::Coordinator);
+        let planned = out.records.len().max(1) as f64;
+        let coverage = out.members_used as f64 / planned;
+        let truncated = out.deadline_expired && !out.converged;
+        let lost_members = out.members_failed
+            + if truncated { out.members_cancelled + out.members_wasted } else { 0 };
+        let replaced = out.faults.replaced;
+        if lost_members > 0 || quarantined > 0 {
+            out.health = RunHealth::Degraded { coverage, lost_members, quarantined, replaced };
+            if rec.enabled() {
+                let args = vec![
+                    ("coverage", coverage.into()),
+                    ("lost", lost_members.into()),
+                    ("quarantined", quarantined.into()),
+                    ("replaced", replaced.into()),
+                ];
+                rec.instant_at(rec.now_ns(), lane, "workflow", "degraded", args);
+            }
+        }
+        let f = &out.faults;
+        let counters = [
+            ("members_done", out.members_used),
+            ("members_failed", out.members_failed),
+            ("members_wasted", out.members_wasted),
+            ("retries", f.retries),
+            ("timeouts", f.timeouts),
+        ];
+        for (name, value) in counters.into_iter().filter(|_| rec.enabled()) {
+            rec.counter_at(rec.now_ns(), lane, name, value as f64);
+        }
+        let Some(reg) = self.metrics else { return };
+        reg.gauge("esse_members_done").set(out.members_used as f64);
+        reg.gauge("esse_coverage").set(coverage);
+        let waits = reg.histogram("esse_queue_wait_ns");
+        for w in out.records.iter().filter_map(TaskRecord::queue_wait) {
+            waits.observe(w.as_nanos() as u64);
+        }
+        for (name, n) in [
+            ("esse_tasks_completed_total", out.members_used),
+            ("esse_tasks_failed_total", out.members_failed),
+            ("esse_tasks_wasted_total", out.members_wasted),
+            ("esse_tasks_cancelled_total", out.members_cancelled),
+            ("esse_retries_total", f.retries),
+            ("esse_task_timeouts_total", f.timeouts),
+            ("esse_speculative_launches_total", f.speculative_launches),
+            ("esse_speculative_wins_total", f.speculative_wins),
+            ("esse_speculative_losses_total", f.speculative_losses),
+            ("esse_workers_died_total", f.workers_died),
+        ] {
+            reg.counter(name).add(n as u64);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esse_core::model::LinearGaussianModel;
+    use crate::task::TaskState;
+    use esse_core::convergence::similarity;
+    use esse_core::model::{ForecastError, LinearGaussianModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1619,36 +696,44 @@ mod tests {
         }
     }
 
+    /// A checkpoint as a previous incarnation left it: members `0..n`
+    /// forecast and journalled as completed.
+    fn checkpoint_with(tag: &str, n: usize, cfg: &MtcConfig) -> Checkpoint {
+        let (model, prior, mean) = setup();
+        let dir = std::env::temp_dir().join(format!("esse-wf-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ck = Checkpoint::create(&dir, 7).unwrap();
+        let gen = PerturbationGenerator::new(&prior, cfg.perturb.clone());
+        for j in 0..n {
+            let x0 = gen.perturb(&mean, j);
+            let seed = Some(gen.forecast_seed(j));
+            let xf = model.forecast(&x0, cfg.start_time, cfg.duration, seed).unwrap();
+            ck.write_member(j as u64, &xf).unwrap();
+            let done =
+                crate::journal::JournalRecord::MemberCompleted { member: j as u64, attempts: 1 };
+            ck.journal().append(&done).unwrap();
+        }
+        ck
+    }
+
     #[test]
     fn resume_skips_completed_members_and_matches_fresh_run() {
-        // Precompute members 0..20 as a previous incarnation would have
-        // left them (the bookkeeping files of paper 4.2), then resume.
         let (model, prior, mean) = setup();
         let mut cfg = config(2);
         cfg.tolerance = 1e-12;
         cfg.schedule = EnsembleSchedule::new(32, 32);
         cfg.pool_factor = 1.0;
-        let gen = esse_core::perturb::PerturbationGenerator::new(&prior, cfg.perturb.clone());
-        let previous: Vec<(TaskId, Vec<f64>)> = (0..20)
-            .map(|j| {
-                let x0 = gen.perturb(&mean, j);
-                let xf = model
-                    .forecast(&x0, cfg.start_time, cfg.duration, Some(gen.forecast_seed(j)))
-                    .unwrap();
-                (j, xf)
-            })
-            .collect();
-        let resumed = MtcEsse::new(&model, cfg.clone())
-            .run(RunInit::new(&mean, &prior).resuming(&previous))
-            .unwrap();
+        let ck = checkpoint_with("resume", 20, &cfg);
+        let engine = MtcEsse::new(&model, cfg.clone()).with_checkpoint(&ck);
+        let resumed = engine.run(RunInit::new(&mean, &prior)).unwrap();
         // Only 12 members actually ran in this incarnation.
         let ran = resumed.records.iter().filter(|r| r.worker.is_some()).count();
         assert_eq!(ran, 12, "resume must not rerun completed members");
         assert_eq!(resumed.members_used, 32);
-        // Identical subspace to an uninterrupted run (same member seeds).
+        // The bytes of an uninterrupted run (same member seeds).
         let fresh = MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)).unwrap();
-        let rho = similarity(&fresh.subspace, &resumed.subspace);
-        assert!(rho > 0.9999, "rho = {rho}");
+        assert_eq!(fresh.subspace.modes.as_slice(), resumed.subspace.modes.as_slice());
+        assert_eq!(fresh.subspace.variances, resumed.subspace.variances);
     }
 
     #[test]
@@ -1658,15 +743,9 @@ mod tests {
         cfg.tolerance = 1e-12;
         cfg.schedule = EnsembleSchedule::new(8, 8);
         cfg.pool_factor = 1.0;
-        let gen = esse_core::perturb::PerturbationGenerator::new(&prior, cfg.perturb.clone());
-        let previous: Vec<(TaskId, Vec<f64>)> = (0..8)
-            .map(|j| {
-                let x0 = gen.perturb(&mean, j);
-                (j, model.forecast(&x0, 0.0, cfg.duration, Some(gen.forecast_seed(j))).unwrap())
-            })
-            .collect();
-        let out =
-            MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior).resuming(&previous)).unwrap();
+        let ck = checkpoint_with("alldone", 8, &cfg);
+        let engine = MtcEsse::new(&model, cfg).with_checkpoint(&ck);
+        let out = engine.run(RunInit::new(&mean, &prior)).unwrap();
         assert_eq!(out.members_used, 8);
         assert!(out.records.iter().all(|r| r.worker.is_none()), "nothing re-ran");
         assert!(out.subspace.rank() >= 1);
@@ -1701,25 +780,20 @@ mod tests {
     }
 
     #[test]
-    fn unified_resume_entry_is_deterministic() {
+    fn resumed_runs_are_deterministic() {
         let (model, prior, mean) = setup();
         let mut cfg = config(1);
         cfg.tolerance = 1e-12;
         cfg.schedule = EnsembleSchedule::new(16, 16);
         cfg.pool_factor = 1.0;
-        let gen = esse_core::perturb::PerturbationGenerator::new(&prior, cfg.perturb.clone());
-        let previous: Vec<(TaskId, Vec<f64>)> = (0..4)
-            .map(|j| {
-                let x0 = gen.perturb(&mean, j);
-                (j, model.forecast(&x0, 0.0, cfg.duration, Some(gen.forecast_seed(j))).unwrap())
-            })
-            .collect();
-        let engine = MtcEsse::new(&model, cfg);
-        let first = engine.run(RunInit::new(&mean, &prior).resuming(&previous)).unwrap();
-        let second = engine.run(RunInit::new(&mean, &prior).resuming(&previous)).unwrap();
+        let run = |tag| {
+            let ck = checkpoint_with(tag, 4, &cfg);
+            let engine = MtcEsse::new(&model, cfg.clone()).with_checkpoint(&ck);
+            engine.run(RunInit::new(&mean, &prior)).unwrap()
+        };
+        let (first, second) = (run("det1"), run("det2"));
         assert_eq!(first.members_used, second.members_used);
-        let rho = similarity(&first.subspace, &second.subspace);
-        assert!(rho > 0.9999, "rho = {rho}");
+        assert_eq!(first.subspace.modes.as_slice(), second.subspace.modes.as_slice());
     }
 
     #[test]
@@ -1735,23 +809,23 @@ mod tests {
                 max_rank: 6,
                 svd_stride: 8,
                 completion,
+                // 3 ms members: the crew is busy when the run converges.
+                faults: Some(FaultPlan::seeded(1).with_stragglers(1.0, Duration::from_millis(3))),
                 ..Default::default()
             };
             MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)).unwrap()
         };
-        // frac = 0: everything in flight counts as "nearly done" → no
-        // wasted results (like UseCompleted).
+        // frac = 0: every claim live at convergence is "nearly done" and
+        // drained, like UseCompleted — nothing is wasted.
         let spare_all = run_with(CompletionPolicy::SpareNearlyDone(0.0));
+        assert!(spare_all.converged);
         assert_eq!(spare_all.members_wasted, 0, "frac=0 must spare everything");
-        // frac huge: nothing qualifies → in-flight results are wasted,
-        // like CancelImmediately (if anything was in flight at all).
+        // frac huge: no claim qualifies, so the live ones run in vain, as
+        // under CancelImmediately.
         let spare_none = run_with(CompletionPolicy::SpareNearlyDone(1e6));
         let cancel = run_with(CompletionPolicy::CancelImmediately);
-        assert_eq!(
-            spare_none.members_wasted > 0,
-            cancel.members_wasted > 0,
-            "frac=inf behaves like cancel-immediately"
-        );
+        assert!(spare_none.members_wasted > 0, "frac=inf spares nothing");
+        assert!(cancel.members_wasted > 0);
     }
 
     #[test]
@@ -1913,7 +987,9 @@ mod tests {
         cfg.tolerance = 1e-12;
         cfg.schedule = EnsembleSchedule::new(16, 16);
         cfg.pool_factor = 1.0;
-        cfg.faults = Some(FaultPlan::seeded(5).with_worker_death(1, 2));
+        // 2 ms members, so every worker gets its share.
+        let plan = FaultPlan::seeded(5).with_stragglers(1.0, Duration::from_millis(2));
+        cfg.faults = Some(plan.with_worker_death(1, 2));
         cfg.retry = RetryPolicy::retries(3);
         let out = MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)).unwrap();
         assert_eq!(out.faults.workers_died, 1);

@@ -7,16 +7,17 @@
 //! bad configuration, 3 workdir locked, 4 journal append failed.
 
 use esse::cli::{self, files};
+use esse::core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse::core::perturb::{PerturbConfig, PerturbationGenerator};
 use esse::core::subspace::{ErrorSubspace, SubspaceStrategy};
 use esse::core::validate::{ForecastValidator, ValidatorConfig};
 use esse::fileio;
 use esse::mtc::coordinator::{
-    begin_incarnation, CoordError, Coordinator, JournalPort, Setup, StorePort,
+    begin_incarnation, CoordError, Coordinator, JournalPort, Level, Setup, StorePort,
 };
 use esse::mtc::journal::{config_hash, Journal, JournalRecord, JournalState};
 use esse::mtc::pool::{PoolManifest, TaskPool};
-use esse::mtc::{DiskTripleBuffer, LockError, WorkdirLock};
+use esse::mtc::{DiskTripleBuffer, LockError, RetryPolicy, WorkdirLock};
 use esse_obs::event::Lane;
 use esse_obs::recorder::{Recorder, RecorderExt, NULL};
 use esse_obs::registry::{Counter, MetricsRegistry};
@@ -112,8 +113,8 @@ impl StorePort for DiskStore {
         Ok(())
     }
 
-    fn publish_covariance(&self, bytes: &[u8], version: u64) -> io::Result<()> {
-        self.cov.publish(bytes, version)
+    fn publish_covariance(&self, estimate: &ErrorSubspace, version: u64) -> io::Result<()> {
+        self.cov.publish(&fileio::subspace_to_bytes(estimate), version)
     }
 }
 
@@ -358,7 +359,12 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
         // The N-th append of this incarnation on fails like a full disk.
         journal.journal.inject_write_error_after(n);
     }
-    let Some(incarnation) = begin_incarnation(&journal, &state, run_hash, max, tolerance)? else {
+    let say = |level, line: std::fmt::Arguments| match level {
+        Level::Info => println!("esse_master: {line}"),
+        Level::Warn => eprintln!("esse_master: {line}"),
+    };
+    let begun = begin_incarnation(&journal, &state, run_hash, (max, tolerance), &say)?;
+    let Some(incarnation) = begun else {
         return Ok(());
     };
     // Arc-shared: esse-net connection threads record into it too.
@@ -414,21 +420,30 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
     let mut net_server = net_server.transpose()?;
     let cov = io(DiskTripleBuffer::create(workdir), "open the covariance files")?;
     let store = DiskStore { workdir: workdir.to_path_buf(), cov };
+    let attempts = cli::get_or(args, "task-attempts", 3u32).max(1);
+    let backoff = Duration::from_millis(20);
     let setup = Setup {
         gen: &gen,
         central: &central,
-        validator,
+        validator: Some(validator),
         strategy,
-        initial,
-        max,
+        mode_rel_tol: 1e-4,
+        max_rank: 64,
+        linalg: Default::default(),
+        schedule: EnsembleSchedule::new(initial, max),
+        stride: (initial / 2).max(4),
+        pool_factor: 1.0,
         tolerance,
+        completion: CompletionPolicy::CancelImmediately,
+        deadline: None,
         lease_ms,
-        task_attempts: cli::get_or(args, "task-attempts", 3u32).max(1),
+        retry: RetryPolicy::retries(attempts).with_backoff(backoff, 2.0, 0.0),
         requeue_budget: cli::get_or(args, "requeue-budget", 16u32).max(1),
         trace_run,
         incarnation,
         rec,
         metrics: &metrics,
+        progress: &say,
     };
     let epochs = io(pool.epochs(), "recover epochs from the task pool")?;
     let mut co = Coordinator::resume(&state, epochs, (&pool, &journal, &store), setup)?;

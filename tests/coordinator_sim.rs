@@ -1,38 +1,55 @@
-//! The library coordinator ([`esse::mtc::coordinator`]) over an
-//! in-memory port set: pool, journal and store live in `RefCell`s, and
-//! simulated workers drive them on a virtual clock.
+//! The library coordinator ([`esse::mtc::coordinator`]) over the
+//! library's in-memory port set ([`esse::mtc::mem::MemPool`]), driven by
+//! simulated workers on a virtual clock, and by the thread crew of
+//! `MtcEsse`.
 //!
 //! * `library_coordinator_writes_the_posterior_of_esse_master` runs the
 //!   `monterey:10,10,3` scenario through the library, with forecasts
 //!   from the same library calls `pert` and `pemodel` make, and asserts
 //!   the posterior bytes equal an `esse_master --workers 2` run's.
+//! * `in_process_run_writes_the_posterior_of_esse_master` runs the same
+//!   scenario through `MtcEsse` with `esse_master`'s settings — crews of
+//!   1, 2 and 4 threads, transient task failures drawn from `FAULT_SEED`
+//!   — and asserts the same bytes.
+//! * `in_process_posterior_is_a_pure_function_of_seed_and_config`: one
+//!   posterior for 1, 2 and 4 threads, with and without a seeded plan of
+//!   crashes, corrupt payloads and a dying thread.
 //! * `seeded_fault_schedules_keep_the_coordinator_invariants` is a seeded
 //!   fault explorer over cheap synthetic forecasts (a pure function of
 //!   member and seed). A schedule reorders, duplicates and delays
 //!   results — past the lease, so a zombie publishes at a stale epoch —,
-//!   drops claims so leases expire, corrupts payloads, and at journal
+//!   drops claims so leases expire, corrupts payloads, races stragglers
+//!   with speculative twins, may stop at a Tmax deadline, and at journal
 //!   append boundaries either fails the append (park) or stops right
 //!   after it is durable (crash); each is followed by a rebuild through
-//!   `Coordinator::resume` from the in-memory journal, pool and store. A
-//!   failing schedule prints its seed and event log. The `FAULT_SEED`
-//!   environment variable shifts the seed base, as in
-//!   `tests/fault_tolerance.rs`.
+//!   `Coordinator::resume` from the journal and the surviving pool and
+//!   store. A failing schedule prints its seed and event log.
+//!
+//! The `FAULT_SEED` environment variable shifts every seed, as in
+//! `tests/fault_tolerance.rs`.
 
-use esse::core::format::{subspace_to_bytes, vector_from_bytes_with_crc, vector_to_bytes};
+use esse::core::adaptive::{CompletionPolicy, EnsembleSchedule};
+use esse::core::format::subspace_to_bytes;
+use esse::core::model::{LinearGaussianModel, PeForecastModel};
 use esse::core::perturb::{PerturbConfig, PerturbationGenerator};
 use esse::core::subspace::{ErrorSubspace, SubspaceStrategy};
-use esse::core::validate::{ForecastValidator, Reason, ValidatorConfig};
+use esse::core::validate::{ForecastValidator, Reason, ValidatorConfig, VarBounds};
 use esse::mtc::coordinator::{
-    begin_incarnation, CoordError, Coordinator, JournalPort, PoolPort, Setup, StorePort,
+    begin_incarnation, quiet, CoordError, Coordinator, JournalPort, PoolPort, Setup, StorePort,
 };
 use esse::mtc::journal::{JournalRecord, JournalState};
-use esse::mtc::pool::{ClaimScan, Heartbeat, PoolScan, ResultRecord, TaskSpec, CODE_REJECTED};
+use esse::mtc::mem::MemPool;
+use esse::mtc::pool::{Heartbeat, ResultRecord, TaskSpec, CODE_REJECTED};
+use esse::mtc::workflow::{MtcConfig, MtcEsse, RunInit};
+use esse::mtc::{FaultPlan, RetryPolicy};
 use esse_obs::recorder::NULL;
 use esse_obs::registry::MetricsRegistry;
 use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// One coordinator loop turn on the virtual clock.
@@ -40,6 +57,11 @@ const TICK_MS: u64 = 15;
 /// The lease, in ticks.
 const LEASE_TICKS: u64 = 8;
 const RUN_HASH: u64 = 0x51_u64;
+
+/// Base seed for every seeded draw; CI shifts it per matrix job.
+fn fault_seed() -> u64 {
+    std::env::var("FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
+}
 
 /// SplitMix64: one stream per schedule, stable across platforms.
 #[derive(Default)]
@@ -70,7 +92,7 @@ struct Faults {
     die: f64,
     /// An attempt stalls past its lease, then publishes at its epoch.
     zombie: f64,
-    /// An attempt publishes a corrupt payload (flipped byte or NaN).
+    /// An attempt publishes a corrupt payload (CRC mismatch or NaN).
     corrupt: f64,
     /// An attempt exits nonzero, or its worker self-check rejects it.
     fail: f64,
@@ -80,6 +102,10 @@ struct Faults {
     append: f64,
     /// Appends that may fail or crash per schedule.
     append_budget: usize,
+    /// Race stragglers with twins at this multiple of the mean runtime.
+    speculate: Option<f64>,
+    /// Tmax, in ticks of each incarnation's clock.
+    deadline: Option<u64>,
 }
 
 /// What a simulated attempt does.
@@ -94,17 +120,33 @@ enum Act {
     Reject,
 }
 
-/// The in-memory port set, plus the invariant checks every port call
-/// makes against the durable journal.
+/// The library's pool, as the simulation owns it.
+struct Pool(MemPool<'static>);
+
+impl Default for Pool {
+    fn default() -> Self {
+        Pool(MemPool::new(1, &NULL, None).expect("an in-memory pool"))
+    }
+}
+
+impl std::ops::Deref for Pool {
+    type Target = MemPool<'static>;
+
+    fn deref(&self) -> &MemPool<'static> {
+        &self.0
+    }
+}
+
+/// The library's in-memory pool and store behind the invariant checks
+/// every port call makes against the durable journal, with append
+/// failures (park) and crashes injected at journal appends. The store is
+/// durable across crashes, like `esse_master`'s workdir: it keeps every
+/// committed forecast.
 #[derive(Default)]
-struct Mem {
+struct Sim {
+    pool: Pool,
     journal: RefCell<Vec<JournalRecord>>,
-    pending: RefCell<BTreeMap<(u64, u32), TaskSpec>>,
-    claims: RefCell<BTreeMap<(u64, u32), ClaimScan>>,
-    results: RefCell<BTreeMap<(u64, u32), ResultRecord>>,
     cancelled: Cell<bool>,
-    forecasts: RefCell<BTreeMap<u64, Vec<u8>>>,
-    covariance: RefCell<Option<(u64, Vec<u8>)>>,
 
     /// Append faults still to inject, and the stream that places them.
     append_faults: RefCell<(Rng, f64, usize)>,
@@ -125,12 +167,17 @@ struct Mem {
     completed: RefCell<BTreeSet<u64>>,
     failed: RefCell<BTreeSet<u64>>,
     /// Pool-derived: highest epoch ever seeded per member, every task
-    /// incarnation a worker published a result for.
+    /// incarnation a worker published a result for, and the claims still
+    /// live when their member's next epoch was seeded — the original side
+    /// of a speculation race, unless the coordinator dropped the claim.
     seeded: RefCell<BTreeMap<u64, u32>>,
     published: RefCell<BTreeSet<(u64, u32)>>,
+    raced: RefCell<BTreeSet<(u64, u32)>>,
+    /// Results consumed under the speculation exception.
+    twin_wins: Cell<usize>,
 }
 
-impl Mem {
+impl Sim {
     fn violation(&self, what: String) {
         self.violations.borrow_mut().push(what);
     }
@@ -152,6 +199,10 @@ impl Mem {
         self.high_water.borrow().get(&m).copied().unwrap_or(0)
     }
 
+    fn claimed(&self, key: (u64, u32)) -> bool {
+        self.pool.snapshot().0.claims.iter().any(|c| (c.spec.member, c.spec.epoch) == key)
+    }
+
     /// A coordinator (re)start: the tombstones are cleared, as
     /// `esse_master` does, and the new process is alive.
     fn restart(&self) {
@@ -160,21 +211,13 @@ impl Mem {
         self.cancelled.set(false);
     }
 
-    fn scan(&self) -> PoolScan {
-        PoolScan {
-            pending: self.pending.borrow().values().copied().collect(),
-            claims: self.claims.borrow().values().copied().collect(),
-            results: self.results.borrow().values().copied().collect(),
-        }
-    }
-
     /// The highest epoch of each member anywhere in the pool.
     fn epochs(&self) -> HashMap<u64, u32> {
+        let (scan, ..) = self.pool.snapshot();
         let mut epochs = HashMap::new();
-        let pending = self.pending.borrow();
-        let claims = self.claims.borrow();
-        let results = self.results.borrow();
-        for &(m, e) in pending.keys().chain(claims.keys()).chain(results.keys()) {
+        let claims = scan.claims.iter().map(|c| c.spec);
+        let keys = scan.pending.into_iter().chain(claims).map(|t| (t.member, t.epoch));
+        for (m, e) in keys.chain(scan.results.iter().map(|r| (r.member, r.epoch))) {
             let hw = epochs.entry(m).or_insert(0);
             *hw = e.max(*hw);
         }
@@ -182,7 +225,7 @@ impl Mem {
     }
 }
 
-impl JournalPort for Mem {
+impl JournalPort for Sim {
     fn append(&self, rec: &JournalRecord) -> io::Result<()> {
         if self.dead.get() {
             return Ok(());
@@ -238,7 +281,7 @@ impl JournalPort for Mem {
     }
 }
 
-impl PoolPort for Mem {
+impl PoolPort for Sim {
     fn seed(&self, spec: &TaskSpec) -> io::Result<()> {
         if !self.live("seed") {
             return Ok(());
@@ -250,32 +293,35 @@ impl PoolPort for Mem {
         if self.seeded.borrow().get(&m).is_some_and(|&s| e <= s) {
             self.violation(format!("member {m} seeded again at epoch {e}"));
         }
+        if self.claimed((m, e - 1)) {
+            self.raced.borrow_mut().insert((m, e - 1));
+        }
         self.seeded.borrow_mut().insert(m, e);
-        self.pending.borrow_mut().insert((m, e), *spec);
-        Ok(())
+        self.pool.seed(spec)
     }
 
     fn fence_result(&self, rec: &ResultRecord) -> io::Result<()> {
         if self.live("fence_result") {
-            self.results.borrow_mut().remove(&(rec.member, rec.epoch));
+            self.pool.fence_result(rec)?;
         }
         Ok(())
     }
 
     fn consume_result(&self, rec: &ResultRecord) -> io::Result<()> {
-        if self.live("consume_result") {
-            // Fencing: only the current epoch's result is consumed (the
-            // replacement of a quarantined one may already be out).
-            let (current, key) = (self.high_water(rec.member), (rec.member, rec.epoch));
-            if rec.epoch != current && !self.quarantined.borrow().contains(&key) {
-                let (m, e) = (rec.member, rec.epoch);
-                self.violation(format!(
-                    "consumed member {m}'s epoch-{e} result at epoch {current}"
-                ));
-            }
-            self.results.borrow_mut().remove(&(rec.member, rec.epoch));
+        if !self.live("consume_result") {
+            return Ok(());
         }
-        Ok(())
+        // Fencing: only the current epoch's result is consumed, but for
+        // a quarantined one (its replacement may already be out) and the
+        // original side of a speculation race.
+        let (current, key) = (self.high_water(rec.member), (rec.member, rec.epoch));
+        let twin = rec.epoch != current && self.raced.borrow().contains(&key);
+        self.twin_wins.set(self.twin_wins.get() + twin as usize);
+        if rec.epoch != current && !twin && !self.quarantined.borrow().contains(&key) {
+            let (m, e) = key;
+            self.violation(format!("consumed member {m}'s epoch-{e} result at epoch {current}"));
+        }
+        self.pool.consume_result(rec)
     }
 
     fn remove_claim(&self, spec: &TaskSpec) -> io::Result<()> {
@@ -283,24 +329,27 @@ impl PoolPort for Mem {
             return Ok(());
         }
         let key = (spec.member, spec.epoch);
-        let live = self.claims.borrow_mut().remove(&key).is_some();
+        let (live, published) = (self.claimed(key), self.published.borrow().contains(&key));
         // "Seed the successor first": an undecided member's newest claim
         // goes only once its result is in, or a later epoch exists.
         let newest = spec.epoch == self.high_water(spec.member);
-        if live && newest && !self.decided(spec.member) && !self.published.borrow().contains(&key) {
+        if live && newest && !self.decided(spec.member) && !published {
             self.violation(format!(
                 "member {} left with no incarnation: claim of epoch {} dropped",
                 spec.member, spec.epoch
             ));
         }
-        Ok(())
+        if live && !published {
+            self.raced.borrow_mut().remove(&key);
+        }
+        self.pool.remove_claim(spec)
     }
 
     fn cancel_pending(&self) -> io::Result<usize> {
         if !self.live("cancel_pending") {
             return Ok(0);
         }
-        Ok(std::mem::take(&mut *self.pending.borrow_mut()).len())
+        self.pool.cancel_pending()
     }
 
     fn write_cancel(&self) -> io::Result<()> {
@@ -315,25 +364,33 @@ impl PoolPort for Mem {
     }
 }
 
-impl StorePort for Mem {
+impl StorePort for Sim {
     fn read_forecast(&self, member: u64) -> io::Result<(Vec<f64>, u32)> {
         self.live("read_forecast");
-        let forecasts = self.forecasts.borrow();
-        let bytes = forecasts.get(&member).ok_or(io::ErrorKind::NotFound)?;
-        vector_from_bytes_with_crc(bytes)
+        self.pool.read_forecast(member)
     }
 
-    fn quarantine_forecast(&self, member: u64) -> io::Result<()> {
-        if self.live("quarantine_forecast") {
-            self.forecasts.borrow_mut().remove(&member);
+    fn read_result(&self, rec: &ResultRecord) -> io::Result<(Vec<f64>, u32)> {
+        self.live("read_result");
+        self.pool.read_result(rec)
+    }
+
+    fn commit(&self, rec: &ResultRecord) -> io::Result<()> {
+        if self.live("commit") {
+            self.pool.commit(rec)?;
         }
         Ok(())
     }
 
-    fn publish_covariance(&self, bytes: &[u8], version: u64) -> io::Result<()> {
-        if self.live("publish_covariance") {
-            *self.covariance.borrow_mut() = Some((version, bytes.to_vec()));
+    fn quarantine_forecast(&self, member: u64) -> io::Result<()> {
+        if self.live("quarantine_forecast") {
+            self.pool.quarantine_forecast(member)?;
         }
+        Ok(())
+    }
+
+    fn publish_covariance(&self, _estimate: &ErrorSubspace, _version: u64) -> io::Result<()> {
+        self.live("publish_covariance");
         Ok(())
     }
 }
@@ -361,67 +418,60 @@ struct Attempt {
     duplicate: bool,
 }
 
-/// The workers and the clock around one [`Mem`].
+/// The workers and the clock around one [`Sim`].
 struct World<'s, 'a> {
     sc: &'s Scenario<'a>,
-    mem: &'s Mem,
+    sim: &'s Sim,
     faults: Faults,
     rng: Rng,
     tick: u64,
     workers: Vec<Option<Attempt>>,
-    /// Result records delivered again at a later tick.
-    replays: Vec<(u64, ResultRecord)>,
+    /// Results delivered again at a later tick.
+    replays: Vec<(u64, ResultRecord, Option<Vec<f64>>)>,
 }
 
 impl World<'_, '_> {
     fn log(&self, line: String) {
-        self.mem.log.borrow_mut().push(format!("t{} {line}", self.tick));
+        self.sim.log.borrow_mut().push(format!("t{} {line}", self.tick));
     }
 
     /// One tick: workers heartbeat, publish and claim.
     fn advance(&mut self) {
         self.tick += 1;
-        let mem = self.mem;
+        let pool = &self.sim.pool;
         for slot in 0..self.workers.len() {
             let Some(a) = self.workers[slot].as_mut() else { continue };
-            let key = (a.spec.member, a.spec.epoch);
-            if mem.cancelled.get() && a.act != Act::Zombie {
+            if self.sim.cancelled.get() && a.act != Act::Zombie {
                 // A live worker observes CANCEL mid-run and abandons.
-                mem.claims.borrow_mut().remove(&key);
+                let _ = pool.remove_claim(&a.spec);
                 self.workers[slot] = None;
                 continue;
             }
             if a.act != Act::Zombie {
                 a.heartbeat += 1;
-                if let Some(c) = mem.claims.borrow_mut().get_mut(&key) {
-                    c.heartbeat = Some(Heartbeat { pid: slot as u32, counter: a.heartbeat });
-                }
+                pool.heartbeat(&a.spec, Heartbeat { pid: slot as u32, counter: a.heartbeat });
             }
             if self.tick >= a.due {
                 let a = self.workers[slot].take().expect("busy slot");
                 self.publish(&a);
             }
         }
-        let due: Vec<ResultRecord> =
-            self.replays.iter().filter(|(t, _)| *t <= self.tick).map(|&(_, r)| r).collect();
-        self.replays.retain(|(t, _)| *t > self.tick);
-        for r in due {
+        let due: Vec<_> = self.replays.iter().filter(|r| r.0 <= self.tick).cloned().collect();
+        self.replays.retain(|r| r.0 > self.tick);
+        for (_, r, xf) in due {
             self.log(format!("m{}.e{} result delivered again", r.member, r.epoch));
-            mem.results.borrow_mut().insert((r.member, r.epoch), r);
+            pool.publish(r, xf);
         }
         for slot in 0..self.workers.len() {
-            if self.workers[slot].is_none() && !mem.cancelled.get() {
+            if self.workers[slot].is_none() && !self.sim.cancelled.get() {
                 self.claim(slot);
             }
         }
     }
 
     fn claim(&mut self, slot: usize) {
-        let Some((&key, &spec)) = self.mem.pending.borrow().iter().next() else { return };
-        self.mem.pending.borrow_mut().remove(&key);
-        self.mem.claims.borrow_mut().insert(key, ClaimScan { spec, heartbeat: None });
-        let f = self.faults;
-        let rng = &mut self.rng;
+        let Some((spec, _)) = self.sim.pool.claim(false) else { return };
+        let (f, rng) = (self.faults, &mut self.rng);
         let act = if rng.chance(f.die) {
             Act::Die
         } else if rng.chance(f.zombie) {
@@ -438,7 +488,7 @@ impl World<'_, '_> {
             _ => 1 + rng.below(6),
         };
         let duplicate = rng.chance(f.duplicate);
-        self.log(format!("m{}.e{} claimed: {act:?} in {delay}", key.0, key.1));
+        self.log(format!("m{}.e{} claimed: {act:?} in {delay}", spec.member, spec.epoch));
         if act != Act::Die {
             let due = self.tick + delay;
             self.workers[slot] = Some(Attempt { spec, act, due, heartbeat: 0, duplicate });
@@ -451,28 +501,21 @@ impl World<'_, '_> {
         if a.act == Act::Nan {
             x[1] = f64::NAN;
         }
-        let mut bytes = vector_to_bytes(&x);
-        let (_, crc) = vector_from_bytes_with_crc(&bytes).expect("fresh encoding");
-        if a.act == Act::Flip {
-            let at = bytes.len() / 2;
-            bytes[at] ^= 0x40;
-        }
-        let (code, reason) = match a.act {
-            Act::Fail => (3, 0),
-            Act::Reject => (CODE_REJECTED, Reason::NonFinite.code()),
-            _ => (0, 0),
+        let (code, reason, fc_crc) = match a.act {
+            Act::Fail => (3, 0, 0),
+            Act::Reject => (CODE_REJECTED, Reason::NonFinite.code(), 0),
+            // The stored bytes no longer match the record's CRC.
+            Act::Flip => (0, 0, 0x0BAD_F00D),
+            _ => (0, 0, 0),
         };
-        if code == 0 {
-            self.mem.forecasts.borrow_mut().insert(m, bytes);
-        }
-        let fc_crc = if code == 0 { crc } else { 0 };
         let rec = ResultRecord { member: m, epoch: e, code, pid: 0, fc_crc, reason };
-        self.mem.results.borrow_mut().insert((m, e), rec);
-        self.mem.published.borrow_mut().insert((m, e));
-        self.mem.claims.borrow_mut().remove(&(m, e));
+        let payload = (code == 0).then_some(x);
+        self.sim.pool.publish(rec, payload.clone());
+        self.sim.published.borrow_mut().insert((m, e));
         self.log(format!("m{m}.e{e} published"));
         if a.duplicate {
-            self.replays.push((self.tick + 1 + self.rng.below(3 * LEASE_TICKS), rec));
+            let at = self.tick + 1 + self.rng.below(3 * LEASE_TICKS);
+            self.replays.push((at, rec, payload));
         }
     }
 }
@@ -480,10 +523,13 @@ impl World<'_, '_> {
 /// What one schedule produced.
 struct Outcome {
     posterior: Vec<u8>,
-    /// Members were lost for good: the run says so, and its posterior
-    /// may differ from the fault-free one.
+    /// Members were lost for good, or the deadline cut the run short:
+    /// the run says so, and its posterior may differ from the
+    /// fault-free one.
     degraded: bool,
     converged: bool,
+    /// Race originals consumed while their twin's epoch was current.
+    twin_wins: usize,
     violations: Vec<String>,
     log: Vec<String>,
 }
@@ -492,11 +538,11 @@ struct Outcome {
 /// under the fault schedule drawn from `seed`, restarting the
 /// coordinator through `Coordinator::resume` after every park and crash.
 fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome {
-    let mem = Mem::default();
-    *mem.append_faults.borrow_mut() = (Rng(seed ^ 0xA99E), faults.append, faults.append_budget);
+    let sim = Sim::default();
+    *sim.append_faults.borrow_mut() = (Rng(seed ^ 0xA99E), faults.append, faults.append_budget);
     let mut world = World {
         sc,
-        mem: &mem,
+        sim: &sim,
         faults,
         rng: Rng(seed),
         tick: 0,
@@ -505,13 +551,16 @@ fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome
     };
     let mut posterior = Vec::new();
     let (mut degraded, mut converged) = (false, false);
+    // A dead incarnation's calls have no effect, so what it does after
+    // the crash, errors included, never happened.
     let unexpected = |e: CoordError| match e {
-        CoordError::Parked(_) if mem.parked.get() => {}
-        e => mem.violation(format!("coordinator failed: {e}")),
+        CoordError::Parked(_) if sim.parked.get() => {}
+        _ if sim.dead.get() => {}
+        e => sim.violation(format!("coordinator failed: {e}")),
     };
     'incarnation: for restart in 0.. {
         if restart > faults.append_budget {
-            mem.violation("more restarts than injected faults".into());
+            sim.violation("more restarts than injected faults".into());
             break;
         }
         if restart > 0 {
@@ -521,11 +570,12 @@ fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome
             }
             world.log("coordinator restarts".into());
         }
-        mem.restart();
-        let state = JournalState::replay(&mem.journal.borrow());
-        let incarnation = match begin_incarnation(&mem, &state, RUN_HASH, sc.max, sc.tolerance) {
+        sim.restart();
+        let state = JournalState::replay(&sim.journal.borrow());
+        let limits = (sc.max, sc.tolerance);
+        let incarnation = match begin_incarnation(&sim, &state, RUN_HASH, limits, &quiet) {
             Ok(None) => break,
-            Ok(_) if mem.dead.get() => continue,
+            Ok(_) if sim.dead.get() => continue,
             Ok(Some(incarnation)) => incarnation,
             Err(e) => {
                 unexpected(e);
@@ -533,24 +583,35 @@ fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome
             }
         };
         let metrics = MetricsRegistry::new();
+        let mut retry = RetryPolicy::retries(3).with_backoff(Duration::from_millis(20), 2.0, 0.0);
+        if let Some(factor) = faults.speculate {
+            retry = retry.with_speculation(factor);
+        }
         let setup = Setup {
             gen: &sc.gen,
             central: &sc.central,
-            validator: sc.validator.clone(),
+            validator: Some(sc.validator.clone()),
             strategy: SubspaceStrategy::FullRecompute,
-            initial: sc.initial,
-            max: sc.max,
+            mode_rel_tol: 1e-4,
+            max_rank: 64,
+            linalg: Default::default(),
+            schedule: EnsembleSchedule::new(sc.initial, sc.max),
+            stride: (sc.initial / 2).max(4),
+            pool_factor: 1.0,
             tolerance: sc.tolerance,
+            completion: CompletionPolicy::CancelImmediately,
+            deadline: faults.deadline.map(|t| Duration::from_millis(t * TICK_MS)),
             lease_ms: sc.lease_ms,
-            task_attempts: 3,
+            retry,
             requeue_budget: 16,
             trace_run: 0,
             incarnation,
             rec: &NULL,
             metrics: &metrics,
+            progress: &quiet,
         };
-        let mut co = match Coordinator::resume(&state, mem.epochs(), (&mem, &mem, &mem), setup) {
-            Ok(_) if mem.dead.get() => continue,
+        let mut co = match Coordinator::resume(&state, sim.epochs(), (&sim, &sim, &sim), setup) {
+            Ok(_) if sim.dead.get() => continue,
             Ok(co) => co,
             Err(e) => {
                 unexpected(e);
@@ -561,8 +622,8 @@ fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome
         loop {
             world.advance();
             let now = Duration::from_millis((world.tick - start) * TICK_MS);
-            match co.step(&mem.scan(), now) {
-                Ok(_) if mem.dead.get() => continue 'incarnation,
+            match co.step(&sim.pool.snapshot().0, now) {
+                Ok(_) if sim.dead.get() => continue 'incarnation,
                 Ok(true) => break,
                 Ok(false) => {}
                 Err(e) => {
@@ -571,8 +632,14 @@ fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome
                 }
             }
             if world.tick > 20_000 {
-                mem.violation("no progress after 20000 ticks".into());
+                sim.violation("no progress after 20000 ticks".into());
                 break 'incarnation;
+            }
+        }
+        if co.deadline_expired() {
+            degraded = true;
+            if co.posterior_ids().len() < 2 {
+                break;
             }
         }
         let update = match co.posterior() {
@@ -584,63 +651,178 @@ fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome
         };
         // Published before `RunComplete`, as `esse_master` writes it.
         posterior = subspace_to_bytes(&update.subspace);
-        degraded = !mem.failed.borrow().is_empty();
+        degraded |= !sim.failed.borrow().is_empty();
         converged = co.converged();
         match co.complete(&update) {
-            Ok(()) if !mem.dead.get() => break,
+            Ok(()) if !sim.dead.get() => break,
             Ok(()) => {}
             Err(e) => unexpected(e),
         }
     }
-    let violations = mem.violations.take();
-    Outcome { posterior, degraded, converged, violations, log: mem.log.take() }
+    let violations = sim.violations.take();
+    let twin_wins = sim.twin_wins.get();
+    Outcome { posterior, degraded, converged, twin_wins, violations, log: sim.log.take() }
+}
+
+/// One `esse_master --workers 2` run of the `monterey:10,10,3` scenario:
+/// its workdir, posterior bytes and inputs, shared by the tests below.
+struct MasterRun {
+    dir: PathBuf,
+    posterior: Vec<u8>,
+    mean: Vec<f64>,
+    prior: ErrorSubspace,
+    central: Vec<f64>,
+}
+
+const DOMAIN: &str = "monterey:10,10,3";
+const HOURS: f64 = 1.0;
+
+fn master_run() -> &'static MasterRun {
+    static RUN: OnceLock<MasterRun> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("esse-coordsim-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_esse_master"))
+            .arg("--workdir")
+            .arg(&dir)
+            .args(["--domain", DOMAIN, "--hours", "1", "--initial", "4", "--max", "8"])
+            .args(["--tolerance", "0.15", "--workers", "2"])
+            .output()
+            .expect("esse_master runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let read = |name: &str| esse::fileio::read_vector(dir.join(name)).unwrap();
+        MasterRun {
+            posterior: std::fs::read(dir.join("posterior.sub")).unwrap(),
+            mean: read("mean.vec"),
+            prior: esse::fileio::read_subspace(dir.join("prior.sub")).unwrap(),
+            central: read("fc_central.vec"),
+            dir,
+        }
+    })
+}
+
+/// The gate `esse_master` rebuilds for the scenario.
+fn master_validator(run: &MasterRun) -> ForecastValidator {
+    let (model, _) = esse::cli::build_model(DOMAIN).unwrap();
+    let baselines = [run.mean.as_slice(), run.central.as_slice()];
+    ForecastValidator::for_scenario(&model.grid, &baselines, &run.prior, ValidatorConfig::default())
 }
 
 /// `esse_master`'s scenario, run by the binary with two workers and by
 /// the library over the in-memory ports: the same posterior bytes.
 #[test]
 fn library_coordinator_writes_the_posterior_of_esse_master() {
-    let dir = std::env::temp_dir().join(format!("esse-coordsim-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (domain, hours) = ("monterey:10,10,3", 1.0);
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_esse_master"))
-        .arg("--workdir")
-        .arg(&dir)
-        .args(["--domain", domain, "--hours", "1", "--initial", "4", "--max", "8"])
-        .args(["--tolerance", "0.15", "--workers", "2"])
-        .output()
-        .expect("esse_master runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let mean = esse::fileio::read_vector(dir.join("mean.vec")).unwrap();
-    let prior = esse::fileio::read_subspace(dir.join("prior.sub")).unwrap();
-    let central = esse::fileio::read_vector(dir.join("fc_central.vec")).unwrap();
-    let (model, _) = esse::cli::build_model(domain).unwrap();
-    let gen = PerturbationGenerator::new(&prior, PerturbConfig::default());
+    let run = master_run();
+    let (model, _) = esse::cli::build_model(DOMAIN).unwrap();
+    let gen = PerturbationGenerator::new(&run.prior, PerturbConfig::default());
     let sc = Scenario {
-        validator: ForecastValidator::for_scenario(
-            &model.grid,
-            &[&mean, &central],
-            &prior,
-            ValidatorConfig::default(),
-        ),
+        validator: master_validator(run),
         // What `pert` and then `pemodel` compute for the task's member
         // and seed.
         forecast: Box::new(|m, seed| {
-            let ic = gen.perturb(&mean, m as usize);
-            model.forecast(&ic, 0.0, hours * 3600.0, Some(seed)).expect("member forecast")
+            let ic = gen.perturb(&run.mean, m as usize);
+            model.forecast(&ic, 0.0, HOURS * 3600.0, Some(seed)).expect("member forecast")
         }),
-        gen: PerturbationGenerator::new(&prior, PerturbConfig::default()),
-        central,
+        gen: PerturbationGenerator::new(&run.prior, PerturbConfig::default()),
+        central: run.central.clone(),
         initial: 4,
         max: 8,
         tolerance: 0.15,
         lease_ms: 1200,
     };
-    let run = simulate(&sc, Faults::default(), 2, 1);
-    assert!(run.violations.is_empty(), "{:?}", run.violations);
-    let expected = std::fs::read(dir.join("posterior.sub")).unwrap();
-    assert_eq!(run.posterior, expected, "library posterior differs from esse_master's");
-    let _ = std::fs::remove_dir_all(&dir);
+    let out = simulate(&sc, Faults::default(), 2, fault_seed());
+    assert!(out.violations.is_empty(), "{:?}", out.violations);
+    assert_eq!(out.posterior, run.posterior, "library posterior differs from esse_master's");
+}
+
+/// `MtcEsse` with `esse_master`'s settings — the same schedule, SVD
+/// stride, gate, retry budget and completion policy — on 1, 2 and 4
+/// threads, with transient task failures that a retry always clears:
+/// the bytes of `esse_master --workers 2`.
+#[test]
+fn in_process_run_writes_the_posterior_of_esse_master() {
+    let run = master_run();
+    let seed = fault_seed();
+    let (pe, _) = esse::cli::build_model(DOMAIN).unwrap();
+    let model = PeForecastModel::new(pe);
+    for workers in [1, 2, 4] {
+        let cfg = MtcConfig {
+            workers,
+            pool_factor: 1.0,
+            schedule: EnsembleSchedule::new(4, 8),
+            tolerance: 0.15,
+            mode_rel_tol: 1e-4,
+            max_rank: 64,
+            perturb: PerturbConfig::default(),
+            duration: HOURS * 3600.0,
+            svd_stride: 4,
+            completion: CompletionPolicy::CancelImmediately,
+            retry: RetryPolicy::retries(3).with_backoff(Duration::from_millis(20), 2.0, 0.0),
+            faults: Some(FaultPlan::seeded(seed).with_transient_io(0.3)),
+            ..MtcConfig::default()
+        };
+        let engine = MtcEsse::new(&model, cfg).with_validator(master_validator(run));
+        let out = engine.run(RunInit::new(&run.mean, &run.prior)).expect("in-process run");
+        assert_eq!(out.central, run.central, "central forecasts differ");
+        let bytes = subspace_to_bytes(&out.subspace);
+        assert_eq!(
+            bytes, run.posterior,
+            "{workers} thread(s): posterior differs from esse_master's"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&run.dir);
+}
+
+/// The same posterior bytes on 1, 2 and 4 threads, with and without a
+/// seeded plan of crashes, corrupt payloads and a thread that dies: the
+/// in-process posterior is a function of the seed and the configuration,
+/// not of who ran what when.
+#[test]
+fn in_process_posterior_is_a_pure_function_of_seed_and_config() {
+    // Two 5-variable blocks far apart, so every corruption kind the plan
+    // draws (NaN, blowup, block shift) leaves the gate's bounds.
+    let dim = 10;
+    let model = LinearGaussianModel::diagonal(&vec![1.0; dim], 0.5, 1.0);
+    let mean: Vec<f64> = (0..dim).map(|i| if i < 5 { 100.0 } else { -100.0 }).collect();
+    let prior = ErrorSubspace::isotropic(&mut rand::rngs::StdRng::seed_from_u64(5), dim, 4, 1.0);
+    let bounds = vec![
+        VarBounds { name: "a", range: 0..5, lo: 50.0, hi: 150.0 },
+        VarBounds { name: "b", range: 5..10, lo: -150.0, hi: -50.0 },
+    ];
+    let validator = ForecastValidator::new(bounds, mean.clone(), ValidatorConfig::default());
+    let seed = fault_seed();
+    let run = |workers: usize, faults: Option<FaultPlan>| {
+        let cfg = MtcConfig {
+            workers,
+            pool_factor: 1.25,
+            schedule: EnsembleSchedule::new(8, 24),
+            tolerance: 1e-9,
+            duration: 4.0,
+            max_rank: 8,
+            svd_stride: 4,
+            retry: RetryPolicy::retries(8),
+            faults,
+            ..MtcConfig::default()
+        };
+        let engine = MtcEsse::new(&model, cfg).with_validator(validator.clone());
+        let out = engine.run(RunInit::new(&mean, &prior)).expect("in-process run");
+        (subspace_to_bytes(&out.subspace), out.svd_rounds, out.faults)
+    };
+    let (reference, rounds, _) = run(1, None);
+    let plan = FaultPlan::seeded(seed ^ 0xB0B)
+        .with_crashes(0.15)
+        .with_corruption(0.15)
+        .with_stragglers(0.5, Duration::from_millis(1))
+        .with_worker_death(1, 3);
+    let mut faults_seen = 0;
+    for workers in [1, 2, 4] {
+        let (bytes, r, _) = run(workers, None);
+        assert_eq!((bytes, r), (reference.clone(), rounds), "{workers} thread(s), no faults");
+        let (bytes, r, report) = run(workers, Some(plan.clone()));
+        assert_eq!((bytes, r), (reference.clone(), rounds), "{workers} thread(s), {report:?}");
+        faults_seen += report.retries + report.quarantined;
+    }
+    assert!(faults_seen > 0, "the plan (FAULT_SEED={seed}) injected nothing");
 }
 
 /// Synthetic members: the central state plus a weighted ±1 pattern
@@ -667,7 +849,7 @@ fn synthetic(dim: usize, tolerance: f64, prior: &ErrorSubspace) -> Scenario<'_> 
 
 #[test]
 fn seeded_fault_schedules_keep_the_coordinator_invariants() {
-    let base: u64 = std::env::var("FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
+    let base = fault_seed();
     let schedules: u64 = if cfg!(debug_assertions) { 500 } else { 3000 };
     let dim = 24;
     let prior = ErrorSubspace::isotropic(&mut rand::rngs::StdRng::seed_from_u64(3), dim, 1, 1.0);
@@ -687,12 +869,20 @@ fn seeded_fault_schedules_keep_the_coordinator_invariants() {
         duplicate: 0.08,
         append: 0.04,
         append_budget: 6,
+        ..Faults::default()
     };
     let started = Instant::now();
-    let mut degraded = 0;
+    let (mut degraded, mut cut, mut twin_wins) = (0, 0, 0);
     for case in 0..schedules {
         let seed = base.wrapping_mul(1_000_003).wrapping_add(case);
         let which = (case % 2) as usize;
+        // Every third schedule races stragglers with twins; every fifth
+        // has a Tmax that may cut it short.
+        let faults = Faults {
+            speculate: (case % 3 == 0).then_some(2.0),
+            deadline: (case % 5 == 0).then_some(40 + case % 60),
+            ..faults
+        };
         let run = simulate(&scenarios[which], faults, 1 + (case % 4) as usize, seed);
         let mut broken = run.violations;
         if run.posterior != references[which].posterior && !run.degraded {
@@ -706,10 +896,14 @@ fn seeded_fault_schedules_keep_the_coordinator_invariants() {
             run.log.join("\n")
         );
         degraded += run.degraded as usize;
+        cut += (run.degraded && faults.deadline.is_some()) as usize;
+        twin_wins += run.twin_wins;
     }
     let secs = started.elapsed().as_secs_f64();
     println!(
-        "{schedules} schedules in {secs:.2} s ({:.0} schedules/s), {degraded} degraded",
+        "{schedules} schedules in {secs:.2} s ({:.0} schedules/s), {degraded} degraded \
+         ({cut} cut by a deadline), {twin_wins} race(s) won by the original epoch",
         schedules as f64 / secs
     );
+    assert!(cut > 0 && twin_wins > 0, "the schedules never reach a deadline or a twin race");
 }

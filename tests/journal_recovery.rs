@@ -11,10 +11,14 @@ mod common;
 
 use common::smooth_t_prior;
 use esse::core::adaptive::{CompletionPolicy, EnsembleSchedule};
-use esse::core::model::PeForecastModel;
+use esse::core::model::{LinearGaussianModel, PeForecastModel};
+use esse::core::perturb::PerturbationGenerator;
+use esse::core::subspace::ErrorSubspace;
 use esse::fileio::{vector_from_bytes, vector_to_bytes};
 use esse::mtc::journal::{encode_subspace_blob, Checkpoint, Journal, JournalRecord};
-use esse::mtc::workflow::{MtcConfig, MtcEsse, ReplayState, RunInit};
+use esse::mtc::workflow::{MtcConfig, MtcEsse, RunInit};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -183,25 +187,22 @@ fn rehydrated_engine_is_bit_identical_and_never_reruns_completed_members() {
     );
     drop(ck);
 
-    // Simulate a crash: tear the journal after RunStart + 3 completed
-    // members (dropping the later members and the SVD round).
+    // Simulate a crash: tear the journal right after its third
+    // `MemberCompleted` (dropping the later members and the SVD round).
     let jpath = dir.join(Checkpoint::JOURNAL);
     let raw = std::fs::read(&jpath).unwrap();
     let ends = frame_ends(&raw);
-    std::fs::write(&jpath, &raw[..ends[3]]).unwrap();
+    let records = Journal::replay(&jpath).unwrap().records;
+    let completed = |r: &&JournalRecord| matches!(r, JournalRecord::MemberCompleted { .. });
+    let third = records.iter().enumerate().filter(|(_, r)| completed(r)).nth(2).unwrap().0;
+    std::fs::write(&jpath, &raw[..ends[third]]).unwrap();
 
-    let (ck2, resume) = Checkpoint::open(&dir, hash).unwrap();
-    assert_eq!(resume.completed.len(), 3, "three members survive the torn journal");
-    assert!(resume.quarantined.is_empty());
-    let replay = ReplayState {
-        rho_history: resume.state.rho_history(),
-        previous: None,
-        last_svd_members: resume.state.last_svd_members() as usize,
-        svd_version: 0,
-    };
+    let (ck2, state) = Checkpoint::open(&dir, hash).unwrap();
+    assert_eq!(state.completed.len(), 3, "three members survive the torn journal");
+    assert!(state.quarantined.is_empty());
     let resumed = MtcEsse::new(&model, cfg)
         .with_checkpoint(&ck2)
-        .run(RunInit::new(&mean0, &prior).resuming(&resume.completed).rehydrating(&replay))
+        .run(RunInit::new(&mean0, &prior))
         .expect("resumed");
 
     assert_eq!(resumed.central, fresh.central, "resumed central differs");
@@ -231,8 +232,10 @@ fn corrupt_member_blob_is_quarantined_never_ingested() {
     let b: Vec<f64> = vec![4.0, 5.0, 6.0];
     {
         let ck = Checkpoint::create(&dir, hash).unwrap();
-        ck.record_member(0, 1, &a).unwrap();
-        ck.record_member(1, 1, &b).unwrap();
+        for (member, data) in [(0, &a), (1, &b)] {
+            ck.write_member(member, data).unwrap();
+            ck.journal().append(&JournalRecord::MemberCompleted { member, attempts: 1 }).unwrap();
+        }
     }
     // Corrupt member 0's blob in place.
     let p0 = dir.join("member_0.ck");
@@ -241,23 +244,42 @@ fn corrupt_member_blob_is_quarantined_never_ingested() {
     raw[last] ^= 0x40;
     std::fs::write(&p0, &raw).unwrap();
 
-    let (_ck, resume) = Checkpoint::open(&dir, hash).unwrap();
-    // The corrupt blob is quarantined and requeued — never ingested.
-    assert_eq!(resume.completed, vec![(1, b)]);
-    assert_eq!(resume.quarantined, vec![0]);
-    assert!(!p0.exists(), "corrupt blob left in place");
-    assert!(
-        dir.join(Checkpoint::QUARANTINE).join("member_0.ck").exists(),
-        "corrupt blob not moved to quarantine/"
-    );
-    // The quarantine is itself journaled, and the folded state agrees.
+    // A run on the checkpoint resumes it: the corrupt blob is
+    // quarantined, journalled and re-run — never ingested — and the
+    // intact member is not re-run.
+    let model = LinearGaussianModel::diagonal(&[1.0; 3], 0.0, 1.0);
+    let prior = ErrorSubspace::isotropic(&mut StdRng::seed_from_u64(3), 3, 1, 1.0);
+    let cfg = MtcConfig {
+        workers: 1,
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(2, 2),
+        tolerance: 1e-12,
+        duration: 1.0,
+        max_rank: 3,
+        svd_stride: 2,
+        ..Default::default()
+    };
+    let (ck, _) = Checkpoint::open(&dir, hash).unwrap();
+    let out = MtcEsse::new(&model, cfg.clone())
+        .with_checkpoint(&ck)
+        .run(RunInit::new(&[0.0; 3], &prior))
+        .expect("resumed run");
+    assert_eq!(out.members_used, 2);
+    let ran: Vec<usize> = out.records.iter().filter(|r| r.worker.is_some()).map(|r| r.id).collect();
+    assert_eq!(ran, [0], "only the quarantined member re-runs");
+    assert_eq!(std::fs::read(dir.join(Checkpoint::QUARANTINE).join("member_0.ck")).unwrap(), raw);
+    let gen = PerturbationGenerator::new(&prior, cfg.perturb.clone());
+    assert_eq!(vector_from_bytes(&std::fs::read(&p0).unwrap()).unwrap(), gen.perturb(&[0.0; 3], 0));
+    // The quarantine is journalled before the re-run's completion.
     let records = Journal::replay(dir.join(Checkpoint::JOURNAL)).unwrap().records;
-    assert!(records.contains(&JournalRecord::MemberQuarantined {
-        member: 0,
-        reason: esse::core::validate::Reason::CorruptPayload.code(),
-    }));
-    assert_eq!(resume.state.completed, vec![(1, 1)]);
-    assert_eq!(resume.state.quarantined, vec![0]);
+    let at = |rec: &JournalRecord| records.iter().position(|r| r == rec);
+    let reason = esse::core::validate::Reason::CorruptPayload.code();
+    let quarantined = at(&JournalRecord::MemberQuarantined { member: 0, reason });
+    let redone = records
+        .iter()
+        .rposition(|r| *r == JournalRecord::MemberCompleted { member: 0, attempts: 1 });
+    assert!(quarantined.is_some() && quarantined < redone, "{records:?}");
+    assert_eq!(ck.state().unwrap().completed, vec![(0, 1), (1, 1)]);
 }
 
 #[test]

@@ -17,6 +17,7 @@ use esse::core::model::LinearGaussianModel;
 use esse::core::subspace::{ErrorSubspace, SubspaceStrategy};
 use esse::core::validate::{ForecastValidator, ValidatorConfig, VarBounds};
 use esse::mtc::fault::{FaultPlan, RetryPolicy};
+use esse::mtc::journal::{Checkpoint, JournalRecord};
 use esse::mtc::workflow::{MtcConfig, MtcEsse, RunInit};
 use esse_obs::{EventKind, MetricsRegistry, RingRecorder};
 use rand::rngs::StdRng;
@@ -32,18 +33,21 @@ const SCHEMA: &[(&str, &str, &str, &[&str])] = &[
     ("counter", "members_wasted", "counter", &[]),
     ("counter", "retries", "counter", &[]),
     ("counter", "timeouts", "counter", &[]),
-    ("fault", "member_failed_permanent", "instant", &["member", "attempts"]),
-    ("fault", "member_lost_quarantine", "instant", &["member", "attempts"]),
-    ("fault", "member_quarantined", "instant", &["member", "reason"]),
-    ("fault", "replacement_scheduled", "instant", &["member", "attempt"]),
-    ("fault", "retry_scheduled", "instant", &["member", "attempt", "delay_ms"]),
-    ("fault", "speculative_launch", "instant", &["member", "attempt"]),
-    ("fault", "speculative_loss", "instant", &["member"]),
-    ("fault", "speculative_win", "instant", &["member"]),
-    ("fault", "task_timeout", "instant", &["member", "runtime_ms"]),
+    ("fault", "member_lost", "instant", &["member", "epoch"]),
+    ("fault", "member_quarantined", "instant", &["member", "epoch", "reason"]),
+    ("fault", "retry_scheduled", "instant", &["member", "epoch", "delay_ms"]),
+    ("fault", "speculative_launch", "instant", &["member", "epoch"]),
+    ("fault", "speculative_loss", "instant", &["member", "epoch"]),
+    ("fault", "speculative_win", "instant", &["member", "epoch"]),
     ("fault", "worker_died", "instant", &["worker"]),
     ("phase", "central_forecast", "begin", &[]),
     ("phase", "central_forecast", "end", &[]),
+    ("pool", "fencing_rejected", "instant", &["member", "epoch", "current"]),
+    ("pool", "lease_expired", "instant", &["member", "epoch"]),
+    ("pool", "lease_granted", "instant", &["member", "epoch"]),
+    ("pool", "replacement_scheduled", "instant", &["member", "epoch", "reason"]),
+    ("pool", "result_ingested", "instant", &["member", "epoch"]),
+    ("pool", "task_seeded", "instant", &["member", "epoch", "span", "incarnation"]),
     ("sched", "enqueued", "instant", &["member"]),
     ("sched", "enqueued", "instant", &["member", "attempt"]),
     ("svd", "convergence_check", "instant", &["rho", "members"]),
@@ -55,7 +59,7 @@ const SCHEMA: &[(&str, &str, &str, &[&str])] = &[
     ("svd", "svd", "end", &[]),
     ("svd", "svd_final", "begin", &["members"]),
     ("svd", "svd_final", "end", &[]),
-    ("task", "cancelled", "instant", &["member"]),
+    ("svd", "svd_published", "instant", &["members", "version"]),
     ("task", "member", "begin", &["member", "attempt"]),
     ("task", "member", "end", &[]),
     ("task", "member_failed", "instant", &["member", "attempt"]),
@@ -63,7 +67,6 @@ const SCHEMA: &[(&str, &str, &str, &[&str])] = &[
     ("workflow", "deadline_expired", "instant", &["tmax_ms"]),
     ("workflow", "degraded", "instant", &["coverage", "lost", "quarantined", "replaced"]),
     ("workflow", "resumed", "instant", &["members"]),
-    ("workflow", "stage_advance", "instant", &["target"]),
 ];
 
 /// Which side of a speculation race lands first is up to the scheduler;
@@ -76,6 +79,12 @@ const METRICS: &[&str] = &[
     "esse_coverage",
     "esse_members_done",
     "esse_member_runtime_ns",
+    "esse_pool_fencing_rejected_total",
+    "esse_pool_lease_expired_total",
+    "esse_pool_lease_granted_total",
+    "esse_pool_lease_renewed_total",
+    "esse_pool_results_ingested_total",
+    "esse_pool_tasks_seeded_total",
     "esse_queue_wait_ns",
     "esse_quarantined_total",
     "esse_replaced_total",
@@ -116,17 +125,28 @@ fn observe(seen: &mut BTreeSet<Shape>, dim: usize, cfg: MtcConfig, validate: boo
     let model = LinearGaussianModel::diagonal(&vec![0.5; dim], 0.05, 1.0);
     let prior = ErrorSubspace::isotropic(&mut StdRng::seed_from_u64(7), dim, 6, 1.0);
     let mean = vec![0.0; dim];
-    let resume: Vec<(usize, Vec<f64>)> =
-        (0..resumed).map(|j| (j, vec![0.1 * j as f64; dim])).collect();
+    // What a previous incarnation left: `resumed` completed members.
+    let dir = std::env::temp_dir().join(format!("esse-schema-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ck = Checkpoint::create(&dir, 1).expect("checkpoint");
+    for j in 0..resumed as u64 {
+        ck.write_member(j, &vec![0.1 * j as f64; dim]).expect("member blob");
+        let done = JournalRecord::MemberCompleted { member: j, attempts: 1 };
+        ck.journal().append(&done).expect("journal");
+    }
     let (ring, registry) = (RingRecorder::new(), MetricsRegistry::new());
     let mut engine = MtcEsse::new(&model, cfg).with_recorder(&ring).with_metrics(&registry);
+    if resumed > 0 {
+        engine = engine.with_checkpoint(&ck);
+    }
     if validate {
         let bounds = vec![VarBounds { name: "x", range: 0..dim, lo: -1e3, hi: 1e3 }];
         let validator = ForecastValidator::new(bounds, mean.clone(), ValidatorConfig::default());
         engine = engine.with_validator(validator);
     }
     // A deadline run may legitimately end in `EsseError::Deadline`.
-    let _ = engine.run(RunInit::new(&mean, &prior).resuming(&resume));
+    let _ = engine.run(RunInit::new(&mean, &prior));
+    let _ = std::fs::remove_dir_all(&dir);
     let trace = ring.drain();
     trace.check_well_formed().expect("well-formed trace");
     for ev in &trace.events {
