@@ -13,10 +13,10 @@
 use esse_core::adaptive::EnsembleSchedule;
 use esse_core::convergence::{similarity, subspace_from_spread};
 use esse_core::covariance::SpreadAccumulator;
-use esse_core::driver::{EsseConfig, SerialEsse};
 use esse_core::model::{ForecastModel, LinearGaussianModel, PeForecastModel};
 use esse_core::perturb::{PerturbConfig, PerturbationGenerator};
 use esse_core::subspace::ErrorSubspace;
+use esse_mtc::workflow::{MtcConfig, MtcEsse, RunInit};
 use esse_ocean::scenario;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,23 +85,23 @@ fn main() {
         println!("  {n:>6} {rho:>8.4}");
     }
 
-    // --- The adaptive schedule in action via the serial driver. ---
-    println!("\nadaptive N schedule (serial driver, tolerance 0.05):");
-    let cfg = EsseConfig {
+    // --- The adaptive schedule in action on the serial (Fig. 3) schedule. ---
+    println!("\nadaptive N schedule (serial schedule, tolerance 0.05):");
+    let cfg = MtcConfig {
         schedule: EnsembleSchedule::new(8, 512),
         tolerance: 0.05,
         duration: 20.0,
         max_rank: 8,
         ..Default::default()
     };
-    let esse = SerialEsse::new(&lin, cfg);
+    let esse = MtcEsse::new(&lin, cfg.serial());
     let mut rng = StdRng::seed_from_u64(5);
     let prior = ErrorSubspace::isotropic(&mut rng, 8, 8, 1.0);
-    let fc = esse.forecast_uncertainty(&[0.0; 8], &prior).expect("forecast");
+    let fc = esse.run(RunInit::new(&[0.0; 8], &prior)).expect("forecast");
     println!(
         "  converged = {} after {} members (rho history {:?})",
         fc.converged,
-        fc.members_run,
+        fc.members_used,
         fc.rho_history.iter().map(|r| (r * 1000.0).round() / 1000.0).collect::<Vec<_>>()
     );
 }

@@ -1,9 +1,13 @@
 //! Figures 3 vs 4 reproduction (F34): the serial ESSE implementation
 //! against the decoupled MTC pool, in two regimes:
 //!
-//! 1. **real threads** — both drivers run the actual stochastic model on
-//!    this machine; the MTC engine's makespan shrinks with workers while
-//!    the serial loop cannot exploit any parallelism;
+//! 1. **real threads** — one engine runs the actual stochastic model on
+//!    this machine, on the serial schedule ([`MtcConfig::serial`]: one
+//!    worker, an SVD that blocks between stages) and on pools of 1/2/4/8
+//!    workers; the pool's makespan shrinks with workers while the serial
+//!    schedule cannot exploit any parallelism. Every arm decides the same
+//!    64 members, so each must write the serial arm's posterior bytes:
+//!    the bin exits nonzero otherwise;
 //! 2. **cluster scale (simulated)** — the Fig. 3 structure (perturb →
 //!    forecast → diff → SVD strictly in sequence per round) vs the
 //!    Fig. 4 structure (pool + continuous diff/SVD) on the 210-core
@@ -15,17 +19,17 @@
 //! cargo run --release -p esse-bench --bin serial_vs_parallel -- --trace-out run.jsonl --monitor
 //! ```
 //!
-//! With `--trace-out <path>` the serial driver and a converging MTC run
-//! are recorded through `esse-obs` and exported — Chrome trace-event
+//! With `--trace-out <path>` a converging MTC run is recorded through
+//! `esse-obs` and exported — Chrome trace-event
 //! JSON for `.json`/`.trace` paths (open in `chrome://tracing` or
 //! Perfetto), JSONL otherwise. A `.jsonl` trace feeds straight into the
-//! `trace_report` binary, which recovers the speedup and per-phase
-//! breakdown from the events alone. `--monitor` additionally attaches a
+//! `trace_report` binary, which recovers the per-phase breakdown and the
+//! critical path from the events alone. `--monitor` additionally attaches a
 //! live [`esse_obs::RunMonitor`] to the traced MTC run: heartbeat lines
 //! on stderr while it runs, a final run report on stdout.
 
 use esse_core::adaptive::EnsembleSchedule;
-use esse_core::driver::{EsseConfig, SerialEsse};
+use esse_core::format::subspace_to_bytes;
 use esse_core::model::{ForecastModel, LinearGaussianModel};
 use esse_core::subspace::ErrorSubspace;
 use esse_mtc::metrics::summarize;
@@ -34,7 +38,7 @@ use esse_obs::RingRecorder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::process::ExitCode;
 
 /// A model that burns a calibrated amount of CPU per forecast so that
 /// thread-level speedups are measurable.
@@ -64,7 +68,7 @@ impl ForecastModel for CostlyModel {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let mut trace_out: Option<PathBuf> = None;
     let mut monitor = false;
     let mut argv = std::env::args().skip(1);
@@ -89,38 +93,26 @@ fn main() {
     let n_target = 64;
 
     println!("== Fig. 3 vs Fig. 4: real-thread comparison (N = {n_target} members) ==");
-    // Serial (Fig. 3).
-    let t0 = Instant::now();
-    let serial_cfg = EsseConfig {
+    let fixed = MtcConfig {
+        pool_factor: 1.0,
         schedule: EnsembleSchedule::new(n_target, n_target),
         tolerance: 1e-12, // run the full ensemble
         duration: 10.0,
         max_rank: 6,
+        svd_stride: 16,
         ..Default::default()
     };
-    let ring = RingRecorder::new();
-    let mut serial = SerialEsse::new(&model, serial_cfg);
-    if trace_out.is_some() {
-        serial = serial.with_recorder(&ring);
-    }
-    let sf = serial.forecast_uncertainty(&mean, &prior).expect("serial");
-    let serial_time = t0.elapsed();
-    println!("serial loop: {} members in {serial_time:.2?}", sf.members_run);
+    // Serial (Fig. 3).
+    let serial = MtcEsse::new(&model, fixed.clone().serial());
+    let serial = serial.run(RunInit::new(&mean, &prior)).expect("serial");
+    let (serial_time, posterior) = (serial.makespan, subspace_to_bytes(&serial.subspace));
+    println!("serial loop: {} members in {serial_time:.2?}", serial.members_used);
 
     // MTC pool (Fig. 4) with growing worker counts.
+    let mut mismatched = Vec::new();
     for workers in [1, 2, 4, 8] {
-        let cfg = MtcConfig {
-            workers,
-            pool_factor: 1.0,
-            schedule: EnsembleSchedule::new(n_target, n_target),
-            tolerance: 1e-12,
-            duration: 10.0,
-            max_rank: 6,
-            svd_stride: 16,
-            ..Default::default()
-        };
-        let engine = MtcEsse::new(&model, cfg);
-        let out = engine.run(RunInit::new(&mean, &prior)).expect("mtc");
+        let cfg = MtcConfig { workers, ..fixed.clone() };
+        let out = MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)).expect("mtc");
         let m = summarize(&out.records, workers);
         println!(
             "MTC pool, {workers} workers: {} members in {:.2?} (speedup {:.2}x, pool utilization {:.0}%)",
@@ -129,6 +121,9 @@ fn main() {
             serial_time.as_secs_f64() / out.makespan.as_secs_f64(),
             100.0 * m.utilization
         );
+        if subspace_to_bytes(&out.subspace) != posterior {
+            mismatched.push(workers);
+        }
     }
 
     // --- Cluster-scale structural comparison (simulated). ---
@@ -160,8 +155,7 @@ fn main() {
     if trace_out.is_some() || monitor {
         // One more MTC run with a realistic tolerance so the trace shows
         // the convergence machinery firing (the benchmark runs above use
-        // tolerance 1e-12 to force the full ensemble). Serial-driver
-        // spans recorded above share the file on the Driver lane.
+        // tolerance 1e-12 to force the full ensemble).
         let cfg = MtcConfig {
             workers: 4,
             schedule: EnsembleSchedule::new(16, 256),
@@ -171,6 +165,7 @@ fn main() {
             svd_stride: 8,
             ..Default::default()
         };
+        let ring = RingRecorder::new();
         let live = monitor.then(|| {
             esse_obs::RunMonitor::start(esse_obs::monitor::MonitorConfig {
                 period: std::time::Duration::from_millis(200),
@@ -206,4 +201,10 @@ fn main() {
             );
         }
     }
+    if !mismatched.is_empty() {
+        eprintln!("posterior bytes differ from the serial arm's with {mismatched:?} workers");
+        return ExitCode::FAILURE;
+    }
+    println!("posterior bytes: every pool arm matches the serial arm");
+    ExitCode::SUCCESS
 }

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The report is computed from the events alone (no engine state): the
-//! Fig 3-vs-Fig 4 speedup, per-phase breakdown, queue-wait vs
+//! per-phase breakdown, per-layer lane groups, queue-wait vs
 //! service-time decomposition, windowed throughput, stragglers and the
 //! critical path all come out of [`LoadedTrace::analyze`].
 //!
@@ -53,9 +53,6 @@ fn metric_map(a: &RunAnalysis) -> BTreeMap<String, f64> {
         m.insert("queue_wait_p50_ms".into(), ms(w.p50_ns));
         m.insert("queue_wait_p95_ms".into(), ms(w.p95_ns));
         m.insert("queue_wait_p99_ms".into(), ms(w.p99_ns));
-    }
-    if let Some(s) = a.speedup() {
-        m.insert("speedup".into(), s);
     }
     for g in &a.lane_groups {
         m.insert(format!("{}_span_ms", g.group), ms(g.span_ns));
@@ -148,9 +145,6 @@ fn render(a: &RunAnalysis, markdown: bool) -> String {
             ms(g.busy_ns),
             g.tasks
         ));
-    }
-    if let Some(s) = a.speedup() {
-        out.push_str(&format!("serial-vs-parallel wall-clock speedup: {s:.2}x\n"));
     }
     if let Some(n) = a.resumed_members {
         out.push_str(&format!(

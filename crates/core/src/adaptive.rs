@@ -1,9 +1,10 @@
-//! Adaptive ensemble sizing and deadline policy (paper Fig. 3 loop and
+//! Adaptive ensemble sizing and completion policy (paper Fig. 3 loop and
 //! §4.1 pool management).
 //!
 //! The serial algorithm doubles the ensemble (`N → N₂ ≤ Nmax`) whenever
 //! the convergence test fails, until convergence, `Nmax`, or the
-//! forecast deadline `Tmax`. The MTC pool variant over-provisions
+//! forecast deadline `Tmax` (a wall-clock budget the `esse-mtc`
+//! coordinator enforces). The MTC pool variant over-provisions
 //! (`M ≥ N`) so the SVD pipeline never drains, and decides what to do
 //! with still-running members once converged.
 
@@ -40,15 +41,6 @@ impl EnsembleSchedule {
         }
         out
     }
-
-    /// Next stage after a failed convergence test at size `n`
-    /// (`None` when already at `Nmax`).
-    pub fn next_after(&self, n: usize) -> Option<usize> {
-        if n >= self.max {
-            return None;
-        }
-        Some(((n as f64 * self.growth).ceil() as usize).min(self.max))
-    }
 }
 
 /// What to do with members still running when convergence is reached
@@ -66,42 +58,6 @@ pub enum CompletionPolicy {
     SpareNearlyDone(f64),
 }
 
-/// Deadline bookkeeping for a forecast (Tmax in the paper).
-#[derive(Debug, Clone)]
-pub struct Deadline {
-    /// Wall-clock budget (s).
-    pub budget: f64,
-    /// Elapsed so far (s) — advanced by the caller/simulator.
-    pub elapsed: f64,
-}
-
-impl Deadline {
-    /// New deadline with a budget in seconds.
-    pub fn new(budget: f64) -> Deadline {
-        Deadline { budget, elapsed: 0.0 }
-    }
-
-    /// Remaining seconds (never negative).
-    pub fn remaining(&self) -> f64 {
-        (self.budget - self.elapsed).max(0.0)
-    }
-
-    /// True when the budget is exhausted.
-    pub fn expired(&self) -> bool {
-        self.elapsed >= self.budget
-    }
-
-    /// Advance the clock.
-    pub fn advance(&mut self, dt: f64) {
-        self.elapsed += dt.max(0.0);
-    }
-
-    /// Would launching a task of `estimate` seconds still fit?
-    pub fn fits(&self, estimate: f64) -> bool {
-        estimate <= self.remaining()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,30 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn next_after_caps() {
-        let s = EnsembleSchedule::new(100, 600);
-        assert_eq!(s.next_after(100), Some(200));
-        assert_eq!(s.next_after(400), Some(600));
-        assert_eq!(s.next_after(600), None);
-    }
-
-    #[test]
     fn minimum_two_members() {
         let s = EnsembleSchedule::new(1, 10);
         assert_eq!(s.initial, 2);
-    }
-
-    #[test]
-    fn deadline_lifecycle() {
-        let mut d = Deadline::new(100.0);
-        assert!(!d.expired());
-        assert!(d.fits(50.0));
-        d.advance(70.0);
-        assert!(!d.fits(50.0));
-        assert!(d.fits(30.0));
-        d.advance(40.0);
-        assert!(d.expired());
-        assert_eq!(d.remaining(), 0.0);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! 7. [`adaptive`] — grow the ensemble `N → N₂ → … → Nmax` under the
 //!    forecast deadline `Tmax` (Fig. 3 policy).
 //!
-//! [`driver`] chains these into the *serial* ESSE workflow of paper
-//! Fig. 3 (the baseline); the decoupled many-task variant of Fig. 4
-//! lives in the `esse-mtc` crate. [`realtime`] models the
+//! The `esse-mtc` crate chains these into one engine that runs both the
+//! serial workflow of paper Fig. 3 and the decoupled many-task workflow
+//! of Fig. 4 (`esse_mtc::workflow`). [`realtime`] models the
 //! observation/forecaster/simulation timelines of Fig. 1; [`smoother`]
 //! and [`adaptive_sampling`] implement the extensions referenced in
 //! §3/§7. [`durable`] and [`format`] are the crash-durable file
@@ -37,7 +37,6 @@ pub mod assimilate;
 pub mod convergence;
 pub mod covariance;
 pub mod diagnostics;
-pub mod driver;
 pub mod durable;
 pub mod error;
 pub mod format;

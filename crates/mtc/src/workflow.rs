@@ -1,11 +1,13 @@
-//! The parallel ESSE workflow of paper Fig. 4 in one process.
+//! The ESSE workflow in one process: paper Fig. 4, and Fig. 3 as the
+//! one-worker schedule [`MtcConfig::serial`] of the same engine.
 //!
 //! [`MtcEsse::run`] drives [`crate::coordinator::Coordinator`] — the
 //! master loop `esse_master` runs over a fleet — over the in-memory ports
 //! of [`crate::mem`] and a [`Crew`] of threads, stepping it whenever the
 //! pool changes or its next lease, backoff or deadline instant comes.
 //! This file keeps the configuration and turns the coordinator's
-//! verdicts into an [`MtcOutcome`] with an explicit [`RunHealth`].
+//! verdicts into an [`MtcOutcome`] with an explicit [`RunHealth`];
+//! [`MtcEsse::cycle`] adds the analysis step.
 
 use crate::coordinator::{begin_incarnation, quiet, CoordError, Coordinator, Setup};
 use crate::fault::{FaultPlan, FaultReport, RetryPolicy, RunHealth};
@@ -16,7 +18,9 @@ use crate::task::TaskOutcome::{self, Wasted};
 use crate::task::TaskState::{Cancelled, Done};
 use crate::task::{TaskId, TaskRecord};
 use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
+use esse_core::assimilate::{assimilate, Analysis};
 use esse_core::model::ForecastModel;
+use esse_core::obs::ObsSet;
 use esse_core::perturb::{PerturbConfig, PerturbationGenerator};
 use esse_core::subspace::{ErrorSubspace, SubspaceStrategy};
 use esse_core::validate::ForecastValidator;
@@ -101,6 +105,15 @@ impl MtcConfig {
     /// Start building a validated configuration from the defaults.
     pub fn builder() -> MtcConfigBuilder {
         MtcConfigBuilder { cfg: MtcConfig::default() }
+    }
+
+    /// Paper Fig. 3, the serial workflow: one worker, no
+    /// over-provisioning and an SVD only at stage boundaries. Stage N₂ is
+    /// seeded in the step after stage N's checkpoint, so the SVD and the
+    /// convergence test block between stages as in the serial loop.
+    pub fn serial(self) -> MtcConfig {
+        let svd_stride = self.schedule.max;
+        MtcConfig { workers: 1, pool_factor: 1.0, svd_stride, ..self }
     }
 
     /// Validate an already-constructed configuration (the builder calls
@@ -440,6 +453,19 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         Ok(out)
     }
 
+    /// One forecast → assimilate cycle: [`run`](Self::run), then the
+    /// minimum-variance update of its central forecast by `obs` in its
+    /// error subspace.
+    pub fn cycle(
+        &self,
+        init: RunInit<'_>,
+        obs: &ObsSet,
+    ) -> Result<(MtcOutcome, Analysis), EsseError> {
+        let out = self.run(init)?;
+        let analysis = assimilate(&out.central, &out.subspace, obs)?;
+        Ok((out, analysis))
+    }
+
     /// The run's health verdict — permanent losses, and a deadline's
     /// truncation, are reported explicitly, never silently — and its
     /// closing meters and counters.
@@ -502,7 +528,6 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
 mod tests {
     use super::*;
     use crate::task::TaskState;
-    use esse_core::convergence::similarity;
     use esse_core::model::{ForecastError, LinearGaussianModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -583,16 +608,39 @@ mod tests {
     #[test]
     fn mtc_workflow_converges() {
         let (model, prior, mean) = setup();
-        let engine = MtcEsse::new(&model, config(4));
-        let out = engine.run(RunInit::new(&mean, &prior)).unwrap();
-        assert!(out.converged, "rho: {:?}", out.rho_history);
-        assert!(out.members_used >= 16);
-        assert!(out.svd_rounds >= 2);
-        assert_eq!(out.health, RunHealth::Full);
-        assert!(out.faults.is_clean());
-        // Dominant subspace captures the slow axes.
-        let lead = out.subspace.modes.col(0);
-        assert!(lead[0] * lead[0] + lead[1] * lead[1] > 0.8);
+        for cfg in [config(4), config(4).serial()] {
+            let out = MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)).unwrap();
+            let rho = &out.rho_history;
+            assert!(out.converged, "rho: {rho:?}");
+            assert!(out.members_used >= 16);
+            assert!(out.svd_rounds >= 2);
+            assert_eq!(out.health, RunHealth::Full);
+            assert!(out.faults.is_clean());
+            // Similarity tends upward as N grows: the last is the best up
+            // to tolerance.
+            let best = rho.iter().fold(0.0_f64, |m, &v| m.max(v));
+            assert!(rho.last().is_some_and(|&last| last > best - 0.1), "rho: {rho:?}");
+            // Dominant subspace captures the slow axes.
+            let lead = out.subspace.modes.col(0);
+            assert!(lead[0] * lead[0] + lead[1] * lead[1] > 0.8);
+        }
+    }
+
+    #[test]
+    fn cycle_reduces_misfit_and_variance() {
+        use esse_core::obs::{ObsKind, Observation};
+        let (model, prior, mean) = setup();
+        let cfg = MtcConfig { schedule: EnsembleSchedule::new(32, 128), ..config(1) }.serial();
+        let mut obs = ObsSet::new();
+        obs.obs.push(Observation::point(0, 0.8, 0.01, ObsKind::Point));
+        obs.obs.push(Observation::point(1, -0.5, 0.01, ObsKind::Point));
+        let engine = MtcEsse::new(&model, cfg);
+        let (fc, an) = engine.cycle(RunInit::new(&mean, &prior), &obs).unwrap();
+        assert!(an.posterior_misfit < an.prior_misfit);
+        assert!(an.subspace.total_variance() < fc.subspace.total_variance());
+        // The analysis moved toward the observed values.
+        assert!(an.state[0] > 0.3, "state[0] = {}", an.state[0]);
+        assert!(an.state[1] < -0.2, "state[1] = {}", an.state[1]);
     }
 
     #[test]
@@ -618,7 +666,7 @@ mod tests {
     #[test]
     fn single_worker_matches_multi_worker_statistics() {
         // Same member seeds ⇒ same member results regardless of worker
-        // count; the subspace from the same member set must agree.
+        // count, folded in member order ⇒ the same subspace bytes.
         let (model, prior, mean) = setup();
         let mut cfg = config(1);
         cfg.tolerance = 1e-12; // force full Nmax in both runs
@@ -629,8 +677,8 @@ mod tests {
         cfg4.workers = 4;
         let out4 = MtcEsse::new(&model, cfg4).run(RunInit::new(&mean, &prior)).unwrap();
         assert_eq!(out1.members_used, out4.members_used);
-        let rho = similarity(&out1.subspace, &out4.subspace);
-        assert!(rho > 0.9999, "subspaces should match, rho = {rho}");
+        assert_eq!(out1.subspace.modes.as_slice(), out4.subspace.modes.as_slice());
+        assert_eq!(out1.subspace.variances, out4.subspace.variances);
     }
 
     #[test]
@@ -657,23 +705,24 @@ mod tests {
         }
         let (inner, prior, mean) = setup();
         let model = Flaky(inner);
-        let engine = MtcEsse::new(&model, config(4));
-        let out = engine.run(RunInit::new(&mean, &prior)).unwrap();
-        assert!(out.members_failed > 0);
-        // Every pool slot resolved one way or the other; the survivors
-        // still form a usable ensemble. (How many members fail depends
-        // on the rand backend's seed hash, so the split is asserted
-        // jointly rather than per side.)
-        assert!(
-            out.members_used + out.members_failed >= 16,
-            "used {} + failed {}",
-            out.members_used,
-            out.members_failed
-        );
-        assert!(out.members_used >= 2, "used {}", out.members_used);
-        // Deterministic failures survive the (default) single attempt,
-        // and the outcome says so out loud.
-        assert!(out.health.is_degraded(), "losses must be reported: {:?}", out.health);
+        for cfg in [config(4), config(4).serial()] {
+            let out = MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)).unwrap();
+            assert!(out.members_failed > 0);
+            // Every pool slot resolved one way or the other; the survivors
+            // still form a usable ensemble. (How many members fail depends
+            // on the rand backend's seed hash, so the split is asserted
+            // jointly rather than per side.)
+            assert!(
+                out.members_used + out.members_failed >= 16,
+                "used {} + failed {}",
+                out.members_used,
+                out.members_failed
+            );
+            assert!(out.members_used >= 2, "used {}", out.members_used);
+            // Deterministic failures survive the (default) single attempt,
+            // and the outcome says so out loud.
+            assert!(out.health.is_degraded(), "losses must be reported: {:?}", out.health);
+        }
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! JSONL, wall-clock or virtual-clock) into the paper's measurements —
 //! per-phase time breakdowns, queue-wait vs service-time decomposition,
 //! windowed throughput, straggler identification, the critical path
-//! through the run, and the Fig 3-vs-Fig 4 serial/MTC speedup — all
+//! through the run and the per-layer lane groups — all
 //! recomputed from events alone, so any trace from any engine yields
 //! Table 1/2-style summaries without engine cooperation.
 //!
 //! The analyzer is schema-driven, not engine-driven: it keys phases by
 //! `cat/name`, finds tasks by the `task` category, reads member ids and
 //! queue instants from event args, and groups lanes by label prefix
-//! (`driver` = serial Fig 3, `worker-*`/`coordinator` = MTC Fig 4,
-//! `core-*` = simulated cluster).
+//! (`worker-*`/`coordinator` = the MTC engine, `core-*` = simulated
+//! cluster).
 
 use crate::event::{ArgValue, EventKind};
 use crate::hist::LogHistogram;
@@ -265,7 +265,7 @@ impl LoadedTrace {
     }
 
     /// Full analysis pass: phases, queue waits, throughput, stragglers,
-    /// critical path, lane groups and speedup.
+    /// critical path and lane groups.
     pub fn analyze_with(&self, opts: AnalyzeOptions) -> RunAnalysis {
         let spans = self.spans();
         let t_min = self.events.first().map_or(0, |e| e.ts_ns);
@@ -572,7 +572,7 @@ fn critical_path(spans: &[LoadedSpan]) -> CriticalPath {
 /// Aggregate view of one execution layer (lane group).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneGroupStat {
-    /// Group name: `serial`, `mtc`, or `sim`.
+    /// Group name: `mtc` or `sim`.
     pub group: String,
     /// Distinct lanes seen in the group.
     pub lanes: usize,
@@ -585,9 +585,7 @@ pub struct LaneGroupStat {
 }
 
 fn group_of(lane: &str) -> Option<&'static str> {
-    if lane == "driver" {
-        Some("serial")
-    } else if lane == "coordinator" || lane.starts_with("worker-") {
+    if lane == "coordinator" || lane.starts_with("worker-") {
         Some("mtc")
     } else if lane.starts_with("core-") {
         Some("sim")
@@ -1043,20 +1041,6 @@ impl RunAnalysis {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Wall-clock speedup of the parallel layer over the serial layer
-    /// (`serial.span / mtc.span`, falling back to the simulated layer
-    /// when no MTC events exist). `None` unless the trace holds both a
-    /// serial window and a parallel window — i.e. a Fig 3-vs-Fig 4
-    /// trace pair.
-    pub fn speedup(&self) -> Option<f64> {
-        let serial = self.group("serial")?;
-        let par = self.group("mtc").or_else(|| self.group("sim"))?;
-        if serial.span_ns == 0 || par.span_ns == 0 {
-            return None;
-        }
-        Some(serial.span_ns as f64 / par.span_ns as f64)
-    }
-
     /// True when the critical path runs through at least one span on a
     /// merged worker lane — the end-to-end chain crosses the process
     /// boundary instead of stopping at the coordinator's own events.
@@ -1080,17 +1064,9 @@ mod tests {
     use crate::recorder::{Recorder, RecorderExt};
     use crate::ring::RingRecorder;
 
-    /// Serial pass on the driver lane, then the same four members on
-    /// two workers: a miniature Fig 3-vs-Fig 4 pair.
-    fn paired_trace() -> LoadedTrace {
+    /// Four members on two workers after their enqueue instants.
+    fn pool_trace() -> LoadedTrace {
         let rec = RingRecorder::new();
-        // Serial: 4 members x 100ns back to back.
-        for m in 0..4u64 {
-            let t = m * 100;
-            rec.begin_at(t, Lane::Driver, "task", "member", vec![("member", m.into())]);
-            rec.end_at(t + 100, Lane::Driver, "task", "member");
-        }
-        // MTC: enqueue instants, then 2 workers x 2 members.
         for m in 0..4u64 {
             rec.instant_at(400, Lane::Coordinator, "sched", "enqueued", vec![("member", m.into())]);
         }
@@ -1149,29 +1125,26 @@ mod tests {
     }
 
     #[test]
-    fn phase_breakdown_and_speedup() {
-        let a = paired_trace().analyze();
-        // 8 member spans (4 serial + 4 mtc) and one svd span.
-        assert_eq!(a.task_count, 8);
+    fn phase_breakdown_and_lane_groups() {
+        let a = pool_trace().analyze();
+        // 4 member spans and one svd span.
+        assert_eq!(a.task_count, 4);
         let member = a.phases.iter().find(|p| p.key == "task/member").unwrap();
-        assert_eq!(member.count, 8);
+        assert_eq!(member.count, 4);
         assert_eq!(member.mean_ns, 100);
         assert!(a.phases.iter().any(|p| p.key == "svd/svd"));
-        // Serial window 400ns; MTC window 400..660 = 260ns.
-        let serial = a.group("serial").unwrap();
+        // MTC window 400..660 = 260ns, and no other layer.
         let mtc = a.group("mtc").unwrap();
-        assert_eq!(serial.span_ns, 400);
-        assert_eq!(serial.tasks, 4);
+        assert_eq!(a.lane_groups.len(), 1);
         assert_eq!(mtc.span_ns, 260);
+        assert_eq!(mtc.tasks, 4);
         assert_eq!(mtc.lanes, 3); // coordinator + 2 workers
-        let speedup = a.speedup().unwrap();
-        assert!((speedup - 400.0 / 260.0).abs() < 1e-12, "speedup {speedup}");
         assert_eq!(a.counter("members_done"), Some(4.0));
     }
 
     #[test]
     fn queue_wait_decomposition() {
-        let a = paired_trace().analyze();
+        let a = pool_trace().analyze();
         let w = a.queue_wait.unwrap();
         // Members 0/1 wait 10ns, members 2/3 wait 120ns.
         assert_eq!(w.count, 4);
@@ -1250,7 +1223,7 @@ mod tests {
         assert_eq!(a.pool.replacements_scheduled, 1);
         assert_eq!(a.pool.self_rejections, 1);
         // A pool-free trace reports nothing.
-        assert!(!paired_trace().analyze().pool.any());
+        assert!(!pool_trace().analyze().pool.any());
     }
 
     #[test]
@@ -1272,7 +1245,7 @@ mod tests {
         assert_eq!(a.net.rejects, 1);
         assert_eq!(a.net.fenced, 1);
         // A disk-transport trace reports nothing.
-        assert!(!paired_trace().analyze().net.any());
+        assert!(!pool_trace().analyze().net.any());
     }
 
     /// A miniature merged fleet trace: coordinator seeds two tasks with
@@ -1355,7 +1328,7 @@ mod tests {
         // crosses the process boundary.
         assert!(a.critical_path_crosses_fleet());
         // A fleet-free trace reports nothing.
-        assert!(!paired_trace().analyze().fleet.any());
+        assert!(!pool_trace().analyze().fleet.any());
     }
 
     #[test]
@@ -1446,7 +1419,6 @@ mod tests {
         assert_eq!(a.makespan_ns, 0);
         assert!(a.phases.is_empty());
         assert!(a.queue_wait.is_none());
-        assert!(a.speedup().is_none());
         assert!(a.critical_path.segments.is_empty());
     }
 }

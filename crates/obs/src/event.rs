@@ -1,8 +1,8 @@
 //! The trace event model shared by real-thread and simulated runs.
 //!
 //! One schema serves three clocks: the MTC engine's wall clock
-//! (`Instant`-based, nanoseconds from workflow start), the serial
-//! driver's recorder clock, and the discrete-event simulator's virtual
+//! (`Instant`-based, nanoseconds from workflow start), a harness's
+//! recorder clock, and the discrete-event simulator's virtual
 //! clock (seconds scaled to nanoseconds). All timestamps are `u64`
 //! nanoseconds from the trace epoch, so exporters and timeline analysis
 //! never need to know which kind of run produced the trace.
@@ -10,7 +10,7 @@
 /// Where an event happened: one horizontal line of the timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Lane {
-    /// The serial (Fig. 3) driver loop.
+    /// A single-threaded harness: benchmark loops and their probes.
     Driver,
     /// The MTC coordinator thread (differ / SVD / convergence).
     Coordinator,

@@ -28,8 +28,8 @@
 //! * [`json`] — dependency-free JSON escaping, a strict validator, and
 //!   a small value parser for re-loading exported traces;
 //! * [`analyze`] — trace analytics: per-phase breakdowns, queue-wait
-//!   decomposition, windowed throughput, stragglers, the critical path,
-//!   and lane-group speedup (Fig 3 vs Fig 4 from events alone);
+//!   decomposition, windowed throughput, stragglers, the critical path
+//!   and per-layer lane groups, from events alone;
 //! * [`crc`] — the workspace's one CRC-32, used by every checksummed
 //!   format from span batches here up to the journal and the wire;
 //! * [`codec`] — the one byte reader/writer, sealed envelope and stream
@@ -39,8 +39,8 @@
 //! * [`monitor`] — a background heartbeat thread summarizing a run in
 //!   flight and a final [`monitor::RunReport`].
 //!
-//! One schema serves all three execution layers: the real-thread MTC
-//! engine and the serial driver stamp wall-clock nanoseconds, the
+//! One schema serves every execution layer: the real-thread MTC engine
+//! and the bench harnesses stamp wall-clock nanoseconds, the
 //! discrete-event simulator stamps virtual-clock nanoseconds, and every
 //! consumer downstream (exporters, timelines, tests) is agnostic.
 

@@ -4,9 +4,9 @@ use crate::event::{ArgValue, Event, EventKind, Lane};
 
 /// A sink for trace events.
 ///
-/// The engine layers (`esse-mtc::workflow`, `esse-mtc::sim`,
-/// `esse-core::driver`) hold a `&dyn Recorder` and call it on task
-/// pickup/finish, SVD rounds, convergence, scheduler decisions, etc.
+/// The engine layers (`esse-mtc::workflow`, `esse-mtc::sim`) hold a
+/// `&dyn Recorder` and call it on task pickup/finish, SVD rounds,
+/// convergence, scheduler decisions, etc.
 /// Implementations must be cheap and thread-safe; hot paths first check
 /// [`Recorder::enabled`] so the disabled path is a single virtual call
 /// and a branch, with no allocation.

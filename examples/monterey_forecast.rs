@@ -16,7 +16,6 @@
 
 use esse::core::adaptive::EnsembleSchedule;
 use esse::core::adaptive_sampling;
-use esse::core::assimilate::assimilate;
 use esse::core::model::{ForecastModel, PeForecastModel};
 use esse::core::obs::ObsNetwork;
 use esse::core::realtime::{ForecastProcedure, ObservationCalendar};
@@ -47,8 +46,18 @@ fn main() {
         nowcast.end / 3600.0
     );
 
-    // --- ESSE uncertainty forecast through the MTC engine. ---
-    let mut rng = StdRng::seed_from_u64(7);
+    // --- Synthetic observation network samples the truth. ---
+    let mut obs = ObsNetwork::merge(vec![
+        ObsNetwork::sst_swath(&grid, 3, 0.04),
+        ObsNetwork::ctd_cast(&grid, 5, 10, 0.01),
+        ObsNetwork::ctd_cast(&grid, 10, 6, 0.01),
+        ObsNetwork::glider_transect(&grid, (2, 14), (14, 14), 1, 0.02),
+    ]);
+    obs.synthesize(&truth, &mut StdRng::seed_from_u64(7));
+    println!("observations: {} (SST swath + 2 CTD casts + glider transect)", obs.len());
+
+    // --- ESSE uncertainty forecast through the MTC engine, then the
+    //     analysis of the observations. ---
     let prior = esse::core::priors::smooth_temperature_prior(&grid, 20, 0.5, 2.5, 7);
     let cfg = MtcConfig {
         workers: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4),
@@ -60,7 +69,7 @@ fn main() {
         ..Default::default()
     };
     let engine = MtcEsse::new(&model, cfg);
-    let fc = engine.run(RunInit::new(&mean0, &prior)).expect("ensemble forecast");
+    let (fc, analysis) = engine.cycle(RunInit::new(&mean0, &prior), &obs).expect("cycle");
     println!(
         "ensemble: {} members, converged={}, subspace rank {}",
         fc.members_used,
@@ -83,18 +92,7 @@ fn main() {
         (600.0 + fc.makespan.as_secs_f64() * engine.config.workers as f64 + 300.0) / 60.0
     );
 
-    // --- Synthetic observation network samples the truth. ---
-    let mut obs = ObsNetwork::merge(vec![
-        ObsNetwork::sst_swath(&grid, 3, 0.04),
-        ObsNetwork::ctd_cast(&grid, 5, 10, 0.01),
-        ObsNetwork::ctd_cast(&grid, 10, 6, 0.01),
-        ObsNetwork::glider_transect(&grid, (2, 14), (14, 14), 1, 0.02),
-    ]);
-    obs.synthesize(&truth, &mut rng);
-    println!("observations: {} (SST swath + 2 CTD casts + glider transect)", obs.len());
-
-    // --- Assimilate. ---
-    let analysis = assimilate(&fc.central, &fc.subspace, &obs).expect("analysis");
+    // --- The analysis against the truth. ---
     let rmse_forecast = vecops::rmse(&fc.central, &truth);
     let rmse_analysis = vecops::rmse(&analysis.state, &truth);
     println!(

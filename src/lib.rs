@@ -20,10 +20,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use esse::core::driver::{EsseConfig, SerialEsse};
 //! use esse::core::adaptive::EnsembleSchedule;
 //! use esse::core::model::LinearGaussianModel;
 //! use esse::core::subspace::ErrorSubspace;
+//! use esse::mtc::workflow::{MtcConfig, MtcEsse, RunInit};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -31,14 +31,16 @@
 //! let model = LinearGaussianModel::diagonal(&[0.98, 0.95, 0.2, 0.1], 0.05, 1.0);
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let prior = ErrorSubspace::isotropic(&mut rng, 4, 4, 1.0);
-//! let cfg = EsseConfig {
+//! let cfg = MtcConfig {
 //!     schedule: EnsembleSchedule::new(16, 128),
 //!     duration: 10.0,
 //!     max_rank: 4,
 //!     ..Default::default()
 //! };
-//! let esse = SerialEsse::new(&model, cfg);
-//! let forecast = esse.forecast_uncertainty(&[0.0; 4], &prior).unwrap();
+//! // The serial workflow of paper Fig. 3; drop `.serial()` for the
+//! // many-task pool of Fig. 4.
+//! let esse = MtcEsse::new(&model, cfg.serial());
+//! let forecast = esse.run(RunInit::new(&[0.0; 4], &prior)).unwrap();
 //! assert!(forecast.subspace.rank() >= 1);
 //! ```
 //!

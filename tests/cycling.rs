@@ -7,7 +7,6 @@ mod common;
 
 use common::{smooth_t_prior, t_block_rmse};
 use esse::core::adaptive::EnsembleSchedule;
-use esse::core::assimilate::assimilate;
 use esse::core::covariance::SpreadAccumulator;
 use esse::core::model::{ForecastModel, PeForecastModel};
 use esse::core::obs::ObsNetwork;
@@ -45,10 +44,11 @@ fn two_cycle_assimilation_keeps_improving() {
     let mut rng = StdRng::seed_from_u64(17);
 
     // --- Cycle 1. ---
-    let fc1 = MtcEsse::new(&model, mk_cfg(0.0)).run(RunInit::new(&mean0, &prior)).expect("cycle1");
     let mut obs1 = ObsNetwork::sst_swath(&grid, 2, 0.01);
     obs1.synthesize(&truth1, &mut rng);
-    let an1 = assimilate(&fc1.central, &fc1.subspace, &obs1).expect("analysis1");
+    let (fc1, an1) = MtcEsse::new(&model, mk_cfg(0.0))
+        .cycle(RunInit::new(&mean0, &prior), &obs1)
+        .expect("cycle1");
     let rmse_c1_prior = t_block_rmse(&grid, &fc1.central, &truth1);
     let rmse_c1_post = t_block_rmse(&grid, &an1.state, &truth1);
     assert!(rmse_c1_post < rmse_c1_prior);
@@ -60,11 +60,10 @@ fn two_cycle_assimilation_keeps_improving() {
     for v in &mut carried.variances {
         *v *= 3.0;
     }
-    let fc2 =
-        MtcEsse::new(&model, mk_cfg(span)).run(RunInit::new(&an1.state, &carried)).expect("cycle2");
     let mut obs2 = ObsNetwork::sst_swath(&grid, 2, 0.01);
     obs2.synthesize(&truth2, &mut rng);
-    let an2 = assimilate(&fc2.central, &fc2.subspace, &obs2).expect("analysis2");
+    let engine = MtcEsse::new(&model, mk_cfg(span));
+    let (fc2, an2) = engine.cycle(RunInit::new(&an1.state, &carried), &obs2).expect("cycle2");
     let rmse_c2_prior = t_block_rmse(&grid, &fc2.central, &truth2);
     let rmse_c2_post = t_block_rmse(&grid, &an2.state, &truth2);
     // After a successful cycle 1 the forecast error sits at the

@@ -1,9 +1,9 @@
 //! Cross-crate observability integration: the `esse-obs` ring recorder
-//! wired through the real-thread MTC engine and the serial driver, with
-//! the trace cross-checked against the engine's own bookkeeping.
+//! wired through the real-thread MTC engine, on the pool and on the
+//! serial (one-worker) schedule, with the trace cross-checked against the
+//! engine's own bookkeeping.
 
 use esse_core::adaptive::EnsembleSchedule;
-use esse_core::driver::{EsseConfig, SerialEsse};
 use esse_core::model::{ForecastError, ForecastModel, LinearGaussianModel};
 use esse_core::subspace::ErrorSubspace;
 use esse_mtc::metrics::summarize;
@@ -169,7 +169,7 @@ fn offline_analyzer_agrees_with_the_live_trace_view() {
 #[test]
 fn serial_driver_trace_covers_every_member() {
     let (model, prior, mean) = setup();
-    let cfg = EsseConfig {
+    let cfg = MtcConfig {
         schedule: EnsembleSchedule::new(8, 32),
         tolerance: 0.05,
         duration: 10.0,
@@ -177,31 +177,29 @@ fn serial_driver_trace_covers_every_member() {
         ..Default::default()
     };
     let rec = RingRecorder::new();
-    let sf = SerialEsse::new(&model, cfg)
+    let out = MtcEsse::new(&model, cfg.serial())
         .with_recorder(&rec)
-        .forecast_uncertainty(&mean, &prior)
+        .run(RunInit::new(&mean, &prior))
         .unwrap();
     let trace = rec.drain();
-    trace.check_well_formed().expect("well-formed driver trace");
-    // Everything the serial loop does lives on the Driver lane.
-    assert_eq!(trace.lanes(), vec![Lane::Driver]);
+    trace.check_well_formed().expect("well-formed serial trace");
+    // The serial schedule is the coordinator plus one worker.
+    assert_eq!(trace.lanes(), vec![Lane::Coordinator, Lane::Worker(0)]);
     let spans = trace.spans();
-    assert_eq!(
-        spans.iter().filter(|s| s.name == "member").count(),
-        sf.members_run,
-        "one member span per executed member"
-    );
+    let members: Vec<_> = spans.iter().filter(|s| (s.cat, s.name) == ("task", "member")).collect();
+    let attempts: u64 = out.records.iter().map(|r| r.attempts as u64).sum();
+    assert_eq!(members.len() as u64, attempts, "one member span per attempt");
+    assert!(members.iter().all(|s| s.lane == Lane::Worker(0)), "every member on worker-0");
     assert_eq!(spans.iter().filter(|s| s.name == "central_forecast").count(), 1);
     assert!(spans.iter().any(|s| s.cat == "svd"));
-    // The members_run counter is monotone and ends at the final count.
-    let counter = trace.counter("members_run");
-    assert!(counter.windows(2).all(|w| w[0].1 <= w[1].1));
-    assert_eq!(counter.last().map(|c| c.1), Some(sf.members_run as f64));
-    if sf.converged {
+    // The members_done counter ends at the members the posterior used.
+    let counter = trace.counter("members_done");
+    assert_eq!(counter.last().map(|c| c.1), Some(out.members_used as f64));
+    if out.converged {
         assert_eq!(trace.instants("converged").len(), 1);
     }
     // Member latency histogram recorded by the span guards.
     let hist = trace.histograms.get("member").expect("member histogram");
-    assert_eq!(hist.count(), sf.members_run as u64);
+    assert_eq!(hist.count(), attempts);
     assert!(hist.mean_ns() >= 2_000_000, "sleepy member >= 2 ms");
 }

@@ -1,15 +1,15 @@
 //! Acceptance test for the trace analytics pipeline: a Fig 3-vs-Fig 4
-//! traced pair (serial driver + MTC engine into one recorder) exported
-//! to JSONL, re-loaded by `esse_obs::analyze`, and cross-checked
-//! against the engines' own bookkeeping — the speedup, phase breakdown
-//! and counters must be recoverable from the events alone.
+//! pair (the engine on its serial schedule and on a 4-worker pool, each
+//! into its own recorder) exported to JSONL, re-loaded by
+//! `esse_obs::analyze`, and cross-checked against the engine's own
+//! bookkeeping — the phase breakdown, counters and makespans must be
+//! recoverable from the events alone.
 
 use esse_core::adaptive::EnsembleSchedule;
-use esse_core::driver::{EsseConfig, SerialEsse};
 use esse_core::model::{ForecastError, ForecastModel, LinearGaussianModel};
 use esse_core::subspace::ErrorSubspace;
-use esse_mtc::workflow::{MtcConfig, MtcEsse, RunInit};
-use esse_obs::{export, LoadedTrace, MetricsRegistry, RingRecorder};
+use esse_mtc::workflow::{MtcConfig, MtcEsse, MtcOutcome, RunInit};
+use esse_obs::{export, LoadedTrace, MetricsRegistry, RingRecorder, RunAnalysis};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -42,81 +42,42 @@ fn setup() -> (SleepyModel, ErrorSubspace, Vec<f64>) {
     (model, prior, vec![0.0; 6])
 }
 
-#[test]
-fn analyzer_reproduces_the_serial_vs_mtc_comparison_from_events_alone() {
+/// Run `cfg` traced, round-trip the trace through the JSONL exporter
+/// (the analyzer sees only the serialized events, never the engine) and
+/// check the analysis against the engine's bookkeeping.
+fn traced_arm(cfg: MtcConfig) -> (MtcOutcome, RunAnalysis) {
     let (model, prior, mean) = setup();
-    let members = 16usize;
-    let workers = 4usize;
-    let ring = RingRecorder::new();
-
-    // Fig. 3 arm: the serial driver on the Driver lane.
-    let serial_cfg = EsseConfig {
-        schedule: EnsembleSchedule::new(members, members),
-        tolerance: 1e-12,
-        duration: 10.0,
-        max_rank: 6,
-        ..Default::default()
-    };
-    let sf = SerialEsse::new(&model, serial_cfg)
-        .with_recorder(&ring)
-        .forecast_uncertainty(&mean, &prior)
-        .unwrap();
-
-    // Fig. 4 arm: the MTC pool, same ensemble, into the same recorder,
-    // with a metrics registry attached for the cross-check.
-    let registry = MetricsRegistry::new();
-    let mtc_cfg = MtcConfig {
-        workers,
-        pool_factor: 1.0,
-        schedule: EnsembleSchedule::new(members, members),
-        tolerance: 1e-12,
-        duration: 10.0,
-        max_rank: 6,
-        svd_stride: 8,
-        ..Default::default()
-    };
-    let out = MtcEsse::new(&model, mtc_cfg)
+    let (ring, registry, workers) = (RingRecorder::new(), MetricsRegistry::new(), cfg.workers);
+    let members = cfg.schedule.max;
+    let out = MtcEsse::new(&model, cfg)
         .with_recorder(&ring)
         .with_metrics(&registry)
         .run(RunInit::new(&mean, &prior))
         .unwrap();
-
-    // Round-trip through the JSONL exporter — the analyzer sees only
-    // the serialized events, never the engines.
     let trace = ring.drain();
     let text = export::jsonl_string(&trace);
     let loaded = LoadedTrace::from_jsonl(&text).expect("parse own JSONL export");
     assert_eq!(loaded.events.len(), trace.events.len());
     let a = loaded.analyze();
 
-    // Both execution layers are recognized.
-    let serial = a.group("serial").expect("serial layer present");
+    // The pool layer: the coordinator plus every worker, one task span
+    // per member that ran.
     let mtc = a.group("mtc").expect("mtc layer present");
-    assert_eq!(serial.lanes, 1);
-    assert!(mtc.lanes >= workers, "coordinator + {workers} workers");
-
-    // The serial arm ran every member on one lane; the MTC arm spread
-    // the same ensemble over the pool.
-    assert_eq!(serial.tasks, sf.members_run as u64);
+    assert_eq!(mtc.lanes, workers + 1, "coordinator + {workers} workers");
     let ran = out.records.iter().filter(|r| r.worker.is_some()).count();
     assert_eq!(mtc.tasks, ran as u64);
-    assert_eq!(a.task_count, sf.members_run + ran);
-
-    // Fig 3-vs-Fig 4: with 2 ms sleepy members and 4 overlapping
-    // workers, the pool window must be measurably shorter.
-    let speedup = a.speedup().expect("speedup from a paired trace");
-    assert!(speedup > 1.5, "speedup {speedup:.2} from serial {serial:?} vs mtc {mtc:?}");
+    assert_eq!(a.task_count, ran);
 
     // Phase breakdown: member forecasts dominate; SVD rounds and the
     // central forecast appear as their own phases.
     assert_eq!(a.phases[0].key, "task/member");
-    assert_eq!(a.phases[0].count, (sf.members_run + ran) as u64);
+    assert_eq!(a.phases[0].count, ran as u64);
     assert!(a.phases.iter().any(|p| p.key == "svd/svd"));
     assert!(a.phases.iter().any(|p| p.key == "phase/central_forecast"));
     let member_mean_ms = a.phases[0].mean_ns as f64 / 1e6;
     assert!(member_mean_ms >= 2.0, "sleepy member mean {member_mean_ms:.2} ms");
 
-    // Queue-wait decomposition: every MTC member was enqueued once.
+    // Queue-wait decomposition: every member was enqueued once.
     let waits = a.queue_wait.as_ref().expect("sched/enqueued instants present");
     assert_eq!(waits.count, members as u64);
     assert!(waits.p50_ns <= waits.p95_ns && waits.p95_ns <= waits.p99_ns);
@@ -137,6 +98,32 @@ fn analyzer_reproduces_the_serial_vs_mtc_comparison_from_events_alone() {
     // can never exceed the makespan.
     assert!(!a.critical_path.segments.is_empty());
     assert!(a.critical_path.busy_ns + a.critical_path.wait_ns <= a.makespan_ns);
+    (out, a)
+}
+
+#[test]
+fn analyzer_reproduces_the_serial_vs_mtc_comparison_from_events_alone() {
+    let members = 16usize;
+    let cfg = MtcConfig {
+        workers: 4,
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(members, members),
+        tolerance: 1e-12,
+        duration: 10.0,
+        max_rank: 6,
+        svd_stride: 8,
+        ..Default::default()
+    };
+    let (serial_out, serial) = traced_arm(cfg.clone().serial());
+    let (mtc_out, mtc) = traced_arm(cfg);
+    assert_eq!(serial_out.members_used, members);
+    assert_eq!(mtc_out.members_used, members);
+
+    // Fig 3-vs-Fig 4: with 2 ms sleepy members and 4 overlapping
+    // workers, the pool's makespan must be measurably shorter.
+    let ratio = serial.makespan_ns as f64 / mtc.makespan_ns as f64;
+    let (s_ms, m_ms) = (serial.makespan_ns as f64 / 1e6, mtc.makespan_ns as f64 / 1e6);
+    assert!(ratio > 1.5, "serial {s_ms:.1} ms vs mtc {m_ms:.1} ms (x{ratio:.2})");
 }
 
 #[test]

@@ -12,7 +12,6 @@ mod common;
 
 use common::{smooth_t_prior, t_block_rmse};
 use esse::core::adaptive::EnsembleSchedule;
-use esse::core::assimilate::assimilate;
 use esse::core::model::{ForecastModel, PeForecastModel};
 use esse::core::obs::ObsNetwork;
 use esse::core::perturb::{PerturbConfig, PerturbationGenerator};
@@ -47,10 +46,6 @@ fn esse_assimilation_beats_free_forecast() {
         max_rank: 16,
         ..Default::default()
     };
-    let engine = MtcEsse::new(&model, cfg);
-    let fc = engine.run(RunInit::new(&mean0, &prior)).expect("ensemble forecast");
-    assert!(fc.members_used >= 16, "members {}", fc.members_used);
-
     // Observe the truth: SST everywhere (coarse swath) + two casts.
     let mut obs = ObsNetwork::merge(vec![
         ObsNetwork::sst_swath(&grid, 2, 0.01),
@@ -60,7 +55,9 @@ fn esse_assimilation_beats_free_forecast() {
     let mut rng = StdRng::seed_from_u64(5);
     obs.synthesize(&truth, &mut rng);
 
-    let analysis = assimilate(&fc.central, &fc.subspace, &obs).expect("analysis");
+    let engine = MtcEsse::new(&model, cfg);
+    let (fc, analysis) = engine.cycle(RunInit::new(&mean0, &prior), &obs).expect("cycle");
+    assert!(fc.members_used >= 16, "members {}", fc.members_used);
 
     // (a) full temperature-field error shrinks.
     let rmse_prior = t_block_rmse(&grid, &fc.central, &truth);
@@ -129,12 +126,11 @@ fn truth_outside_subspace_is_only_partially_corrected() {
         max_rank: 12,
         ..Default::default()
     };
-    let engine = MtcEsse::new(&model, cfg);
-    let fc = engine.run(RunInit::new(&mean0, &prior)).expect("forecast");
     let mut obs = ObsNetwork::sst_swath(&grid, 2, 0.01);
     let mut rng = StdRng::seed_from_u64(9);
     obs.synthesize(&truth, &mut rng);
-    let analysis = assimilate(&fc.central, &fc.subspace, &obs).expect("analysis");
+    let engine = MtcEsse::new(&model, cfg);
+    let (fc, analysis) = engine.cycle(RunInit::new(&mean0, &prior), &obs).expect("cycle");
     let rmse_prior = t_block_rmse(&grid, &fc.central, &truth);
     let rmse_post = t_block_rmse(&grid, &analysis.state, &truth);
     assert!(
