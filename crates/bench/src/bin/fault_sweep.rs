@@ -48,23 +48,22 @@ const ENSEMBLE: usize = 32;
 const FAULT_SEED: u64 = 0xFA11;
 
 fn engine_config(rate: f64, retry: RetryPolicy) -> MtcConfig {
-    MtcConfig::builder()
-        .workers(4)
-        .pool_factor(1.0)
-        .schedule(EnsembleSchedule::new(ENSEMBLE, ENSEMBLE))
-        .tolerance(1e-12) // fixed-size ensemble: coverage is the story
-        .duration(10.0)
-        .max_rank(6)
-        .svd_stride(8)
-        .retry(retry)
-        .faults(
-            FaultPlan::seeded(FAULT_SEED)
-                .with_crashes(rate * 0.6)
-                .with_transient_io(rate * 0.4)
-                .with_stragglers(rate * 0.5, std::time::Duration::from_millis(5)),
-        )
-        .build()
-        .expect("valid sweep config")
+    let faults = FaultPlan::seeded(FAULT_SEED)
+        .with_crashes(rate * 0.6)
+        .with_transient_io(rate * 0.4)
+        .with_stragglers(rate * 0.5, std::time::Duration::from_millis(5));
+    MtcConfig {
+        workers: 4,
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(ENSEMBLE, ENSEMBLE),
+        tolerance: 1e-12, // fixed-size ensemble: coverage is the story
+        duration: 10.0,
+        max_rank: 6,
+        svd_stride: 8,
+        retry,
+        faults: Some(faults),
+        ..MtcConfig::default()
+    }
 }
 
 fn coverage_of(out: &MtcOutcome) -> f64 {

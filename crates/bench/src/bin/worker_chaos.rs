@@ -219,7 +219,7 @@ impl ChaosConfig {
                 .arg(self.wait_endpoint(workdir))
                 .arg("--scratch")
                 .arg(workdir.join(format!("scratch-w{id}")))
-                .arg("--reconnect-grace-ms")
+                .arg("--coordinator-grace-ms")
                 .arg("3000");
         } else {
             cmd.arg("--workdir").arg(workdir);

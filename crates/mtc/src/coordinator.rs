@@ -33,21 +33,21 @@
 //! lands first is ingested — the one exception to "consume only the
 //! current epoch".
 
-use crate::fault::{FaultReport, RetryPolicy};
+use crate::fault::FaultReport;
 use crate::journal::{JournalRecord, JournalState};
 use crate::ledger::{Budget, Fate, Loss, Member, MemberLedger};
 use crate::pool::{
     ClaimScan, LeaseState, LeaseWatch, PoolScan, ResultRecord, TaskSpec, CODE_LEASE_BUDGET,
     CODE_QUARANTINE_BUDGET, CODE_REJECTED,
 };
-use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
+use crate::workflow::MtcConfig;
+use esse_core::adaptive::CompletionPolicy;
 use esse_core::convergence::{similarity, ConvergenceTest};
 use esse_core::perturb::PerturbationGenerator;
 use esse_core::subspace::{
     make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy, SubspaceUpdate, UpdateKind,
 };
 use esse_core::validate::{finite_stat, ForecastValidator, Reason, Verdict};
-use esse_linalg::LinalgCtx;
 use esse_obs::event::{ArgValue, Lane};
 use esse_obs::recorder::{Recorder, RecorderExt};
 use esse_obs::registry::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -71,6 +71,11 @@ pub trait PoolPort {
     fn write_cancel(&self) -> io::Result<()>;
     /// The span batch shipped beside the result of `(member, epoch)`.
     fn trace_sidecar(&self, member: u64, epoch: u32) -> Option<Vec<u8>>;
+    /// Each member's highest epoch in the pool, which a resume fences
+    /// against (default: none, a fresh pool).
+    fn epochs(&self) -> io::Result<HashMap<u64, u32>> {
+        Ok(HashMap::new())
+    }
 }
 
 /// The run journal.
@@ -106,6 +111,11 @@ pub trait StorePort {
     fn publish_covariance(&self, estimate: &ErrorSubspace, version: u64) -> io::Result<()>;
     /// The checkpoint estimator holds `member`'s forecast now.
     fn release(&self, _member: u64) {}
+    /// Make the posterior durable: [`Coordinator::complete`] calls this
+    /// right before the `RunComplete` append.
+    fn publish_posterior(&self, _posterior: &ErrorSubspace) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Which stream an operator line belongs on.
@@ -167,7 +177,7 @@ impl From<CoordError> for esse_core::EsseError {
 /// What every coordinator call returns.
 pub type Result<T = (), E = CoordError> = std::result::Result<T, E>;
 
-fn io<T>(result: io::Result<T>, what: &str) -> Result<T> {
+pub(crate) fn io<T>(result: io::Result<T>, what: &str) -> Result<T> {
     result
         .map_err(|e| CoordError::Failed(format!("cannot {what}: {e}; --resume continues the run")))
 }
@@ -175,38 +185,16 @@ fn io<T>(result: io::Result<T>, what: &str) -> Result<T> {
 /// Everything a coordinator is built from besides its ports and the
 /// journal fold.
 pub struct Setup<'a> {
+    /// The run's settings. A claim whose heartbeat stalls for the task
+    /// timeout is reclaimed; the requeue budget defaults to one fewer
+    /// than the attempts.
+    pub cfg: &'a MtcConfig,
     /// The member seed stream (requeues reuse a member's seed).
     pub gen: &'a PerturbationGenerator<'a>,
     /// The central forecast every spread is taken about.
     pub central: &'a [f64],
     /// The semantic ingestion gate (`None`: every payload passes).
     pub validator: Option<ForecastValidator>,
-    /// The checkpoint estimator.
-    pub strategy: SubspaceStrategy,
-    /// Relative σ cutoff of every estimate's retained modes.
-    pub mode_rel_tol: f64,
-    /// Rank cap of every estimate.
-    pub max_rank: usize,
-    /// Kernel context of the estimators.
-    pub linalg: LinalgCtx,
-    /// Ensemble stages (paper §4.1: "increase N to N2").
-    pub schedule: EnsembleSchedule,
-    /// Checkpoint every this many decided members (and every stage).
-    pub stride: usize,
-    /// Seed `ceil(pool_factor · stage)` members per stage (≥ 1).
-    pub pool_factor: f64,
-    /// Convergence tolerance on the similarity of successive estimates.
-    pub tolerance: f64,
-    /// Which claims still count once the run has converged.
-    pub completion: CompletionPolicy,
-    /// Tmax on the run clock: past it, late results are ignored.
-    pub deadline: Option<Duration>,
-    /// A claim whose heartbeat stalls this long is reclaimed.
-    pub lease_ms: u64,
-    /// Attempts a member may fail, and the backoff between them.
-    pub retry: RetryPolicy,
-    /// Requeues (expired leases, quarantines) a member may take.
-    pub requeue_budget: u32,
     /// Fleet-wide trace run id: nonzero iff tracing is on.
     pub trace_run: u64,
     /// This coordinator's incarnation (from [`begin_incarnation`]).
@@ -220,8 +208,8 @@ pub struct Setup<'a> {
 }
 
 fn new_estimator(setup: &Setup, strategy: &SubspaceStrategy) -> Box<dyn SubspaceEstimator> {
-    let Setup { central, mode_rel_tol, max_rank, linalg, .. } = *setup;
-    make_estimator(strategy, central.to_vec(), mode_rel_tol, max_rank, linalg)
+    let cfg = setup.cfg;
+    make_estimator(strategy, setup.central.to_vec(), cfg.mode_rel_tol, cfg.max_rank, cfg.linalg)
 }
 
 /// Fold the forecasts of `ids` into `est`. They are journalled as
@@ -282,7 +270,7 @@ pub fn begin_incarnation(
 }
 
 /// The coordinator's state. The caller scans the pool and calls
-/// [`step`](Self::step) until the run is over, then publishes the
+/// [`step`](Self::step) until the run is over, then forms the
 /// [`posterior`](Self::posterior) and [`complete`](Self::complete)s.
 pub struct Coordinator<'a, P, J, S> {
     pool: &'a P,
@@ -301,6 +289,8 @@ pub struct Coordinator<'a, P, J, S> {
     m_update: Histogram,
     m_refresh: Histogram,
     ledger: MemberLedger,
+    /// How long a claim's heartbeat may stall: the task timeout.
+    lease_ms: u64,
     /// Current fencing epoch per member.
     epochs: HashMap<u64, u32>,
     /// Members with a pending task or a live claim in this scan.
@@ -348,15 +338,15 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
     /// forecast is re-read; a corrupt or missing one is quarantined.
     pub fn resume(
         state: &JournalState,
-        pool_epochs: HashMap<u64, u32>,
         (pool, journal, store): (&'a P, &'a J, &'a S),
         setup: Setup<'a>,
     ) -> Result<Self> {
-        let conv = ConvergenceTest::restore(setup.tolerance, &state.rho_history());
+        let pool_epochs = io(pool.epochs(), "recover epochs from the task pool")?;
+        let conv = ConvergenceTest::restore(setup.cfg.tolerance, &state.rho_history());
         // The `Converged` record is missing if the coordinator died right
         // after the SVD append: replay the rho sequence (a NaN rho never
         // passes the gate).
-        let mut replayed = ConvergenceTest::new(setup.tolerance);
+        let mut replayed = ConvergenceTest::new(setup.cfg.tolerance);
         let mut rounds = state.svd_rounds.iter();
         let converged_members = (state.converged.map(|(m, _)| m))
             .or_else(|| {
@@ -364,13 +354,15 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
                 round.map(|r| r.members)
             })
             .filter(|_| conv.converged());
-        let stages = setup.schedule.stages();
-        let max = setup.schedule.max;
+        let stages = setup.cfg.schedule.stages();
+        let max = setup.cfg.schedule.max;
         let mut cps: BTreeSet<usize> =
-            (1..).map(|k| k * setup.stride).take_while(|&c| c <= max).collect();
+            (1..).map(|k| k * setup.cfg.svd_stride).take_while(|&c| c <= max).collect();
         cps.extend(stages.iter().copied().filter(|&c| c <= max));
         let jitter_seed = setup.gen.config.base_seed ^ 0x00D1_7A5C;
-        let ledger = MemberLedger::new(setup.retry.clone(), setup.requeue_budget, jitter_seed);
+        let retry = &setup.cfg.retry;
+        let requeues = setup.cfg.requeue_budget.unwrap_or(retry.max_attempts - 1);
+        let ledger = MemberLedger::new(retry.clone(), requeues, jitter_seed);
         let (counter, metrics) = (|name| setup.metrics.counter(name), setup.metrics);
         let mut co = Coordinator {
             pool,
@@ -388,6 +380,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             m_update: metrics.histogram("esse_subspace_update_ns"),
             m_refresh: metrics.histogram("esse_subspace_refresh_ns"),
             ledger,
+            lease_ms: retry.lease_ms(),
             epochs: pool_epochs,
             outstanding: HashSet::new(),
             watch: LeaseWatch::new(),
@@ -432,7 +425,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             let inherited: BTreeMap<u64, u32> = co.epochs.iter().map(|(&m, &e)| (m, e)).collect();
             for (m, hw) in inherited {
                 for ep in 1..=hw {
-                    co.task_seeded_instant(m, ep);
+                    co.task_seeded_instant(m, ep, co.setup.rec.now_ns());
                 }
             }
         }
@@ -468,7 +461,8 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         self.outstanding.extend(scan.claims.iter().map(|c| c.spec.member));
         self.ingest(&scan.results, now)?;
         self.watch_leases(&scan.claims, now)?;
-        if let Some(tmax) = self.setup.deadline.filter(|&d| now >= d && !self.deadline_expired) {
+        if let Some(tmax) = self.setup.cfg.deadline.filter(|&d| now >= d && !self.deadline_expired)
+        {
             self.deadline_expired = true;
             let tmax_ms = tmax.as_millis() as u64;
             self.instant("workflow", "deadline_expired", vec![("tmax_ms", tmax_ms.into())]);
@@ -513,13 +507,13 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             return Some(now);
         }
         let now_ms = now.as_millis() as u64;
-        let lease = self.watch.next_expiry(self.setup.lease_ms, now_ms).map(Duration::from_millis);
+        let lease = self.watch.next_expiry(self.lease_ms, now_ms).map(Duration::from_millis);
         let ready = self.ledger.parked(self.planned).map(|m| self.ledger.member(m).ready_at);
         let limit = self.straggler_threshold();
         let live = self.claimed_at.iter().filter(|((m, e), _)| *e == self.epoch(*m));
         let straggle = live.filter(|((m, _), _)| !self.races.contains_key(m));
         let straggle = straggle.filter_map(|(_, &t)| limit.map(|limit| t + limit));
-        let deadline = self.setup.deadline.filter(|_| self.halted_at.is_none());
+        let deadline = self.setup.cfg.deadline.filter(|_| self.halted_at.is_none());
         let times = ready.chain(straggle).chain(lease).chain(deadline);
         times.filter(|&t| t > now).min()
     }
@@ -562,7 +556,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
     pub fn posterior_ids(&self) -> Vec<u64> {
         let eligible = self.ledger.prefix_eligible();
         match self.converged_members {
-            Some(c) if self.setup.completion == CompletionPolicy::CancelImmediately => {
+            Some(c) if self.setup.cfg.completion == CompletionPolicy::CancelImmediately => {
                 eligible[..(c as usize).min(eligible.len())].to_vec()
             }
             _ => self.ledger.completed_ids().collect(),
@@ -579,7 +573,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         let full = SubspaceStrategy::FullRecompute;
         let live = self.estimator.take().filter(|est| {
             let held = est.member_ids();
-            self.setup.strategy == full && held.iter().zip(&ids).all(|(&h, &m)| h as u64 == m)
+            self.setup.cfg.subspace == full && held.iter().zip(&ids).all(|(&h, &m)| h as u64 == m)
         });
         let mut est = match live {
             Some(est) if est.count() <= ids.len() => est,
@@ -591,10 +585,11 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         update.ok_or_else(|| CoordError::Failed("not enough members for an SVD".into()))
     }
 
-    /// Journal `RunComplete` once the caller has published `posterior`,
+    /// Publish `posterior` through the store, then journal `RunComplete`,
     /// and report the run.
     pub fn complete(&self, posterior: &SubspaceUpdate) -> Result {
         let (members, sub, ledger) = (posterior.members, &posterior.subspace, &self.ledger);
+        io(self.store.publish_posterior(sub), "write the posterior")?;
         self.append(JournalRecord::RunComplete { members: members as u64 })?;
         let failed = ledger.count(|e| e.fate == Some(Fate::Failed));
         let (converged, rank, variance) = (self.conv.converged(), sub.rank(), sub.total_variance());
@@ -676,9 +671,15 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         self.instant(cat, name, args);
     }
 
-    fn task_seeded_instant(&self, m: u64, epoch: u32) {
-        let extra = [("span", self.span_for(m, epoch)), ("incarnation", self.setup.incarnation)];
-        self.task_instant("pool", "task_seeded", (m, epoch), &extra);
+    /// The `pool/task_seeded` instant of `(m, epoch)`, stamped `ts`.
+    fn task_seeded_instant(&self, m: u64, epoch: u32, ts: u64) {
+        let rec = self.setup.rec;
+        if rec.enabled() {
+            let (span, incarnation) = (self.span_for(m, epoch), self.setup.incarnation);
+            let mut args = vec![("member", m.into()), ("epoch", u64::from(epoch).into())];
+            args.extend([("span", span.into()), ("incarnation", incarnation.into())]);
+            rec.instant_at(ts, Lane::Coordinator, "pool", "task_seeded", args);
+        }
     }
 
     /// The one seed path: member `m` at its next fencing epoch. The epoch
@@ -689,11 +690,14 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         let seed = self.setup.gen.forecast_seed(m as usize);
         let spec = TaskSpec { member: m, epoch, seed, parent_span: self.span_for(m, epoch) };
         self.append(JournalRecord::EpochAdvanced { member: m, epoch })?;
+        // Stamped before the task is claimable: no worker's span of it
+        // can start before its `task_seeded` instant.
+        let stamp = self.setup.rec.now_ns();
         io(self.pool.seed(&spec), "seed a task")?;
         self.epochs.insert(m, epoch);
         self.outstanding.insert(m);
         self.m_seeded.inc();
-        self.task_seeded_instant(m, epoch);
+        self.task_seeded_instant(m, epoch, stamp);
         Ok(())
     }
 
@@ -881,7 +885,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
                 continue;
             }
             let counter = c.heartbeat.map(|hb| hb.counter);
-            match self.watch.observe(m, epoch, counter, now_ms, self.setup.lease_ms) {
+            match self.watch.observe(m, epoch, counter, now_ms, self.lease_ms) {
                 LeaseState::Granted => {
                     self.m_granted.inc();
                     self.claimed_at.insert(task, now);
@@ -925,14 +929,14 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
 
     /// The seed ceiling once `stage` is open: `ceil(pool_factor · stage)`.
     fn target(&self, stage: u64) -> u64 {
-        let over = (stage as f64 * self.setup.pool_factor).ceil() as u64;
+        let over = (stage as f64 * self.setup.cfg.pool_factor).ceil() as u64;
         self.planned.max(over).max(stage)
     }
 
     /// A claim running this long is a straggler; `None` without
     /// speculation or before two runtimes are known.
     fn straggler_threshold(&self) -> Option<Duration> {
-        let (retry, (sum, n)) = (&self.setup.retry, self.runtime);
+        let (retry, (sum, n)) = (&self.setup.cfg.retry, self.runtime);
         (retry.speculative && n >= 2).then(|| (sum / n).mul_f64(retry.speculation_factor))
     }
 
@@ -963,7 +967,8 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
     fn halt(&mut self, now: Duration) -> Result {
         self.halted_at = Some(now);
         self.ledger.close();
-        if self.deadline_expired || self.setup.completion == CompletionPolicy::CancelImmediately {
+        if self.deadline_expired || self.setup.cfg.completion == CompletionPolicy::CancelImmediately
+        {
             self.sweep(&[]);
         }
         self.cancelled_tasks = io(self.pool.cancel_pending(), "cancel pending tasks")?;
@@ -979,7 +984,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         let halted_at = self.halted_at.unwrap_or_default();
         let (sum, n) = self.runtime;
         let mean = sum.checked_div(n).unwrap_or_default().as_secs_f64();
-        let keeps = |since: Duration| match self.setup.completion {
+        let keeps = |since: Duration| match self.setup.cfg.completion {
             CompletionPolicy::CancelImmediately => false,
             CompletionPolicy::UseCompleted => true,
             CompletionPolicy::SpareNearlyDone(f) => {
@@ -1027,13 +1032,14 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
             }
             let (t0, started) = (self.setup.rec.now_ns(), Instant::now());
             let setup = &self.setup;
-            let est = self.estimator.get_or_insert_with(|| new_estimator(setup, &setup.strategy));
+            let est =
+                self.estimator.get_or_insert_with(|| new_estimator(setup, &setup.cfg.subspace));
             let folded = est.count();
             fold_members(est.as_mut(), self.store, &eligible[folded..cp])?;
             let Some(update) = estimate(est.as_mut())? else {
                 break;
             };
-            if self.setup.strategy == SubspaceStrategy::FullRecompute {
+            if self.setup.cfg.subspace == SubspaceStrategy::FullRecompute {
                 eligible[folded..cp].iter().for_each(|&m| self.store.release(m));
             }
             self.rounds += 1;
@@ -1074,7 +1080,7 @@ impl<'a, P: PoolPort, J: JournalPort, S: StorePort> Coordinator<'a, P, J, S> {
         // Past the last checkpoint the posterior only extends the decided
         // prefix: fold it as it grows, so the store need not hold it.
         let last = self.cps.last().is_some_and(|&c| self.fired.contains(&(c as u64)));
-        let full = self.setup.strategy == SubspaceStrategy::FullRecompute;
+        let full = self.setup.cfg.subspace == SubspaceStrategy::FullRecompute;
         if let Some(est) =
             self.estimator.as_mut().filter(|_| last && full && !self.conv.converged())
         {
@@ -1113,6 +1119,7 @@ mod tests {
     use super::*;
     use crate::journal::Checkpoint;
     use crate::mem::MemPool;
+    use esse_core::adaptive::EnsembleSchedule;
     use esse_core::format::subspace_to_bytes;
     use esse_obs::recorder::NULL;
     use rand::rngs::StdRng;
@@ -1139,23 +1146,20 @@ mod tests {
         let gen = PerturbationGenerator::new(&prior, Default::default());
         let (central, metrics) = (vec![0.0; DIM], MetricsRegistry::new());
         let (pool, journal) = (MemPool::new(1, &NULL, None).unwrap(), None::<&Checkpoint>);
+        let cfg = MtcConfig {
+            schedule: EnsembleSchedule::new(4, 16),
+            tolerance,
+            max_rank: 64,
+            svd_stride: 4,
+            pool_factor: 1.0,
+            completion: CompletionPolicy::CancelImmediately,
+            ..MtcConfig::default()
+        };
         let setup = Setup {
+            cfg: &cfg,
             gen: &gen,
             central: &central,
             validator: None,
-            strategy: SubspaceStrategy::FullRecompute,
-            mode_rel_tol: 1e-4,
-            max_rank: 64,
-            linalg: LinalgCtx::default(),
-            schedule: EnsembleSchedule::new(4, 16),
-            stride: 4,
-            pool_factor: 1.0,
-            tolerance,
-            completion: CompletionPolicy::CancelImmediately,
-            deadline: None,
-            lease_ms: u64::MAX,
-            retry: RetryPolicy::disabled(),
-            requeue_budget: 0,
             trace_run: 0,
             incarnation: 1,
             rec: &NULL,
@@ -1164,7 +1168,7 @@ mod tests {
         };
         let state = JournalState::default();
         let ports = (&pool, &journal, &pool);
-        let mut co = Coordinator::resume(&state, HashMap::new(), ports, setup).unwrap();
+        let mut co = Coordinator::resume(&state, ports, setup).unwrap();
         for tick in 0.. {
             while let Some((spec, _)) = pool.claim(false) {
                 let code = if Some(spec.member) == lost { 3 } else { 0 };

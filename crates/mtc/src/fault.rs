@@ -355,6 +355,12 @@ impl RetryPolicy {
         self
     }
 
+    /// A claim's lease in whole milliseconds (≥ 1): the task timeout,
+    /// unbounded without one.
+    pub fn lease_ms(&self) -> u64 {
+        self.task_timeout.map_or(u64::MAX, |t| t.as_millis().max(1) as u64)
+    }
+
     /// Enable straggler speculation at the given runtime multiple.
     pub fn with_speculation(mut self, factor: f64) -> RetryPolicy {
         self.speculative = true;

@@ -4,16 +4,17 @@
 //!
 //! Two halves, mirroring the paper:
 //!
-//! **The real thing** — one coordinator, two port sets.
+//! **The real thing** — one coordinator, one run, two resources.
 //! [`coordinator`] is the paper's master script behind pool, journal
 //! and store ports; it asks the [`ledger`] what the loss of an attempt
 //! costs, when a member is reissued and when it is lost for good.
-//! `esse_master` (in the `esse` package) runs it over the on-disk
+//! [`workflow`]'s `MtcEsse::run_on` is the one run (paper Fig. 4) that
+//! steps it, over a [`workflow::Resource`]: the in-memory ports of
+//! [`mem`] and a crew of worker threads (`MtcEsse::run`), or — in the
+//! `esse` package's `fleet`, driven by `esse_master` — the on-disk
 //! [`pool`], the [`journal`] and the safe/live covariance files
-//! ([`triple_buffer`]) for a fleet of worker processes, which reach the
-//! pool from disk or, via [`transport`], over TCP. [`workflow`] runs it
-//! in one process (paper Fig. 4) over the in-memory ports of [`mem`] and
-//! a crew of worker threads.
+//! ([`triple_buffer`]) for worker processes, which reach the pool from
+//! disk or, via [`transport`], over TCP.
 //!
 //! **The simulator** — [`sim`] is a discrete-event model of the
 //! execution platforms the paper measured: the 240-core Opteron home
@@ -64,4 +65,4 @@ pub use pool::{
 pub use task::{TaskId, TaskOutcome, TaskRecord, TaskState};
 pub use transport::{ClaimOutcome, DiskTransport, PoolTransport, RenewAck, RunState};
 pub use triple_buffer::DiskTripleBuffer;
-pub use workflow::{MtcConfig, MtcConfigBuilder, MtcEsse, MtcOutcome, RunInit};
+pub use workflow::{MtcConfig, MtcEsse, MtcOutcome, RunInit};

@@ -1,8 +1,8 @@
-//! The in-process port set: a task pool and forecast store in memory
+//! The in-process resource: a task pool and forecast store in memory
 //! behind one lock and one condition variable, and the [`Crew`] of
-//! worker threads that claims from it. [`crate::workflow::MtcEsse`] runs
-//! the [`Coordinator`](crate::coordinator::Coordinator) over them; a
-//! simulator wraps them to inject faults.
+//! worker threads that claims from it. [`crate::workflow::MtcEsse::run`]
+//! runs the [`Coordinator`](crate::coordinator::Coordinator) over them; a
+//! simulator wraps the pool to inject faults.
 //!
 //! A result's forecast stays keyed by its `(member, epoch)` until the
 //! coordinator [`commit`](StorePort::commit)s it as the member's own, so
@@ -11,7 +11,7 @@
 //! blob before the journal record that commits it, and covariance
 //! checkpoints go through the checkpoint directory's safe/live files.
 
-use crate::coordinator::{PoolPort, StorePort};
+use crate::coordinator::{PoolPort, Progress, StorePort};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::journal::Checkpoint;
 use crate::pool::{
@@ -19,10 +19,12 @@ use crate::pool::{
 };
 use crate::task::TaskRecord;
 use crate::triple_buffer::DiskTripleBuffer;
+use crate::workflow::Resource;
 use esse_core::format::subspace_to_bytes;
 use esse_core::model::{ForecastError, ForecastModel};
 use esse_core::perturb::PerturbationGenerator;
 use esse_core::subspace::ErrorSubspace;
+use esse_core::EsseError;
 use esse_obs::event::Lane;
 use esse_obs::recorder::{Recorder, RecorderExt};
 use esse_obs::registry::MetricsRegistry;
@@ -43,6 +45,7 @@ struct State {
     committed: HashMap<u64, Vec<f64>>,
     /// Bumped by every crew-side change: a claim, a result, a death.
     version: u64,
+    workers: usize,
     alive: usize,
     shutdown: bool,
 }
@@ -69,7 +72,7 @@ impl<'c> MemPool<'c> {
             Some(ck) => Some((ck, DiskTripleBuffer::create(ck.dir())?)),
             None => None,
         };
-        let state = Mutex::new(State { alive: workers, ..State::default() });
+        let state = Mutex::new(State { workers, alive: workers, ..State::default() });
         Ok(MemPool { state, changed: Condvar::new(), t0: Instant::now(), rec, checkpoint })
     }
 
@@ -167,18 +170,21 @@ impl<'c> MemPool<'c> {
 
 impl PoolPort for MemPool<'_> {
     fn seed(&self, spec: &TaskSpec) -> io::Result<()> {
+        // Stamped before the task is claimable: a crew thread's `task`
+        // span never opens before its member's `enqueued` instant.
+        let stamp = self.rec.enabled().then(|| self.rec.now_ns());
         let at = self.t0.elapsed();
         let mut st = self.lock();
         st.pending.insert((spec.member, spec.epoch), (*spec, at));
         self.changed.notify_all();
         drop(st);
-        if self.rec.enabled() {
+        if let Some(ts) = stamp {
             // A first issue carries no attempt index.
             let mut args = vec![("member", spec.member.into())];
             if spec.epoch > 1 {
                 args.push(("attempt", u64::from(spec.epoch - 1).into()));
             }
-            self.rec.instant_at(self.rec.now_ns(), Lane::Coordinator, "sched", "enqueued", args);
+            self.rec.instant_at(ts, Lane::Coordinator, "sched", "enqueued", args);
         }
         Ok(())
     }
@@ -257,18 +263,21 @@ impl StorePort for MemPool<'_> {
     }
 }
 
-/// The worker threads of one in-process run: each claims a task from
-/// the [`MemPool`], perturbs and forecasts its member under the
+/// The worker threads of one in-process run, and the [`Resource`] that
+/// [`crate::workflow::MtcEsse::run`] drives: each thread claims a task
+/// from the [`MemPool`], perturbs and forecasts its member under the
 /// [`FaultPlan`]'s verdict for the attempt (`epoch − 1`), and publishes.
 pub struct Crew<'r, M> {
-    /// Where tasks come from and results go.
-    pub pool: &'r MemPool<'r>,
+    /// Where tasks come from and results go; the forecast store too.
+    pub pool: MemPool<'r>,
+    /// The journal, when the run keeps a checkpoint.
+    pub journal: Option<&'r Checkpoint>,
     /// The forecast model every member runs.
     pub model: &'r M,
     /// The mean state members are perturbed about.
     pub mean: &'r [f64],
     /// The member perturbations.
-    pub gen: &'r PerturbationGenerator<'r>,
+    pub gen: PerturbationGenerator<'r>,
     /// Forecast start and duration (model seconds).
     pub window: (f64, f64),
     /// Injected faults, if any.
@@ -279,11 +288,60 @@ pub struct Crew<'r, M> {
     pub records: Mutex<BTreeMap<u64, TaskRecord>>,
 }
 
+impl<'r, M: ForecastModel> Resource for Crew<'r, M> {
+    type Pool = MemPool<'r>;
+    type Journal = Option<&'r Checkpoint>;
+    type Store = MemPool<'r>;
+
+    fn ports(&self) -> (&MemPool<'r>, &Option<&'r Checkpoint>, &MemPool<'r>) {
+        (&self.pool, &self.journal, &self.pool)
+    }
+
+    fn serve(
+        &self,
+        _: &[f64],
+        _: u64,
+        _: (&MetricsRegistry, Progress<'_>),
+        drive: impl FnOnce() -> crate::coordinator::Result,
+    ) -> Result<(), EsseError> {
+        let workers = self.pool.lock().workers;
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                scope.spawn(move || self.work(w));
+            }
+            // The threads end with the scope, however `drive` ends.
+            let out = drive();
+            self.pool.shutdown();
+            Ok(out?)
+        })
+    }
+
+    fn now(&self) -> Duration {
+        self.pool.t0.elapsed()
+    }
+
+    fn scan(&self, _converged: bool) -> io::Result<(PoolScan, u64, bool)> {
+        let (scan, version, alive) = self.pool.snapshot();
+        Ok((scan, version, alive > 0))
+    }
+
+    fn wait(&self, version: u64, wake: Option<Duration>) {
+        self.pool.wait(version, wake.and_then(|t| self.pool.t0.checked_add(t)));
+    }
+
+    fn ran(&self) -> Option<(BTreeMap<u64, TaskRecord>, usize)> {
+        let records =
+            std::mem::take(&mut *self.records.lock().unwrap_or_else(PoisonError::into_inner));
+        let st = self.pool.lock();
+        Some((records, st.workers - st.alive))
+    }
+}
+
 impl<M: ForecastModel> Crew<'_, M> {
     /// Worker `w`: claim, run and publish until the pool shuts down or
     /// the fault plan kills the worker.
     pub fn work(&self, w: usize) {
-        let (pool, rec, lane) = (self.pool, self.pool.rec, Lane::Worker(w as u32));
+        let (pool, rec, lane) = (&self.pool, self.pool.rec, Lane::Worker(w as u32));
         let meters = self.metrics.map(|reg| {
             let hist = |name| reg.histogram(name);
             (reg.counter("esse_task_attempts_total"), hist("esse_member_runtime_ns"))

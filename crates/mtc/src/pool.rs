@@ -333,12 +333,24 @@ impl TaskPool {
     /// Create (or re-create idempotently) the pool under `workdir` and
     /// publish the manifest.
     pub fn create(workdir: impl AsRef<Path>, manifest: &PoolManifest) -> io::Result<TaskPool> {
+        let pool = TaskPool::prepare(workdir)?;
+        pool.write_manifest(manifest)?;
+        Ok(pool)
+    }
+
+    /// The pool's directories under `workdir`, created idempotently, with
+    /// no manifest yet: workers wait for [`write_manifest`](Self::write_manifest).
+    pub fn prepare(workdir: impl AsRef<Path>) -> io::Result<TaskPool> {
         let pool = TaskPool { root: workdir.as_ref().join(POOL_DIR) };
         fs::create_dir_all(pool.pending_dir())?;
         fs::create_dir_all(pool.claimed_dir())?;
         fs::create_dir_all(pool.stale_dir())?;
-        atomic_write(pool.root.join("manifest"), &manifest.encode())?;
         Ok(pool)
+    }
+
+    /// Publish the manifest: workers may open the pool from now on.
+    pub fn write_manifest(&self, manifest: &PoolManifest) -> io::Result<()> {
+        atomic_write(self.root.join("manifest"), &manifest.encode())
     }
 
     /// Open an existing pool and read its manifest.
@@ -669,6 +681,10 @@ impl TaskPool {
 impl crate::coordinator::PoolPort for TaskPool {
     fn seed(&self, spec: &TaskSpec) -> io::Result<()> {
         TaskPool::seed(self, spec)
+    }
+
+    fn epochs(&self) -> io::Result<HashMap<u64, u32>> {
+        TaskPool::epochs(self)
     }
 
     /// Moves the record to `results/stale/`: never scanned again, kept

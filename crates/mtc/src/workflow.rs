@@ -1,19 +1,24 @@
-//! The ESSE workflow in one process: paper Fig. 4, and Fig. 3 as the
-//! one-worker schedule [`MtcConfig::serial`] of the same engine.
+//! The ESSE workflow: paper Fig. 4, and Fig. 3 as the one-worker
+//! schedule [`MtcConfig::serial`] of the same engine.
 //!
-//! [`MtcEsse::run`] drives [`crate::coordinator::Coordinator`] — the
-//! master loop `esse_master` runs over a fleet — over the in-memory ports
-//! of [`crate::mem`] and a [`Crew`] of threads, stepping it whenever the
-//! pool changes or its next lease, backoff or deadline instant comes.
-//! This file keeps the configuration and turns the coordinator's
-//! verdicts into an [`MtcOutcome`] with an explicit [`RunHealth`];
-//! [`MtcEsse::cycle`] adds the analysis step.
+//! [`MtcEsse::run_on`] is the one run: the central forecast, then the
+//! [`crate::coordinator::Coordinator`] stepped whenever the pool changes
+//! or its next lease, backoff or deadline instant comes, then the
+//! posterior. What runs the members is a [`Resource`] — the
+//! application is kept apart from it: [`MtcEsse::run`] uses a [`Crew`]
+//! of threads over the in-memory ports of [`crate::mem`], `esse_master`
+//! a fleet of worker processes over the on-disk pool. This file also
+//! keeps the configuration and turns the coordinator's verdicts into an
+//! [`MtcOutcome`] with an explicit [`RunHealth`]; [`MtcEsse::cycle`]
+//! adds the analysis step.
 
-use crate::coordinator::{begin_incarnation, quiet, CoordError, Coordinator, Setup};
+use crate::coordinator::{
+    begin_incarnation, io, quiet, Coordinator, JournalPort, PoolPort, Progress, Setup, StorePort,
+};
 use crate::fault::{FaultPlan, FaultReport, RetryPolicy, RunHealth};
 use crate::journal::{Checkpoint, JournalState};
 use crate::mem::{Crew, MemPool};
-use crate::pool::{CODE_POOL_DIED, CODE_QUARANTINE_BUDGET};
+use crate::pool::{PoolScan, CODE_POOL_DIED, CODE_QUARANTINE_BUDGET};
 use crate::task::TaskOutcome::{self, Wasted};
 use crate::task::TaskState::{Cancelled, Done};
 use crate::task::{TaskId, TaskRecord};
@@ -28,12 +33,13 @@ use esse_core::{ConfigError, EsseError};
 use esse_linalg::LinalgCtx;
 use esse_obs::registry::MetricsRegistry;
 use esse_obs::{Lane, Recorder, RecorderExt, NULL};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::io;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Configuration of the MTC workflow; [`MtcConfig::builder`] validates
-/// it before the engine ever sees it.
+/// Configuration of the MTC workflow; the engine
+/// [`validate`](MtcConfig::validate)s it before a run.
 #[derive(Debug, Clone)]
 pub struct MtcConfig {
     /// Worker threads (the paper's cluster cores).
@@ -76,6 +82,9 @@ pub struct MtcConfig {
     /// Threading/blocking context handed to the linalg kernels once at
     /// engine construction (replaces per-call `threads` arguments).
     pub linalg: LinalgCtx,
+    /// Requeues (expired leases, quarantines) a member may take; `None`:
+    /// one fewer than `retry.max_attempts`.
+    pub requeue_budget: Option<u32>,
 }
 
 impl Default for MtcConfig {
@@ -97,16 +106,12 @@ impl Default for MtcConfig {
             faults: None,
             subspace: SubspaceStrategy::FullRecompute,
             linalg: LinalgCtx::default(),
+            requeue_budget: None,
         }
     }
 }
 
 impl MtcConfig {
-    /// Start building a validated configuration from the defaults.
-    pub fn builder() -> MtcConfigBuilder {
-        MtcConfigBuilder { cfg: MtcConfig::default() }
-    }
-
     /// Paper Fig. 3, the serial workflow: one worker, no
     /// over-provisioning and an SVD only at stage boundaries. Stage N₂ is
     /// seeded in the step after stage N's checkpoint, so the SVD and the
@@ -116,8 +121,8 @@ impl MtcConfig {
         MtcConfig { workers: 1, pool_factor: 1.0, svd_stride, ..self }
     }
 
-    /// Validate an already-constructed configuration (the builder calls
-    /// this from [`MtcConfigBuilder::build`]).
+    /// Check every field; [`MtcEsse::run_on`] refuses a configuration
+    /// that fails.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let negative = |x: f64| x.is_nan() || x < 0.0;
         let (completion, subspace, tol) = (self.completion, self.subspace, self.tolerance);
@@ -143,68 +148,6 @@ impl MtcConfig {
         }
         self.retry.validate()?;
         Ok(())
-    }
-}
-
-/// Builder for [`MtcConfig`] with typed defaults and a validating
-/// [`build`](MtcConfigBuilder::build).
-#[derive(Debug, Clone)]
-pub struct MtcConfigBuilder {
-    cfg: MtcConfig,
-}
-
-/// A builder setter per field; `=> Some` wraps an optional one.
-macro_rules! setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty $(=> $wrap:ident)?;)*) => {$(
-        $(#[$doc])*
-        pub fn $field(mut self, value: $ty) -> Self {
-            self.cfg.$field = $($wrap)?(value);
-            self
-        }
-    )*};
-}
-
-impl MtcConfigBuilder {
-    setters! {
-        /// Worker threads.
-        workers: usize;
-        /// Pool over-provisioning factor (`M = ceil(pool_factor · N)`).
-        pool_factor: f64;
-        /// Ensemble growth schedule.
-        schedule: EnsembleSchedule;
-        /// Convergence tolerance.
-        tolerance: f64;
-        /// Relative σ cutoff for retained modes.
-        mode_rel_tol: f64;
-        /// Maximum retained rank.
-        max_rank: usize;
-        /// Perturbation settings.
-        perturb: PerturbConfig;
-        /// Forecast duration (model seconds).
-        duration: f64;
-        /// Forecast start (model seconds).
-        start_time: f64;
-        /// SVD stride (decided members between checkpoints).
-        svd_stride: usize;
-        /// Completion policy for in-flight members at convergence.
-        completion: CompletionPolicy;
-        /// Hard Tmax wall-clock deadline.
-        deadline: Duration => Some;
-        /// Failure recovery policy.
-        retry: RetryPolicy;
-        /// Deterministic fault injection plan.
-        faults: FaultPlan => Some;
-        /// Subspace estimation strategy (default: bit-identical
-        /// [`SubspaceStrategy::FullRecompute`]).
-        subspace: SubspaceStrategy;
-        /// Linalg engine context (threads + cache block size).
-        linalg: LinalgCtx;
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<MtcConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -269,6 +212,63 @@ impl MtcOutcome {
     }
 }
 
+/// What runs a workflow's members, kept apart from the workflow itself:
+/// the coordinator's pool, journal and store ports and the workers
+/// behind them. [`Crew`] is one process's threads over [`crate::mem`];
+/// `esse_master` runs the same [`MtcEsse::run_on`] over a fleet of
+/// worker processes, the on-disk pool and `run.journal`.
+pub trait Resource {
+    /// The task pool the coordinator seeds.
+    type Pool: PoolPort;
+    /// The run journal.
+    type Journal: JournalPort;
+    /// Where forecasts, covariance checkpoints and the posterior go.
+    type Store: StorePort;
+    /// The three ports.
+    fn ports(&self) -> (&Self::Pool, &Self::Journal, &Self::Store);
+    /// Run `drive` while the workers serve the pool; they may need the
+    /// central forecast and the incarnation first. A `drive` that ends
+    /// the run stops the workers; one that fails leaves them be, as a
+    /// crashed coordinator would.
+    fn serve(
+        &self,
+        central: &[f64],
+        incarnation: u64,
+        sinks: (&MetricsRegistry, Progress<'_>),
+        drive: impl FnOnce() -> crate::coordinator::Result,
+    ) -> Result<(), EsseError>;
+    /// The run clock.
+    fn now(&self) -> Duration;
+    /// The pool to step over, its change counter and whether a worker
+    /// is left; a `converged` run needs no new workers.
+    fn scan(&self, converged: bool) -> io::Result<(PoolScan, u64, bool)>;
+    /// Block until the pool changed since `version` or the run clock
+    /// reaches `wake`.
+    fn wait(&self, version: u64, wake: Option<Duration>);
+    /// The members run here, each with its latest attempt, and how many
+    /// workers died; `None` when the resource keeps no such records, and
+    /// the meters derived from them are left out.
+    fn ran(&self) -> Option<(BTreeMap<u64, TaskRecord>, usize)> {
+        None
+    }
+}
+
+/// What a run continues from: the journal's replayed state, the config
+/// hash a fresh journal starts with, and the fleet trace run id
+/// (nonzero iff workers ship spans).
+#[derive(Debug, Clone, Copy)]
+pub struct Journalled<'a> {
+    /// The replayed state (empty for a fresh journal).
+    pub state: &'a JournalState,
+    /// Journalled by `RunStart` when the journal is fresh.
+    pub config_hash: u64,
+    /// Every task's parent span id derives from it; `0`: none.
+    pub trace_run: u64,
+}
+
+/// Builds the ingestion gate from the run's central forecast.
+type Gate<'m> = Box<dyn Fn(&[f64]) -> ForecastValidator + 'm>;
+
 /// The MTC ESSE engine.
 pub struct MtcEsse<'m, M: ForecastModel> {
     /// The forecast model shared by all workers.
@@ -278,19 +278,27 @@ pub struct MtcEsse<'m, M: ForecastModel> {
     recorder: &'m dyn Recorder,
     metrics: Option<&'m MetricsRegistry>,
     checkpoint: Option<&'m Checkpoint>,
-    validator: Option<ForecastValidator>,
+    gate: Option<Gate<'m>>,
+    progress: Progress<'m>,
 }
 
 impl<'m, M: ForecastModel> MtcEsse<'m, M> {
     /// New engine.
     pub fn new(model: &'m M, config: MtcConfig) -> Self {
-        MtcEsse { model, config, recorder: &NULL, metrics: None, checkpoint: None, validator: None }
+        let (recorder, progress) = (&NULL, &quiet);
+        MtcEsse { model, config, recorder, metrics: None, checkpoint: None, gate: None, progress }
     }
 
     /// Gate every payload with `validator`: a refused member is replaced
     /// under the retry budget or reported in [`RunHealth::Degraded`].
-    pub fn with_validator(mut self, validator: ForecastValidator) -> Self {
-        self.validator = Some(validator);
+    pub fn with_validator(self, validator: ForecastValidator) -> Self {
+        self.with_gate(move |_| validator.clone())
+    }
+
+    /// Gate every payload with the validator `gate` builds from the
+    /// central forecast, as workers that check themselves do.
+    pub fn with_gate(mut self, gate: impl Fn(&[f64]) -> ForecastValidator + 'm) -> Self {
+        self.gate = Some(Box::new(gate));
         self
     }
 
@@ -307,6 +315,12 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         self
     }
 
+    /// Send the coordinator's operator lines to `progress`.
+    pub fn with_progress(mut self, progress: Progress<'m>) -> Self {
+        self.progress = progress;
+        self
+    }
+
     /// Journal the run into `checkpoint` with member blobs and covariance
     /// files beside it; a run on a checkpoint that holds members resumes
     /// it through [`Coordinator::resume`] and never re-runs them.
@@ -315,12 +329,51 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         self
     }
 
-    /// Run the decoupled uncertainty forecast (Fig. 4).
+    /// Run the decoupled uncertainty forecast (Fig. 4) on a [`Crew`] of
+    /// `config.workers` threads. A checkpoint that records a finished run
+    /// satisfying the schedule is refused ([`EsseError::Config`]): there
+    /// is nothing to run, and the journal is left as it is.
     pub fn run(&self, init: RunInit<'_>) -> Result<MtcOutcome, EsseError> {
-        let (cfg, rec, lane) = (&self.config, self.recorder, Lane::Coordinator);
-        let workers = cfg.workers.max(1);
+        let cfg = &self.config;
         let state = self.checkpoint.map_or(Ok(JournalState::default()), Checkpoint::state)?;
-        let pool = MemPool::new(workers, rec, self.checkpoint)?;
+        let crew = Crew {
+            pool: MemPool::new(cfg.workers, self.recorder, self.checkpoint)?,
+            journal: self.checkpoint,
+            model: self.model,
+            mean: init.mean,
+            gen: PerturbationGenerator::new(init.prior, cfg.perturb.clone()),
+            window: (cfg.start_time, cfg.duration),
+            faults: cfg.faults.as_ref(),
+            metrics: self.metrics,
+            records: Mutex::default(),
+        };
+        let config_hash = state.config_hash.unwrap_or(0);
+        let journalled = Journalled { state: &state, config_hash, trace_run: 0 };
+        self.run_on(init, &crew, journalled)?.ok_or_else(|| {
+            let why = "records a finished run that satisfies the schedule: nothing to run";
+            EsseError::Config(ConfigError::new("checkpoint", why))
+        })
+    }
+
+    /// Run the workflow on `resource`: a new coordinator incarnation
+    /// resumed from the journal, the central forecast, one step per pool
+    /// change or [`Coordinator::next_wake`], and the posterior, published
+    /// before `RunComplete`. `None` when the journal records a finished
+    /// run that satisfies the schedule: nothing is journalled, run or
+    /// read.
+    pub fn run_on<R: Resource>(
+        &self,
+        init: RunInit<'_>,
+        resource: &R,
+        journalled: Journalled<'_>,
+    ) -> Result<Option<MtcOutcome>, EsseError> {
+        let (cfg, rec, lane) = (&self.config, self.recorder, Lane::Coordinator);
+        cfg.validate()?;
+        let (pool, journal, store) = resource.ports();
+        let (state, limits) = (journalled.state, (cfg.schedule.max, cfg.tolerance));
+        let begun =
+            begin_incarnation(journal, state, journalled.config_hash, limits, self.progress)?;
+        let Some(incarnation) = begun else { return Ok(None) };
         let gen = PerturbationGenerator::new(init.prior, cfg.perturb.clone());
         // A span edge: begin with `Some(args)`, end with `None`.
         let span = |cat, name, args: Option<Vec<_>>| match (rec.enabled(), args) {
@@ -336,75 +389,37 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
             rec.instant_at(rec.now_ns(), lane, "workflow", "resumed", args);
         }
         let scratch = MetricsRegistry::new();
-        let journal = self.checkpoint;
-        let (hash, limits) = (state.config_hash.unwrap_or(0), (cfg.schedule.max, cfg.tolerance));
-        let incarnation = begin_incarnation(&journal, &state, hash, limits, &quiet)?;
+        let metrics = self.metrics.unwrap_or(&scratch);
         let setup = Setup {
+            cfg,
             gen: &gen,
             central: &central,
-            validator: self.validator.clone(),
-            strategy: cfg.subspace,
-            mode_rel_tol: cfg.mode_rel_tol,
-            max_rank: cfg.max_rank,
-            linalg: cfg.linalg,
-            schedule: cfg.schedule.clone(),
-            stride: cfg.svd_stride,
-            pool_factor: cfg.pool_factor,
-            tolerance: cfg.tolerance,
-            completion: cfg.completion,
-            deadline: cfg.deadline,
-            // A crew claim never heartbeats: its lease is the task timeout.
-            lease_ms: cfg.retry.task_timeout.map_or(u64::MAX, |t| t.as_millis().max(1) as u64),
-            retry: cfg.retry.clone(),
-            requeue_budget: cfg.retry.max_attempts - 1,
-            trace_run: 0,
-            incarnation: incarnation.unwrap_or(state.incarnations),
+            validator: self.gate.as_ref().map(|gate| gate(&central)),
+            trace_run: journalled.trace_run,
+            incarnation,
             rec,
-            metrics: self.metrics.unwrap_or(&scratch),
-            progress: &quiet,
+            metrics,
+            progress: self.progress,
         };
-        let ports = (&pool, &journal, &pool);
-        let mut co = Coordinator::resume(&state, Default::default(), ports, setup)?;
-        let crew = Crew {
-            pool: &pool,
-            model: self.model,
-            mean: init.mean,
-            gen: &gen,
-            window: (cfg.start_time, cfg.duration),
-            faults: cfg.faults.as_ref(),
-            metrics: self.metrics,
-            records: Mutex::default(),
-        };
-        let alive = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let crew = &crew;
-                scope.spawn(move || crew.work(w));
+        let mut co = Coordinator::resume(state, (pool, journal, store), setup)?;
+        resource.serve(&central, incarnation, (metrics, self.progress), || loop {
+            let (scan, version, alive) = io(resource.scan(co.converged()), "scan the pool")?;
+            let now = resource.now();
+            if co.step(&scan, now)? {
+                return Ok(());
             }
-            let stepped = (|| -> Result<usize, CoordError> {
-                loop {
-                    let (scan, version, alive) = pool.snapshot();
-                    let now = pool.t0.elapsed();
-                    if co.step(&scan, now)? {
-                        return Ok(alive);
-                    }
-                    if alive == 0 {
-                        co.fail_undecided(CODE_POOL_DIED)?;
-                        return Ok(0);
-                    }
-                    match co.next_wake(now) {
-                        Some(t) if t <= now => {}
-                        wake => pool.wait(version, wake.and_then(|t| pool.t0.checked_add(t))),
-                    }
-                }
-            })();
-            pool.shutdown();
-            stepped
-        })
-        .map_err(EsseError::from)?;
+            if !alive {
+                return co.fail_undecided(CODE_POOL_DIED);
+            }
+            match co.next_wake(now) {
+                Some(t) if t <= now => {}
+                wake => resource.wait(version, wake),
+            }
+        })?;
 
         let (ids, expired) = (co.posterior_ids(), co.deadline_expired());
         if ids.len() < 2 {
-            let elapsed = pool.t0.elapsed();
+            let elapsed = resource.now();
             return Err(match cfg.deadline.filter(|_| expired) {
                 Some(budget) => EsseError::Deadline { elapsed, budget },
                 None => EsseError::NotEnoughMembers { have: ids.len(), need: 2 },
@@ -414,9 +429,11 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         let posterior = co.posterior()?;
         span("svd", "svd_final", None);
         co.complete(&posterior)?;
+        let ran = resource.ran();
+        let known = ran.is_some();
+        let (ran, died) = ran.unwrap_or_default();
         let mut faults = co.report();
-        faults.workers_died = workers - alive.min(workers);
-        let ran = crew.records.into_inner().unwrap_or_else(|e| e.into_inner());
+        faults.workers_died = died;
         let planned = co.planned.max(ran.keys().last().map_or(0, |&m| m + 1));
         let used: HashSet<u64> = ids.iter().copied().collect();
         let records: Vec<TaskRecord> = (0..planned)
@@ -448,9 +465,9 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
             health: RunHealth::Full,
             faults,
         };
-        self.finish(&mut out, quarantined);
-        out.makespan = pool.t0.elapsed();
-        Ok(out)
+        self.finish(&mut out, quarantined, known);
+        out.makespan = resource.now();
+        Ok(Some(out))
     }
 
     /// One forecast → assimilate cycle: [`run`](Self::run), then the
@@ -468,8 +485,9 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
 
     /// The run's health verdict — permanent losses, and a deadline's
     /// truncation, are reported explicitly, never silently — and its
-    /// closing meters and counters.
-    fn finish(&self, out: &mut MtcOutcome, quarantined: usize) {
+    /// closing meters and counters; those read off the per-attempt
+    /// records only when the resource `known` them.
+    fn finish(&self, out: &mut MtcOutcome, quarantined: usize, known: bool) {
         let (rec, lane) = (self.recorder, Lane::Coordinator);
         let planned = out.records.len().max(1) as f64;
         let coverage = out.members_used as f64 / planned;
@@ -490,35 +508,39 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
             }
         }
         let f = &out.faults;
+        // The third field: read off the per-attempt records.
         let counters = [
-            ("members_done", out.members_used),
-            ("members_failed", out.members_failed),
-            ("members_wasted", out.members_wasted),
-            ("retries", f.retries),
-            ("timeouts", f.timeouts),
+            ("members_done", out.members_used, false),
+            ("members_failed", out.members_failed, false),
+            ("members_wasted", out.members_wasted, true),
+            ("retries", f.retries, false),
+            ("timeouts", f.timeouts, false),
         ];
-        for (name, value) in counters.into_iter().filter(|_| rec.enabled()) {
+        for (name, value, _) in counters.into_iter().filter(|c| rec.enabled() && (known || !c.2)) {
             rec.counter_at(rec.now_ns(), lane, name, value as f64);
         }
         let Some(reg) = self.metrics else { return };
         reg.gauge("esse_members_done").set(out.members_used as f64);
         reg.gauge("esse_coverage").set(coverage);
-        let waits = reg.histogram("esse_queue_wait_ns");
-        for w in out.records.iter().filter_map(TaskRecord::queue_wait) {
-            waits.observe(w.as_nanos() as u64);
+        if known {
+            let waits = reg.histogram("esse_queue_wait_ns");
+            for w in out.records.iter().filter_map(TaskRecord::queue_wait) {
+                waits.observe(w.as_nanos() as u64);
+            }
         }
-        for (name, n) in [
-            ("esse_tasks_completed_total", out.members_used),
-            ("esse_tasks_failed_total", out.members_failed),
-            ("esse_tasks_wasted_total", out.members_wasted),
-            ("esse_tasks_cancelled_total", out.members_cancelled),
-            ("esse_retries_total", f.retries),
-            ("esse_task_timeouts_total", f.timeouts),
-            ("esse_speculative_launches_total", f.speculative_launches),
-            ("esse_speculative_wins_total", f.speculative_wins),
-            ("esse_speculative_losses_total", f.speculative_losses),
-            ("esse_workers_died_total", f.workers_died),
-        ] {
+        let meters = [
+            ("esse_tasks_completed_total", out.members_used, false),
+            ("esse_tasks_failed_total", out.members_failed, false),
+            ("esse_tasks_wasted_total", out.members_wasted, true),
+            ("esse_tasks_cancelled_total", out.members_cancelled, true),
+            ("esse_retries_total", f.retries, false),
+            ("esse_task_timeouts_total", f.timeouts, false),
+            ("esse_speculative_launches_total", f.speculative_launches, false),
+            ("esse_speculative_wins_total", f.speculative_wins, false),
+            ("esse_speculative_losses_total", f.speculative_losses, false),
+            ("esse_workers_died_total", f.workers_died, true),
+        ];
+        for (name, n, _) in meters.into_iter().filter(|c| known || !c.2) {
             reg.counter(name).add(n as u64);
         }
     }
@@ -801,6 +823,20 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_checkpoint_is_refused_and_left_as_it_is() {
+        let (model, prior, mean) = setup();
+        let cfg = MtcConfig { schedule: EnsembleSchedule::new(8, 8), ..config(2) };
+        let ck = checkpoint_with("finished", 0, &cfg);
+        let engine = MtcEsse::new(&model, cfg).with_checkpoint(&ck);
+        engine.run(RunInit::new(&mean, &prior)).unwrap();
+        let path = ck.dir().join(Checkpoint::JOURNAL);
+        let journal = std::fs::read(&path).unwrap();
+        let again = engine.run(RunInit::new(&mean, &prior));
+        assert!(matches!(again, Err(EsseError::Config(_))), "{again:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), journal, "a finished run appended");
+    }
+
+    #[test]
     fn metrics_registry_counters_match_run_result() {
         let (model, prior, mean) = setup();
         let registry = esse_obs::MetricsRegistry::new();
@@ -954,41 +990,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_produces_validated_config() {
-        let cfg = MtcConfig::builder()
-            .workers(3)
-            .pool_factor(1.5)
-            .schedule(EnsembleSchedule::new(8, 32))
-            .tolerance(0.04)
-            .duration(3600.0)
-            .retry(RetryPolicy::retries(3))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.retry.max_attempts, 3);
-        assert!(cfg.faults.is_none());
-    }
-
-    #[test]
-    fn builder_rejects_invalid_fields() {
-        assert_eq!(MtcConfig::builder().workers(0).build().unwrap_err().field, "workers");
-        assert_eq!(MtcConfig::builder().pool_factor(0.5).build().unwrap_err().field, "pool_factor");
-        assert_eq!(MtcConfig::builder().tolerance(0.0).build().unwrap_err().field, "tolerance");
-        assert_eq!(MtcConfig::builder().tolerance(1.5).build().unwrap_err().field, "tolerance");
-        assert_eq!(MtcConfig::builder().svd_stride(0).build().unwrap_err().field, "svd_stride");
-        assert_eq!(MtcConfig::builder().max_rank(0).build().unwrap_err().field, "max_rank");
-        assert_eq!(MtcConfig::builder().duration(f64::NAN).build().unwrap_err().field, "duration");
-        // Builder validation reaches into the retry policy too.
-        let bad_retry = RetryPolicy { max_attempts: 0, ..RetryPolicy::default() };
-        assert_eq!(
-            MtcConfig::builder().retry(bad_retry).build().unwrap_err().field,
-            "retry.max_attempts"
-        );
-    }
-
-    #[test]
-    fn config_error_converts_into_esse_error() {
-        let err: EsseError = MtcConfig::builder().workers(0).build().unwrap_err().into();
+    fn invalid_fields_are_refused_before_a_run() {
+        let field = |cfg: MtcConfig| cfg.validate().unwrap_err().field;
+        assert_eq!(field(MtcConfig { workers: 0, ..Default::default() }), "workers");
+        assert_eq!(field(MtcConfig { pool_factor: 0.5, ..Default::default() }), "pool_factor");
+        assert_eq!(field(MtcConfig { tolerance: 0.0, ..Default::default() }), "tolerance");
+        assert_eq!(field(MtcConfig { tolerance: 1.5, ..Default::default() }), "tolerance");
+        assert_eq!(field(MtcConfig { svd_stride: 0, ..Default::default() }), "svd_stride");
+        assert_eq!(field(MtcConfig { max_rank: 0, ..Default::default() }), "max_rank");
+        assert_eq!(field(MtcConfig { duration: f64::NAN, ..Default::default() }), "duration");
+        // Validation reaches into the retry policy too.
+        let retry = RetryPolicy { max_attempts: 0, ..RetryPolicy::default() };
+        assert_eq!(field(MtcConfig { retry, ..Default::default() }), "retry.max_attempts");
+        // The engine refuses it as a typed configuration error.
+        let (model, prior, mean) = setup();
+        let engine = MtcEsse::new(&model, MtcConfig { workers: 0, ..config(1) });
+        let err = engine.run(RunInit::new(&mean, &prior)).unwrap_err();
         assert!(matches!(err, EsseError::Config(_)));
         assert!(err.to_string().contains("workers"));
     }

@@ -177,7 +177,7 @@ impl TcpTransport {
                     }
                 }
             }
-            let stream = conn.stream.as_mut().expect("stream present after reconnect");
+            let Some(stream) = conn.stream.as_mut() else { continue };
             match try_exchange(stream, msg, extra) {
                 Ok(reply) => return Ok(reply),
                 Err(e) if fatal_protocol_error(&e) => return Err(e),

@@ -178,8 +178,7 @@ impl NetServer {
         let shared = Arc::new(cfg);
         let accept_thread = thread::Builder::new()
             .name("esse-net-accept".into())
-            .spawn(move || accept_loop(listener, shared, accept_stop, accept_active))
-            .expect("spawn accept thread");
+            .spawn(move || accept_loop(listener, shared, accept_stop, accept_active))?;
         Ok(NetServer { addr, stop, active, accept_thread: Some(accept_thread) })
     }
 

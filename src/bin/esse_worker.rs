@@ -73,7 +73,7 @@
 //! esse_worker (--workdir DIR | --connect HOST:PORT [--scratch DIR])
 //!             [--worker-id N] [--poll-ms MS] [--idle-exit-ms MS]
 //!             [--parent-pid PID] [--wait-pool-ms MS]
-//!             [--coordinator-grace-ms MS] [--reconnect-grace-ms MS]
+//!             [--coordinator-grace-ms MS]
 //!             [--endpoint-file PATH] [--fault-seed S] [--die-after K]
 //!             [--stall-task M] [--stall-ms MS]
 //!             [--trace-capacity N] [--metrics-out PATH]
@@ -97,7 +97,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "esse_worker (--workdir DIR | --connect HOST:PORT [--scratch DIR]) \
                      [--worker-id N] [--poll-ms MS] [--idle-exit-ms MS] [--parent-pid PID] \
-                     [--coordinator-grace-ms MS] [--reconnect-grace-ms MS] \
+                     [--coordinator-grace-ms MS] \
                      [--endpoint-file PATH] [--die-after K] [--stall-task M] [--stall-ms MS] \
                      [--corrupt-members RATE] [--trace-capacity N] [--metrics-out PATH]";
 
@@ -142,20 +142,27 @@ impl Lease {
 
 /// Wait for a child while renewing the lease and watching for
 /// cancellation and fencing; on either the child is killed mid-run and
-/// `None` is returned.
+/// `None` is returned. A child that cannot be polled is killed too, and
+/// the attempt fails like a failed spawn.
 fn wait_or_cancel(
     child: &mut Child,
     transport: &dyn PoolTransport,
     lease: &mut Lease,
-) -> Option<i32> {
+) -> std::io::Result<Option<i32>> {
     let mut last_poll = Instant::now();
     // Tombstone polls go over the transport (a network round trip for
     // remote workers), so they run on a coarser cadence than the local
     // child wait.
     let poll_every = Duration::from_millis(50);
     loop {
-        if let Some(status) = child.try_wait().expect("try_wait on singleton") {
-            return Some(status.code().unwrap_or(-1));
+        match child.try_wait() {
+            Ok(Some(status)) => return Ok(Some(status.code().unwrap_or(-1))),
+            Ok(None) => {}
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(e);
+            }
         }
         let mut abandon = !lease.keep(transport);
         if !abandon && last_poll.elapsed() >= poll_every {
@@ -170,7 +177,7 @@ fn wait_or_cancel(
         if abandon {
             let _ = child.kill();
             let _ = child.wait();
-            return None;
+            return Ok(None);
         }
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -269,7 +276,9 @@ fn run_task(
     let mut run_child = |name: &'static str, cmd: &mut Command| {
         rec.begin_at(rec.now_ns(), lane, "phase", name, vec![("member", spec.member.into())]);
         let exit = match cli::spawn_with_retry(cmd, name, Some(member), 3) {
-            Ok(mut child) => Ok(wait_or_cancel(&mut child, transport, &mut lease)),
+            Ok(mut child) => {
+                wait_or_cancel(&mut child, transport, &mut lease).map_err(esse::EsseError::Io)
+            }
             Err(e) => Err(e),
         };
         rec.end_at(rec.now_ns(), lane, "phase", name);
@@ -430,13 +439,7 @@ fn open_transport(
 ) -> Result<Box<dyn PoolTransport>, String> {
     let t0 = Instant::now();
     // The coordinator-outage parking window, shared by both transports.
-    // `--reconnect-grace-ms` is the historical TCP spelling and still
-    // honoured; `--coordinator-grace-ms` wins when both are given.
-    let grace = Duration::from_millis(
-        args.get("coordinator-grace-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| cli::get_or(args, "reconnect-grace-ms", 5_000u64)),
-    );
+    let grace = Duration::from_millis(cli::get_or(args, "coordinator-grace-ms", 5_000u64));
     if let Some(addr) = args.get("connect") {
         let mut tcp = TcpConfig::new(addr.clone(), cfg.worker_id as u64);
         tcp.reconnect_grace = grace;

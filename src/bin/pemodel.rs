@@ -2,19 +2,18 @@
 //! executable of paper Tables 1-2).
 //!
 //! Reads a member's initial-condition file, integrates the stochastic
-//! ocean model, and writes the forecast file. `--central` runs the
-//! deterministic central forecast from the mean state instead.
+//! ocean model with the member's seed, and writes the forecast file. The
+//! central forecast is the engine's own, computed in `esse_master`.
 //!
 //! ```text
-//! pemodel --workdir DIR --domain monterey:NX,NY,NZ --hours H \
-//!         (--member J --seed S | --central)
+//! pemodel --workdir DIR --domain monterey:NX,NY,NZ --hours H --member J --seed S
 //! ```
 
 use esse::cli::{self, files};
 use esse::fileio;
 
 const USAGE: &str =
-    "pemodel --workdir DIR --domain monterey:NX,NY,NZ --hours H (--member J --seed S | --central)";
+    "pemodel --workdir DIR --domain monterey:NX,NY,NZ --hours H --member J --seed S";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +21,6 @@ fn main() {
     let workdir = std::path::PathBuf::from(cli::require(&args, "workdir", USAGE));
     let domain = cli::require(&args, "domain", USAGE);
     let hours: f64 = cli::get_or(&args, "hours", 6.0);
-    let central = args.contains_key("central");
 
     let (model, _st0) = match cli::build_model(domain) {
         Ok(m) => m,
@@ -32,19 +30,15 @@ fn main() {
         }
     };
 
-    let (ic_path, out_path, seed) = if central {
-        (workdir.join(files::MEAN), workdir.join(files::CENTRAL), None)
-    } else {
-        let member: usize = cli::require(&args, "member", USAGE).parse().unwrap_or_else(|e| {
-            eprintln!("bad --member: {e}");
-            std::process::exit(2);
-        });
-        let seed: u64 = cli::require(&args, "seed", USAGE).parse().unwrap_or_else(|e| {
-            eprintln!("bad --seed: {e}");
-            std::process::exit(2);
-        });
-        (workdir.join(files::ic(member)), workdir.join(files::fc(member)), Some(seed))
-    };
+    let member: usize = cli::require(&args, "member", USAGE).parse().unwrap_or_else(|e| {
+        eprintln!("bad --member: {e}");
+        std::process::exit(2);
+    });
+    let seed: u64 = cli::require(&args, "seed", USAGE).parse().unwrap_or_else(|e| {
+        eprintln!("bad --seed: {e}");
+        std::process::exit(2);
+    });
+    let (ic_path, out_path) = (workdir.join(files::ic(member)), workdir.join(files::fc(member)));
 
     let x0 = match fileio::read_vector(&ic_path) {
         Ok(v) => v,
@@ -61,7 +55,7 @@ fn main() {
         );
         std::process::exit(1);
     }
-    match model.forecast(&x0, 0.0, hours * 3600.0, seed) {
+    match model.forecast(&x0, 0.0, hours * 3600.0, Some(seed)) {
         Ok(xf) => {
             if let Err(e) = fileio::write_vector(&out_path, &xf) {
                 eprintln!("pemodel: cannot write forecast: {e}");

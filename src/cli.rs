@@ -1,9 +1,14 @@
 //! Shared plumbing for the process-level workflow binaries
-//! (`pert`, `pemodel`, `esse_master`): argument parsing and the domain
-//! specification both sides must agree on.
+//! (`pert`, `pemodel`, `esse_master`): argument parsing, the domain
+//! specification both sides must agree on, and the engine configuration
+//! `esse_master`'s flags describe.
 
+use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse_core::error::EsseError;
 use esse_core::model::ForecastError;
+use esse_core::perturb::PerturbConfig;
+use esse_core::subspace::SubspaceStrategy;
+use esse_mtc::{MtcConfig, RetryPolicy};
 use esse_ocean::{scenario, OceanState, PeModel};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -75,6 +80,55 @@ pub fn build_model(spec: &str) -> Result<(PeModel, OceanState), String> {
         "monterey" => Ok(scenario::monterey(parts[0], parts[1], parts[2])),
         other => Err(format!("unknown domain kind '{other}'")),
     }
+}
+
+/// `--subspace`: `full` (the default), `incremental`, or
+/// `incremental:REFRESH,TOL` (refresh cadence, orthonormality tolerance).
+fn parse_subspace(v: &str) -> Option<SubspaceStrategy> {
+    let (refresh, tol) = match v.strip_prefix("incremental") {
+        _ if v == "full" => return Some(SubspaceStrategy::FullRecompute),
+        Some("") => ("8", "1e-6"),
+        rest => rest?.strip_prefix(':')?.split_once(',')?,
+    };
+    let (refresh_every, defect_tol) = (refresh.parse().ok()?, tol.parse().ok()?);
+    Some(SubspaceStrategy::Incremental { refresh_every, defect_tol })
+}
+
+/// The engine configuration of `esse_master`'s flags: the schedule,
+/// tolerance, seeds and forecast window, a lease that is the task
+/// timeout, `--task-attempts` with a 20 ms doubling backoff, the
+/// requeue budget, the checkpoint lane, an SVD every `initial / 2`
+/// (≥ 4) decided members and cancellation on convergence. The local
+/// fleet, the listener and the workdir are process work, not
+/// configuration.
+pub fn master_config(args: &HashMap<String, String>) -> Result<MtcConfig, String> {
+    let (initial, max) = (get_or(args, "initial", 8usize), get_or(args, "max", 32usize));
+    let subspace = parse_subspace(args.get("subspace").map_or("full", String::as_str))
+        .ok_or("bad --subspace value (want full or incremental[:REFRESH,TOL])")?;
+    let lease = Duration::from_millis(get_or(args, "lease-ms", 1200u64).max(50));
+    let attempts = get_or(args, "task-attempts", 3u32).max(1);
+    let backoff = Duration::from_millis(20);
+    let cfg = MtcConfig {
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(initial, max),
+        tolerance: get_or(args, "tolerance", 0.08),
+        mode_rel_tol: 1e-4,
+        max_rank: 64,
+        perturb: PerturbConfig {
+            white_noise: get_or(args, "white-noise", 0.0),
+            base_seed: get_or(args, "base-seed", 0x5EED),
+            frozen_indices: Vec::new(),
+        },
+        duration: get_or(args, "hours", 6.0) * 3600.0,
+        svd_stride: (initial / 2).max(4),
+        completion: CompletionPolicy::CancelImmediately,
+        retry: RetryPolicy::retries(attempts).with_backoff(backoff, 2.0, 0.0).with_timeout(lease),
+        subspace,
+        requeue_budget: Some(get_or(args, "requeue-budget", 16u32).max(1)),
+        ..MtcConfig::default()
+    };
+    cfg.validate().map_err(|e| e.to_string())?;
+    Ok(cfg)
 }
 
 /// Spawn `cmd` with a bounded retry: a transient fork/ENOENT failure

@@ -49,6 +49,7 @@
 
 pub mod cli;
 pub mod fileio;
+pub mod fleet;
 
 pub use esse_acoustics as acoustics;
 pub use esse_core as core;

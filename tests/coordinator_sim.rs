@@ -32,7 +32,7 @@ use esse::core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse::core::format::subspace_to_bytes;
 use esse::core::model::{LinearGaussianModel, PeForecastModel};
 use esse::core::perturb::{PerturbConfig, PerturbationGenerator};
-use esse::core::subspace::{ErrorSubspace, SubspaceStrategy};
+use esse::core::subspace::ErrorSubspace;
 use esse::core::validate::{ForecastValidator, Reason, ValidatorConfig, VarBounds};
 use esse::mtc::coordinator::{
     begin_incarnation, quiet, CoordError, Coordinator, JournalPort, PoolPort, Setup, StorePort,
@@ -210,19 +210,6 @@ impl Sim {
         self.dead.set(false);
         self.cancelled.set(false);
     }
-
-    /// The highest epoch of each member anywhere in the pool.
-    fn epochs(&self) -> HashMap<u64, u32> {
-        let (scan, ..) = self.pool.snapshot();
-        let mut epochs = HashMap::new();
-        let claims = scan.claims.iter().map(|c| c.spec);
-        let keys = scan.pending.into_iter().chain(claims).map(|t| (t.member, t.epoch));
-        for (m, e) in keys.chain(scan.results.iter().map(|r| (r.member, r.epoch))) {
-            let hw = epochs.entry(m).or_insert(0);
-            *hw = e.max(*hw);
-        }
-        epochs
-    }
 }
 
 impl JournalPort for Sim {
@@ -282,6 +269,19 @@ impl JournalPort for Sim {
 }
 
 impl PoolPort for Sim {
+    /// The highest epoch of each member anywhere in the pool.
+    fn epochs(&self) -> io::Result<HashMap<u64, u32>> {
+        let (scan, ..) = self.pool.snapshot();
+        let mut epochs = HashMap::new();
+        let claims = scan.claims.iter().map(|c| c.spec);
+        let keys = scan.pending.into_iter().chain(claims).map(|t| (t.member, t.epoch));
+        for (m, e) in keys.chain(scan.results.iter().map(|r| (r.member, r.epoch))) {
+            let hw = epochs.entry(m).or_insert(0);
+            *hw = e.max(*hw);
+        }
+        Ok(epochs)
+    }
+
     fn seed(&self, spec: &TaskSpec) -> io::Result<()> {
         if !self.live("seed") {
             return Ok(());
@@ -587,30 +587,30 @@ fn simulate(sc: &Scenario, faults: Faults, workers: usize, seed: u64) -> Outcome
         if let Some(factor) = faults.speculate {
             retry = retry.with_speculation(factor);
         }
+        let cfg = MtcConfig {
+            pool_factor: 1.0,
+            schedule: EnsembleSchedule::new(sc.initial, sc.max),
+            tolerance: sc.tolerance,
+            max_rank: 64,
+            svd_stride: (sc.initial / 2).max(4),
+            completion: CompletionPolicy::CancelImmediately,
+            deadline: faults.deadline.map(|t| Duration::from_millis(t * TICK_MS)),
+            retry: retry.with_timeout(Duration::from_millis(sc.lease_ms)),
+            requeue_budget: Some(16),
+            ..MtcConfig::default()
+        };
         let setup = Setup {
+            cfg: &cfg,
             gen: &sc.gen,
             central: &sc.central,
             validator: Some(sc.validator.clone()),
-            strategy: SubspaceStrategy::FullRecompute,
-            mode_rel_tol: 1e-4,
-            max_rank: 64,
-            linalg: Default::default(),
-            schedule: EnsembleSchedule::new(sc.initial, sc.max),
-            stride: (sc.initial / 2).max(4),
-            pool_factor: 1.0,
-            tolerance: sc.tolerance,
-            completion: CompletionPolicy::CancelImmediately,
-            deadline: faults.deadline.map(|t| Duration::from_millis(t * TICK_MS)),
-            lease_ms: sc.lease_ms,
-            retry,
-            requeue_budget: 16,
             trace_run: 0,
             incarnation,
             rec: &NULL,
             metrics: &metrics,
             progress: &quiet,
         };
-        let mut co = match Coordinator::resume(&state, sim.epochs(), (&sim, &sim, &sim), setup) {
+        let mut co = match Coordinator::resume(&state, (&sim, &sim, &sim), setup) {
             Ok(_) if sim.dead.get() => continue,
             Ok(co) => co,
             Err(e) => {
@@ -676,6 +676,21 @@ struct MasterRun {
 
 const DOMAIN: &str = "monterey:10,10,3";
 const HOURS: f64 = 1.0;
+/// `esse_master`'s flags in the runs below, and the oracle's config.
+const MASTER_FLAGS: [&str; 12] = [
+    "--domain",
+    DOMAIN,
+    "--hours",
+    "1",
+    "--initial",
+    "4",
+    "--max",
+    "8",
+    "--tolerance",
+    "0.15",
+    "--workers",
+    "2",
+];
 
 fn master_run() -> &'static MasterRun {
     static RUN: OnceLock<MasterRun> = OnceLock::new();
@@ -685,8 +700,7 @@ fn master_run() -> &'static MasterRun {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_esse_master"))
             .arg("--workdir")
             .arg(&dir)
-            .args(["--domain", DOMAIN, "--hours", "1", "--initial", "4", "--max", "8"])
-            .args(["--tolerance", "0.15", "--workers", "2"])
+            .args(MASTER_FLAGS)
             .output()
             .expect("esse_master runs");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -745,22 +759,11 @@ fn in_process_run_writes_the_posterior_of_esse_master() {
     let seed = fault_seed();
     let (pe, _) = esse::cli::build_model(DOMAIN).unwrap();
     let model = PeForecastModel::new(pe);
+    let flags: Vec<String> = MASTER_FLAGS.iter().map(|f| f.to_string()).collect();
+    let master = esse::cli::master_config(&esse::cli::parse_args(&flags)).expect("flags");
     for workers in [1, 2, 4] {
-        let cfg = MtcConfig {
-            workers,
-            pool_factor: 1.0,
-            schedule: EnsembleSchedule::new(4, 8),
-            tolerance: 0.15,
-            mode_rel_tol: 1e-4,
-            max_rank: 64,
-            perturb: PerturbConfig::default(),
-            duration: HOURS * 3600.0,
-            svd_stride: 4,
-            completion: CompletionPolicy::CancelImmediately,
-            retry: RetryPolicy::retries(3).with_backoff(Duration::from_millis(20), 2.0, 0.0),
-            faults: Some(FaultPlan::seeded(seed).with_transient_io(0.3)),
-            ..MtcConfig::default()
-        };
+        let faults = Some(FaultPlan::seeded(seed).with_transient_io(0.3));
+        let cfg = MtcConfig { workers, faults, ..master.clone() };
         let engine = MtcEsse::new(&model, cfg).with_validator(master_validator(run));
         let out = engine.run(RunInit::new(&run.mean, &run.prior)).expect("in-process run");
         assert_eq!(out.central, run.central, "central forecasts differ");

@@ -71,7 +71,7 @@ fn spawn_tcp_worker(dir: &Path, endpoint: &str, id: usize) -> Child {
             &id.to_string(),
             "--poll-ms",
             "5",
-            "--reconnect-grace-ms",
+            "--coordinator-grace-ms",
             "3000",
         ])
         .stdout(Stdio::piped())

@@ -46,18 +46,18 @@ fn prior6() -> ErrorSubspace {
 }
 
 fn faulty_config(n: usize, workers: usize, plan: FaultPlan, retry: RetryPolicy) -> MtcConfig {
-    MtcConfig::builder()
-        .workers(workers)
-        .pool_factor(1.0)
-        .schedule(EnsembleSchedule::new(n, n))
-        .tolerance(1e-12) // fixed-size pool: every member is planned work
-        .duration(10.0)
-        .max_rank(6)
-        .svd_stride(8)
-        .faults(plan)
-        .retry(retry)
-        .build()
-        .expect("valid fault config")
+    MtcConfig {
+        workers,
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(n, n),
+        tolerance: 1e-12, // fixed-size pool: every member is planned work
+        duration: 10.0,
+        max_rank: 6,
+        svd_stride: 8,
+        faults: Some(plan),
+        retry,
+        ..MtcConfig::default()
+    }
 }
 
 /// The central invariant: whatever faults are injected, a run that
@@ -179,22 +179,21 @@ fn zero_rate_fault_plan_is_bitwise_identical_to_no_plan() {
     let prior = prior6();
     let mean = vec![0.0; 6];
 
-    let base = || {
-        MtcConfig::builder()
-            .workers(1) // single worker: deterministic completion order
-            .pool_factor(1.0)
-            .schedule(EnsembleSchedule::new(12, 12))
-            .tolerance(1e-12)
-            .duration(10.0)
-            .max_rank(6)
-            .svd_stride(12)
+    let clean = MtcConfig {
+        workers: 1, // single worker: deterministic completion order
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(12, 12),
+        tolerance: 1e-12,
+        duration: 10.0,
+        max_rank: 6,
+        svd_stride: 12,
+        ..MtcConfig::default()
     };
-    let clean = base().build().expect("clean config");
-    let zeroed = base()
-        .faults(FaultPlan::seeded(99)) // seeded but every rate is zero
-        .retry(RetryPolicy::retries(3))
-        .build()
-        .expect("zero-rate config");
+    let zeroed = MtcConfig {
+        faults: Some(FaultPlan::seeded(99)), // seeded but every rate is zero
+        retry: RetryPolicy::retries(3),
+        ..clean.clone()
+    };
 
     let a = MtcEsse::new(&model, clean).run(RunInit::new(&mean, &prior)).expect("clean run");
     let b = MtcEsse::new(&model, zeroed).run(RunInit::new(&mean, &prior)).expect("zeroed run");

@@ -176,10 +176,19 @@ fn crashed_master_resumes_to_a_bit_identical_posterior() {
     let resumed = std::fs::read(dir.join("posterior.sub")).unwrap();
     assert_eq!(resumed, reference, "resumed posterior is not bit-identical");
 
-    // Resuming a complete run is a durable no-op.
+    // Resuming a complete run is a durable no-op: it appends nothing and
+    // reads no forecast, so a missing one changes nothing either.
+    let journal = std::fs::read(dir.join("run.journal")).unwrap();
     let log = run_master(&dir, &["--resume"]);
     assert!(log.contains("already complete"), "log: {log}");
     assert_eq!(std::fs::read(dir.join("posterior.sub")).unwrap(), reference);
+    assert_eq!(std::fs::read(dir.join("run.journal")).unwrap(), journal);
+    std::fs::remove_file(dir.join("fc_0.vec")).unwrap();
+    let log = run_master(&dir, &["--resume"]);
+    assert!(log.contains("already complete"), "log: {log}");
+    assert_eq!(std::fs::read(dir.join("run.journal")).unwrap(), journal);
+    assert_eq!(std::fs::read(dir.join("posterior.sub")).unwrap(), reference);
+    assert!(!dir.join("quarantine").exists(), "a finished run quarantined a member");
 }
 
 #[test]
@@ -197,6 +206,8 @@ fn a_failed_journal_append_parks_the_master_and_resume_finishes_the_run() {
     // is torn.
     let replay = Journal::replay(dir.join("run.journal")).expect("replay journal");
     assert_eq!((replay.records.len(), replay.torn_bytes), (10, 0));
+    // Parked, not finished: no tombstone tells the workers to leave.
+    assert!(!dir.join("pool/SHUTDOWN").exists(), "a parked run wrote SHUTDOWN");
 
     run_master(&dir, &["--resume"]);
     assert_eq!(

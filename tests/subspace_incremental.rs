@@ -273,19 +273,19 @@ fn incremental_engine_matches_full_and_surfaces_observability() {
 
     let registry = MetricsRegistry::new();
     let ring = RingRecorder::new();
-    let cfg = MtcConfig::builder()
-        .workers(4)
-        .pool_factor(1.0)
-        .schedule(EnsembleSchedule::new(n, n))
-        .tolerance(1e-12)
-        .duration(10.0)
-        .max_rank(8)
-        .svd_stride(8)
-        .completion(CompletionPolicy::UseCompleted)
-        .subspace(SubspaceStrategy::Incremental { refresh_every: 3, defect_tol: 1e-6 })
-        .linalg(LinalgCtx::serial())
-        .build()
-        .unwrap();
+    let cfg = MtcConfig {
+        workers: 4,
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(n, n),
+        tolerance: 1e-12,
+        duration: 10.0,
+        max_rank: 8,
+        svd_stride: 8,
+        completion: CompletionPolicy::UseCompleted,
+        subspace: SubspaceStrategy::Incremental { refresh_every: 3, defect_tol: 1e-6 },
+        linalg: LinalgCtx::serial(),
+        ..MtcConfig::default()
+    };
     let inc_out = MtcEsse::new(&model, cfg)
         .with_metrics(&registry)
         .with_recorder(&ring)

@@ -3,15 +3,19 @@
 //! into its own recorder) exported to JSONL, re-loaded by
 //! `esse_obs::analyze`, and cross-checked against the engine's own
 //! bookkeeping — the phase breakdown, counters and makespans must be
-//! recoverable from the events alone.
+//! recoverable from the events alone. A held clock forces the crew to
+//! claim a task before the coordinator reads the time, to pin that
+//! every `sched/enqueued` instant is stamped before its task is
+//! claimable.
 
 use esse_core::adaptive::EnsembleSchedule;
 use esse_core::model::{ForecastError, ForecastModel, LinearGaussianModel};
 use esse_core::subspace::ErrorSubspace;
 use esse_mtc::workflow::{MtcConfig, MtcEsse, MtcOutcome, RunInit};
-use esse_obs::{export, LoadedTrace, MetricsRegistry, RingRecorder, RunAnalysis};
+use esse_obs::{export, LoadedTrace, MetricsRegistry, Recorder, RingRecorder, RunAnalysis};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// ~2 ms per member: sleeping threads overlap, so the MTC pool shows a
@@ -161,4 +165,73 @@ fn monitor_tee_sees_the_same_run_the_trace_records() {
         out.records.iter().map(|r| r.attempts as u64).sum::<u64>(),
         "one observation per attempt"
     );
+}
+
+/// A clock that holds every coordinator-thread reading until a crew
+/// thread has read it (or 10 ms pass). An `enqueued` stamp taken after
+/// its task became claimable then reads later than the claim.
+struct HeldClock<'a> {
+    inner: &'a RingRecorder,
+    coordinator: std::thread::ThreadId,
+    crew_reads: Mutex<u64>,
+    read: Condvar,
+}
+
+impl Recorder for HeldClock<'_> {
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+
+    fn now_ns(&self) -> u64 {
+        let mut reads = self.crew_reads.lock().unwrap();
+        if std::thread::current().id() != self.coordinator {
+            // Read under the lock: the coordinator's next reading is later.
+            let t = self.inner.now_ns();
+            *reads += 1;
+            self.read.notify_all();
+            return t;
+        }
+        let seen = *reads;
+        let held = Duration::from_millis(10);
+        drop(self.read.wait_timeout_while(reads, held, |r| *r == seen).unwrap());
+        self.inner.now_ns()
+    }
+
+    fn record(&self, ev: esse_obs::Event) {
+        self.inner.record(ev)
+    }
+
+    fn observe(&self, name: &'static str, latency_ns: u64) {
+        self.inner.observe(name, latency_ns)
+    }
+}
+
+/// Every member's `sched/enqueued` instant precedes its `task` span,
+/// even when the crew claims before the coordinator's clock moves on:
+/// the queue-wait decomposition counts every member.
+#[test]
+fn enqueue_instants_precede_the_claims_they_enable() {
+    let (model, prior, mean) = setup();
+    let members = 8;
+    let cfg = MtcConfig {
+        workers: 2,
+        pool_factor: 1.0,
+        schedule: EnsembleSchedule::new(members, members),
+        tolerance: 1e-12,
+        duration: 10.0,
+        max_rank: 6,
+        ..Default::default()
+    };
+    let ring = RingRecorder::new();
+    let clock = HeldClock {
+        inner: &ring,
+        coordinator: std::thread::current().id(),
+        crew_reads: Mutex::new(0),
+        read: Condvar::new(),
+    };
+    MtcEsse::new(&model, cfg).with_recorder(&clock).run(RunInit::new(&mean, &prior)).unwrap();
+    let text = export::jsonl_string(&ring.drain());
+    let a = LoadedTrace::from_jsonl(&text).expect("parse own JSONL export").analyze();
+    let waits = a.queue_wait.expect("sched/enqueued instants present");
+    assert_eq!(waits.count, members as u64, "a member's task span opened before its enqueue");
 }
