@@ -21,11 +21,13 @@
 //! * [`climate`] — the source × frequency × section sweep,
 //! * [`coupled`] — ensemble TL statistics and the non-dimensionalized
 //!   coupled physical-acoustical covariance with its dominant modes.
+//!
+//! `examples/acoustic_climate.rs` and the `acoustic_sweep` bench drive
+//! the chain end to end; DESIGN.md §7.1 names what keeps each module.
 
 pub mod bottom;
 pub mod climate;
 pub mod coupled;
-pub mod eigenray;
 pub mod ray;
 pub mod ssp;
 pub mod tl;

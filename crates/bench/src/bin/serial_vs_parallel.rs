@@ -16,7 +16,7 @@
 //! ```text
 //! cargo run --release -p esse-bench --bin serial_vs_parallel
 //! cargo run --release -p esse-bench --bin serial_vs_parallel -- --trace-out run.json
-//! cargo run --release -p esse-bench --bin serial_vs_parallel -- --trace-out run.jsonl --monitor
+//! cargo run --release -p esse-bench --bin serial_vs_parallel -- --trace-out run.jsonl
 //! ```
 //!
 //! With `--trace-out <path>` a converging MTC run is recorded through
@@ -24,9 +24,7 @@
 //! JSON for `.json`/`.trace` paths (open in `chrome://tracing` or
 //! Perfetto), JSONL otherwise. A `.jsonl` trace feeds straight into the
 //! `trace_report` binary, which recovers the per-phase breakdown and the
-//! critical path from the events alone. `--monitor` additionally attaches a
-//! live [`esse_obs::RunMonitor`] to the traced MTC run: heartbeat lines
-//! on stderr while it runs, a final run report on stdout.
+//! critical path from the events alone.
 
 use esse_core::adaptive::EnsembleSchedule;
 use esse_core::format::subspace_to_bytes;
@@ -70,14 +68,12 @@ impl ForecastModel for CostlyModel {
 
 fn main() -> ExitCode {
     let mut trace_out: Option<PathBuf> = None;
-    let mut monitor = false;
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--trace-out" => {
                 trace_out = Some(PathBuf::from(argv.next().expect("--trace-out needs a path")))
             }
-            "--monitor" => monitor = true,
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
@@ -152,7 +148,7 @@ fn main() -> ExitCode {
          arrive instead of serializing after the forecast loop (paper Sec 4.1, bottleneck 1-3)."
     );
 
-    if trace_out.is_some() || monitor {
+    if let Some(path) = &trace_out {
         // One more MTC run with a realistic tolerance so the trace shows
         // the convergence machinery firing (the benchmark runs above use
         // tolerance 1e-12 to force the full ensemble).
@@ -166,40 +162,20 @@ fn main() -> ExitCode {
             ..Default::default()
         };
         let ring = RingRecorder::new();
-        let live = monitor.then(|| {
-            esse_obs::RunMonitor::start(esse_obs::monitor::MonitorConfig {
-                period: std::time::Duration::from_millis(200),
-                total_members: Some(256),
-                verbose: true,
-                ..esse_obs::monitor::MonitorConfig::default()
-            })
-        });
-        let mon_rec = live.as_ref().map(|m| m.recorder());
-        let tee = mon_rec.as_ref().map(|r| esse_obs::monitor::Tee::new(&ring, r));
-        let rec: &dyn esse_obs::Recorder = match &tee {
-            Some(t) => t,
-            None => &ring,
-        };
-        let engine = MtcEsse::new(&model, cfg).with_recorder(rec);
+        let engine = MtcEsse::new(&model, cfg).with_recorder(&ring);
         let out = engine.run(RunInit::new(&mean, &prior)).expect("traced mtc");
-        if let Some(m) = live {
-            let report = m.finish();
-            println!("\n{}", report.to_text());
-        }
         println!(
             "\ntraced MTC run converged = {} with {} members",
             out.converged, out.members_used
         );
-        if let Some(path) = &trace_out {
-            let trace = ring.drain();
-            esse_obs::export::save(&trace, path).expect("write trace");
-            println!(
-                "trace: {} events ({} dropped) -> {}",
-                trace.events.len(),
-                trace.dropped,
-                path.display()
-            );
-        }
+        let trace = ring.drain();
+        esse_obs::export::save(&trace, path).expect("write trace");
+        println!(
+            "trace: {} events ({} dropped) -> {}",
+            trace.events.len(),
+            trace.dropped,
+            path.display()
+        );
     }
     if !mismatched.is_empty() {
         eprintln!("posterior bytes differ from the serial arm's with {mismatched:?} workers");

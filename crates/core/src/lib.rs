@@ -26,17 +26,18 @@
 //! The `esse-mtc` crate chains these into one engine that runs both the
 //! serial workflow of paper Fig. 3 and the decoupled many-task workflow
 //! of Fig. 4 (`esse_mtc::workflow`). [`realtime`] models the
-//! observation/forecaster/simulation timelines of Fig. 1; [`smoother`]
-//! and [`adaptive_sampling`] implement the extensions referenced in
-//! §3/§7. [`durable`] and [`format`] are the crash-durable file
-//! primitives and the vector/subspace byte formats every layer shares.
+//! observation/forecaster/simulation timelines of Fig. 1 and
+//! [`adaptive_sampling`] scores the §7 sampling sites, both driven by
+//! `examples/monterey_forecast.rs`; [`smoother`] is the §3 smoother pass
+//! `tests/cycling.rs` checks. [`durable`] and [`format`] are the
+//! crash-durable file primitives and the vector/subspace byte formats
+//! every layer shares. DESIGN.md §7.1 names what keeps each module.
 
 pub mod adaptive;
 pub mod adaptive_sampling;
 pub mod assimilate;
 pub mod convergence;
 pub mod covariance;
-pub mod diagnostics;
 pub mod durable;
 pub mod error;
 pub mod format;

@@ -113,8 +113,8 @@ struct Conn {
 pub struct TcpTransport {
     cfg: TcpConfig,
     manifest: PoolManifest,
-    mean: Vec<u8>,
-    prior: Vec<u8>,
+    /// `mean.vec`, `prior.sub` and `fc_central.vec` bytes from `Welcome`.
+    inputs: [Vec<u8>; 3],
     conn: Mutex<Conn>,
     dead: AtomicBool,
     /// The error that drove `dead` true, echoed in every subsequent
@@ -132,7 +132,7 @@ impl TcpTransport {
     /// worker's `--wait-pool-ms` behaviour) should loop on this.
     pub fn connect(cfg: TcpConfig) -> io::Result<TcpTransport> {
         let mut stream = dial(&cfg)?;
-        let (manifest, mean, prior) = handshake(&mut stream, &cfg)?;
+        let (manifest, inputs) = handshake(&mut stream, &cfg)?;
         Ok(TcpTransport {
             retry: RetryPolicy::retries(6).with_backoff(Duration::from_millis(50), 2.0, 0.2),
             conn: Mutex::new(Conn {
@@ -140,8 +140,7 @@ impl TcpTransport {
                 rng: StdRng::seed_from_u64(cfg.worker_id ^ 0x7C9_A11E5),
             }),
             manifest,
-            mean,
-            prior,
+            inputs,
             dead: AtomicBool::new(false),
             death_cause: Mutex::new(None),
             cfg,
@@ -208,7 +207,7 @@ impl TcpTransport {
             std::thread::sleep(delay);
             let target = self.cfg.resolve_addr();
             match dial(&self.cfg).and_then(|mut s| {
-                let (manifest, _, _) = handshake(&mut s, &self.cfg)?;
+                let (manifest, _) = handshake(&mut s, &self.cfg)?;
                 if manifest.config_hash != self.manifest.config_hash {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -251,10 +250,10 @@ fn dial(cfg: &TcpConfig) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-fn handshake(
-    stream: &mut TcpStream,
-    cfg: &TcpConfig,
-) -> io::Result<(PoolManifest, Vec<u8>, Vec<u8>)> {
+/// The run manifest and the staged inputs (`mean`, `prior`, `central`).
+type Welcome = (PoolManifest, [Vec<u8>; 3]);
+
+fn handshake(stream: &mut TcpStream, cfg: &TcpConfig) -> io::Result<Welcome> {
     write_frame(
         stream,
         &Message::Hello {
@@ -266,7 +265,9 @@ fn handshake(
         .encode(),
     )?;
     match Message::decode(&read_frame(stream)?)? {
-        Message::Welcome { manifest, mean, prior } => Ok((manifest, mean, prior)),
+        Message::Welcome { manifest, mean, prior, central } => {
+            Ok((manifest, [mean, prior, central]))
+        }
         Message::Reject { reason } => Err(io::Error::new(
             io::ErrorKind::ConnectionRefused,
             format!("coordinator rejected handshake: {reason}"),
@@ -373,8 +374,13 @@ impl PoolTransport for TcpTransport {
     }
 
     fn stage_inputs(&self, workdir: &Path) -> io::Result<()> {
-        atomic_write(workdir.join(names::MEAN), &self.mean)?;
-        atomic_write(workdir.join(names::PRIOR), &self.prior)
+        let [mean, prior, central] = &self.inputs;
+        atomic_write(workdir.join(names::MEAN), mean)?;
+        atomic_write(workdir.join(names::PRIOR), prior)?;
+        if central.is_empty() {
+            return Ok(());
+        }
+        atomic_write(workdir.join(names::CENTRAL), central)
     }
 
     fn wants_payload(&self) -> bool {

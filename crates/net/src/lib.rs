@@ -40,6 +40,8 @@ pub mod names {
     pub const MEAN: &str = "mean.vec";
     /// The prior error subspace.
     pub const PRIOR: &str = "prior.sub";
+    /// The central (unperturbed) forecast.
+    pub const CENTRAL: &str = "fc_central.vec";
 
     /// Forecast file for ensemble member `member`.
     pub fn fc(member: u64) -> String {

@@ -37,8 +37,9 @@ use esse_obs::codec::{CodecError, Reader, Writer};
 
 /// Protocol revision; bumped on any wire-incompatible change. A
 /// coordinator rejects a `Hello` carrying any other value.
-/// (v2: `Result` carries the validator reason code; `Rejected` added.)
-pub const PROTO_VERSION: u32 = 2;
+/// (v2: `Result` carries the validator reason code; `Rejected` added.
+/// v3: `Welcome` carries the central forecast.)
+pub const PROTO_VERSION: u32 = 3;
 
 /// Preferred chunk size for `Data` frames of a result stream.
 pub const DATA_CHUNK: usize = 256 * 1024;
@@ -58,8 +59,9 @@ pub enum Message {
         config_hash: u64,
     },
     /// Coordinator accepts: the run manifest plus the staged inputs
-    /// (raw bytes of `mean.vec` and `prior.sub`) a remote scratch
-    /// workdir needs before `pert`/`pemodel` can run.
+    /// (raw bytes of `mean.vec`, `prior.sub` and `fc_central.vec`) a
+    /// remote scratch workdir needs to run `pert`/`pemodel` and build
+    /// the coordinator's semantic gate.
     Welcome {
         /// The run-wide manifest.
         manifest: PoolManifest,
@@ -67,6 +69,9 @@ pub enum Message {
         mean: Vec<u8>,
         /// Raw bytes of the prior subspace file.
         prior: Vec<u8>,
+        /// Raw bytes of the central forecast file (empty when the
+        /// coordinator's workdir has none).
+        central: Vec<u8>,
     },
     /// Coordinator refuses the handshake.
     Reject {
@@ -195,11 +200,12 @@ impl Message {
                 w.u32(*pid);
                 w.u64(*config_hash);
             }
-            Message::Welcome { manifest, mean, prior } => {
+            Message::Welcome { manifest, mean, prior, central } => {
                 w.u8(T_WELCOME);
                 manifest.put(&mut w);
                 w.blob(mean);
                 w.blob(prior);
+                w.blob(central);
             }
             Message::Reject { reason } => {
                 w.u8(T_REJECT);
@@ -273,6 +279,7 @@ impl Message {
                 manifest: PoolManifest::get(r)?,
                 mean: r.blob()?.to_vec(),
                 prior: r.blob()?.to_vec(),
+                central: r.blob()?.to_vec(),
             },
             T_REJECT => Message::Reject { reason: r.string()? },
             T_CLAIM => Message::Claim,
@@ -348,6 +355,7 @@ mod tests {
                 },
                 mean: vec![1, 2, 3],
                 prior: vec![9; 100],
+                central: vec![4; 10],
             },
             Message::Reject { reason: "config hash mismatch".into() },
             Message::Claim,

@@ -139,10 +139,12 @@ pub struct ServerConfig {
     pub pool: TaskPool,
     /// The run manifest echoed to workers in `Welcome`.
     pub manifest: PoolManifest,
-    /// The run workdir: source of `mean.vec`/`prior.sub` staging bytes
-    /// and destination of streamed forecast files.
+    /// The run workdir: source of the `mean.vec`/`prior.sub`/
+    /// `fc_central.vec` staging bytes and destination of streamed
+    /// forecast files.
     pub workdir: PathBuf,
-    /// Listen address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
+    /// Listen address, e.g. `127.0.0.1:0` (port 0 = ephemeral); read by
+    /// [`NetServer::start`] only.
     pub listen: String,
     /// Endpoint-file generation: the coordinator incarnation that
     /// bound this listener. Workers polling `pool/endpoint` after a
@@ -165,9 +167,14 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Bind, write the endpoint file, and start accepting workers.
+    /// Bind `cfg.listen`, then serve on it as [`NetServer::on`] does.
     pub fn start(cfg: ServerConfig) -> io::Result<NetServer> {
-        let listener = TcpListener::bind(&cfg.listen)?;
+        NetServer::on(TcpListener::bind(&cfg.listen)?, cfg)
+    }
+
+    /// Write the endpoint file and start accepting workers on a bound
+    /// `listener`, so a caller can bind before it touches any state.
+    pub fn on(listener: TcpListener, cfg: ServerConfig) -> io::Result<NetServer> {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         write_endpoint(&cfg.pool.root().join(ENDPOINT_FILE), &addr.to_string(), cfg.generation)?;
@@ -373,11 +380,13 @@ fn serve_connection(
             }
             let mean = std::fs::read(cfg.workdir.join(names::MEAN))?;
             let prior = std::fs::read(cfg.workdir.join(names::PRIOR))?;
+            let central = match std::fs::read(cfg.workdir.join(names::CENTRAL)) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+                read => read?,
+            };
             net_instant(cfg, "net_connect", worker_id);
-            write_frame(
-                &mut stream,
-                &Message::Welcome { manifest: cfg.manifest.clone(), mean, prior }.encode(),
-            )?;
+            let welcome = Message::Welcome { manifest: cfg.manifest.clone(), mean, prior, central };
+            write_frame(&mut stream, &welcome.encode())?;
             worker_id
         }
         other => {

@@ -217,6 +217,10 @@ fn random_message(rng: &mut Rng) -> Message {
                 let n = rng.below(512) as usize;
                 rng.bytes(n)
             },
+            central: {
+                let n = rng.below(512) as usize;
+                rng.bytes(n)
+            },
         },
         2 => Message::Reject { reason: format!("reason-{}", rng.next()) },
         3 => Message::Task { spec },
@@ -561,9 +565,14 @@ fn golden_messages() -> Vec<(Message, &'static str)> {
             "0102000000070000000000000092100000dec0000000000000",
         ),
         (
-            Message::Welcome { manifest: manifest(), mean: vec![1, 2, 3], prior: vec![9, 8] },
+            Message::Welcome {
+                manifest: manifest(),
+                mean: vec![1, 2, 3],
+                prior: vec![9, 8],
+                central: vec![7],
+            },
             "020e0000006d6f6e74657265793a362c352c34000000000000f83f7b14ae47e17a843fed5e0000000000\
-             00b004000000000000dec0000000000000efbe00000000000003000000010203020000000908",
+             00b004000000000000dec0000000000000efbe000000000000030000000102030200000009080100000007",
         ),
         (Message::Reject { reason: "no".into() }, "03020000006e6f"),
         (Message::Claim, "04"),

@@ -88,6 +88,20 @@ fn handshake_serves_manifest_and_stages_inputs() {
 }
 
 #[test]
+fn staging_writes_the_coordinators_central_forecast_or_none() {
+    let mut fx = start("central");
+    let scratch = workdir("central-scratch");
+    connect(&fx, 1).stage_inputs(&scratch).unwrap();
+    assert!(!scratch.join("fc_central.vec").exists(), "none at the coordinator, none staged");
+
+    fs::write(fx.dir.join("fc_central.vec"), b"central-forecast-bytes").unwrap();
+    connect(&fx, 2).stage_inputs(&scratch).unwrap();
+    let staged = fs::read(scratch.join("fc_central.vec")).expect("central forecast staged");
+    assert_eq!(staged, fs::read(fx.dir.join("fc_central.vec")).unwrap());
+    fx.server.stop();
+}
+
+#[test]
 fn wrong_config_hash_is_rejected() {
     let mut fx = start("reject");
     let mut cfg = TcpConfig::new(fx.server.local_addr().to_string(), 9);

@@ -35,9 +35,8 @@
 //! * [`codec`] — the one byte reader/writer, sealed envelope and stream
 //!   frame those formats are all built from;
 //! * [`registry`] — live named metrics (counters/gauges/histograms)
-//!   with Prometheus-text and JSON exposition;
-//! * [`monitor`] — a background heartbeat thread summarizing a run in
-//!   flight and a final [`monitor::RunReport`].
+//!   with Prometheus-text and JSON exposition. A run's progress is read
+//!   from these and from [`analyze`], not from a second live copy.
 //!
 //! One schema serves every execution layer: the real-thread MTC engine
 //! and the bench harnesses stamp wall-clock nanoseconds, the
@@ -52,7 +51,6 @@ pub mod export;
 pub mod fleet;
 pub mod hist;
 pub mod json;
-pub mod monitor;
 pub mod recorder;
 pub mod registry;
 pub mod ring;
@@ -63,7 +61,6 @@ pub use analyze::{LoadedTrace, RunAnalysis};
 pub use event::{ArgValue, Event, EventKind, Lane};
 pub use fleet::{MergeReport, SkewEstimator, SpanBatch};
 pub use hist::LogHistogram;
-pub use monitor::{RunMonitor, RunReport};
 pub use recorder::{NullRecorder, Recorder, RecorderExt, SpanGuard, NULL};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 pub use ring::RingRecorder;

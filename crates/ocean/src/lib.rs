@@ -26,7 +26,6 @@
 
 pub mod bathymetry;
 pub mod boundary;
-pub mod diag;
 pub mod dynamics;
 pub mod eos;
 pub mod field;

@@ -740,6 +740,14 @@ mod tests {
         (model, clim)
     }
 
+    /// Mean sea-surface temperature over wet cells (°C).
+    fn mean_sst(grid: &Grid, state: &OceanState) -> f64 {
+        let wet = (0..grid.ny).flat_map(|j| (0..grid.nx).map(move |i| (i, j)));
+        let sst: Vec<f64> =
+            wet.filter(|&(i, j)| grid.is_wet(i, j)).map(|(i, j)| state.t.get(i, j, 0)).collect();
+        sst.iter().sum::<f64>() / sst.len() as f64
+    }
+
     #[test]
     fn resting_state_stays_resting_without_forcing() {
         let (model, mut st) = small_model(0.0);
@@ -882,7 +890,7 @@ mod tests {
         // colder thermocline water is mixed up.
         let (model, mut st) = scenario::upwelling_test(20, 16, 4);
         let g = &model.grid;
-        let sst0 = crate::diag::mean_sst(g, &st);
+        let sst0 = mean_sst(g, &st);
         model.run(&mut st, 2.0 * 86400.0, None).unwrap();
         // Surface-layer offshore (westward, u < 0) Ekman flow near the coast.
         let mut u_coast = 0.0;
@@ -905,7 +913,7 @@ mod tests {
         w_coast /= n;
         assert!(u_coast < -1e-4, "expected offshore surface Ekman flow, got u = {u_coast}");
         assert!(w_coast > 1e-7, "expected coastal upwelling, got w = {w_coast}");
-        let sst1 = crate::diag::mean_sst(g, &st);
+        let sst1 = mean_sst(g, &st);
         assert!(sst1 < sst0 - 0.02, "SST should cool: {sst0} -> {sst1}");
     }
 }

@@ -13,7 +13,6 @@
 use esse::cli::{self, files};
 use esse::core::model::PeForecastModel;
 use esse::core::subspace::ErrorSubspace;
-use esse::core::validate::{ForecastValidator, ValidatorConfig};
 use esse::fileio;
 use esse::fleet::{DiskStore, Fleet, LocalWorkers, WORKER_LOG_DIR};
 use esse::mtc::coordinator::{CoordError, JournalPort, Level};
@@ -29,6 +28,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,14 +106,8 @@ fn run_gc(workdir: &Path, keep: usize) -> Result<(), Stop> {
     Ok(())
 }
 
-/// Take the workdir (a populated one only with `--resume` or `--force`)
-/// and open its journal: fresh, or replayed and checked to be this run's.
-fn open_journal(
-    workdir: &Path,
-    resume: bool,
-    force: bool,
-    run_hash: u64,
-) -> Result<(WorkdirLock, Journal, JournalState), Stop> {
+/// Take the workdir: a populated one only with `--resume` or `--force`.
+fn take_workdir(workdir: &Path, resume: bool, force: bool) -> Result<WorkdirLock, Stop> {
     if !resume && fs::read_dir(workdir).is_ok_and(|mut d| d.next().is_some()) {
         if !force {
             return Err(Stop::Refused(format!(
@@ -126,11 +120,15 @@ fn open_journal(
         io(fs::remove_dir_all(workdir), "clear the workdir")?;
     }
     io(fs::create_dir_all(workdir), "create the workdir")?;
-    let lock = lock_workdir(workdir)?;
+    lock_workdir(workdir)
+}
+
+/// The workdir's journal: fresh, or replayed and checked to be this run's.
+fn open_journal(workdir: &Path, resume: bool, hash: u64) -> Result<(Journal, JournalState), Stop> {
     let path = workdir.join("run.journal");
     if !(resume && path.exists()) {
         let journal = io(Journal::create(&path), "create the journal")?;
-        return Ok((lock, journal, JournalState::default()));
+        return Ok((journal, JournalState::default()));
     }
     let (journal, replay) = Journal::open(&path)
         .map_err(|e| Stop::Refused(format!("cannot resume from {}: {e}", path.display())))?;
@@ -139,13 +137,13 @@ fn open_journal(
         eprintln!("esse_master: truncated {torn} torn byte(s) from the journal tail");
     }
     let state = JournalState::replay(&replay.records);
-    if let Some(h) = state.config_hash.filter(|&h| h != run_hash) {
+    if let Some(h) = state.config_hash.filter(|&h| h != hash) {
         return Err(Stop::Refused(format!(
-            "journal belongs to a different run (config hash {h:#018x} != {run_hash:#018x}); \
+            "journal belongs to a different run (config hash {h:#018x} != {hash:#018x}); \
              refusing to mix results"
         )));
     }
-    Ok((lock, journal, state))
+    Ok((journal, state))
 }
 
 /// The mean state and prior (written once, reused on resume) that
@@ -217,8 +215,15 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
         ("base-seed", base_seed.to_string()),
     ]);
     let resume = args.contains_key("resume");
-    let (_lock, journal, state) =
-        open_journal(workdir, resume, args.contains_key("force"), run_hash)?;
+    let _lock = take_workdir(workdir, resume, args.contains_key("force"))?;
+    // Bound before the journal or any input is touched, so an address that
+    // cannot be bound is a refusal that leaves the workdir as found.
+    let bind = |addr: &String| {
+        let why = |e| format!("cannot listen for remote workers on {addr}: {e}");
+        TcpListener::bind(addr).map_err(|e| Stop::Refused(why(e)))
+    };
+    let listener = args.get("listen").map(bind).transpose()?;
+    let (journal, state) = open_journal(workdir, resume, run_hash)?;
     let crash_in = Cell::new(args.get("crash-after-appends").and_then(|v| v.parse().ok()));
     let journal = MasterJournal { journal, crash_in, failed: Cell::new(false) };
     if let Some(n) = args.get("fail-appends").and_then(|v| v.parse().ok()) {
@@ -263,16 +268,13 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
         store: DiskStore { workdir: workdir.to_path_buf(), cov },
         // `--workers 0` runs a pure coordinator for external workers.
         local: LocalWorkers::new(cli::get_or(args, "workers", 2usize)),
-        listen: args.get("listen").cloned(),
+        listener: listener.into(),
         recorder: recorder.clone(),
         t0: Instant::now(),
     };
     // The gate the workers run, rebuilt here: never trust the wire.
-    let grid = &model.model.grid;
-    let gate = |central: &[f64]| {
-        let baselines = [mean.as_slice(), central];
-        ForecastValidator::for_scenario(grid, &baselines, &prior, ValidatorConfig::default())
-    };
+    let gate =
+        |central: &[f64]| cli::scenario_gate(&model.model.grid, &mean, Some(central), &prior);
     let engine = MtcEsse::new(&model, cfg)
         .with_gate(gate)
         .with_recorder(recorder.as_ref())

@@ -11,9 +11,9 @@
 //! * `--connect HOST:PORT` — the `esse-net` TCP protocol: the same
 //!   claims, lease renewals and result publishes proxied through the
 //!   coordinator's listener, with the forecast payload streamed back
-//!   over the wire. The worker stages `mean.vec`/`prior.sub` into a
-//!   private scratch workdir from the `Welcome` handshake, so it needs
-//!   no filesystem in common with the coordinator.
+//!   over the wire. The worker stages `mean.vec`, `prior.sub` and
+//!   `fc_central.vec` into a private scratch workdir from the `Welcome`
+//!   handshake, so it needs no filesystem in common with the coordinator.
 //!
 //! Either way each worker
 //!
@@ -46,8 +46,8 @@
 //!
 //! **Semantic self-check.** Before publishing a finished forecast the
 //! worker runs the same [`ForecastValidator`] the coordinator applies
-//! at ingest, built from the staged `mean.vec`/`prior.sub` (plus the
-//! central forecast when present). A member that fails the check never
+//! at ingest ([`cli::scenario_gate`]), built from the staged `mean.vec`,
+//! `prior.sub` and `fc_central.vec`. A member that fails the check never
 //! uploads its payload: the worker publishes a typed `REJECTED` result
 //! carrying the validator's reason code, and the coordinator schedules
 //! a replacement. `--corrupt-members RATE` injects seeded payload
@@ -80,7 +80,7 @@
 //! ```
 
 use esse::cli::{self, files};
-use esse::core::validate::{ForecastValidator, ValidatorConfig, Verdict};
+use esse::core::validate::{ForecastValidator, Verdict};
 use esse::fileio;
 use esse::mtc::pool::{ResultRecord, TaskPool, TaskSpec, CODE_REJECTED};
 use esse::mtc::transport::{local_process_alive, ClaimOutcome, DiskTransport, PoolTransport};
@@ -567,12 +567,9 @@ fn main() {
     }
 
     // --- Semantic self-check: build the same validator the coordinator
-    // runs at ingest, from the staged scenario inputs. Both transports
-    // provide `mean.vec`/`prior.sub`; the central forecast joins the
-    // bounds envelope only when present (the shared disk pool has it, a
-    // TCP scratch dir does not — the envelopes stay compatible because
-    // the central forecast only ever *widens* them). A missing input
-    // degrades to "no self-check" rather than a dead worker; the
+    // runs at ingest, from the scenario inputs both transports provide
+    // (the shared workdir, or the `Welcome` staging). A missing mean or
+    // prior degrades to "no self-check" rather than a dead worker; the
     // coordinator's gate still stands. ---
     match cli::build_model(&transport.manifest().domain) {
         Ok((model, _)) => {
@@ -581,16 +578,8 @@ fn main() {
             match (mean, prior) {
                 (Ok(mean), Ok(prior)) => {
                     let central = fileio::read_vector(cfg.workdir.join(files::CENTRAL)).ok();
-                    let mut baselines: Vec<&[f64]> = vec![&mean];
-                    if let Some(c) = central.as_deref() {
-                        baselines.push(c);
-                    }
-                    cfg.validator = Some(ForecastValidator::for_scenario(
-                        &model.grid,
-                        &baselines,
-                        &prior,
-                        ValidatorConfig::default(),
-                    ));
+                    let gate = cli::scenario_gate(&model.grid, &mean, central.as_deref(), &prior);
+                    cfg.validator = Some(gate);
                     cfg.corrupt_block = model.grid.cells3();
                 }
                 (mean, prior) => {

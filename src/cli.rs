@@ -1,15 +1,16 @@
 //! Shared plumbing for the process-level workflow binaries
-//! (`pert`, `pemodel`, `esse_master`): argument parsing, the domain
-//! specification both sides must agree on, and the engine configuration
-//! `esse_master`'s flags describe.
+//! (`pert`, `pemodel`, `esse_master`, `esse_worker`): argument parsing,
+//! the domain specification and semantic gate both sides must agree on,
+//! and the engine configuration `esse_master`'s flags describe.
 
 use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse_core::error::EsseError;
 use esse_core::model::ForecastError;
 use esse_core::perturb::PerturbConfig;
-use esse_core::subspace::SubspaceStrategy;
+use esse_core::subspace::{ErrorSubspace, SubspaceStrategy};
+use esse_core::validate::{ForecastValidator, ValidatorConfig};
 use esse_mtc::{MtcConfig, RetryPolicy};
-use esse_ocean::{scenario, OceanState, PeModel};
+use esse_ocean::{scenario, Grid, OceanState, PeModel};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command};
@@ -80,6 +81,21 @@ pub fn build_model(spec: &str) -> Result<(PeModel, OceanState), String> {
         "monterey" => Ok(scenario::monterey(parts[0], parts[1], parts[2])),
         other => Err(format!("unknown domain kind '{other}'")),
     }
+}
+
+/// The semantic gate over a scenario's forecasts, with bounds around
+/// the mean state and the central forecast. The coordinator applies it
+/// at ingest and every worker as its pre-publish self-check; building
+/// both here keeps a worker from rejecting a member the coordinator
+/// would accept. `central` is `None` only where the run has none on disk.
+pub fn scenario_gate(
+    grid: &Grid,
+    mean: &[f64],
+    central: Option<&[f64]>,
+    prior: &ErrorSubspace,
+) -> ForecastValidator {
+    let baselines: Vec<&[f64]> = std::iter::once(mean).chain(central).collect();
+    ForecastValidator::for_scenario(grid, &baselines, prior, ValidatorConfig::default())
 }
 
 /// `--subspace`: `full` (the default), `incremental`, or

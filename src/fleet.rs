@@ -1,14 +1,14 @@
 //! The fleet [`Resource`] `esse_master` runs
 //! [`MtcEsse::run_on`](esse_mtc::workflow::MtcEsse::run_on) over: the
-//! task pool under `workdir/pool/` (served over TCP too with a listen
-//! address), the caller's journal, the workdir's forecast, covariance
+//! task pool under `workdir/pool/` (served over TCP too on a listener
+//! the caller bound), the caller's journal, the workdir's forecast, covariance
 //! and posterior files, and worker processes beside the master or
 //! joining from elsewhere.
 
 use crate::cli::{self, files};
 use crate::fileio;
 use esse_core::subspace::ErrorSubspace;
-use esse_core::{ConfigError, EsseError};
+use esse_core::EsseError;
 use esse_mtc::coordinator::{JournalPort, Level, Progress, StorePort};
 use esse_mtc::pool::{PoolManifest, PoolScan, TaskPool};
 use esse_mtc::workflow::Resource;
@@ -16,9 +16,10 @@ use esse_mtc::DiskTripleBuffer;
 use esse_obs::event::Lane;
 use esse_obs::recorder::{Recorder, RecorderExt};
 use esse_obs::registry::MetricsRegistry;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fs;
 use std::io;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -149,8 +150,8 @@ pub struct Fleet<J> {
     pub store: DiskStore,
     /// Workers spawned beside the master.
     pub local: LocalWorkers,
-    /// Serve remote workers over TCP on this address.
-    pub listen: Option<String>,
+    /// Serve remote workers over TCP on this bound listener.
+    pub listener: Cell<Option<TcpListener>>,
     /// Where the fleet's events go; the TCP server's connection threads
     /// hold it too.
     pub recorder: Arc<dyn Recorder + Send + Sync>,
@@ -183,22 +184,22 @@ impl<J: JournalPort> Resource for Fleet<J> {
         metrics.gauge("esse_master_incarnation").set(incarnation as f64);
         // Remote workers claim and publish through proxy threads against
         // this same pool, so one atomic rename arbitrates every claimer.
-        let listen = |addr: &String| {
-            esse_net::NetServer::start(esse_net::ServerConfig {
-                pool: self.pool.clone(),
-                manifest: self.manifest.clone(),
-                workdir: self.store.workdir.clone(),
-                listen: addr.clone(),
-                generation: incarnation,
-                metrics: esse_net::NetMetrics::from_registry(metrics),
-                recorder: self.recorder.clone(),
-            })
-            .map_err(|e| {
-                let why = format!("cannot listen for remote workers: {e}");
-                EsseError::Config(ConfigError::new("listen", why))
-            })
+        let serve_on = |listener: TcpListener| {
+            let listen = listener.local_addr()?.to_string();
+            esse_net::NetServer::on(
+                listener,
+                esse_net::ServerConfig {
+                    pool: self.pool.clone(),
+                    manifest: self.manifest.clone(),
+                    workdir: self.store.workdir.clone(),
+                    listen,
+                    generation: incarnation,
+                    metrics: esse_net::NetMetrics::from_registry(metrics),
+                    recorder: self.recorder.clone(),
+                },
+            )
         };
-        let mut server = self.listen.as_ref().map(listen).transpose()?;
+        let mut server = self.listener.take().map(serve_on).transpose()?;
         if let Some(server) = &server {
             let bound = server.local_addr();
             progress(Level::Info, format_args!("listening for remote workers on {bound}"));

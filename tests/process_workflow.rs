@@ -191,6 +191,37 @@ fn crashed_master_resumes_to_a_bit_identical_posterior() {
     assert!(!dir.join("quarantine").exists(), "a finished run quarantined a member");
 }
 
+/// Run the master with `--listen` on a port the test holds: a refusal
+/// (exit 2) naming the listen address.
+fn refused_listen(dir: &Path, extra: &[&str]) {
+    let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = held.local_addr().unwrap().to_string();
+    let out = master_cmd(dir, &[extra, &["--listen", &addr]].concat()).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "an unbindable --listen is a refusal: {err}");
+    assert!(err.contains("cannot listen") && err.contains(&addr), "stderr: {err}");
+}
+
+#[test]
+fn an_unbindable_listen_address_leaves_a_fresh_workdir_as_found() {
+    let dir = workdir("listen-fresh");
+    refused_listen(&dir, &[]);
+    for name in ["run.journal", "pool", "mean.vec", "prior.sub", "fc_central.vec", "master.lock"] {
+        assert!(!dir.join(name).exists(), "a refused run left {name}");
+    }
+}
+
+#[test]
+fn an_unbindable_listen_address_leaves_a_crashed_runs_journal_unchanged() {
+    let dir = workdir("listen-resume");
+    let out = master_cmd(&dir, &["--crash-after-appends", "8"]).output().unwrap();
+    assert!(!out.status.success(), "injected crash did not fire");
+    let journal = std::fs::read(dir.join("run.journal")).unwrap();
+    refused_listen(&dir, &["--resume"]);
+    let after = std::fs::read(dir.join("run.journal")).unwrap();
+    assert!(after == journal, "a refused resume changed run.journal");
+}
+
 #[test]
 fn a_failed_journal_append_parks_the_master_and_resume_finishes_the_run() {
     let ref_dir = workdir("park-ref");

@@ -130,43 +130,6 @@ fn analyzer_reproduces_the_serial_vs_mtc_comparison_from_events_alone() {
     assert!(ratio > 1.5, "serial {s_ms:.1} ms vs mtc {m_ms:.1} ms (x{ratio:.2})");
 }
 
-#[test]
-fn monitor_tee_sees_the_same_run_the_trace_records() {
-    let (model, prior, mean) = setup();
-    let cfg = MtcConfig {
-        workers: 4,
-        pool_factor: 1.0,
-        schedule: EnsembleSchedule::new(16, 16),
-        tolerance: 1e-12,
-        duration: 10.0,
-        max_rank: 6,
-        svd_stride: 8,
-        ..Default::default()
-    };
-    let ring = RingRecorder::new();
-    let monitor = esse_obs::RunMonitor::start(esse_obs::monitor::MonitorConfig {
-        period: Duration::from_millis(5),
-        total_members: Some(16),
-        ..esse_obs::monitor::MonitorConfig::default()
-    });
-    let mon_rec = monitor.recorder();
-    let tee = esse_obs::monitor::Tee::new(&ring, &mon_rec);
-    let out =
-        MtcEsse::new(&model, cfg).with_recorder(&tee).run(RunInit::new(&mean, &prior)).unwrap();
-    let report = monitor.finish();
-    assert_eq!(report.done, out.members_used as u64);
-    assert_eq!(report.failed, 0);
-    assert!(!report.heartbeats.is_empty(), "16 sleepy members outlive a 5 ms heartbeat period");
-    let trace = ring.drain();
-    trace.check_well_formed().expect("tee must not corrupt the live trace");
-    let hist = report.task_time.expect("member histogram observed through the tee");
-    assert_eq!(
-        hist.count(),
-        out.records.iter().map(|r| r.attempts as u64).sum::<u64>(),
-        "one observation per attempt"
-    );
-}
-
 /// A clock that holds every coordinator-thread reading until a crew
 /// thread has read it (or 10 ms pass). An `enqueued` stamp taken after
 /// its task became claimable then reads later than the claim.
