@@ -22,8 +22,9 @@
 //! * [`coupled`] — ensemble TL statistics and the non-dimensionalized
 //!   coupled physical-acoustical covariance with its dominant modes.
 //!
-//! `examples/acoustic_climate.rs` and the `acoustic_sweep` bench drive
-//! the chain end to end; DESIGN.md §7.1 names what keeps each module.
+//! `examples/acoustic_climate.rs` and section E3 of the `paper_tables`
+//! bench drive the chain end to end; DESIGN.md §7.1 names what keeps
+//! each module.
 
 pub mod bottom;
 pub mod climate;

@@ -21,52 +21,20 @@
 //!   that was not quarantined in between — i.e. no completed member
 //!   was ever re-run.
 //!
-//! ```text
-//! crash_recovery [--domain D] [--hours H] [--initial N] [--max NMAX]
-//!                [--tolerance T] [--workers C] [--base-seed S]
-//!                [--stride K] [--kills K] [--master PATH] [--keep]
-//! ```
+//! Flags: `USAGE` below.
 //!
 //! Exits non-zero on the first violated invariant (CI gate).
 
+use esse::cli::{self, get_or, sibling};
 use esse_mtc::journal::{Journal, JournalRecord};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-fn parse_args(argv: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        if let Some(key) = argv[i].strip_prefix("--") {
-            let val = argv.get(i + 1).filter(|v| !v.starts_with("--"));
-            match val {
-                Some(v) => {
-                    map.insert(key.to_string(), v.clone());
-                    i += 2;
-                }
-                None => {
-                    map.insert(key.to_string(), String::new());
-                    i += 1;
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    map
-}
-
-fn get_or<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn sibling(name: &str) -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.set_file_name(name);
-    exe
-}
+const USAGE: &str = "crash_recovery [--domain D] [--hours H] [--initial N] [--max NMAX] \
+                     [--tolerance T] [--workers C] [--base-seed S] \
+                     [--stride K] [--kills K] [--master PATH] [--keep]";
 
 /// Deterministic offset stream for the SIGKILL loop.
 fn xorshift64(mut x: u64) -> u64 {
@@ -156,8 +124,7 @@ fn resume_and_check(cfg: &MasterConfig, workdir: &Path, reference: &[u8]) -> Res
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
+    let args = cli::args(USAGE);
     let cfg = MasterConfig {
         master: args.get("master").map(PathBuf::from).unwrap_or_else(|| sibling("esse_master")),
         domain: args.get("domain").cloned().unwrap_or_else(|| "monterey:6,5,4".into()),

@@ -44,6 +44,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 
+const USAGE: &str = "fault_sweep [--trace-out PATH] [--metrics-out PATH] [--assert-retries]";
+
 const ENSEMBLE: usize = 32;
 const FAULT_SEED: u64 = 0xFA11;
 
@@ -77,22 +79,10 @@ fn coverage_of(out: &MtcOutcome) -> f64 {
 }
 
 fn main() {
-    let mut trace_out: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut assert_retries = false;
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(argv.next().expect("--trace-out needs a path")))
-            }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(argv.next().expect("--metrics-out needs a path")))
-            }
-            "--assert-retries" => assert_retries = true,
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
+    let args = esse::cli::args(USAGE);
+    let trace_out = args.get("trace-out").map(PathBuf::from);
+    let metrics_out = args.get("metrics-out").map(PathBuf::from);
+    let assert_retries = args.contains_key("assert-retries");
 
     let rates = [0.98, 0.95, 0.3, 0.2, 0.15, 0.1];
     let model = LinearGaussianModel::diagonal(&rates, 0.05, 1.0);

@@ -1,17 +1,11 @@
-//! Figures 3 vs 4 reproduction (F34): the serial ESSE implementation
-//! against the decoupled MTC pool, in two regimes:
-//!
-//! 1. **real threads** — one engine runs the actual stochastic model on
-//!    this machine, on the serial schedule ([`MtcConfig::serial`]: one
-//!    worker, an SVD that blocks between stages) and on pools of 1/2/4/8
-//!    workers; the pool's makespan shrinks with workers while the serial
-//!    schedule cannot exploit any parallelism. Every arm decides the same
-//!    64 members, so each must write the serial arm's posterior bytes:
-//!    the bin exits nonzero otherwise;
-//! 2. **cluster scale (simulated)** — the Fig. 3 structure (perturb →
-//!    forecast → diff → SVD strictly in sequence per round) vs the
-//!    Fig. 4 structure (pool + continuous diff/SVD) on the 210-core
-//!    cluster model, showing the pipeline-drain effect.
+//! Figures 3 vs 4 reproduction (F34) on real threads: one engine runs
+//! the actual stochastic model on this machine, on the serial schedule
+//! ([`MtcConfig::serial`]: one worker, an SVD that blocks between
+//! stages) and on pools of 1/2/4/8 workers; the pool's makespan shrinks
+//! with workers while the serial schedule cannot exploit any
+//! parallelism. Every arm decides the same 64 members, so each must
+//! write the serial arm's posterior bytes: the bin exits nonzero
+//! otherwise. The cluster-scale half of F34 is `paper_tables F34`.
 //!
 //! ```text
 //! cargo run --release -p esse-bench --bin serial_vs_parallel
@@ -37,6 +31,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "serial_vs_parallel [--trace-out PATH]";
 
 /// A model that burns a calibrated amount of CPU per forecast so that
 /// thread-level speedups are measurable.
@@ -67,16 +63,7 @@ impl ForecastModel for CostlyModel {
 }
 
 fn main() -> ExitCode {
-    let mut trace_out: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(argv.next().expect("--trace-out needs a path")))
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
+    let trace_out = esse::cli::args(USAGE).get("trace-out").map(PathBuf::from);
 
     let rates = [0.98, 0.95, 0.3, 0.2, 0.15, 0.1];
     let model = CostlyModel {
@@ -121,32 +108,6 @@ fn main() -> ExitCode {
             mismatched.push(workers);
         }
     }
-
-    // --- Cluster-scale structural comparison (simulated). ---
-    println!("\n== Fig. 3 vs Fig. 4 at cluster scale (simulated, 210 cores) ==");
-    let member_s = 1537.0_f64; // pert + pemodel on the reference node
-    let svd_s = 180.0_f64; // one SVD + convergence round
-    let cores = 210.0_f64;
-    for n in [210, 420, 600, 840] {
-        // Fig. 3: rounds of (all members) then (diff+SVD) with barriers;
-        // rounds double N: N/2 then N (two rounds typical).
-        let waves = |jobs: f64| (jobs / cores).ceil();
-        let serial_struct =
-            waves(n as f64 / 2.0) * member_s + svd_s + waves(n as f64 / 2.0) * member_s + svd_s;
-        // Fig. 4: the pool never drains; diff/SVD overlap the forecasts,
-        // only the final SVD is exposed.
-        let parallel_struct = waves(n as f64) * member_s + svd_s;
-        println!(
-            "  N = {n:4}: Fig.3 barrier structure {:6.1} min, Fig.4 pool {:6.1} min ({:.0}% saved)",
-            serial_struct / 60.0,
-            parallel_struct / 60.0,
-            100.0 * (1.0 - parallel_struct / serial_struct)
-        );
-    }
-    println!(
-        "\nthe pool also hides the diff stage entirely: it runs continuously as members\n\
-         arrive instead of serializing after the forecast loop (paper Sec 4.1, bottleneck 1-3)."
-    );
 
     if let Some(path) = &trace_out {
         // One more MTC run with a realistic tolerance so the trace shows

@@ -79,58 +79,26 @@
 //! refuses seeds whose first-epoch draws inject nothing (exit 2): a
 //! passing run always actually exercised quarantine.
 //!
-//! ```text
-//! worker_chaos [--transport disk|tcp] [--kill-master] [--domain D]
-//!              [--hours H] [--initial N] [--max NMAX] [--tolerance T]
-//!              [--workers W] [--seed S] [--kill-ms MS] [--lease-ms MS]
-//!              [--base-seed S] [--corrupt-members RATE] [--fault-seed S]
-//!              [--master PATH] [--worker PATH] [--artifacts DIR] [--keep]
-//! ```
+//! Flags: `USAGE` below.
 //!
 //! Exits non-zero on the first violated invariant (CI gate). On failure
 //! the workdirs (journals, pool state, traces) are left in the
 //! artifacts directory for post-mortem upload.
 
+use esse::cli::{self, get_or, sibling};
 use esse_mtc::journal::{Journal, JournalRecord};
 use esse_mtc::pool::CODE_QUARANTINE_BUDGET;
 use esse_mtc::FaultPlan;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-fn parse_args(argv: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        if let Some(key) = argv[i].strip_prefix("--") {
-            let val = argv.get(i + 1).filter(|v| !v.starts_with("--"));
-            match val {
-                Some(v) => {
-                    map.insert(key.to_string(), v.clone());
-                    i += 2;
-                }
-                None => {
-                    map.insert(key.to_string(), String::new());
-                    i += 1;
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    map
-}
-
-fn get_or<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn sibling(name: &str) -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.set_file_name(name);
-    exe
-}
+const USAGE: &str = "worker_chaos [--transport disk|tcp] [--kill-master] [--domain D] \
+                     [--hours H] [--initial N] [--max NMAX] [--tolerance T] \
+                     [--workers W] [--seed S] [--kill-ms MS] [--lease-ms MS] \
+                     [--base-seed S] [--corrupt-members RATE] [--fault-seed S] \
+                     [--master PATH] [--worker PATH] [--artifacts DIR] [--keep]";
 
 /// Deterministic stream for the kill schedule.
 fn xorshift64(mut x: u64) -> u64 {
@@ -455,8 +423,7 @@ fn reap_all(workers: &mut Vec<Child>, grace: Duration) {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv);
+    let args = cli::args(USAGE);
     let cfg = ChaosConfig {
         master: args.get("master").map(PathBuf::from).unwrap_or_else(|| sibling("esse_master")),
         worker: args.get("worker").map(PathBuf::from).unwrap_or_else(|| sibling("esse_worker")),

@@ -27,6 +27,7 @@ for manifest in Cargo.toml $(git ls-files 'crates/*/Cargo.toml'); do
 done
 
 echo "workspace crates: $(git ls-files 'crates/*/Cargo.toml' | wc -l)"
+echo "bench bins: $(git ls-files 'crates/bench/src/bin/*.rs' | wc -l)"
 
 # Every distinct `--flag` inside the `const USAGE` string literal.
 flags() {

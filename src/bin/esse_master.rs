@@ -17,6 +17,7 @@ use esse::fileio;
 use esse::fleet::{DiskStore, Fleet, LocalWorkers, WORKER_LOG_DIR};
 use esse::mtc::coordinator::{CoordError, JournalPort, Level};
 use esse::mtc::journal::{config_hash, Journal, JournalRecord, JournalState};
+use esse::mtc::lock::LOCK_FILE;
 use esse::mtc::pool::{PoolManifest, TaskPool};
 use esse::mtc::workflow::{Journalled, MtcEsse, RunInit};
 use esse::mtc::{DiskTripleBuffer, LockError, WorkdirLock};
@@ -38,7 +39,8 @@ const USAGE: &str = "esse_master --workdir DIR --domain monterey:NX,NY,NZ --hour
                      [--lease-ms MS] [--task-attempts A] [--requeue-budget B] \
                      [--white-noise E] [--base-seed S] [--resume | --force] \
                      [--subspace full|incremental[:REFRESH,TOL]] [--listen ADDR] \
-                     [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH]\n\
+                     [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH] \
+                     [--crash-after-appends K] [--fail-appends K]\n\
                      esse_master --workdir DIR --gc [--gc-keep N]";
 
 /// Why the master stopped: an I/O failure, a refusal (the workdir left
@@ -107,20 +109,31 @@ fn run_gc(workdir: &Path, keep: usize) -> Result<(), Stop> {
 }
 
 /// Take the workdir: a populated one only with `--resume` or `--force`.
+/// `--force` clears it under the lock, so a live master's workdir is
+/// never touched.
 fn take_workdir(workdir: &Path, resume: bool, force: bool) -> Result<WorkdirLock, Stop> {
-    if !resume && fs::read_dir(workdir).is_ok_and(|mut d| d.next().is_some()) {
-        if !force {
-            return Err(Stop::Refused(format!(
-                "workdir {} is not empty; pass --resume to continue the run or --force to \
-                 discard it",
-                workdir.display()
-            )));
-        }
-        eprintln!("esse_master: --force: clearing existing workdir");
-        io(fs::remove_dir_all(workdir), "clear the workdir")?;
+    let populated = !resume && fs::read_dir(workdir).is_ok_and(|mut d| d.next().is_some());
+    if populated && !force {
+        return Err(Stop::Refused(format!(
+            "workdir {} is not empty; pass --resume to continue the run or --force to discard it",
+            workdir.display()
+        )));
     }
     io(fs::create_dir_all(workdir), "create the workdir")?;
-    lock_workdir(workdir)
+    let lock = lock_workdir(workdir)?;
+    if populated {
+        eprintln!("esse_master: --force: clearing existing workdir");
+        for entry in io(fs::read_dir(workdir), "list the workdir")? {
+            let path = io(entry, "list the workdir")?.path();
+            if path.file_name() == Some(LOCK_FILE.as_ref()) {
+                continue;
+            }
+            let removed =
+                if path.is_dir() { fs::remove_dir_all(&path) } else { fs::remove_file(&path) };
+            io(removed, "clear the workdir")?;
+        }
+    }
+    Ok(lock)
 }
 
 /// The workdir's journal: fresh, or replayed and checked to be this run's.
@@ -308,8 +321,7 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = cli::parse_args(&argv);
+    let args = cli::args(USAGE);
     let workdir = PathBuf::from(cli::require(&args, "workdir", USAGE));
     let outcome = if args.contains_key("gc") {
         run_gc(&workdir, cli::get_or(&args, "gc-keep", 4usize))

@@ -99,7 +99,8 @@ const USAGE: &str = "esse_worker (--workdir DIR | --connect HOST:PORT [--scratch
                      [--worker-id N] [--poll-ms MS] [--idle-exit-ms MS] [--parent-pid PID] \
                      [--coordinator-grace-ms MS] \
                      [--endpoint-file PATH] [--die-after K] [--stall-task M] [--stall-ms MS] \
-                     [--corrupt-members RATE] [--trace-capacity N] [--metrics-out PATH]";
+                     [--corrupt-members RATE] [--fault-seed S] [--wait-pool-ms MS] \
+                     [--trace-capacity N] [--metrics-out PATH]";
 
 /// Result code a worker publishes when it could not even spawn the
 /// singleton chain (distinct from any real `pert`/`pemodel` exit code).
@@ -483,8 +484,7 @@ fn open_transport(
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = cli::parse_args(&argv);
+    let args = cli::args(USAGE);
     let worker_id: u32 = cli::get_or(&args, "worker-id", 0);
     let remote = args.contains_key("connect");
     let workdir = if remote {

@@ -16,8 +16,7 @@ const USAGE: &str =
     "pemodel --workdir DIR --domain monterey:NX,NY,NZ --hours H --member J --seed S";
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = cli::parse_args(&argv);
+    let args = cli::args(USAGE);
     let workdir = std::path::PathBuf::from(cli::require(&args, "workdir", USAGE));
     let domain = cli::require(&args, "domain", USAGE);
     let hours: f64 = cli::get_or(&args, "hours", 6.0);

@@ -17,8 +17,7 @@ use esse::fileio;
 const USAGE: &str = "pert --workdir DIR --member J [--white-noise E] [--base-seed S]";
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = cli::parse_args(&argv);
+    let args = cli::args(USAGE);
     let workdir = std::path::PathBuf::from(cli::require(&args, "workdir", USAGE));
     let member: usize = cli::require(&args, "member", USAGE).parse().unwrap_or_else(|e| {
         eprintln!("bad --member: {e}");

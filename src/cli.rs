@@ -44,6 +44,40 @@ pub fn parse_args(args: &[String]) -> HashMap<String, String> {
     map
 }
 
+/// The first of `args` that `usage` does not account for: a `--flag` it
+/// does not list, or a value that follows no flag.
+fn unlisted<'a>(args: &'a [String], usage: &str) -> Option<&'a str> {
+    let listed = |flag: &str| {
+        usage.match_indices(flag).any(|(at, _)| {
+            let next = usage[at + flag.len()..].chars().next();
+            !next.is_some_and(|c| c.is_ascii_lowercase() || c == '-')
+        })
+    };
+    let mut after_flag = false;
+    for arg in args {
+        if arg.starts_with("--") {
+            if !listed(arg) {
+                return Some(arg);
+            }
+            after_flag = true;
+        } else if !std::mem::take(&mut after_flag) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
+/// This process's arguments, parsed by [`parse_args`]; any argument
+/// `usage` does not account for ([`unlisted`]) exits 2 with the usage.
+pub fn args(usage: &str) -> HashMap<String, String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unlisted(&argv, usage) {
+        eprintln!("unknown argument {arg}\nusage: {usage}");
+        std::process::exit(2);
+    }
+    parse_args(&argv)
+}
+
 /// Fetch a required argument or exit with a usage message.
 pub fn require<'a>(args: &'a HashMap<String, String>, key: &str, usage: &str) -> &'a str {
     match args.get(key) {
@@ -215,6 +249,17 @@ mod tests {
         assert_eq!(m.get("workdir").unwrap(), "/tmp/x");
         assert_eq!(m.get("resume").unwrap(), "true");
         assert_eq!(m.get("hours").unwrap(), "3");
+    }
+
+    #[test]
+    fn unlisted_names_unknown_flags_and_stray_values() {
+        let usage = "x --workdir DIR [--max N] [--max-rank R] [--resume]";
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ok = args(&["--workdir", "d", "--resume", "--max-rank", "3", "--max", "4"]);
+        assert_eq!(unlisted(&ok, usage), None);
+        assert_eq!(unlisted(&args(&["--work", "d"]), usage), Some("--work"));
+        assert_eq!(unlisted(&args(&["--max-ranks", "3"]), usage), Some("--max-ranks"));
+        assert_eq!(unlisted(&args(&["--max", "3", "4"]), usage), Some("4"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 
 use esse::mtc::journal::{Journal, JournalRecord};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const DOMAIN: &str = "monterey:10,10,3";
 
@@ -97,6 +98,76 @@ fn master_refuses_nonempty_workdir_without_resume_or_force() {
     // … while --force wipes it and starts over.
     let log = run_master(&dir, &["--force"]);
     assert!(log.contains("done"), "log: {log}");
+}
+
+#[test]
+fn force_on_a_live_masters_workdir_exits_locked_and_leaves_its_journal() {
+    let dir = workdir("force-live");
+    // A pure coordinator: it seeds the pool and waits for workers that
+    // never come.
+    let mut live = master_cmd(&dir, &["--workers", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("esse_master starts");
+    let seeded = || std::fs::read_dir(dir.join("pool/pending")).map_or(0, |d| d.count()) >= 4;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !seeded() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let journal = std::fs::read(dir.join("run.journal"));
+    let out = master_cmd(&dir, &["--force"]).output().unwrap();
+    let after = std::fs::read(dir.join("run.journal"));
+    let alive = live.try_wait().unwrap().is_none();
+    let _ = live.kill();
+    let _ = live.wait();
+    assert!(seeded(), "the live master never seeded its pool");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "--force on a live master's workdir: {err}");
+    assert!(alive, "the live master exited");
+    assert!(after.ok() == journal.ok(), "--force changed a live master's run.journal");
+}
+
+/// `bin` with `args` and a misspelled `--workers` exits 2 naming it.
+fn rejects_a_misspelled_flag(cmd: &mut Command) {
+    let out = cmd.args(["--wokers", "1"]).output().expect("the binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "a misspelled flag is a usage error: {err}");
+    assert!(err.contains("--wokers"), "stderr: {err}");
+}
+
+#[test]
+fn esse_master_rejects_a_misspelled_flag() {
+    let dir = workdir("flag-master");
+    rejects_a_misspelled_flag(&mut master_cmd(&dir, &[]));
+    assert!(!dir.join("run.journal").exists(), "a refused run wrote a journal");
+}
+
+#[test]
+fn esse_worker_rejects_a_misspelled_flag() {
+    let dir = workdir("flag-worker");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_esse_worker"));
+    rejects_a_misspelled_flag(cmd.args([
+        "--workdir",
+        dir.to_str().unwrap(),
+        "--wait-pool-ms",
+        "50",
+    ]));
+}
+
+#[test]
+fn pert_rejects_a_misspelled_flag() {
+    let dir = workdir("flag-pert");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pert"));
+    rejects_a_misspelled_flag(cmd.args(["--workdir", dir.to_str().unwrap(), "--member", "0"]));
+}
+
+#[test]
+fn pemodel_rejects_a_misspelled_flag() {
+    let dir = workdir("flag-pemodel");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pemodel"));
+    let args = ["--domain", DOMAIN, "--hours", "1", "--member", "0", "--seed", "1"];
+    rejects_a_misspelled_flag(cmd.args(["--workdir", dir.to_str().unwrap()]).args(args));
 }
 
 #[test]
