@@ -25,9 +25,12 @@
 //!
 //! Exits non-zero on the first violated invariant (CI gate).
 
+#[path = "../run_checks.rs"]
+mod run_checks;
+
 use esse::cli::{self, get_or, sibling};
-use esse_mtc::journal::{Journal, JournalRecord};
-use std::collections::HashSet;
+use esse_mtc::rundir;
+use run_checks::{assert_no_reruns, read_posterior, xorshift64};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -35,14 +38,6 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "crash_recovery [--domain D] [--hours H] [--initial N] [--max NMAX] \
                      [--tolerance T] [--workers C] [--base-seed S] \
                      [--stride K] [--kills K] [--master PATH] [--keep]";
-
-/// Deterministic offset stream for the SIGKILL loop.
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
 
 struct MasterConfig {
     master: PathBuf,
@@ -80,33 +75,6 @@ impl MasterConfig {
     }
 }
 
-/// The no-rerun invariant: walking the journal in order, a member may
-/// only complete again after an intervening quarantine record.
-fn assert_no_reruns(journal: &Path) -> Result<usize, String> {
-    let replay = Journal::replay(journal).map_err(|e| format!("replay {journal:?}: {e}"))?;
-    let mut completed: HashSet<u64> = HashSet::new();
-    for rec in &replay.records {
-        match rec {
-            JournalRecord::MemberCompleted { member, .. } if !completed.insert(*member) => {
-                return Err(format!(
-                    "member {member} recorded MemberCompleted twice without quarantine \
-                     — a completed member was re-run"
-                ));
-            }
-            JournalRecord::MemberQuarantined { member, .. } => {
-                completed.remove(member);
-            }
-            _ => {}
-        }
-    }
-    Ok(replay.records.len())
-}
-
-fn read_posterior(workdir: &Path) -> Result<Vec<u8>, String> {
-    std::fs::read(workdir.join("posterior.sub"))
-        .map_err(|e| format!("read {}/posterior.sub: {e}", workdir.display()))
-}
-
 /// Resume a killed run to completion (the resume itself must succeed
 /// on the first try; a second attempt would mask a recovery bug).
 fn resume_and_check(cfg: &MasterConfig, workdir: &Path, reference: &[u8]) -> Result<(), String> {
@@ -115,7 +83,7 @@ fn resume_and_check(cfg: &MasterConfig, workdir: &Path, reference: &[u8]) -> Res
     if !status.success() {
         return Err(format!("resume exited with {status}"));
     }
-    assert_no_reruns(&workdir.join("run.journal"))?;
+    assert_no_reruns(&workdir.join(rundir::JOURNAL))?;
     let posterior = read_posterior(workdir)?;
     if posterior != reference {
         return Err("resumed posterior differs from uninterrupted reference".into());
@@ -162,12 +130,12 @@ fn main() {
         eprintln!("FAIL: {e}");
         std::process::exit(1);
     });
-    let ref_appends = assert_no_reruns(&ref_dir.join("run.journal")).unwrap_or_else(|e| {
+    let ref_appends = assert_no_reruns(&ref_dir.join(rundir::JOURNAL)).unwrap_or_else(|e| {
         eprintln!("FAIL: reference journal: {e}");
         std::process::exit(1);
     });
     let ref_journal_len =
-        std::fs::metadata(ref_dir.join("run.journal")).map(|m| m.len()).unwrap_or(0);
+        std::fs::metadata(ref_dir.join(rundir::JOURNAL)).map(|m| m.len()).unwrap_or(0);
     println!(
         "reference: {} journal records, {} journal bytes, posterior {} bytes ({:.1?})",
         ref_appends,
@@ -216,7 +184,7 @@ fn main() {
         let offset = 9 + seed % ref_journal_len.max(10);
         let dir = root.join(format!("kill-{i}"));
         let mut child = cfg.command(&dir).spawn().expect("spawn master for SIGKILL");
-        let journal = dir.join("run.journal");
+        let journal = dir.join(rundir::JOURNAL);
         let killed = loop {
             if let Some(st) = child.try_wait().expect("try_wait") {
                 break st.success(); // finished before the offset

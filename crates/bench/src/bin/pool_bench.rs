@@ -5,8 +5,8 @@
 //!
 //! Each transport runs the same workload against its own fresh pool:
 //! `--tasks` seeded members, one claim + one forecast-payload publish
-//! per member (`--payload` bytes, streamed in DATA chunks over TCP,
-//! written directly to the workdir on disk). Every operation is
+//! per member (`--payload` bytes, streamed in DATA chunks over TCP and
+//! staged into the workdir by `DiskTransport` on both). Every operation is
 //! recorded as a span on a [`RingRecorder`], so the emitted trace
 //! drops straight into `trace_report`:
 //!
@@ -23,8 +23,9 @@
 //! `--write-baseline` on a pinned host, following the fault_sweep
 //! precedent.
 
-use esse_core::durable::{atomic_write, crc32};
+use esse_core::durable::crc32;
 use esse_mtc::pool::{PoolManifest, ResultRecord, TaskPool, TaskSpec};
+use esse_mtc::rundir;
 use esse_mtc::transport::{ClaimOutcome, DiskTransport, PoolTransport};
 use esse_net::server::{NetMetrics, NetServer, ServerConfig};
 use esse_net::{TcpConfig, TcpTransport};
@@ -52,8 +53,8 @@ fn fresh_pool(tag: &str, tasks: u64) -> (PathBuf, TaskPool) {
     let dir = std::env::temp_dir().join(format!("esse-pool-bench-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create bench workdir");
-    std::fs::write(dir.join("mean.vec"), b"pool-bench mean").expect("write mean");
-    std::fs::write(dir.join("prior.sub"), b"pool-bench prior").expect("write prior");
+    std::fs::write(dir.join(rundir::MEAN), b"pool-bench mean").expect("write mean");
+    std::fs::write(dir.join(rundir::PRIOR), b"pool-bench prior").expect("write prior");
     let pool = TaskPool::create(&dir, &manifest()).expect("create pool");
     for member in 0..tasks {
         pool.seed(&TaskSpec { member, epoch: 1, seed: member ^ 0x5EED, parent_span: 0 })
@@ -68,7 +69,6 @@ fn fresh_pool(tag: &str, tasks: u64) -> (PathBuf, TaskPool) {
 #[allow(clippy::type_complexity)]
 fn drive(
     transport: &dyn PoolTransport,
-    workdir: &std::path::Path,
     payload: &[u8],
     rec: &RingRecorder,
     lane: Lane,
@@ -100,15 +100,8 @@ fn drive(
         let t0 = Instant::now();
         {
             let _g = rec.span(lane, "bench", publish_name, Vec::new());
-            if transport.wants_payload() {
-                transport.publish(&record, Some(payload)).expect("publish over the wire");
-            } else {
-                // Disk workers write the forecast themselves, then
-                // publish the record — charge both to the publish op.
-                atomic_write(workdir.join(format!("fc_{}.vec", spec.member)), payload)
-                    .expect("stage forecast");
-                transport.publish(&record, None).expect("publish record");
-            }
+            // Both stage the forecast, then publish the record.
+            transport.publish(&record, Some(payload)).expect("publish");
             transport.release(&spec).expect("release claim");
         }
         publishes.push(t0.elapsed().as_nanos() as u64);
@@ -170,7 +163,7 @@ fn main() {
     let (disk_dir, disk_pool) = fresh_pool("disk", tasks);
     let disk = DiskTransport::new(disk_pool, manifest(), None);
     let (mut d_claims, mut d_publishes) =
-        drive(&disk, &disk_dir, &payload, &rec, Lane::Worker(0), ("disk_claim", "disk_publish"));
+        drive(&disk, &payload, &rec, Lane::Worker(0), ("disk_claim", "disk_publish"));
 
     // TCP transport: the same ops proxied through a loopback NetServer.
     let (tcp_dir, tcp_pool) = fresh_pool("tcp", tasks);
@@ -187,7 +180,7 @@ fn main() {
     let tcp = TcpTransport::connect(TcpConfig::new(server.local_addr().to_string(), 0))
         .expect("connect loopback transport");
     let (mut t_claims, mut t_publishes) =
-        drive(&tcp, &tcp_dir, &payload, &rec, Lane::Worker(1), ("tcp_claim", "tcp_publish"));
+        drive(&tcp, &payload, &rec, Lane::Worker(1), ("tcp_claim", "tcp_publish"));
     server.stop();
 
     println!("pool_bench: {tasks} tasks/transport, {payload_len} B forecast payload, loopback TCP");

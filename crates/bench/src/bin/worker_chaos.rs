@@ -85,11 +85,15 @@
 //! the workdirs (journals, pool state, traces) are left in the
 //! artifacts directory for post-mortem upload.
 
+#[path = "../run_checks.rs"]
+mod run_checks;
+
 use esse::cli::{self, get_or, sibling};
 use esse_mtc::journal::{Journal, JournalRecord};
 use esse_mtc::pool::CODE_QUARANTINE_BUDGET;
+use esse_mtc::rundir;
 use esse_mtc::FaultPlan;
-use std::collections::HashSet;
+use run_checks::{assert_no_reruns, read_posterior, xorshift64};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -99,14 +103,6 @@ const USAGE: &str = "worker_chaos [--transport disk|tcp] [--kill-master] [--doma
                      [--workers W] [--seed S] [--kill-ms MS] [--lease-ms MS] \
                      [--base-seed S] [--corrupt-members RATE] [--fault-seed S] \
                      [--master PATH] [--worker PATH] [--artifacts DIR] [--keep]";
-
-/// Deterministic stream for the kill schedule.
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
 
 struct ChaosConfig {
     master: PathBuf,
@@ -254,36 +250,9 @@ impl ChaosConfig {
     }
 }
 
-/// The no-double-ingestion invariant: walking the journal in order, a
-/// member may only complete again after an intervening quarantine.
-fn assert_no_reruns(journal: &Path) -> Result<(), String> {
-    let replay = Journal::replay(journal).map_err(|e| format!("replay {journal:?}: {e}"))?;
-    let mut completed: HashSet<u64> = HashSet::new();
-    for rec in &replay.records {
-        match rec {
-            JournalRecord::MemberCompleted { member, .. } if !completed.insert(*member) => {
-                return Err(format!(
-                    "member {member} recorded MemberCompleted twice without quarantine \
-                     — a result was ingested twice"
-                ));
-            }
-            JournalRecord::MemberQuarantined { member, .. } => {
-                completed.remove(member);
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 fn journal_converged(journal: &Path) -> Result<bool, String> {
     let replay = Journal::replay(journal).map_err(|e| format!("replay {journal:?}: {e}"))?;
     Ok(replay.records.iter().any(|r| matches!(r, JournalRecord::Converged { .. })))
-}
-
-fn read_posterior(workdir: &Path) -> Result<Vec<u8>, String> {
-    std::fs::read(workdir.join("posterior.sub"))
-        .map_err(|e| format!("read {}/posterior.sub: {e}", workdir.display()))
 }
 
 /// Read one counter or gauge out of the Prometheus text the master
@@ -504,11 +473,11 @@ fn main() {
         eprintln!("FAIL: {e}");
         std::process::exit(1);
     });
-    if let Err(e) = assert_no_reruns(&ref_dir.join("run.journal")) {
+    if let Err(e) = assert_no_reruns(&ref_dir.join(rundir::JOURNAL)) {
         eprintln!("FAIL: reference journal: {e}");
         std::process::exit(1);
     }
-    let ref_converged = journal_converged(&ref_dir.join("run.journal")).unwrap_or(false);
+    let ref_converged = journal_converged(&ref_dir.join(rundir::JOURNAL)).unwrap_or(false);
     let ref_fleet = check_merged_trace(&ref_dir).unwrap_or_else(|e| {
         eprintln!("FAIL: reference trace: {e}");
         std::process::exit(1);
@@ -577,8 +546,8 @@ fn main() {
             if !done.success() {
                 return Err(format!("chaos master exited with {done}"));
             }
-            assert_no_reruns(&dir.join("run.journal"))?;
-            if journal_converged(&dir.join("run.journal"))? != ref_converged {
+            assert_no_reruns(&dir.join(rundir::JOURNAL))?;
+            if journal_converged(&dir.join(rundir::JOURNAL))? != ref_converged {
                 return Err("chaos run convergence differs from reference".into());
             }
             let posterior = read_posterior(&dir)?;
@@ -655,8 +624,8 @@ fn main() {
             if !done.success() {
                 return Err(format!("zombie master exited with {done}"));
             }
-            assert_no_reruns(&dir.join("run.journal"))?;
-            if journal_converged(&dir.join("run.journal"))? != ref_converged {
+            assert_no_reruns(&dir.join(rundir::JOURNAL))?;
+            if journal_converged(&dir.join(rundir::JOURNAL))? != ref_converged {
                 return Err("zombie run convergence differs from reference".into());
             }
             if expired == 0 {
@@ -704,7 +673,7 @@ fn main() {
     // under the requeue budget, and leave zero trace in the posterior.
     if corrupt {
         let dir = root.join("member-chaos");
-        let journal = dir.join("run.journal");
+        let journal = dir.join(rundir::JOURNAL);
         let mut master = {
             let mut cmd = cfg.master(&dir, 0, true);
             // The bit-identity arm needs the budget to cover every
@@ -787,7 +756,7 @@ fn main() {
         let dir = root.join("member-chaos-restart");
         let logs = root.join("member-chaos-wlogs");
         std::fs::create_dir_all(&logs).expect("create worker log dir");
-        let journal = dir.join("run.journal");
+        let journal = dir.join(rundir::JOURNAL);
         let mut rng = (seed ^ 0xDEAD) | 1;
         let mut master = {
             let mut cmd = cfg.master(&dir, 0, true);
@@ -882,7 +851,7 @@ fn main() {
         // non-empty workdir, so the logs cannot live inside it.
         let logs = root.join("master-chaos-wlogs");
         std::fs::create_dir_all(&logs).expect("create worker log dir");
-        let journal = dir.join("run.journal");
+        let journal = dir.join(rundir::JOURNAL);
         let mut rng = seed | 1;
         let mut next_id = workers;
         let mut incarnations = 1u64;

@@ -1145,7 +1145,7 @@ mod tests {
         let prior = ErrorSubspace::isotropic(&mut StdRng::seed_from_u64(1), DIM, 3, 1.0);
         let gen = PerturbationGenerator::new(&prior, Default::default());
         let (central, metrics) = (vec![0.0; DIM], MetricsRegistry::new());
-        let (pool, journal) = (MemPool::new(1, &NULL, None).unwrap(), None::<&Checkpoint>);
+        let (pool, journal) = (MemPool::new(1, &NULL, None), None::<&Checkpoint>);
         let cfg = MtcConfig {
             schedule: EnsembleSchedule::new(4, 16),
             tolerance,

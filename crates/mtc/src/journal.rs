@@ -18,19 +18,18 @@
 //! * [`JournalState`] — a pure fold over replayed records. Any prefix
 //!   of a valid journal folds to a valid state, which is what makes
 //!   killing the coordinator at an arbitrary byte offset recoverable.
-//! * [`Checkpoint`] — a journal plus per-member result blobs (state
-//!   vectors in the one `ESV2` encoding, [`esse_core::format`]) in one
-//!   directory, the journal port of an in-process run
-//!   ([`crate::workflow::MtcEsse::with_checkpoint`]), whose store writes
-//!   each completed member's blob before the record that commits it.
-//!   [`Checkpoint::open`] validates every blob against its CRC and
-//!   quarantines corrupt files; the next run with the checkpoint
-//!   resumes through `Coordinator::resume` — completed members are
-//!   never re-run.
+//! * [`Checkpoint`] — a journal plus the [`DiskStore`] of its run
+//!   directory ([`crate::rundir`]: `fc_N.vec` forecasts, covariance
+//!   files, `posterior.sub`), the journal and store of an in-process run
+//!   ([`crate::workflow::MtcEsse::with_checkpoint`]), which writes each
+//!   completed member's forecast before the record that commits it. The
+//!   next run with the checkpoint resumes through `Coordinator::resume`,
+//!   which validates every completed member's forecast and quarantines
+//!   the corrupt ones — completed members are never re-run.
 
+use crate::rundir::{self, DiskStore};
 use esse_core::durable::codec::{frame, magic, CodecError, Reader, Writer};
-use esse_core::durable::{atomic_write, fsync_dir};
-use esse_core::format::{vector_from_bytes, vector_to_bytes};
+use esse_core::durable::fsync_dir;
 use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -462,32 +461,22 @@ pub fn config_hash(parts: &[(&str, String)]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint: journal + member result blobs in one directory.
+// Checkpoint: journal + the store of its run directory.
 // ---------------------------------------------------------------------
 
-/// A checkpoint directory: `run.journal` + one blob per completed
-/// member + a `quarantine/` corner for files that failed validation.
+/// A checkpoint directory: `run.journal` and the [`DiskStore`] over the
+/// same directory — a fleet workdir without the task pool.
 pub struct Checkpoint {
-    dir: PathBuf,
     journal: Journal,
+    store: DiskStore,
 }
 
 impl Checkpoint {
-    /// Journal file name inside a checkpoint directory.
-    pub const JOURNAL: &'static str = "run.journal";
-    /// Quarantine subdirectory name.
-    pub const QUARANTINE: &'static str = "quarantine";
-
-    fn member_path(dir: &Path, member: usize) -> PathBuf {
-        dir.join(format!("member_{member}.ck"))
-    }
-
     /// Create a fresh checkpoint directory (the directory itself may
     /// exist; a pre-existing journal is an error — refuse to clobber).
     pub fn create(dir: impl AsRef<Path>, config_hash: u64) -> io::Result<Checkpoint> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let jpath = dir.join(Self::JOURNAL);
+        let store = DiskStore::open(dir)?;
+        let jpath = store.workdir.join(rundir::JOURNAL);
         if jpath.exists() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -496,20 +485,21 @@ impl Checkpoint {
         }
         let journal = Journal::create(jpath)?;
         journal.append(&JournalRecord::RunStart { config_hash })?;
-        Ok(Checkpoint { dir, journal })
+        Ok(Checkpoint { journal, store })
     }
 
     /// Open an existing checkpoint: replay the journal (truncating a
     /// torn tail) and refuse a configuration-hash mismatch. A run on it
     /// resumes through `Coordinator::resume`, which re-validates every
-    /// completed member's blob and quarantines (and journals) the corrupt
-    /// ones.
+    /// completed member's forecast and quarantines (and journals) the
+    /// corrupt ones.
     pub fn open(dir: impl AsRef<Path>, expect_hash: u64) -> io::Result<(Checkpoint, JournalState)> {
-        let dir = dir.as_ref().to_path_buf();
-        let (journal, replay) = Journal::open(dir.join(Self::JOURNAL))?;
+        let (journal, replay) = Journal::open(dir.as_ref().join(rundir::JOURNAL))?;
         let state = JournalState::replay(&replay.records);
         match state.config_hash {
-            Some(h) if h == expect_hash => Ok((Checkpoint { dir, journal }, state)),
+            Some(h) if h == expect_hash => {
+                Ok((Checkpoint { journal, store: DiskStore::open(dir)? }, state))
+            }
             Some(h) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -521,20 +511,9 @@ impl Checkpoint {
         }
     }
 
-    /// Move member `member`'s blob, if any, to `quarantine/`.
-    pub fn quarantine_member(&self, member: u64) -> io::Result<()> {
-        let src = Self::member_path(&self.dir, member as usize);
-        if src.exists() {
-            let qdir = self.dir.join(Self::QUARANTINE);
-            fs::create_dir_all(&qdir)?;
-            fs::rename(&src, qdir.join(format!("member_{member}.ck")))?;
-        }
-        Ok(())
-    }
-
     /// The checkpoint directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.store.workdir
     }
 
     /// The underlying journal.
@@ -542,22 +521,14 @@ impl Checkpoint {
         &self.journal
     }
 
+    /// The store over the checkpoint directory.
+    pub fn store(&self) -> &DiskStore {
+        &self.store
+    }
+
     /// The fold of the journal as it stands on disk.
     pub fn state(&self) -> io::Result<JournalState> {
-        Ok(JournalState::replay(&Journal::replay(self.dir.join(Self::JOURNAL))?.records))
-    }
-
-    /// Durably publish member `member`'s result blob. The journal record
-    /// that commits it comes after: a crash between the two leaves an
-    /// unreferenced blob, which is harmless — replay treats the member
-    /// as incomplete and re-runs it.
-    pub fn write_member(&self, member: u64, data: &[f64]) -> io::Result<()> {
-        atomic_write(Self::member_path(&self.dir, member as usize), &vector_to_bytes(data))
-    }
-
-    /// Member `member`'s result blob, checked against its CRC.
-    pub fn read_member(&self, member: u64) -> io::Result<Vec<f64>> {
-        vector_from_bytes(&fs::read(Self::member_path(&self.dir, member as usize))?)
+        Ok(JournalState::replay(&Journal::replay(self.journal.path())?.records))
     }
 }
 
@@ -705,37 +676,21 @@ mod tests {
     }
 
     #[test]
-    fn member_blob_roundtrip_and_corruption() {
-        let data = vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE, 1e300];
-        let blob = vector_to_bytes(&data);
-        assert_eq!(vector_from_bytes(&blob).unwrap(), data);
-        for n in 0..blob.len() {
-            assert!(vector_from_bytes(&blob[..n]).is_err(), "truncation at {n} accepted");
-        }
-        for byte in 0..blob.len() {
-            for bit in 0..8 {
-                let mut bad = blob.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(vector_from_bytes(&bad).is_err(), "bit flip at {byte}.{bit} accepted");
-            }
-        }
-    }
-
-    #[test]
     fn checkpoint_roundtrip_with_quarantine() {
+        use crate::coordinator::StorePort;
         let dir = tmpdir("ckpt");
         let hash = config_hash(&[("domain", "toy".into()), ("n", "8".into())]);
         let ck = Checkpoint::create(&dir, hash).unwrap();
         for (member, data) in [(0, [1.0, 2.0]), (2, [3.0, 4.0])] {
-            ck.write_member(member, &data).unwrap();
+            ck.store().write_forecast(member, &data).unwrap();
             ck.journal().append(&JournalRecord::MemberCompleted { member, attempts: 1 }).unwrap();
         }
         ck.journal().append(&JournalRecord::MemberFailed { member: 1, code: 3 }).unwrap();
         let svd = JournalRecord::SvdPublished { members: 2, version: 1, rho: f64::NAN };
         ck.journal().append(&svd).unwrap();
         drop(ck);
-        // Corrupt member 2's blob.
-        let p = Checkpoint::member_path(&dir, 2);
+        // Corrupt member 2's forecast.
+        let p = dir.join(rundir::fc(2));
         let mut raw = fs::read(&p).unwrap();
         let mid = raw.len() / 2;
         raw[mid] ^= 0x01;
@@ -744,15 +699,16 @@ mod tests {
         let (ck, state) = Checkpoint::open(&dir, hash).unwrap();
         assert_eq!(state.completed, vec![(0, 1), (2, 1)]);
         assert_eq!(state.failed, vec![1]);
-        assert_eq!(ck.read_member(0).unwrap(), vec![1.0, 2.0]);
-        assert!(ck.read_member(2).is_err(), "a corrupt blob must not read back");
-        ck.quarantine_member(2).unwrap();
-        assert!(dir.join(Checkpoint::QUARANTINE).join("member_2.ck").exists());
+        assert_eq!(ck.store().read_forecast(0).unwrap().0, vec![1.0, 2.0]);
+        assert!(ck.store().read_forecast(2).is_err(), "a corrupt forecast must not read back");
+        ck.store().quarantine_forecast(2).unwrap();
+        assert!(dir.join(rundir::QUARANTINE).join("fc_2.vec").exists());
         assert!(!p.exists());
+        ck.store().quarantine_forecast(2).unwrap(); // missing is fine
         assert_eq!(
             ck.state().unwrap().completed,
             state.completed,
-            "moving a blob journals nothing"
+            "moving a forecast journals nothing"
         );
     }
 

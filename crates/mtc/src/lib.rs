@@ -12,9 +12,11 @@
 //! steps it, over a [`workflow::Resource`]: the in-memory ports of
 //! [`mem`] and a crew of worker threads (`MtcEsse::run`), or — in the
 //! `esse` package's `fleet`, driven by `esse_master` — the on-disk
-//! [`pool`], the [`journal`] and the safe/live covariance files
-//! ([`triple_buffer`]) for worker processes, which reach the pool from
-//! disk or, via [`transport`], over TCP.
+//! [`pool`], the [`journal`] and the [`rundir`] store (forecasts, the
+//! safe/live covariance files of [`triple_buffer`], the posterior) for
+//! worker processes, which reach the pool from disk or, via
+//! [`transport`], over TCP. An in-process checkpoint keeps the same
+//! run directory, without the pool.
 //!
 //! **The simulator** — [`sim`] is a discrete-event model of the
 //! execution platforms the paper measured: the 240-core Opteron home
@@ -35,6 +37,7 @@ pub mod lock;
 pub mod mem;
 pub mod metrics;
 pub mod pool;
+pub mod rundir;
 pub mod staging;
 pub mod task;
 pub mod transport;

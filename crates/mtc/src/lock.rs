@@ -89,14 +89,21 @@ impl From<io::Error> for LockError {
 
 /// Is the process with this PID still alive?
 ///
-/// On Linux, `/proc/<pid>` existence is the cheap answer and needs no
-/// signal permission. Elsewhere we conservatively assume the holder is
-/// alive (a human can remove the lock by hand).
-fn pid_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
+/// On Linux the answer comes from `/proc/PID/stat` and needs no signal
+/// permission. An unreaped zombie still has an entry but is dead for our
+/// purposes (it will never coordinate its workdir again), so the state
+/// field right of the comm field decides. Elsewhere we conservatively
+/// assume the process is alive (a human can remove a lock by hand).
+pub fn process_alive(pid: u32) -> bool {
+    if !cfg!(target_os = "linux") {
+        return true;
+    }
+    match fs::read_to_string(format!("/proc/{pid}/stat")) {
+        Ok(stat) => {
+            let state = stat.rsplit(')').next().and_then(|rest| rest.trim().chars().next());
+            !matches!(state, Some('Z' | 'X') | None)
+        }
+        Err(_) => false,
     }
 }
 
@@ -140,7 +147,7 @@ impl WorkdirLock {
                     let pid = read_pid(&path);
                     last_seen = pid.or(last_seen);
                     let stale = match pid {
-                        Some(pid) => pid != std::process::id() && !pid_alive(pid),
+                        Some(pid) => pid != std::process::id() && !process_alive(pid),
                         // Unreadable/garbled lock: a concurrent writer
                         // mid-create, or true garbage. Retry; repeated
                         // garbage is treated as stale by the steal
@@ -156,7 +163,7 @@ impl WorkdirLock {
                     // steal, which is what we re-verify.
                     match fs::rename(&path, &marker) {
                         Ok(()) => match read_pid(&marker) {
-                            Some(p) if p != std::process::id() && pid_alive(p) => {
+                            Some(p) if p != std::process::id() && process_alive(p) => {
                                 // We stole a lock that was re-created
                                 // fresh under us: give it straight
                                 // back (any creator we clobber will
@@ -202,7 +209,7 @@ impl WorkdirLock {
                     // the rightful older holder — even over our own
                     // fresh file), a dead one is discarded.
                     match read_pid(marker) {
-                        Some(p) if p != std::process::id() && pid_alive(p) => {
+                        Some(p) if p != std::process::id() && process_alive(p) => {
                             let _ = fs::rename(marker, path);
                         }
                         _ => {
@@ -216,7 +223,7 @@ impl WorkdirLock {
             // No break in flight: the file's content is the verdict.
             return match read_pid(path) {
                 Some(p) if p == std::process::id() => Confirm::Owned,
-                Some(p) if pid_alive(p) => Confirm::Lost { pid: Some(p) },
+                Some(p) if process_alive(p) => Confirm::Lost { pid: Some(p) },
                 // Our file was displaced by something dead or
                 // unreadable — go around again.
                 _ => Confirm::Retry,
@@ -278,6 +285,31 @@ mod tests {
         let lock = WorkdirLock::acquire(&dir).expect("stale lock must be broken");
         let pid: u32 = fs::read_to_string(lock.path()).unwrap().trim().parse().unwrap();
         assert_eq!(pid, std::process::id());
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn an_exited_but_unreaped_holder_is_dead() {
+        let dir = tmpdir("zombie");
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        // Exited, not reaped: a zombie whose `/proc` entry remains.
+        let stat = format!("/proc/{}/stat", child.id());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !fs::read_to_string(&stat).is_ok_and(|s| s.contains(") Z")) {
+            assert!(Instant::now() < deadline, "the child never exited");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        fs::write(dir.join(LOCK_FILE), format!("{}\n", child.id())).unwrap();
+        let lock = WorkdirLock::acquire(&dir).expect("a zombie's lock must be broken");
+        assert_eq!(read_pid(lock.path()), Some(std::process::id()));
+        child.wait().unwrap();
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn liveness_of_self_and_of_an_impossible_pid() {
+        assert!(process_alive(std::process::id()));
+        assert!(!process_alive(4_194_304_999u32));
     }
 
     #[test]

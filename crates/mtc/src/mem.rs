@@ -7,9 +7,10 @@
 //! A result's forecast stays keyed by its `(member, epoch)` until the
 //! coordinator [`commit`](StorePort::commit)s it as the member's own, so
 //! a zombie or a losing twin can never overwrite an ingested forecast.
-//! With a [`Checkpoint`] attached, a commit also writes the member's
-//! blob before the journal record that commits it, and covariance
-//! checkpoints go through the checkpoint directory's safe/live files.
+//! With a [`Checkpoint`] attached, its run directory's [`DiskStore`]
+//! keeps what a fleet workdir keeps: a commit writes the member's
+//! `fc_N.vec` before the journal record that commits it, and the
+//! covariance checkpoints and the posterior land beside it.
 
 use crate::coordinator::{PoolPort, Progress, StorePort};
 use crate::fault::{FaultKind, FaultPlan};
@@ -17,10 +18,9 @@ use crate::journal::Checkpoint;
 use crate::pool::{
     ClaimScan, Heartbeat, PoolScan, ResultRecord, TaskSpec, CODE_ATTEMPTS_EXHAUSTED,
 };
+use crate::rundir::DiskStore;
 use crate::task::TaskRecord;
-use crate::triple_buffer::DiskTripleBuffer;
 use crate::workflow::Resource;
-use esse_core::format::subspace_to_bytes;
 use esse_core::model::{ForecastError, ForecastModel};
 use esse_core::perturb::PerturbationGenerator;
 use esse_core::subspace::ErrorSubspace;
@@ -57,7 +57,7 @@ pub struct MemPool<'c> {
     /// Start of the run clock (task records and enqueue stamps).
     pub t0: Instant,
     rec: &'c dyn Recorder,
-    checkpoint: Option<(&'c Checkpoint, DiskTripleBuffer)>,
+    store: Option<&'c DiskStore>,
 }
 
 impl<'c> MemPool<'c> {
@@ -67,13 +67,10 @@ impl<'c> MemPool<'c> {
         workers: usize,
         rec: &'c dyn Recorder,
         checkpoint: Option<&'c Checkpoint>,
-    ) -> io::Result<MemPool<'c>> {
-        let checkpoint = match checkpoint {
-            Some(ck) => Some((ck, DiskTripleBuffer::create(ck.dir())?)),
-            None => None,
-        };
+    ) -> MemPool<'c> {
         let state = Mutex::new(State { workers, alive: workers, ..State::default() });
-        Ok(MemPool { state, changed: Condvar::new(), t0: Instant::now(), rec, checkpoint })
+        let store = checkpoint.map(Checkpoint::store);
+        MemPool { state, changed: Condvar::new(), t0: Instant::now(), rec, store }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -223,8 +220,8 @@ impl StorePort for MemPool<'_> {
         if let Some(xf) = self.lock().committed.get(&member) {
             return Ok((xf.clone(), 0));
         }
-        match &self.checkpoint {
-            Some((ck, _)) => Ok((ck.read_member(member)?, 0)),
+        match self.store {
+            Some(store) => store.read_forecast(member),
             None => Err(io::Error::new(io::ErrorKind::NotFound, format!("no forecast {member}"))),
         }
     }
@@ -241,8 +238,8 @@ impl StorePort for MemPool<'_> {
     fn commit(&self, rec: &ResultRecord) -> io::Result<()> {
         let mut st = self.lock();
         let Some(xf) = st.payloads.remove(&(rec.member, rec.epoch)) else { return Ok(()) };
-        if let Some((ck, _)) = &self.checkpoint {
-            ck.write_member(rec.member, &xf)?;
+        if let Some(store) = self.store {
+            store.write_forecast(rec.member, &xf)?;
         }
         st.committed.insert(rec.member, xf);
         Ok(())
@@ -250,16 +247,19 @@ impl StorePort for MemPool<'_> {
 
     fn quarantine_forecast(&self, member: u64) -> io::Result<()> {
         self.lock().committed.remove(&member);
-        self.checkpoint.as_ref().map_or(Ok(()), |(ck, _)| ck.quarantine_member(member))
+        self.store.map_or(Ok(()), |store| store.quarantine_forecast(member))
     }
 
     fn publish_covariance(&self, estimate: &ErrorSubspace, version: u64) -> io::Result<()> {
-        let Some((_, cov)) = &self.checkpoint else { return Ok(()) };
-        cov.publish(&subspace_to_bytes(estimate), version)
+        self.store.map_or(Ok(()), |store| store.publish_covariance(estimate, version))
     }
 
     fn release(&self, member: u64) {
         self.lock().committed.remove(&member);
+    }
+
+    fn publish_posterior(&self, posterior: &ErrorSubspace) -> io::Result<()> {
+        self.store.map_or(Ok(()), |store| store.publish_posterior(posterior))
     }
 }
 

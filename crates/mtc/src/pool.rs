@@ -330,6 +330,11 @@ impl TaskPool {
         &self.root
     }
 
+    /// The run directory the pool lives in.
+    pub fn workdir(&self) -> &Path {
+        self.root.parent().unwrap_or(&self.root)
+    }
+
     /// Create (or re-create idempotently) the pool under `workdir` and
     /// publish the manifest.
     pub fn create(workdir: impl AsRef<Path>, manifest: &PoolManifest) -> io::Result<TaskPool> {
@@ -522,6 +527,13 @@ impl TaskPool {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
         }
+    }
+
+    /// Is the claim of `member` at `epoch` current? Requeueing it under a
+    /// higher epoch, or deciding the member, removes its claim file.
+    pub fn holds_claim(&self, member: u64, epoch: u32) -> bool {
+        let spec = TaskSpec { member, epoch, seed: 0, parent_span: 0 };
+        self.claimed_dir().join(spec.file_name()).exists()
     }
 
     /// Renew the lease on `spec`: durably publish a heartbeat with the

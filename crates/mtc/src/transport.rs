@@ -6,28 +6,36 @@
 //! shared filesystem, which is exactly the NFS bottleneck §5.2
 //! measures. [`PoolTransport`] extracts that contract so the on-disk
 //! pool ([`DiskTransport`], wrapping [`TaskPool`]) and the TCP protocol
-//! of `esse-net` are interchangeable behind one worker loop, while the
-//! coordinator-side invariants stay where they are:
+//! of `esse-net` are interchangeable behind one worker loop.
+//! [`DiskTransport`] is the one implementation of the pool operations:
+//! a local worker calls it directly, and the `esse-net` server calls a
+//! coordinator-side one on behalf of each remote worker, so the
+//! coordinator-side invariants hold for both:
 //!
 //! * **atomic single-claimer semantics** — every claim, local or
 //!   remote, is arbitrated by the same `pending/ → claimed/` rename on
-//!   the coordinator's filesystem (the TCP server claims *on behalf of*
-//!   its remote worker), so exactly one claimer wins;
+//!   the coordinator's filesystem, so exactly one claimer wins;
 //! * **coordinator-clock leases** — a transport only ferries heartbeat
 //!   counters; expiry is judged by the coordinator's [`LeaseWatch`]
 //!   watching counters advance on its own clock, never by comparing
 //!   cross-host timestamps;
 //! * **monotonic fencing epochs** — results carry the epoch of the
 //!   claim that produced them and the coordinator's epoch check is the
-//!   only authority. A transport-level `Fenced` reply is advisory (it
-//!   lets a zombie stop wasting cycles); the stale record itself still
-//!   lands in `pool/results/` so the coordinator's fencing path — the
-//!   move to `results/stale/`, the metric, the trace event — runs
-//!   unchanged.
+//!   only authority. A renew or publish whose claim file is gone (the
+//!   member was requeued under a higher epoch, or decided) is answered
+//!   [`RenewAck::Fenced`]; the reply is advisory (it lets a zombie stop
+//!   wasting cycles). A fenced publish stages no forecast, but the stale
+//!   record itself still lands in `pool/results/` so the coordinator's
+//!   fencing path — the move to `results/stale/`, the metric, the trace
+//!   event — runs unchanged.
 //!
 //! [`LeaseWatch`]: crate::pool::LeaseWatch
 
+use crate::lock::process_alive;
 use crate::pool::{Heartbeat, PoolManifest, ResultRecord, TaskPool, TaskSpec};
+use crate::rundir;
+use esse_core::durable::atomic_write;
+use esse_obs::fleet::SpanBatch;
 use std::io;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
@@ -117,28 +125,12 @@ pub trait PoolTransport: Send + Sync {
     /// attached (a remote transport must ship them; the disk transport
     /// already shares the filesystem).
     fn wants_payload(&self) -> bool;
-
-    /// Human-readable transport description for logs.
-    fn describe(&self) -> String;
 }
 
-/// Liveness of a local coordinator process, judged from `/proc`.
-///
-/// An unreaped zombie still has a `/proc` entry but is dead for our
-/// purposes (its workdir will never be coordinated again): check the
-/// state field of `/proc/PID/stat`, right of the comm field.
-pub fn local_process_alive(pid: u32) -> bool {
-    match std::fs::read_to_string(format!("/proc/{pid}/stat")) {
-        Ok(stat) => {
-            let state = stat.rsplit(')').next().and_then(|rest| rest.trim().chars().next());
-            !matches!(state, Some('Z') | Some('X') | None)
-        }
-        Err(_) => false,
-    }
-}
-
-/// The original shared-filesystem transport: a thin veneer over
-/// [`TaskPool`] plus `/proc` liveness of the spawning coordinator.
+/// The original shared-filesystem transport: the pool operations over
+/// [`TaskPool`], plus `/proc` liveness of the spawning coordinator. The
+/// `esse-net` server answers remote workers through one of these, built
+/// with no coordinator to watch.
 ///
 /// Coordinator death is not immediately terminal: with a non-zero
 /// coordinator grace the transport *parks* — claims, heartbeats, and
@@ -193,9 +185,14 @@ impl DiskTransport {
         self
     }
 
-    /// Access the underlying pool (worker-side helpers and tests).
-    pub fn pool(&self) -> &TaskPool {
-        &self.pool
+    /// Persist an encoded span batch as the trace sidecar its key names
+    /// and return it decoded. Corrupt bytes are refused (`InvalidData`)
+    /// before anything lands next to the results.
+    pub fn store_trace(&self, bytes: &[u8]) -> io::Result<SpanBatch> {
+        let batch =
+            SpanBatch::decode(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.pool.write_trace_sidecar(&batch.file_name(), bytes)?;
+        Ok(batch)
     }
 
     /// A successor coordinator's PID from `master.lock`, if the file
@@ -204,13 +201,13 @@ impl DiskTransport {
     /// re-handshake). `Err(())` means a successor is present but runs
     /// a *different* config: terminal, never adopted.
     fn successor(&self, old: u32) -> Result<Option<u32>, ()> {
-        let Some(workdir) = self.pool.root().parent() else { return Ok(None) };
+        let workdir = self.pool.workdir();
         let raw = match std::fs::read_to_string(workdir.join(crate::lock::LOCK_FILE)) {
             Ok(raw) => raw,
             Err(_) => return Ok(None),
         };
         let Ok(pid) = raw.trim().parse::<u32>() else { return Ok(None) };
-        if pid == old || !local_process_alive(pid) {
+        if pid == old || !process_alive(pid) {
             return Ok(None);
         }
         // Re-handshake: the successor rewrote the manifest on resume;
@@ -245,15 +242,23 @@ impl PoolTransport for DiskTransport {
     }
 
     fn renew_lease(&self, spec: &TaskSpec, hb: &Heartbeat) -> io::Result<RenewAck> {
+        if !self.pool.holds_claim(spec.member, spec.epoch) {
+            return Ok(RenewAck::Fenced);
+        }
         self.pool.heartbeat(spec, hb)?;
         Ok(RenewAck::Ok)
     }
 
-    fn publish(&self, rec: &ResultRecord, _forecast: Option<&[u8]>) -> io::Result<RenewAck> {
-        // The forecast file is already durable in the shared workdir;
-        // the record is the commit point, fencing is the coordinator's.
+    /// A local worker's forecast is already durable in the shared
+    /// workdir; a shipped one is staged there *before* the record, the
+    /// commit point (the coordinator checks its CRC against `fc_crc`).
+    fn publish(&self, rec: &ResultRecord, forecast: Option<&[u8]>) -> io::Result<RenewAck> {
+        let current = self.pool.holds_claim(rec.member, rec.epoch);
+        if let Some(bytes) = forecast.filter(|b| current && !b.is_empty()) {
+            atomic_write(self.pool.workdir().join(rundir::fc(rec.member)), bytes)?;
+        }
         self.pool.publish_result(rec)?;
-        Ok(RenewAck::Ok)
+        Ok(if current { RenewAck::Ok } else { RenewAck::Fenced })
     }
 
     fn release(&self, spec: &TaskSpec) -> io::Result<()> {
@@ -261,11 +266,7 @@ impl PoolTransport for DiskTransport {
     }
 
     fn ship_trace(&self, bytes: &[u8]) -> io::Result<()> {
-        // Decode to learn the batch's canonical sidecar name (and to
-        // refuse corrupt bytes before they land next to the results).
-        let batch = esse_obs::fleet::SpanBatch::decode(bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.pool.write_trace_sidecar(&batch.file_name(), bytes)
+        self.store_trace(bytes).map(drop)
     }
 
     fn run_state(&self) -> io::Result<RunState> {
@@ -278,7 +279,7 @@ impl PoolTransport for DiskTransport {
         if w.dead {
             return false;
         }
-        if local_process_alive(old) {
+        if process_alive(old) {
             w.gone_since = None;
             return true;
         }
@@ -312,10 +313,6 @@ impl PoolTransport for DiskTransport {
 
     fn wants_payload(&self) -> bool {
         false
-    }
-
-    fn describe(&self) -> String {
-        format!("disk:{}", self.pool.root().display())
     }
 }
 
@@ -354,8 +351,8 @@ mod tests {
     fn disk_transport_claims_lowest_pending_first() {
         let dir = tmpdir("lowest");
         let t = open(&dir);
-        t.pool().seed(&TaskSpec { member: 5, epoch: 1, seed: 0, parent_span: 0 }).unwrap();
-        t.pool().seed(&TaskSpec { member: 2, epoch: 1, seed: 0, parent_span: 0 }).unwrap();
+        t.pool.seed(&TaskSpec { member: 5, epoch: 1, seed: 0, parent_span: 0 }).unwrap();
+        t.pool.seed(&TaskSpec { member: 2, epoch: 1, seed: 0, parent_span: 0 }).unwrap();
         match t.claim_next().unwrap() {
             ClaimOutcome::Task(spec) => assert_eq!(spec.member, 2),
             other => panic!("expected a task, got {other:?}"),
@@ -365,46 +362,6 @@ mod tests {
             other => panic!("expected a task, got {other:?}"),
         }
         assert_eq!(t.claim_next().unwrap(), ClaimOutcome::Idle);
-    }
-
-    #[test]
-    fn disk_transport_observes_tombstones_before_claiming() {
-        let dir = tmpdir("tomb");
-        let t = open(&dir);
-        t.pool().seed(&TaskSpec { member: 0, epoch: 1, seed: 0, parent_span: 0 }).unwrap();
-        t.pool().write_cancel().unwrap();
-        assert_eq!(t.claim_next().unwrap(), ClaimOutcome::Cancelled);
-        t.pool().write_shutdown().unwrap();
-        assert_eq!(t.claim_next().unwrap(), ClaimOutcome::Shutdown);
-        let rs = t.run_state().unwrap();
-        assert!(rs.cancelled && rs.shutdown);
-    }
-
-    #[test]
-    fn disk_transport_round_trips_heartbeat_and_result() {
-        let dir = tmpdir("flow");
-        let t = open(&dir);
-        let spec = TaskSpec { member: 0, epoch: 1, seed: 0, parent_span: 0 };
-        t.pool().seed(&spec).unwrap();
-        let ClaimOutcome::Task(claimed) = t.claim_next().unwrap() else {
-            panic!("claim failed");
-        };
-        assert_eq!(
-            t.renew_lease(&claimed, &Heartbeat { pid: 1, counter: 1 }).unwrap(),
-            RenewAck::Ok
-        );
-        let rec = ResultRecord { member: 0, epoch: 1, code: 0, pid: 1, fc_crc: 7, reason: 0 };
-        assert_eq!(t.publish(&rec, None).unwrap(), RenewAck::Ok);
-        t.release(&claimed).unwrap();
-        let scan = t.pool().scan().unwrap();
-        assert!(scan.claims.is_empty());
-        assert_eq!(scan.results, vec![rec]);
-    }
-
-    #[test]
-    fn liveness_of_self_and_of_an_impossible_pid() {
-        assert!(local_process_alive(std::process::id()));
-        assert!(!local_process_alive(4_194_304_999u32));
     }
 
     /// A PID beyond Linux's default pid_max: never alive.
@@ -428,7 +385,7 @@ mod tests {
             .with_coordinator_grace(Duration::from_millis(120));
         // Parked: still "alive", and the pool still works end to end.
         assert!(t.coordinator_alive());
-        t.pool().seed(&TaskSpec { member: 1, epoch: 1, seed: 0, parent_span: 0 }).unwrap();
+        t.pool.seed(&TaskSpec { member: 1, epoch: 1, seed: 0, parent_span: 0 }).unwrap();
         assert!(matches!(t.claim_next().unwrap(), ClaimOutcome::Task(_)));
         std::thread::sleep(Duration::from_millis(150));
         // Grace expired with no successor: orphan self-exit, sticky.

@@ -321,9 +321,10 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         self
     }
 
-    /// Journal the run into `checkpoint` with member blobs and covariance
-    /// files beside it; a run on a checkpoint that holds members resumes
-    /// it through [`Coordinator::resume`] and never re-runs them.
+    /// Journal the run into `checkpoint`, with the member forecasts,
+    /// covariance files and posterior of a fleet workdir beside it; a run
+    /// on a checkpoint that holds members resumes it through
+    /// [`Coordinator::resume`] and never re-runs them.
     pub fn with_checkpoint(mut self, checkpoint: &'m Checkpoint) -> Self {
         self.checkpoint = Some(checkpoint);
         self
@@ -337,7 +338,7 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         let cfg = &self.config;
         let state = self.checkpoint.map_or(Ok(JournalState::default()), Checkpoint::state)?;
         let crew = Crew {
-            pool: MemPool::new(cfg.workers, self.recorder, self.checkpoint)?,
+            pool: MemPool::new(cfg.workers, self.recorder, self.checkpoint),
             journal: self.checkpoint,
             model: self.model,
             mean: init.mean,
@@ -779,7 +780,7 @@ mod tests {
             let x0 = gen.perturb(&mean, j);
             let seed = Some(gen.forecast_seed(j));
             let xf = model.forecast(&x0, cfg.start_time, cfg.duration, seed).unwrap();
-            ck.write_member(j as u64, &xf).unwrap();
+            ck.store().write_forecast(j as u64, &xf).unwrap();
             let done =
                 crate::journal::JournalRecord::MemberCompleted { member: j as u64, attempts: 1 };
             ck.journal().append(&done).unwrap();
@@ -829,7 +830,7 @@ mod tests {
         let ck = checkpoint_with("finished", 0, &cfg);
         let engine = MtcEsse::new(&model, cfg).with_checkpoint(&ck);
         engine.run(RunInit::new(&mean, &prior)).unwrap();
-        let path = ck.dir().join(Checkpoint::JOURNAL);
+        let path = ck.dir().join(crate::rundir::JOURNAL);
         let journal = std::fs::read(&path).unwrap();
         let again = engine.run(RunInit::new(&mean, &prior));
         assert!(matches!(again, Err(EsseError::Config(_))), "{again:?}");

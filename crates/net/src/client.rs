@@ -28,10 +28,10 @@
 
 use crate::frame::{read_frame, write_frame};
 use crate::msg::{Message, DATA_CHUNK, PROTO_VERSION};
-use crate::names;
 use esse_core::durable::atomic_write;
 use esse_mtc::fault::RetryPolicy;
 use esse_mtc::pool::{Heartbeat, PoolManifest, ResultRecord, TaskSpec};
+use esse_mtc::rundir;
 use esse_mtc::transport::{ClaimOutcome, PoolTransport, RenewAck, RunState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -375,20 +375,16 @@ impl PoolTransport for TcpTransport {
 
     fn stage_inputs(&self, workdir: &Path) -> io::Result<()> {
         let [mean, prior, central] = &self.inputs;
-        atomic_write(workdir.join(names::MEAN), mean)?;
-        atomic_write(workdir.join(names::PRIOR), prior)?;
+        atomic_write(workdir.join(rundir::MEAN), mean)?;
+        atomic_write(workdir.join(rundir::PRIOR), prior)?;
         if central.is_empty() {
             return Ok(());
         }
-        atomic_write(workdir.join(names::CENTRAL), central)
+        atomic_write(workdir.join(rundir::CENTRAL), central)
     }
 
     fn wants_payload(&self) -> bool {
         true
-    }
-
-    fn describe(&self) -> String {
-        format!("tcp:{}", self.cfg.addr)
     }
 }
 

@@ -6,10 +6,10 @@
 //! length-prefixed, CRC-framed messages ([`frame`], [`msg`]), a
 //! worker-side [`client::TcpTransport`] implementing the
 //! [`PoolTransport`] trait, and a coordinator-side [`server::NetServer`]
-//! that proxies each remote worker's claims, heartbeats and result
-//! streams onto the local on-disk pool, so local and remote workers are
-//! arbitrated by the same atomic rename and governed by the same
-//! coordinator-clock leases and fencing epochs.
+//! that answers each remote worker's claims, heartbeats and result
+//! streams through the on-disk pool's own `DiskTransport`, so local and
+//! remote workers are arbitrated by the same atomic rename and governed
+//! by the same coordinator-clock leases and fencing epochs.
 //!
 //! The fleet is elastic by construction: a worker is just a connection
 //! that claims pending tasks, so workers may join mid-run (they are
@@ -32,19 +32,3 @@ pub use msg::{Message, MsgError, PROTO_VERSION};
 pub use server::{
     read_endpoint, write_endpoint, NetMetrics, NetServer, ServerConfig, ENDPOINT_FILE,
 };
-
-/// Canonical workdir file names shared by the coordinator and remote
-/// staging (kept in sync with the binaries' `cli::files`).
-pub mod names {
-    /// The ensemble mean state.
-    pub const MEAN: &str = "mean.vec";
-    /// The prior error subspace.
-    pub const PRIOR: &str = "prior.sub";
-    /// The central (unperturbed) forecast.
-    pub const CENTRAL: &str = "fc_central.vec";
-
-    /// Forecast file for ensemble member `member`.
-    pub fn fc(member: u64) -> String {
-        format!("fc_{member}.vec")
-    }
-}

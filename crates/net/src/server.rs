@@ -1,10 +1,11 @@
-//! Coordinator-side listener: proxies remote workers onto the on-disk
+//! Coordinator-side listener: serves remote workers from the on-disk
 //! pool.
 //!
-//! Each accepted connection gets a thread that executes pool operations
-//! *on the coordinator's local filesystem* on behalf of its remote
-//! worker. That proxy design is what preserves the pool invariants with
-//! zero changes to the master loop:
+//! Each accepted connection gets a thread that decodes its worker's
+//! requests and answers each through one coordinator-side
+//! [`DiskTransport`] — the very pool operations a local worker calls —
+//! so local and remote workers share one implementation of the pool
+//! contract:
 //!
 //! * a remote `Claim` performs the same `pending/ → claimed/` atomic
 //!   rename a local worker performs, so local and remote claimers are
@@ -19,16 +20,20 @@
 //!   rejects it through the normal stale path (marker file, metric,
 //!   trace event). The `Fenced` reply to the zombie is advisory.
 //!
+//! The server itself only frames, meters (`esse_net_*`) and traces
+//! (`net_*` instants).
+//!
 //! [`LeaseWatch`]: esse_mtc::pool::LeaseWatch
 
 use crate::frame::{read_frame, write_frame};
 use crate::msg::{Message, PROTO_VERSION};
-use crate::names;
 use esse_core::durable::atomic_write;
-use esse_mtc::pool::{PoolManifest, TaskPool, TaskSpec, CLAIMED_DIR};
+use esse_mtc::pool::{PoolManifest, TaskPool};
+use esse_mtc::rundir;
+use esse_mtc::transport::{ClaimOutcome, DiskTransport, PoolTransport, RenewAck};
 use esse_obs::recorder::{Recorder, RecorderExt};
 use esse_obs::registry::{Counter, MetricsRegistry};
-use esse_obs::Lane;
+use esse_obs::{ArgValue, Lane};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -139,9 +144,9 @@ pub struct ServerConfig {
     pub pool: TaskPool,
     /// The run manifest echoed to workers in `Welcome`.
     pub manifest: PoolManifest,
-    /// The run workdir: source of the `mean.vec`/`prior.sub`/
-    /// `fc_central.vec` staging bytes and destination of streamed
-    /// forecast files.
+    /// Unused: the server reads the `Welcome` inputs from, and stages
+    /// streamed forecasts into, the pool's own workdir
+    /// ([`TaskPool::workdir`]), so one directory serves both.
     pub workdir: PathBuf,
     /// Listen address, e.g. `127.0.0.1:0` (port 0 = ephemeral); read by
     /// [`NetServer::start`] only.
@@ -182,7 +187,8 @@ impl NetServer {
         let active = Arc::new(AtomicUsize::new(0));
         let accept_stop = Arc::clone(&stop);
         let accept_active = Arc::clone(&active);
-        let shared = Arc::new(cfg);
+        let disk = DiskTransport::new(cfg.pool.clone(), cfg.manifest.clone(), None);
+        let shared = Arc::new((cfg, disk));
         let accept_thread = thread::Builder::new()
             .name("esse-net-accept".into())
             .spawn(move || accept_loop(listener, shared, accept_stop, accept_active))?;
@@ -254,16 +260,20 @@ impl Drop for ConnGuard {
     }
 }
 
+/// What every connection serves from: the configuration and the
+/// coordinator-side pool operations.
+type Served = (ServerConfig, DiskTransport);
+
 fn accept_loop(
     listener: TcpListener,
-    cfg: Arc<ServerConfig>,
+    served: Arc<Served>,
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
 ) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, peer)) => {
-                let cfg = Arc::clone(&cfg);
+                let served = Arc::clone(&served);
                 let stop = Arc::clone(&stop);
                 // Counted before the thread spawns so a drain right
                 // after an accept can never observe a dip to zero.
@@ -272,18 +282,13 @@ fn accept_loop(
                 let _ =
                     thread::Builder::new().name(format!("esse-net-conn-{peer}")).spawn(move || {
                         let _guard = guard;
+                        let cfg = &served.0;
                         cfg.metrics.connections.inc();
-                        let outcome = serve_connection(stream, &cfg, &stop);
+                        let outcome = serve_connection(stream, &served, &stop);
                         cfg.metrics.disconnects.inc();
-                        if cfg.recorder.enabled() {
-                            cfg.recorder.instant_at(
-                                cfg.recorder.now_ns(),
-                                Lane::Coordinator,
-                                "net",
-                                "net_disconnect",
-                                vec![("clean", esse_obs::ArgValue::Bool(outcome.is_ok()))],
-                            );
-                        }
+                        net_event(cfg, "net_disconnect", || {
+                            vec![("clean", outcome.is_ok().into())]
+                        });
                     });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -346,11 +351,8 @@ impl Read for PatientRead<'_> {
     }
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    cfg: &ServerConfig,
-    stop: &AtomicBool,
-) -> io::Result<()> {
+fn serve_connection(mut stream: TcpStream, served: &Served, stop: &AtomicBool) -> io::Result<()> {
+    let (cfg, disk) = served;
     stream.set_read_timeout(Some(Duration::from_millis(250)))?;
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true).ok();
@@ -378,9 +380,10 @@ fn serve_connection(
                 write_frame(&mut stream, &Message::Reject { reason }.encode())?;
                 return Ok(());
             }
-            let mean = std::fs::read(cfg.workdir.join(names::MEAN))?;
-            let prior = std::fs::read(cfg.workdir.join(names::PRIOR))?;
-            let central = match std::fs::read(cfg.workdir.join(names::CENTRAL)) {
+            let workdir = cfg.pool.workdir();
+            let mean = std::fs::read(workdir.join(rundir::MEAN))?;
+            let prior = std::fs::read(workdir.join(rundir::PRIOR))?;
+            let central = match std::fs::read(workdir.join(rundir::CENTRAL)) {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
                 read => read?,
             };
@@ -407,17 +410,24 @@ fn serve_connection(
             return Ok(());
         }
         let reply = match Message::decode(&body)? {
-            Message::Claim => handle_claim(cfg)?,
-            Message::Renew { spec, hb } => {
-                if claim_is_current(&cfg.pool, &spec) {
-                    cfg.pool.heartbeat(&spec, &hb)?;
-                    Message::RenewOk
-                } else {
-                    cfg.metrics.fenced.inc();
-                    net_instant(cfg, "net_fenced", spec.member);
-                    Message::Fenced
+            Message::Claim => match disk.claim_next()? {
+                ClaimOutcome::Task(spec) => {
+                    cfg.metrics.claims.inc();
+                    // Stamped *inside* the worker's claim exchange, so the
+                    // skew estimator gets a true request/response midpoint
+                    // probe.
+                    let (member, epoch) = (spec.member.into(), u64::from(spec.epoch).into());
+                    net_event(cfg, "net_grant", || vec![("member", member), ("epoch", epoch)]);
+                    Message::Task { spec }
                 }
-            }
+                ClaimOutcome::Idle => Message::Idle,
+                ClaimOutcome::Cancelled => Message::Cancelled,
+                ClaimOutcome::Shutdown => Message::Shutdown,
+            },
+            Message::Renew { spec, hb } => match disk.renew_lease(&spec, &hb)? {
+                RenewAck::Ok => Message::RenewOk,
+                RenewAck::Fenced => fenced(cfg, spec.member),
+            },
             Message::Result { rec, payload_len } => {
                 if payload_len > MAX_PAYLOAD {
                     return Err(io::Error::new(
@@ -426,70 +436,46 @@ fn serve_connection(
                     ));
                 }
                 let payload = read_result_stream(&mut stream, stop, payload_len)?;
-                let spec =
-                    TaskSpec { member: rec.member, epoch: rec.epoch, seed: 0, parent_span: 0 };
-                if claim_is_current(&cfg.pool, &spec) {
-                    // Stage the forecast before publishing: the record
-                    // is the commit point, and the master validates the
-                    // file's CRC against rec.fc_crc on ingest.
-                    if !payload.is_empty() {
-                        atomic_write(cfg.workdir.join(names::fc(rec.member)), &payload)?;
+                match disk.publish(&rec, Some(&payload))? {
+                    RenewAck::Ok => {
                         cfg.metrics.bytes_streamed.add(payload.len() as u64);
+                        cfg.metrics.results.inc();
+                        Message::ResultAck
                     }
-                    cfg.pool.publish_result(&rec)?;
-                    cfg.metrics.results.inc();
-                    Message::ResultAck
-                } else {
-                    // Fenced: skip the stage, publish the record anyway
-                    // so the master's authoritative epoch check rejects
-                    // it through the normal stale path.
-                    cfg.pool.publish_result(&rec)?;
-                    cfg.metrics.fenced.inc();
-                    net_instant(cfg, "net_fenced", rec.member);
-                    Message::Fenced
+                    RenewAck::Fenced => fenced(cfg, rec.member),
                 }
             }
-            Message::Rejected { rec } => {
-                // A self-check quarantine: no payload to stage, just the
-                // typed record. Published even when fenced, so the
-                // master's epoch check handles staleness uniformly.
-                let spec =
-                    TaskSpec { member: rec.member, epoch: rec.epoch, seed: 0, parent_span: 0 };
-                let current = claim_is_current(&cfg.pool, &spec);
-                cfg.pool.publish_result(&rec)?;
-                if current {
+            // A self-check quarantine: no payload, just the typed record.
+            Message::Rejected { rec } => match disk.publish(&rec, None)? {
+                RenewAck::Ok => {
                     cfg.metrics.results.inc();
                     net_instant(cfg, "net_rejected", rec.member);
                     Message::ResultAck
-                } else {
-                    cfg.metrics.fenced.inc();
-                    net_instant(cfg, "net_fenced", rec.member);
-                    Message::Fenced
                 }
-            }
+                RenewAck::Fenced => fenced(cfg, rec.member),
+            },
             Message::Release { spec } => {
-                cfg.pool.release_claim(&spec)?;
+                disk.release(&spec)?;
                 Message::ReleaseAck
             }
             Message::Query => {
-                Message::RunInfo { cancelled: cfg.pool.cancelled(), shutdown: cfg.pool.shutdown() }
+                let state = disk.run_state()?;
+                Message::RunInfo { cancelled: state.cancelled, shutdown: state.shutdown }
             }
             Message::Trace { bytes } => {
                 // Tracing must never be load-bearing: a corrupt batch is
                 // counted and dropped, but the connection (and the task
-                // flow on it) keeps going. Persisting under the batch's
-                // canonical name makes re-shipping after an exchange
-                // retry idempotent.
-                match esse_obs::fleet::SpanBatch::decode(&bytes) {
+                // flow on it) keeps going.
+                match disk.store_trace(&bytes) {
                     Ok(batch) => {
-                        cfg.pool.write_trace_sidecar(&batch.file_name(), &bytes)?;
                         cfg.metrics.trace_batches.inc();
                         net_instant(cfg, "net_trace", batch.worker_id as u64);
                     }
-                    Err(_) => {
+                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                         cfg.metrics.trace_rejects.inc();
                         net_instant(cfg, "net_trace_reject", worker_id);
                     }
+                    Err(e) => return Err(e),
                 }
                 Message::TraceAck { server_ns: cfg.recorder.now_ns() }
             }
@@ -504,40 +490,11 @@ fn serve_connection(
     }
 }
 
-fn handle_claim(cfg: &ServerConfig) -> io::Result<Message> {
-    if cfg.pool.shutdown() {
-        return Ok(Message::Shutdown);
-    }
-    if cfg.pool.cancelled() {
-        return Ok(Message::Cancelled);
-    }
-    for name in cfg.pool.pending_names()? {
-        if let Some(spec) = cfg.pool.try_claim(&name)? {
-            cfg.metrics.claims.inc();
-            // Stamped *inside* the worker's claim exchange, so the skew
-            // estimator gets a true request/response midpoint probe.
-            if cfg.recorder.enabled() {
-                cfg.recorder.instant_at(
-                    cfg.recorder.now_ns(),
-                    Lane::Coordinator,
-                    "net",
-                    "net_grant",
-                    vec![
-                        ("member", esse_obs::ArgValue::U64(spec.member)),
-                        ("epoch", esse_obs::ArgValue::U64(spec.epoch as u64)),
-                    ],
-                );
-            }
-            return Ok(Message::Task { spec });
-        }
-    }
-    Ok(Message::Idle)
-}
-
-/// A claim is current while its claim file exists; requeue under a
-/// higher epoch removes it.
-fn claim_is_current(pool: &TaskPool, spec: &TaskSpec) -> bool {
-    pool.root().join(CLAIMED_DIR).join(spec.file_name()).exists()
+/// The advisory reply to a renew or publish whose claim is gone.
+fn fenced(cfg: &ServerConfig, member: u64) -> Message {
+    cfg.metrics.fenced.inc();
+    net_instant(cfg, "net_fenced", member);
+    Message::Fenced
 }
 
 fn read_result_stream(
@@ -585,14 +542,17 @@ fn read_result_stream(
     }
 }
 
-fn net_instant(cfg: &ServerConfig, name: &'static str, worker: u64) {
+/// A coordinator-lane `net` instant; `args` runs only when tracing.
+fn net_event(
+    cfg: &ServerConfig,
+    name: &'static str,
+    args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+) {
     if cfg.recorder.enabled() {
-        cfg.recorder.instant_at(
-            cfg.recorder.now_ns(),
-            Lane::Coordinator,
-            "net",
-            name,
-            vec![("worker", esse_obs::ArgValue::U64(worker))],
-        );
+        cfg.recorder.instant_at(cfg.recorder.now_ns(), Lane::Coordinator, "net", name, args());
     }
+}
+
+fn net_instant(cfg: &ServerConfig, name: &'static str, worker: u64) {
+    net_event(cfg, name, || vec![("worker", worker.into())]);
 }

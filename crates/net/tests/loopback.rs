@@ -2,12 +2,13 @@
 //! exercised through [`TcpTransport`] exactly as a remote worker would.
 
 use esse_mtc::pool::{Heartbeat, PoolManifest, ResultRecord, TaskPool, TaskSpec};
-use esse_mtc::transport::{ClaimOutcome, PoolTransport, RenewAck};
+use esse_mtc::transport::{ClaimOutcome, DiskTransport, PoolTransport};
 use esse_net::server::{NetMetrics, NetServer, ServerConfig, ENDPOINT_FILE};
 use esse_net::{TcpConfig, TcpTransport};
 use esse_obs::recorder::NULL;
+use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,10 +62,6 @@ fn connect(fx: &Fixture, worker_id: u64) -> TcpTransport {
     TcpTransport::connect(cfg).unwrap()
 }
 
-fn claimed_path(fx: &Fixture, spec: &TaskSpec) -> PathBuf {
-    fx.pool.root().join("claimed").join(spec.file_name())
-}
-
 #[test]
 fn handshake_serves_manifest_and_stages_inputs() {
     let mut fx = start("hello");
@@ -111,79 +108,6 @@ fn wrong_config_hash_is_rejected() {
         Ok(_) => panic!("handshake with a wrong config hash must fail"),
     };
     assert!(err.to_string().contains("config hash mismatch"), "got: {err}");
-    fx.server.stop();
-}
-
-#[test]
-fn claim_renew_publish_release_full_task_lifecycle() {
-    let mut fx = start("lifecycle");
-    let spec = TaskSpec { member: 0, epoch: 1, seed: 42, parent_span: 0 };
-    fx.pool.seed(&spec).unwrap();
-
-    let t = connect(&fx, 2);
-    let ClaimOutcome::Task(claimed) = t.claim_next().unwrap() else { panic!("no task") };
-    assert_eq!(claimed, spec);
-    assert_eq!(t.claim_next().unwrap(), ClaimOutcome::Idle);
-
-    assert_eq!(t.renew_lease(&claimed, &Heartbeat { pid: 7, counter: 1 }).unwrap(), RenewAck::Ok);
-
-    // Payload large enough to exercise multi-chunk streaming.
-    let payload: Vec<u8> = (0..600_000usize).map(|i| (i * 31 % 251) as u8).collect();
-    let rec = ResultRecord { member: 0, epoch: 1, code: 0, pid: 7, fc_crc: 0xABCD, reason: 0 };
-    assert_eq!(t.publish(&rec, Some(&payload)).unwrap(), RenewAck::Ok);
-    t.release(&claimed).unwrap();
-
-    // Forecast bytes were staged into the coordinator workdir verbatim.
-    assert_eq!(fs::read(fx.dir.join("fc_0.vec")).unwrap(), payload);
-    let scan = fx.pool.scan().unwrap();
-    assert_eq!(scan.results, vec![rec]);
-    assert!(scan.claims.is_empty());
-    fx.server.stop();
-}
-
-#[test]
-fn tombstones_surface_through_claim_and_query() {
-    let mut fx = start("tomb");
-    let t = connect(&fx, 3);
-    assert_eq!(t.claim_next().unwrap(), ClaimOutcome::Idle);
-
-    fx.pool.write_cancel().unwrap();
-    assert_eq!(t.claim_next().unwrap(), ClaimOutcome::Cancelled);
-    assert!(t.run_state().unwrap().cancelled);
-
-    fx.pool.write_shutdown().unwrap();
-    assert_eq!(t.claim_next().unwrap(), ClaimOutcome::Shutdown);
-    assert!(t.run_state().unwrap().shutdown);
-    fx.server.stop();
-}
-
-#[test]
-fn fenced_claim_gets_advisory_fenced_and_record_still_publishes() {
-    let mut fx = start("fence");
-    let spec = TaskSpec { member: 4, epoch: 1, seed: 9, parent_span: 0 };
-    fx.pool.seed(&spec).unwrap();
-
-    let t = connect(&fx, 4);
-    let ClaimOutcome::Task(claimed) = t.claim_next().unwrap() else { panic!("no task") };
-
-    // Coordinator requeues the member under a higher epoch (the lease
-    // watchdog path): the claim file disappears.
-    fx.pool.remove_claim(&claimed).unwrap();
-    assert!(!claimed_path(&fx, &claimed).exists());
-
-    // Renewals now come back fenced.
-    assert_eq!(
-        t.renew_lease(&claimed, &Heartbeat { pid: 7, counter: 2 }).unwrap(),
-        RenewAck::Fenced
-    );
-
-    // The zombie's late result: advisory Fenced, forecast NOT staged,
-    // but the record still lands in results/ for the coordinator's
-    // authoritative epoch check to reject.
-    let rec = ResultRecord { member: 4, epoch: 1, code: 0, pid: 7, fc_crc: 1, reason: 0 };
-    assert_eq!(t.publish(&rec, Some(b"stale-forecast")).unwrap(), RenewAck::Fenced);
-    assert!(!fx.dir.join("fc_4.vec").exists(), "stale forecast must not be staged");
-    assert_eq!(fx.pool.scan().unwrap().results, vec![rec]);
     fx.server.stop();
 }
 
@@ -247,4 +171,102 @@ fn two_workers_never_claim_the_same_task() {
     assert_eq!(seen.len(), 8);
     assert!(ta > 0 && tb > 0, "both workers should claim ({ta}/{tb})");
     fx.server.stop();
+}
+
+/// Member 0's forecast: large enough to stream in several chunks.
+fn payload() -> Vec<u8> {
+    (0..600_000usize).map(|i| (i * 31 % 251) as u8).collect()
+}
+
+/// One worker's op script over `pool` through `t`, with the
+/// coordinator's requeue and tombstones in the middle; every reply.
+fn op_script(pool: &TaskPool, t: &dyn PoolTransport) -> Vec<String> {
+    let hb = |counter| Heartbeat { pid: 7, counter };
+    let rec =
+        |member| ResultRecord { member, epoch: 1, code: 0, pid: 7, fc_crc: 0xC0DE, reason: 0 };
+    for member in 0..2 {
+        pool.seed(&TaskSpec { member, epoch: 1, seed: member, parent_span: 0 }).unwrap();
+    }
+    let mut replies = Vec::new();
+    let mut say = |reply: String| replies.push(reply);
+    let ClaimOutcome::Task(first) = t.claim_next().unwrap() else { panic!("member 0 unclaimed") };
+    say(format!("{first:?}"));
+    say(format!("{:?}", t.renew_lease(&first, &hb(1)).unwrap()));
+    say(format!("{:?}", t.publish(&rec(0), Some(&payload())).unwrap()));
+    t.release(&first).unwrap();
+
+    let ClaimOutcome::Task(second) = t.claim_next().unwrap() else { panic!("member 1 unclaimed") };
+    say(format!("{second:?}"));
+    // The coordinator requeues the member under the next epoch.
+    pool.remove_claim(&second).unwrap();
+    pool.seed(&TaskSpec { epoch: second.epoch + 1, ..second }).unwrap();
+    say(format!("{:?}", t.renew_lease(&second, &hb(2)).unwrap()));
+    say(format!("{:?}", t.publish(&rec(1), Some(b"stale forecast")).unwrap()));
+    t.release(&second).unwrap();
+
+    pool.write_cancel().unwrap();
+    say(format!("{:?} {:?}", t.claim_next().unwrap(), t.run_state().unwrap()));
+    pool.write_shutdown().unwrap();
+    say(format!("{:?} {:?}", t.claim_next().unwrap(), t.run_state().unwrap()));
+    replies
+}
+
+/// Every file and directory under `dir` (recursively) whose top-level
+/// name `keep` accepts, with its bytes.
+fn tree(dir: &Path, keep: &dyn Fn(&str) -> bool) -> BTreeMap<String, Vec<u8>> {
+    let (mut out, mut todo) = (BTreeMap::new(), vec![(dir.to_path_buf(), String::new())]);
+    while let Some((at, prefix)) = todo.pop() {
+        for entry in fs::read_dir(&at).unwrap().map(Result::unwrap) {
+            let name = entry.file_name().into_string().unwrap();
+            if prefix.is_empty() && !keep(&name) {
+                continue;
+            }
+            let rel = format!("{prefix}{name}");
+            if entry.file_type().unwrap().is_dir() {
+                todo.push((entry.path(), format!("{rel}/")));
+                out.insert(rel + "/", Vec::new());
+            } else {
+                out.insert(rel, fs::read(entry.path()).unwrap());
+            }
+        }
+    }
+    out
+}
+
+/// The claim, renew, publish, release, requeue and tombstone flow,
+/// once through a `DiskTransport` and once through a `TcpTransport`
+/// talking to a `NetServer`, each over its own pool: the same replies,
+/// the same files under `pool/` and the same staged forecasts. After
+/// the requeue both answer `Fenced`, stage nothing and still publish
+/// the record for the coordinator's epoch check.
+#[test]
+fn disk_and_tcp_transports_answer_one_script_alike() {
+    let disk_dir = workdir("script-disk");
+    let disk_pool = TaskPool::create(&disk_dir, &manifest()).unwrap();
+    let disk = DiskTransport::new(disk_pool.clone(), manifest(), None);
+    let disk_replies = op_script(&disk_pool, &disk);
+
+    let mut fx = start("script-tcp");
+    let tcp_replies = op_script(&fx.pool, &connect(&fx, 1));
+    fx.server.stop();
+
+    assert_eq!(disk_replies, tcp_replies, "the transports answered differently");
+    assert_eq!(disk_replies[1..3], ["Ok", "Ok"], "{disk_replies:?}");
+    assert_eq!(disk_replies[4..6], ["Fenced", "Fenced"], "{disk_replies:?}");
+    assert_eq!(
+        disk_replies[6..],
+        [
+            "Cancelled RunState { cancelled: true, shutdown: false }",
+            "Shutdown RunState { cancelled: true, shutdown: true }"
+        ]
+    );
+    let pool_files = |dir: &Path| tree(&dir.join("pool"), &|name| name != ENDPOINT_FILE);
+    let files = pool_files(&disk_dir);
+    assert_eq!(files, pool_files(&fx.dir), "the pools differ");
+    let results: Vec<&String> = files.keys().filter(|k| k.starts_with("results/r")).collect();
+    assert_eq!(results, ["results/r000000.e00001", "results/r000001.e00001"]);
+    assert!(files.keys().all(|k| !k.starts_with("claimed/t")), "a claim outlived its release");
+    let staged = |dir: &Path| tree(dir, &|name| name.starts_with("fc_"));
+    assert_eq!(staged(&disk_dir), staged(&fx.dir), "the staged forecasts differ");
+    assert_eq!(staged(&disk_dir), BTreeMap::from([("fc_0.vec".to_string(), payload())]));
 }

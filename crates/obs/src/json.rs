@@ -1,7 +1,6 @@
-//! Hand-rolled JSON primitives: escaping for the exporters, a strict
-//! validating parser used by the exporter tests, and a small value
-//! parser ([`parse`]) that the trace analyzer uses to load JSONL traces
-//! back in (this crate takes no external dependencies, so there is no
+//! Hand-rolled JSON primitives: escaping for the exporters and one
+//! strict parser ([`parse`]) that the trace analyzer uses to load JSONL
+//! traces back in and the exporter tests use to [`validate`] output (this crate takes no external dependencies, so there is no
 //! serde_json to lean on).
 
 use std::collections::BTreeMap;
@@ -37,17 +36,11 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Strict whole-input JSON validation. Returns `Err(description)` if
-/// `s` is not exactly one JSON value (plus surrounding whitespace).
+/// Strict whole-input JSON validation: [`parse`] without the tree.
+/// Returns `Err(description)` if `s` is not exactly one JSON value
+/// (plus surrounding whitespace).
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = skip_ws(b, 0);
-    pos = value(b, pos)?;
-    pos = skip_ws(b, pos);
-    if pos != b.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
+    parse(s).map(drop)
 }
 
 /// A parsed JSON value (enough of one to load a JSONL trace line).
@@ -220,62 +213,11 @@ fn skip_ws(b: &[u8], mut p: usize) -> usize {
     p
 }
 
-fn value(b: &[u8], p: usize) -> Result<usize, String> {
-    match b.get(p) {
-        None => Err(format!("unexpected end of input at byte {p}")),
-        Some(b'{') => object(b, p),
-        Some(b'[') => array(b, p),
-        Some(b'"') => string(b, p),
-        Some(b't') => literal(b, p, b"true"),
-        Some(b'f') => literal(b, p, b"false"),
-        Some(b'n') => literal(b, p, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, p),
-        Some(c) => Err(format!("unexpected byte {c:?} at {p}")),
-    }
-}
-
 fn literal(b: &[u8], p: usize, lit: &[u8]) -> Result<usize, String> {
     if b.len() >= p + lit.len() && &b[p..p + lit.len()] == lit {
         Ok(p + lit.len())
     } else {
         Err(format!("bad literal at byte {p}"))
-    }
-}
-
-fn object(b: &[u8], mut p: usize) -> Result<usize, String> {
-    p = skip_ws(b, p + 1); // past '{'
-    if b.get(p) == Some(&b'}') {
-        return Ok(p + 1);
-    }
-    loop {
-        p = string(b, skip_ws(b, p))?;
-        p = skip_ws(b, p);
-        if b.get(p) != Some(&b':') {
-            return Err(format!("expected ':' at byte {p}"));
-        }
-        p = value(b, skip_ws(b, p + 1))?;
-        p = skip_ws(b, p);
-        match b.get(p) {
-            Some(b',') => p = skip_ws(b, p + 1),
-            Some(b'}') => return Ok(p + 1),
-            _ => return Err(format!("expected ',' or '}}' at byte {p}")),
-        }
-    }
-}
-
-fn array(b: &[u8], mut p: usize) -> Result<usize, String> {
-    p = skip_ws(b, p + 1); // past '['
-    if b.get(p) == Some(&b']') {
-        return Ok(p + 1);
-    }
-    loop {
-        p = value(b, skip_ws(b, p))?;
-        p = skip_ws(b, p);
-        match b.get(p) {
-            Some(b',') => p = skip_ws(b, p + 1),
-            Some(b']') => return Ok(p + 1),
-            _ => return Err(format!("expected ',' or ']' at byte {p}")),
-        }
     }
 }
 

@@ -14,11 +14,12 @@ use esse::cli::{self, files};
 use esse::core::model::PeForecastModel;
 use esse::core::subspace::ErrorSubspace;
 use esse::fileio;
-use esse::fleet::{DiskStore, Fleet, LocalWorkers, WORKER_LOG_DIR};
+use esse::fleet::{Fleet, LocalWorkers, WORKER_LOG_DIR};
 use esse::mtc::coordinator::{CoordError, JournalPort, Level};
 use esse::mtc::journal::{config_hash, Journal, JournalRecord, JournalState};
 use esse::mtc::lock::LOCK_FILE;
 use esse::mtc::pool::{PoolManifest, TaskPool};
+use esse::mtc::rundir::{self, DiskStore};
 use esse::mtc::workflow::{Journalled, MtcEsse, RunInit};
 use esse::mtc::{DiskTripleBuffer, LockError, WorkdirLock};
 use esse::EsseError;
@@ -36,10 +37,10 @@ use std::time::Instant;
 
 const USAGE: &str = "esse_master --workdir DIR --domain monterey:NX,NY,NZ --hours H \
                      [--initial N] [--max NMAX] [--tolerance T] [--workers C] \
-                     [--lease-ms MS] [--task-attempts A] [--requeue-budget B] \
+                     [--lease-ms MS] [--requeue-budget B] \
                      [--white-noise E] [--base-seed S] [--resume | --force] \
                      [--subspace full|incremental[:REFRESH,TOL]] [--listen ADDR] \
-                     [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH] \
+                     [--trace-out PATH] [--metrics-out PATH] \
                      [--crash-after-appends K] [--fail-appends K]\n\
                      esse_master --workdir DIR --gc [--gc-keep N]";
 
@@ -138,7 +139,7 @@ fn take_workdir(workdir: &Path, resume: bool, force: bool) -> Result<WorkdirLock
 
 /// The workdir's journal: fresh, or replayed and checked to be this run's.
 fn open_journal(workdir: &Path, resume: bool, hash: u64) -> Result<(Journal, JournalState), Stop> {
-    let path = workdir.join("run.journal");
+    let path = workdir.join(rundir::JOURNAL);
     if !(resume && path.exists()) {
         let journal = io(Journal::create(&path), "create the journal")?;
         return Ok((journal, JournalState::default()));
@@ -248,7 +249,7 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
         Level::Warn => eprintln!("esse_master: {line}"),
     };
     // Arc-shared: esse-net connection threads record into it too.
-    let ring = Arc::new(RingRecorder::with_capacity(cli::get_or(args, "trace-capacity", 1 << 18)));
+    let ring = Arc::new(RingRecorder::with_capacity(cli::TRACE_CAPACITY));
     let recorder: Arc<dyn Recorder + Send + Sync> =
         if trace_out.is_some() { ring.clone() } else { Arc::new(NULL) };
     let metrics = MetricsRegistry::new();
@@ -273,12 +274,12 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
         config_hash: run_hash,
         trace_run_id: trace_run,
     };
-    let cov = io(DiskTripleBuffer::create(workdir), "open the covariance files")?;
+    let store = io(DiskStore::open(workdir), "open the covariance files")?;
     let fleet = Fleet {
         pool: io(TaskPool::prepare(workdir), "create the task pool")?,
         manifest,
         journal,
-        store: DiskStore { workdir: workdir.to_path_buf(), cov },
+        store,
         // `--workers 0` runs a pure coordinator for external workers.
         local: LocalWorkers::new(cli::get_or(args, "workers", 2usize)),
         listener: listener.into(),

@@ -26,9 +26,8 @@
 //!
 //! Workers observe the coordinator's `CANCEL` tombstone *mid-run* (the
 //! in-flight `pemodel` child is killed — the paper's task-cancellation
-//! protocol) and exit on `SHUTDOWN`, after `--idle-exit-ms` with
-//! nothing to do, or when the coordinator is gone past the bounded
-//! `--coordinator-grace-ms` window. Coordinator death is *not*
+//! protocol) and exit on `SHUTDOWN`, or when the coordinator is gone
+//! past the bounded `--coordinator-grace-ms` window. Coordinator death is *not*
 //! immediately terminal: within the grace the worker **parks** — it
 //! finishes and publishes the task it holds, keeps heartbeating, and
 //! polls for a restarted coordinator (a successor PID in `master.lock`
@@ -37,12 +36,12 @@
 //! config hash; only grace expiry makes the worker an orphan that
 //! self-exits rather than hold claims a successor would wait out.
 //!
-//! Fault injection for the chaos harness: `--die-after K` aborts the
-//! process the instant it claims its K-th task (routed through
-//! `FaultPlan::worker_dies`, the scripted worker-death schedule) and
-//! `--stall-task M --stall-ms D` suppresses the heartbeat for member
-//! `M` and sleeps `D` ms before running it — long enough for the lease
-//! to expire, so the eventual publish exercises the fencing path.
+//! Fault injection for the chaos harness: `--stall-task M --stall-ms D`
+//! suppresses the heartbeat for member `M` and sleeps `D` ms before
+//! running it — long enough for the lease to expire, so the eventual
+//! publish exercises the fencing path. A worker that renews its lease
+//! after its member was requeued is answered `Fenced` by either
+//! transport and stops the member at once.
 //!
 //! **Semantic self-check.** Before publishing a finished forecast the
 //! worker runs the same [`ForecastValidator`] the coordinator applies
@@ -61,7 +60,7 @@
 //! enabled it stamps a nonzero `trace_run_id` into the pool manifest
 //! and a parent span id into every task record. The worker then records
 //! real spans around claim/stage/pert/pemodel/publish into a bounded
-//! local ring (`--trace-capacity`, drop-oldest with a counter) and
+//! local ring ([`cli::TRACE_CAPACITY`] events, drop-oldest with a counter) and
 //! ships each task's finished spans back to the coordinator as a
 //! CRC-framed [`SpanBatch`] — a sidecar file next to the result on the
 //! disk transport, a `TRACE` message over TCP. Shipping is best-effort
@@ -71,19 +70,19 @@
 //!
 //! ```text
 //! esse_worker (--workdir DIR | --connect HOST:PORT [--scratch DIR])
-//!             [--worker-id N] [--poll-ms MS] [--idle-exit-ms MS]
-//!             [--parent-pid PID] [--wait-pool-ms MS]
-//!             [--coordinator-grace-ms MS]
-//!             [--endpoint-file PATH] [--fault-seed S] [--die-after K]
+//!             [--worker-id N] [--poll-ms MS] [--parent-pid PID]
+//!             [--wait-pool-ms MS] [--coordinator-grace-ms MS]
+//!             [--endpoint-file PATH] [--fault-seed S]
 //!             [--stall-task M] [--stall-ms MS]
-//!             [--trace-capacity N] [--metrics-out PATH]
+//!             [--corrupt-members RATE] [--metrics-out PATH]
 //! ```
 
 use esse::cli::{self, files};
 use esse::core::validate::{ForecastValidator, Verdict};
 use esse::fileio;
+use esse::mtc::lock::process_alive;
 use esse::mtc::pool::{ResultRecord, TaskPool, TaskSpec, CODE_REJECTED};
-use esse::mtc::transport::{local_process_alive, ClaimOutcome, DiskTransport, PoolTransport};
+use esse::mtc::transport::{ClaimOutcome, DiskTransport, PoolTransport};
 use esse::mtc::{FaultPlan, Heartbeat, RenewAck};
 use esse::net::{TcpConfig, TcpTransport};
 use esse_obs::event::Lane;
@@ -96,11 +95,11 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "esse_worker (--workdir DIR | --connect HOST:PORT [--scratch DIR]) \
-                     [--worker-id N] [--poll-ms MS] [--idle-exit-ms MS] [--parent-pid PID] \
+                     [--worker-id N] [--poll-ms MS] [--parent-pid PID] \
                      [--coordinator-grace-ms MS] \
-                     [--endpoint-file PATH] [--die-after K] [--stall-task M] [--stall-ms MS] \
+                     [--endpoint-file PATH] [--stall-task M] [--stall-ms MS] \
                      [--corrupt-members RATE] [--fault-seed S] [--wait-pool-ms MS] \
-                     [--trace-capacity N] [--metrics-out PATH]";
+                     [--metrics-out PATH]";
 
 /// Result code a worker publishes when it could not even spawn the
 /// singleton chain (distinct from any real `pert`/`pemodel` exit code).
@@ -133,8 +132,8 @@ impl Lease {
         match transport.renew_lease(&self.spec, &hb) {
             Ok(RenewAck::Ok) => self.due = Some(Instant::now() + self.interval),
             Ok(RenewAck::Fenced) => return false,
-            // Claim gone (workdir torn down) or coordinator
-            // unreachable: nothing left to renew.
+            // Workdir torn down or coordinator unreachable: nothing
+            // left to renew.
             Err(_) => self.due = None,
         }
         true
@@ -188,7 +187,6 @@ struct WorkerConfig {
     workdir: PathBuf,
     worker_id: u32,
     poll: Duration,
-    idle_exit: Option<Duration>,
     plan: FaultPlan,
     stall_task: Option<u64>,
     stall: Duration,
@@ -244,7 +242,7 @@ fn run_task(
         // A remote transport ships the forecast bytes alongside the
         // record; on disk they are already in the shared workdir.
         let payload = if transport.wants_payload() && code == 0 {
-            std::fs::read(cfg.workdir.join(files::fc(member))).ok()
+            std::fs::read(cfg.workdir.join(files::fc(spec.member))).ok()
         } else {
             None
         };
@@ -268,8 +266,6 @@ fn run_task(
             }
         }
     };
-    let mut published = false;
-
     // pert → pemodel, the §4.2 singleton chain, via the shared
     // bounded-retry spawner (a transient fork failure degrades into a
     // retryable failure result instead of killing the worker). Each
@@ -295,132 +291,96 @@ fn run_task(
         .arg(manifest.white_noise.to_string())
         .arg("--base-seed")
         .arg(manifest.base_seed.to_string());
-    match run_child("pert", &mut pert) {
+    let mut pemodel = Command::new(cli::sibling("pemodel"));
+    pemodel
+        .arg("--workdir")
+        .arg(&cfg.workdir)
+        .arg("--domain")
+        .arg(&manifest.domain)
+        .arg("--hours")
+        .arg(manifest.hours.to_string())
+        .arg("--member")
+        .arg(member.to_string())
+        .arg("--seed")
+        .arg(spec.seed.to_string());
+    let exit = match run_child("pert", &mut pert) {
+        Ok(Some(0)) => run_child("pemodel", &mut pemodel),
+        other => other,
+    };
+    let fc_path = cfg.workdir.join(files::fc(spec.member));
+    // Chaos injection: rewrite the forecast in place, deterministically
+    // for (seed, member, epoch). A NaN plant lands before the self-check;
+    // blowup and block shift land after it, so the published CRC matches
+    // the corrupted bytes and only the coordinator's re-validation can
+    // catch them.
+    let corruption = cfg.plan.corruption_for(member, spec.epoch);
+    let inject = |kind: &esse::mtc::CorruptionKind| {
+        let res = fileio::read_vector(&fc_path).and_then(|mut xf| {
+            kind.apply(cfg.plan.seed, spec.member, cfg.corrupt_block.max(1), &mut xf);
+            fileio::write_vector(&fc_path, &xf)
+        });
+        match res {
+            Ok(()) => eprintln!(
+                "esse_worker[{}]: injected {kind:?} corruption into member {member}",
+                cfg.worker_id
+            ),
+            Err(e) => eprintln!(
+                "esse_worker[{}]: corruption injection failed for member {member}: {e}",
+                cfg.worker_id
+            ),
+        }
+    };
+    let invalid = |e: std::io::Error| {
+        eprintln!("esse_worker[{}]: member {member} forecast invalid: {e}", cfg.worker_id);
+        publish(CODE_CORRUPT_FORECAST, 0, 0)
+    };
+    let published = match exit {
         Ok(Some(0)) => {
-            let mut pemodel = Command::new(cli::sibling("pemodel"));
-            pemodel
-                .arg("--workdir")
-                .arg(&cfg.workdir)
-                .arg("--domain")
-                .arg(&manifest.domain)
-                .arg("--hours")
-                .arg(manifest.hours.to_string())
-                .arg("--member")
-                .arg(member.to_string())
-                .arg("--seed")
-                .arg(spec.seed.to_string());
-            match run_child("pemodel", &mut pemodel) {
-                Ok(Some(0)) => {
-                    let fc_path = cfg.workdir.join(files::fc(member));
-                    // Chaos injection: rewrite the forecast in place,
-                    // deterministically for (seed, member, epoch). A
-                    // NaN plant lands before the self-check; blowup and
-                    // block shift land after it, so the published CRC
-                    // matches the corrupted bytes and only the
-                    // coordinator's re-validation can catch them.
-                    let corruption = cfg.plan.corruption_for(member, spec.epoch);
-                    let inject = |kind: &esse::mtc::CorruptionKind| {
-                        let res = fileio::read_vector(&fc_path).and_then(|mut xf| {
-                            kind.apply(
-                                cfg.plan.seed,
-                                spec.member,
-                                cfg.corrupt_block.max(1),
-                                &mut xf,
-                            );
-                            fileio::write_vector(&fc_path, &xf)
-                        });
-                        match res {
-                            Ok(()) => eprintln!(
-                                "esse_worker[{}]: injected {kind:?} corruption into member {member}",
-                                cfg.worker_id
-                            ),
-                            Err(e) => eprintln!(
-                                "esse_worker[{}]: corruption injection failed for member {member}: {e}",
-                                cfg.worker_id
-                            ),
-                        }
-                    };
-                    if let Some(kind) = corruption.filter(|k| !k.bypasses_self_check()) {
+            if let Some(kind) = corruption.filter(|k| !k.bypasses_self_check()) {
+                inject(&kind);
+            }
+            // The forecast file is durable (pemodel publishes atomically).
+            // Self-check it semantically before any bytes move: a failing
+            // member publishes a typed REJECTED result with the
+            // validator's reason code instead of uploading garbage.
+            let checked = fileio::read_vector_with_crc(&fc_path).map(|(xf, crc)| {
+                (cfg.validator.as_ref().map_or(Verdict::Pass, |v| v.validate(&xf)), crc)
+            });
+            match checked {
+                // A post-self-check injection rewrites the file: publish
+                // the CRC of the corrupted bytes.
+                Ok((Verdict::Pass, crc)) => match corruption.filter(|k| k.bypasses_self_check()) {
+                    Some(kind) => {
                         inject(&kind);
+                        fileio::read_vector_with_crc(&fc_path).map(|(_, crc)| crc)
                     }
-                    // The forecast file is durable (pemodel publishes
-                    // atomically). Self-check it semantically before any
-                    // bytes move: a failing member publishes a typed
-                    // REJECTED result with the validator's reason code
-                    // instead of uploading garbage.
-                    match fileio::read_vector_with_crc(&fc_path) {
-                        Ok((xf, crc)) => {
-                            let verdict =
-                                cfg.validator.as_ref().map_or(Verdict::Pass, |v| v.validate(&xf));
-                            match verdict {
-                                Verdict::Pass => {
-                                    // A post-self-check injection rewrites
-                                    // the file: publish the CRC of the
-                                    // corrupted bytes.
-                                    let crc = match corruption.filter(|k| k.bypasses_self_check()) {
-                                        Some(kind) => {
-                                            inject(&kind);
-                                            fileio::read_vector_with_crc(&fc_path)
-                                                .map(|(_, crc)| crc)
-                                        }
-                                        None => Ok(crc),
-                                    };
-                                    match crc {
-                                        Ok(crc) => published = publish(0, crc, 0),
-                                        Err(e) => {
-                                            eprintln!(
-                                                "esse_worker[{}]: member {member} forecast invalid: {e}",
-                                                cfg.worker_id
-                                            );
-                                            published = publish(CODE_CORRUPT_FORECAST, 0, 0);
-                                        }
-                                    }
-                                }
-                                Verdict::Quarantine(reason) => {
-                                    eprintln!(
-                                        "esse_worker[{}]: member {member} failed self-check ({}), publishing REJECTED",
-                                        cfg.worker_id,
-                                        reason.describe()
-                                    );
-                                    rec.instant_at(
-                                        rec.now_ns(),
-                                        lane,
-                                        "fault",
-                                        "self_reject",
-                                        vec![
-                                            ("member", spec.member.into()),
-                                            ("reason", (reason.code() as u64).into()),
-                                        ],
-                                    );
-                                    rejected.inc();
-                                    published = publish(CODE_REJECTED, 0, reason.code());
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "esse_worker[{}]: member {member} forecast invalid: {e}",
-                                cfg.worker_id
-                            );
-                            published = publish(CODE_CORRUPT_FORECAST, 0, 0);
-                        }
-                    }
+                    None => Ok(crc),
                 }
-                Ok(Some(code)) => published = publish(code, 0, 0),
-                Ok(None) => {} // cancelled or fenced mid-run
-                Err(e) => {
-                    eprintln!("esse_worker[{}]: {e}", cfg.worker_id);
-                    published = publish(CODE_SPAWN_FAILED, 0, 0);
+                .map_or_else(invalid, |crc| publish(0, crc, 0)),
+                Ok((Verdict::Quarantine(reason), _)) => {
+                    eprintln!(
+                        "esse_worker[{}]: member {member} failed self-check ({}), publishing REJECTED",
+                        cfg.worker_id,
+                        reason.describe()
+                    );
+                    let args = vec![
+                        ("member", spec.member.into()),
+                        ("reason", (reason.code() as u64).into()),
+                    ];
+                    rec.instant_at(rec.now_ns(), lane, "fault", "self_reject", args);
+                    rejected.inc();
+                    publish(CODE_REJECTED, 0, reason.code())
                 }
+                Err(e) => invalid(e),
             }
         }
-        Ok(Some(code)) => published = publish(code, 0, 0),
-        Ok(None) => {} // cancelled or fenced mid-run
+        Ok(Some(code)) => publish(code, 0, 0),
+        Ok(None) => false, // cancelled or fenced mid-run
         Err(e) => {
             eprintln!("esse_worker[{}]: {e}", cfg.worker_id);
-            published = publish(CODE_SPAWN_FAILED, 0, 0);
+            publish(CODE_SPAWN_FAILED, 0, 0)
         }
-    }
+    };
 
     // Release after the publish: the result record is the commit point,
     // the claim files are just lease bookkeeping. Tolerant of a claim
@@ -441,44 +401,38 @@ fn open_transport(
     let t0 = Instant::now();
     // The coordinator-outage parking window, shared by both transports.
     let grace = Duration::from_millis(cli::get_or(args, "coordinator-grace-ms", 5_000u64));
-    if let Some(addr) = args.get("connect") {
+    let connect = args.get("connect");
+    let open = || -> std::io::Result<Box<dyn PoolTransport>> {
+        let Some(addr) = connect else {
+            let (pool, manifest) = TaskPool::open(&cfg.workdir)?;
+            let disk = DiskTransport::new(pool, manifest, parent_pid);
+            return Ok(Box::new(disk.with_coordinator_grace(grace)));
+        };
         let mut tcp = TcpConfig::new(addr.clone(), cfg.worker_id as u64);
         tcp.reconnect_grace = grace;
         tcp.endpoint_file = args.get("endpoint-file").map(PathBuf::from);
-        loop {
-            match TcpTransport::connect(tcp.clone()) {
-                Ok(t) => return Ok(Box::new(t)),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::ConnectionRefused
-                        && e.to_string().contains("rejected") =>
-                {
-                    return Err(format!("coordinator at {addr}: {e}"));
-                }
-                Err(_) if t0.elapsed() < wait_pool => {
-                    if !parent_pid.is_none_or(local_process_alive) {
-                        std::process::exit(0);
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => return Err(format!("no coordinator at {addr}: {e}")),
-            }
-        }
-    }
-    let workdir = &cfg.workdir;
+        Ok(Box::new(TcpTransport::connect(tcp)?))
+    };
+    let place = connect.map_or_else(
+        || format!("task pool under {}", cfg.workdir.display()),
+        |addr| format!("coordinator at {addr}"),
+    );
     loop {
-        match TaskPool::open(workdir) {
-            Ok((pool, manifest)) => {
-                return Ok(Box::new(
-                    DiskTransport::new(pool, manifest, parent_pid).with_coordinator_grace(grace),
-                ));
+        match open() {
+            Ok(t) => return Ok(t),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::ConnectionRefused
+                    && e.to_string().contains("rejected") =>
+            {
+                return Err(format!("{place}: {e}"));
             }
             Err(_) if t0.elapsed() < wait_pool => {
-                if !parent_pid.is_none_or(local_process_alive) {
+                if !parent_pid.is_none_or(process_alive) {
                     std::process::exit(0);
                 }
                 std::thread::sleep(Duration::from_millis(50));
             }
-            Err(e) => return Err(format!("no task pool under {}: {e}", workdir.display())),
+            Err(e) => return Err(format!("no {place}: {e}")),
         }
     }
 }
@@ -486,8 +440,8 @@ fn open_transport(
 fn main() {
     let args = cli::args(USAGE);
     let worker_id: u32 = cli::get_or(&args, "worker-id", 0);
-    let remote = args.contains_key("connect");
-    let workdir = if remote {
+    let connect = args.get("connect");
+    let workdir = if connect.is_some() {
         // Remote workers get a private scratch workdir; nothing in it
         // is shared with the coordinator.
         args.get("scratch").map(PathBuf::from).unwrap_or_else(|| {
@@ -500,12 +454,8 @@ fn main() {
     let mut cfg = WorkerConfig {
         worker_id,
         poll: Duration::from_millis(cli::get_or(&args, "poll-ms", 25u64).max(1)),
-        idle_exit: args.get("idle-exit-ms").and_then(|v| v.parse().ok()).map(Duration::from_millis),
         plan: {
             let mut plan = FaultPlan::seeded(cli::get_or(&args, "fault-seed", 0u64));
-            if let Some(k) = args.get("die-after").and_then(|v| v.parse().ok()) {
-                plan = plan.with_worker_death(worker_id as usize, k);
-            }
             if let Some(rate) = args.get("corrupt-members").and_then(|v| v.parse().ok()) {
                 plan = plan.with_corruption(rate);
             }
@@ -519,7 +469,6 @@ fn main() {
     };
     let parent_pid: Option<u32> = args.get("parent-pid").and_then(|v| v.parse().ok());
     let wait_pool = Duration::from_millis(cli::get_or(&args, "wait-pool-ms", 30_000u64));
-    let trace_capacity: usize = cli::get_or(&args, "trace-capacity", 1usize << 18);
     let metrics_out = args.get("metrics-out").map(PathBuf::from);
 
     // The pool may not exist yet (worker started before the master
@@ -538,7 +487,7 @@ fn main() {
     // branch on the null recorder and nothing is ever shipped. ---
     let trace_run = transport.manifest().trace_run_id;
     let tracing = trace_run != 0;
-    let ring = RingRecorder::with_capacity(trace_capacity);
+    let ring = RingRecorder::with_capacity(cli::TRACE_CAPACITY);
     let rec: &dyn Recorder = if tracing { &ring } else { &NULL };
     let lane = Lane::Worker(worker_id);
     let metrics = MetricsRegistry::new();
@@ -550,7 +499,7 @@ fn main() {
     let g_dropped = metrics.gauge("esse_worker_trace_dropped_events");
     let mut dropped_total = 0u64;
 
-    if remote {
+    if let Some(addr) = connect {
         rec.begin_at(rec.now_ns(), lane, "phase", "stage", vec![]);
         let staged = std::fs::create_dir_all(&cfg.workdir)
             .and_then(|()| transport.stage_inputs(&cfg.workdir));
@@ -560,8 +509,7 @@ fn main() {
             std::process::exit(2);
         }
         eprintln!(
-            "esse_worker[{worker_id}]: joined {} with scratch {}",
-            transport.describe(),
+            "esse_worker[{worker_id}]: joined tcp:{addr} with scratch {}",
             cfg.workdir.display()
         );
     }
@@ -571,29 +519,22 @@ fn main() {
     // (the shared workdir, or the `Welcome` staging). A missing mean or
     // prior degrades to "no self-check" rather than a dead worker; the
     // coordinator's gate still stands. ---
-    match cli::build_model(&transport.manifest().domain) {
-        Ok((model, _)) => {
-            let mean = fileio::read_vector(cfg.workdir.join(files::MEAN));
-            let prior = fileio::read_subspace(cfg.workdir.join(files::PRIOR));
-            match (mean, prior) {
-                (Ok(mean), Ok(prior)) => {
-                    let central = fileio::read_vector(cfg.workdir.join(files::CENTRAL)).ok();
-                    let gate = cli::scenario_gate(&model.grid, &mean, central.as_deref(), &prior);
-                    cfg.validator = Some(gate);
-                    cfg.corrupt_block = model.grid.cells3();
-                }
-                (mean, prior) => {
-                    let why = mean.err().or(prior.err()).map(|e| e.to_string());
-                    eprintln!(
-                        "esse_worker[{worker_id}]: self-check disabled, scenario inputs unreadable: {}",
-                        why.as_deref().unwrap_or("unknown")
-                    );
-                }
-            }
+    let read = |name| cfg.workdir.join(name);
+    let inputs = cli::build_model(&transport.manifest().domain)
+        .map_err(|e| format!("bad domain spec: {e}"))
+        .and_then(|(model, _)| {
+            let unreadable = |e: std::io::Error| format!("scenario inputs unreadable: {e}");
+            let mean = fileio::read_vector(read(files::MEAN)).map_err(unreadable)?;
+            Ok((model, mean, fileio::read_subspace(read(files::PRIOR)).map_err(unreadable)?))
+        });
+    match inputs {
+        Ok((model, mean, prior)) => {
+            let central = fileio::read_vector(read(files::CENTRAL)).ok();
+            cfg.validator =
+                Some(cli::scenario_gate(&model.grid, &mean, central.as_deref(), &prior));
+            cfg.corrupt_block = model.grid.cells3();
         }
-        Err(e) => {
-            eprintln!("esse_worker[{worker_id}]: self-check disabled, bad domain spec: {e}");
-        }
+        Err(why) => eprintln!("esse_worker[{worker_id}]: self-check disabled, {why}"),
     }
     rec.instant_at(
         rec.now_ns(),
@@ -625,7 +566,6 @@ fn main() {
 
     let mut tasks_started = 0usize;
     let mut tasks_published = 0usize;
-    let mut idle_since: Option<Instant> = None;
     let mut stalled_once = cfg.stall_task;
     let mut last_net_err: Option<String> = None;
     loop {
@@ -645,10 +585,6 @@ fn main() {
             Ok(ClaimOutcome::Task(spec)) => spec,
             Ok(ClaimOutcome::Cancelled) | Ok(ClaimOutcome::Shutdown) => break,
             Ok(ClaimOutcome::Idle) => {
-                let since = *idle_since.get_or_insert_with(Instant::now);
-                if cfg.idle_exit.is_some_and(|d| since.elapsed() >= d) {
-                    break;
-                }
                 std::thread::sleep(cfg.poll);
                 continue;
             }
@@ -664,7 +600,6 @@ fn main() {
                 continue;
             }
         };
-        idle_since = None;
         tasks_started += 1;
         m_claimed.inc();
         // The task span carries the full trace context (parent span id
@@ -686,16 +621,6 @@ fn main() {
         );
         rec.begin_at(t_claim, lane, "phase", "claim", vec![("member", spec.member.into())]);
         rec.end_at(rec.now_ns(), lane, "phase", "claim");
-        if cfg.plan.worker_dies(cfg.worker_id as usize, tasks_started) {
-            // Scripted worker death (FaultPlan): die holding the claim,
-            // no cleanup, no batch — the lease watchdog must reclaim the
-            // claim and the merge must tolerate the absent spans.
-            eprintln!(
-                "esse_worker[{}]: injected death on task {tasks_started} (member {})",
-                cfg.worker_id, spec.member
-            );
-            std::process::abort();
-        }
         let stalled = stalled_once == Some(spec.member);
         if run_task(&cfg, transport.as_ref(), spec, stalled, rec, lane, &m_rejected) {
             tasks_published += 1;
@@ -711,7 +636,7 @@ fn main() {
         }
     }
 
-    // Orderly exit (tombstone shutdown, cancel, idle timeout or orphan):
+    // Orderly exit (tombstone shutdown, cancel or orphan):
     // flush any tail spans, then dump the metrics snapshot.
     rec.instant_at(
         rec.now_ns(),

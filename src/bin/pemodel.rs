@@ -29,7 +29,7 @@ fn main() {
         }
     };
 
-    let member: usize = cli::require(&args, "member", USAGE).parse().unwrap_or_else(|e| {
+    let member: u64 = cli::require(&args, "member", USAGE).parse().unwrap_or_else(|e| {
         eprintln!("bad --member: {e}");
         std::process::exit(2);
     });

@@ -51,7 +51,7 @@ fn main() {
     let cfg = PerturbConfig { white_noise, base_seed, frozen_indices: Vec::new() };
     let gen = PerturbationGenerator::new(&prior, cfg);
     let ic = gen.perturb(&mean, member);
-    if let Err(e) = fileio::write_vector(workdir.join(files::ic(member)), &ic) {
+    if let Err(e) = fileio::write_vector(workdir.join(files::ic(member as u64)), &ic) {
         eprintln!("pert: cannot write IC: {e}");
         std::process::exit(1);
     }

@@ -132,6 +132,9 @@ pub fn scenario_gate(
     ForecastValidator::for_scenario(grid, &baselines, prior, ValidatorConfig::default())
 }
 
+/// Attempts a member's task gets in `esse_master` before it is lost.
+const TASK_ATTEMPTS: u32 = 3;
+
 /// `--subspace`: `full` (the default), `incremental`, or
 /// `incremental:REFRESH,TOL` (refresh cadence, orthonormality tolerance).
 fn parse_subspace(v: &str) -> Option<SubspaceStrategy> {
@@ -146,7 +149,7 @@ fn parse_subspace(v: &str) -> Option<SubspaceStrategy> {
 
 /// The engine configuration of `esse_master`'s flags: the schedule,
 /// tolerance, seeds and forecast window, a lease that is the task
-/// timeout, `--task-attempts` with a 20 ms doubling backoff, the
+/// timeout, three attempts per task with a 20 ms doubling backoff, the
 /// requeue budget, the checkpoint lane, an SVD every `initial / 2`
 /// (≥ 4) decided members and cancellation on convergence. The local
 /// fleet, the listener and the workdir are process work, not
@@ -156,7 +159,6 @@ pub fn master_config(args: &HashMap<String, String>) -> Result<MtcConfig, String
     let subspace = parse_subspace(args.get("subspace").map_or("full", String::as_str))
         .ok_or("bad --subspace value (want full or incremental[:REFRESH,TOL])")?;
     let lease = Duration::from_millis(get_or(args, "lease-ms", 1200u64).max(50));
-    let attempts = get_or(args, "task-attempts", 3u32).max(1);
     let backoff = Duration::from_millis(20);
     let cfg = MtcConfig {
         pool_factor: 1.0,
@@ -172,7 +174,9 @@ pub fn master_config(args: &HashMap<String, String>) -> Result<MtcConfig, String
         duration: get_or(args, "hours", 6.0) * 3600.0,
         svd_stride: (initial / 2).max(4),
         completion: CompletionPolicy::CancelImmediately,
-        retry: RetryPolicy::retries(attempts).with_backoff(backoff, 2.0, 0.0).with_timeout(lease),
+        retry: RetryPolicy::retries(TASK_ATTEMPTS)
+            .with_backoff(backoff, 2.0, 0.0)
+            .with_timeout(lease),
         subspace,
         requeue_budget: Some(get_or(args, "requeue-budget", 16u32).max(1)),
         ..MtcConfig::default()
@@ -214,26 +218,11 @@ pub fn spawn_with_retry(
 }
 
 /// Workflow file names inside a working directory.
-pub mod files {
-    /// The mean (analysis/initial) state.
-    pub const MEAN: &str = "mean.vec";
-    /// The prior error subspace.
-    pub const PRIOR: &str = "prior.sub";
-    /// The central (unperturbed) forecast.
-    pub const CENTRAL: &str = "fc_central.vec";
-    /// The posterior subspace written by the master.
-    pub const POSTERIOR: &str = "posterior.sub";
+pub use esse_mtc::rundir as files;
 
-    /// Member initial-condition file.
-    pub fn ic(member: usize) -> String {
-        format!("ic_{member}.vec")
-    }
-
-    /// Member forecast file.
-    pub fn fc(member: usize) -> String {
-        format!("fc_{member}.vec")
-    }
-}
+/// Events the trace ring of `esse_master` or `esse_worker` holds
+/// (a worker's between shipments).
+pub const TRACE_CAPACITY: usize = 1 << 18;
 
 #[cfg(test)]
 mod tests {

@@ -7,12 +7,11 @@
 
 use crate::cli::{self, files};
 use crate::fileio;
-use esse_core::subspace::ErrorSubspace;
 use esse_core::EsseError;
-use esse_mtc::coordinator::{JournalPort, Level, Progress, StorePort};
+use esse_mtc::coordinator::{JournalPort, Level, Progress};
 use esse_mtc::pool::{PoolManifest, PoolScan, TaskPool};
+use esse_mtc::rundir::DiskStore;
 use esse_mtc::workflow::Resource;
-use esse_mtc::DiskTripleBuffer;
 use esse_obs::event::Lane;
 use esse_obs::recorder::{Recorder, RecorderExt};
 use esse_obs::registry::MetricsRegistry;
@@ -20,7 +19,7 @@ use std::cell::{Cell, RefCell};
 use std::fs;
 use std::io;
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,38 +30,6 @@ pub const WORKER_LOG_DIR: &str = "logs";
 /// Nothing wakes the master when a worker publishes, so between steps
 /// it sleeps until the coordinator's next deadline, at most this long.
 const POLL: Duration = Duration::from_millis(15);
-
-/// The store port: forecast files, their quarantine corner, the
-/// covariance checkpoints and the posterior.
-pub struct DiskStore {
-    /// The run's working directory.
-    pub workdir: PathBuf,
-    /// The safe/live covariance files.
-    pub cov: DiskTripleBuffer,
-}
-
-impl StorePort for DiskStore {
-    fn read_forecast(&self, member: u64) -> io::Result<(Vec<f64>, u32)> {
-        fileio::read_vector_with_crc(self.workdir.join(files::fc(member as usize)))
-    }
-
-    fn quarantine_forecast(&self, member: u64) -> io::Result<()> {
-        let (name, qdir) = (files::fc(member as usize), self.workdir.join("quarantine"));
-        fs::create_dir_all(&qdir)?;
-        if self.workdir.join(&name).exists() {
-            fs::rename(self.workdir.join(&name), qdir.join(&name))?;
-        }
-        Ok(())
-    }
-
-    fn publish_covariance(&self, estimate: &ErrorSubspace, version: u64) -> io::Result<()> {
-        self.cov.publish(&fileio::subspace_to_bytes(estimate), version)
-    }
-
-    fn publish_posterior(&self, posterior: &ErrorSubspace) -> io::Result<()> {
-        fileio::write_subspace(self.workdir.join(files::POSTERIOR), posterior)
-    }
-}
 
 /// Worker processes kept at strength beside the master.
 pub struct LocalWorkers {

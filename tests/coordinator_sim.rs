@@ -37,7 +37,7 @@ use esse::core::validate::{ForecastValidator, Reason, ValidatorConfig, VarBounds
 use esse::mtc::coordinator::{
     begin_incarnation, quiet, CoordError, Coordinator, JournalPort, PoolPort, Setup, StorePort,
 };
-use esse::mtc::journal::{JournalRecord, JournalState};
+use esse::mtc::journal::{Checkpoint, JournalRecord, JournalState};
 use esse::mtc::mem::MemPool;
 use esse::mtc::pool::{Heartbeat, ResultRecord, TaskSpec, CODE_REJECTED};
 use esse::mtc::workflow::{MtcConfig, MtcEsse, RunInit};
@@ -125,7 +125,7 @@ struct Pool(MemPool<'static>);
 
 impl Default for Pool {
     fn default() -> Self {
-        Pool(MemPool::new(1, &NULL, None).expect("an in-memory pool"))
+        Pool(MemPool::new(1, &NULL, None))
     }
 }
 
@@ -752,7 +752,9 @@ fn library_coordinator_writes_the_posterior_of_esse_master() {
 /// `MtcEsse` with `esse_master`'s settings — the same schedule, SVD
 /// stride, gate, retry budget and completion policy — on 1, 2 and 4
 /// threads, with transient task failures that a retry always clears:
-/// the bytes of `esse_master --workers 2`.
+/// the bytes of `esse_master --workers 2`. The two-thread run keeps a
+/// checkpoint, which lays out its directory as `esse_master`'s workdir:
+/// `fc_N.vec` forecasts and the same `posterior.sub` file.
 #[test]
 fn in_process_run_writes_the_posterior_of_esse_master() {
     let run = master_run();
@@ -761,10 +763,16 @@ fn in_process_run_writes_the_posterior_of_esse_master() {
     let model = PeForecastModel::new(pe);
     let flags: Vec<String> = MASTER_FLAGS.iter().map(|f| f.to_string()).collect();
     let master = esse::cli::master_config(&esse::cli::parse_args(&flags)).expect("flags");
+    let ck_dir = std::env::temp_dir().join(format!("esse-coordsim-ck-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&ck_dir);
+    let ck = Checkpoint::create(&ck_dir, 1).expect("checkpoint");
     for workers in [1, 2, 4] {
         let faults = Some(FaultPlan::seeded(seed).with_transient_io(0.3));
         let cfg = MtcConfig { workers, faults, ..master.clone() };
-        let engine = MtcEsse::new(&model, cfg).with_validator(master_validator(run));
+        let mut engine = MtcEsse::new(&model, cfg).with_validator(master_validator(run));
+        if workers == 2 {
+            engine = engine.with_checkpoint(&ck);
+        }
         let out = engine.run(RunInit::new(&run.mean, &run.prior)).expect("in-process run");
         assert_eq!(out.central, run.central, "central forecasts differ");
         let bytes = subspace_to_bytes(&out.subspace);
@@ -773,6 +781,10 @@ fn in_process_run_writes_the_posterior_of_esse_master() {
             "{workers} thread(s): posterior differs from esse_master's"
         );
     }
+    let posterior = std::fs::read(ck_dir.join(esse::cli::files::POSTERIOR)).expect("posterior.sub");
+    assert_eq!(posterior, std::fs::read(run.dir.join(esse::cli::files::POSTERIOR)).unwrap());
+    assert!(ck_dir.join("fc_0.vec").exists() && !ck_dir.join("member_0.ck").exists());
+    let _ = std::fs::remove_dir_all(&ck_dir);
     let _ = std::fs::remove_dir_all(&run.dir);
 }
 

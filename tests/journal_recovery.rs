@@ -16,6 +16,7 @@ use esse::core::perturb::PerturbationGenerator;
 use esse::core::subspace::ErrorSubspace;
 use esse::fileio::{vector_from_bytes, vector_to_bytes};
 use esse::mtc::journal::{encode_subspace_blob, Checkpoint, Journal, JournalRecord};
+use esse::mtc::rundir;
 use esse::mtc::workflow::{MtcConfig, MtcEsse, RunInit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,16 +132,21 @@ fn journal_survives_any_single_bit_flip() {
 
 #[test]
 fn member_blob_rejects_truncation_and_bit_flips() {
-    let data: Vec<f64> = (0..17).map(|i| (i as f64).sin()).collect();
-    let blob = vector_to_bytes(&data);
-    assert_eq!(vector_from_bytes(&blob).unwrap(), data);
-    for cut in 0..blob.len() {
-        assert!(vector_from_bytes(&blob[..cut]).is_err(), "truncation at {cut} accepted");
-    }
-    for pos in 0..blob.len() {
-        let mut bad = blob.clone();
-        bad[pos] ^= 1 << (pos % 8);
-        assert!(vector_from_bytes(&bad).is_err(), "bit flip at {pos} accepted");
+    let smooth: Vec<f64> = (0..17).map(|i| (i as f64).sin()).collect();
+    let extremes = vec![1.5, -2.25, 0.0, f64::MIN_POSITIVE, 1e300];
+    for data in [smooth, extremes] {
+        let blob = vector_to_bytes(&data);
+        assert_eq!(vector_from_bytes(&blob).unwrap(), data);
+        for cut in 0..blob.len() {
+            assert!(vector_from_bytes(&blob[..cut]).is_err(), "truncation at {cut} accepted");
+        }
+        for pos in 0..blob.len() {
+            for bit in 0..8 {
+                let mut bad = blob.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(vector_from_bytes(&bad).is_err(), "bit flip at {pos}.{bit} accepted");
+            }
+        }
     }
 }
 
@@ -189,7 +195,7 @@ fn rehydrated_engine_is_bit_identical_and_never_reruns_completed_members() {
 
     // Simulate a crash: tear the journal right after its third
     // `MemberCompleted` (dropping the later members and the SVD round).
-    let jpath = dir.join(Checkpoint::JOURNAL);
+    let jpath = dir.join(rundir::JOURNAL);
     let raw = std::fs::read(&jpath).unwrap();
     let ends = frame_ends(&raw);
     let records = Journal::replay(&jpath).unwrap().records;
@@ -233,12 +239,12 @@ fn corrupt_member_blob_is_quarantined_never_ingested() {
     {
         let ck = Checkpoint::create(&dir, hash).unwrap();
         for (member, data) in [(0, &a), (1, &b)] {
-            ck.write_member(member, data).unwrap();
+            ck.store().write_forecast(member, data).unwrap();
             ck.journal().append(&JournalRecord::MemberCompleted { member, attempts: 1 }).unwrap();
         }
     }
-    // Corrupt member 0's blob in place.
-    let p0 = dir.join("member_0.ck");
+    // Corrupt member 0's forecast in place.
+    let p0 = dir.join(rundir::fc(0));
     let mut raw = std::fs::read(&p0).unwrap();
     let last = raw.len() - 1;
     raw[last] ^= 0x40;
@@ -267,11 +273,11 @@ fn corrupt_member_blob_is_quarantined_never_ingested() {
     assert_eq!(out.members_used, 2);
     let ran: Vec<usize> = out.records.iter().filter(|r| r.worker.is_some()).map(|r| r.id).collect();
     assert_eq!(ran, [0], "only the quarantined member re-runs");
-    assert_eq!(std::fs::read(dir.join(Checkpoint::QUARANTINE).join("member_0.ck")).unwrap(), raw);
+    assert_eq!(std::fs::read(dir.join(rundir::QUARANTINE).join("fc_0.vec")).unwrap(), raw);
     let gen = PerturbationGenerator::new(&prior, cfg.perturb.clone());
     assert_eq!(vector_from_bytes(&std::fs::read(&p0).unwrap()).unwrap(), gen.perturb(&[0.0; 3], 0));
     // The quarantine is journalled before the re-run's completion.
-    let records = Journal::replay(dir.join(Checkpoint::JOURNAL)).unwrap().records;
+    let records = Journal::replay(dir.join(rundir::JOURNAL)).unwrap().records;
     let at = |rec: &JournalRecord| records.iter().position(|r| r == rec);
     let reason = esse::core::validate::Reason::CorruptPayload.code();
     let quarantined = at(&JournalRecord::MemberQuarantined { member: 0, reason });

@@ -130,7 +130,7 @@ fn observe(seen: &mut BTreeSet<Shape>, dim: usize, cfg: MtcConfig, validate: boo
     let _ = std::fs::remove_dir_all(&dir);
     let ck = Checkpoint::create(&dir, 1).expect("checkpoint");
     for j in 0..resumed as u64 {
-        ck.write_member(j, &vec![0.1 * j as f64; dim]).expect("member blob");
+        ck.store().write_forecast(j, &vec![0.1 * j as f64; dim]).expect("member forecast");
         let done = JournalRecord::MemberCompleted { member: j, attempts: 1 };
         ck.journal().append(&done).expect("journal");
     }
