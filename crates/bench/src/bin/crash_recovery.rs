@@ -28,7 +28,7 @@
 #[path = "../run_checks.rs"]
 mod run_checks;
 
-use esse::cli::{self, get_or, sibling};
+use esse::cli::{self, get, sibling};
 use esse_mtc::rundir;
 use run_checks::{assert_no_reruns, read_posterior, xorshift64};
 use std::path::{Path, PathBuf};
@@ -96,15 +96,15 @@ fn main() {
     let cfg = MasterConfig {
         master: args.get("master").map(PathBuf::from).unwrap_or_else(|| sibling("esse_master")),
         domain: args.get("domain").cloned().unwrap_or_else(|| "monterey:6,5,4".into()),
-        hours: get_or(&args, "hours", 2.0),
-        initial: get_or(&args, "initial", 4),
-        max: get_or(&args, "max", 12),
-        tolerance: get_or(&args, "tolerance", 0.2),
-        workers: get_or(&args, "workers", 2),
-        base_seed: get_or(&args, "base-seed", 0x5EED),
+        hours: get(&args, "hours").unwrap_or(2.0),
+        initial: get(&args, "initial").unwrap_or(4),
+        max: get(&args, "max").unwrap_or(12),
+        tolerance: get(&args, "tolerance").unwrap_or(0.2),
+        workers: get(&args, "workers").unwrap_or(2),
+        base_seed: get(&args, "base-seed").unwrap_or(0x5EED),
     };
-    let stride: usize = get_or(&args, "stride", 1).max(1);
-    let kills: usize = get_or(&args, "kills", 3);
+    let stride: usize = get(&args, "stride").unwrap_or(1).max(1);
+    let kills: usize = get(&args, "kills").unwrap_or(3);
     let keep = args.contains_key("keep");
     if !cfg.master.exists() {
         eprintln!(

@@ -23,6 +23,8 @@
 //! `retry_scheduled` instants and duplicate member spans) and the
 //! retry-disabled run to `<path>` with `-noretry` appended to the stem
 //! (look for `member_failed_permanent` and the `degraded` instant).
+//! The traced retry run asserts its exact counts: 32 members done, and
+//! `32 + retries + speculative launches` task spans.
 //! `--assert-retries` exits nonzero unless the sweep actually exercised
 //! the retry path — the CI smoke check. `--metrics-out <path>` attaches
 //! a [`esse_obs::MetricsRegistry`] to the traced retry run and dumps
@@ -39,7 +41,7 @@ use esse_mtc::sim::cluster::{
 use esse_mtc::sim::platform::local_opteron;
 use esse_mtc::sim::scheduler::DispatchPolicy;
 use esse_mtc::workflow::{MtcConfig, MtcEsse, MtcOutcome, RunInit};
-use esse_obs::RingRecorder;
+use esse_obs::{LoadedTrace, RingRecorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -194,6 +196,15 @@ fn main() {
         if let Some(path) = &trace_out {
             let trace = ring.drain();
             esse_obs::export::save(&trace, path).expect("write retry trace");
+            // The seeded plan costs retries but no member: all 32 complete,
+            // and each retry or speculative copy is one task span on top of
+            // the 32 first attempts, in the trace and in its mtc lane group.
+            let a = LoadedTrace::from_trace(&trace).analyze();
+            let f = &out_retry.faults;
+            let attempts = 32 + f.retries + f.speculative_launches;
+            assert_eq!(a.counter("members_done"), Some(32.0), "members_done");
+            assert_eq!(a.task_count, attempts, "task spans");
+            assert_eq!(a.group("mtc").map(|g| g.tasks), Some(attempts as u64), "mtc task spans");
 
             let mut noretry_path = path.clone();
             let stem = noretry_path.file_stem().map(|s| s.to_string_lossy().into_owned());

@@ -16,24 +16,21 @@
 //! svd_bench [--members N] [--state D] [--stride S] [--max-rank R]
 //!           [--refresh-every K] [--defect-tol T]
 //!           [--assert-speedup X] [--trace-out PATH]
-//! trace_report svd_bench.trace.jsonl \
-//!     --baseline BENCH_baseline.json --baseline-prefix svd_bench_ \
-//!     --assert-max-regression 25
 //! ```
 //!
-//! Only structural counters (`svd_bench_members`, round/update/refresh
-//! counts — deterministic because the threaded kernels are bitwise
-//! identical to their serial references) are pinned in
-//! `BENCH_baseline.json`; the wall-clock counters (`svd_bench_*_ms`,
-//! `svd_bench_speedup`) are machine-dependent and reported for
-//! `--write-baseline` on a pinned host, following the pool_bench
-//! precedent.
+//! At the default scope (none of the first six flags given) the bench
+//! asserts the lanes' exact schedule: 512 members, 64 rounds in each
+//! lane, 60 incremental updates and 4 refreshes. The counts are
+//! machine-independent because the threaded kernels are bitwise
+//! identical to their serial references; the timings are not, and are
+//! only printed (and gated by `--assert-speedup`).
 
+use esse::cli;
 use esse_core::subspace::{make_estimator, SubspaceStrategy, SubspaceUpdate, UpdateKind};
 use esse_linalg::LinalgCtx;
 use esse_obs::event::Lane;
 use esse_obs::export::save;
-use esse_obs::recorder::{Recorder, RecorderExt};
+use esse_obs::recorder::RecorderExt;
 use esse_obs::ring::RingRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,37 +107,22 @@ fn drive(
     run
 }
 
+const USAGE: &str = "svd_bench [--members N] [--state D] [--stride S] [--max-rank R] \
+                     [--refresh-every K] [--defect-tol T] [--assert-speedup X] [--trace-out PATH]";
+
+/// The flags that change the workload, and so its schedule.
+const SCOPE: [&str; 6] = ["members", "state", "stride", "max-rank", "refresh-every", "defect-tol"];
+
 fn main() {
-    let mut members: usize = 512;
-    let mut state: usize = 1536;
-    let mut stride: usize = 8;
-    let mut max_rank: usize = 32;
-    let mut refresh_every: usize = 16;
-    let mut defect_tol: f64 = 1e-6;
-    let mut assert_speedup: Option<f64> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        let mut num = |what: &str| argv.next().and_then(|v| v.parse().ok()).expect(what);
-        match a.as_str() {
-            "--members" => members = num("--members N") as usize,
-            "--state" => state = num("--state D") as usize,
-            "--stride" => stride = (num("--stride S") as usize).max(1),
-            "--max-rank" => max_rank = (num("--max-rank R") as usize).max(1),
-            "--refresh-every" => refresh_every = num("--refresh-every K") as usize,
-            "--defect-tol" => defect_tol = num("--defect-tol T"),
-            "--assert-speedup" => assert_speedup = Some(num("--assert-speedup X")),
-            "--trace-out" => trace_out = Some(PathBuf::from(argv.next().expect("--trace-out P"))),
-            other => {
-                eprintln!(
-                    "unknown arg {other}; usage: svd_bench [--members N] [--state D] \
-                     [--stride S] [--max-rank R] [--refresh-every K] [--defect-tol T] \
-                     [--assert-speedup X] [--trace-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = cli::args(USAGE);
+    let members: usize = cli::get(&args, "members").unwrap_or(512);
+    let state: usize = cli::get(&args, "state").unwrap_or(1536);
+    let stride: usize = cli::get(&args, "stride").unwrap_or(8).max(1);
+    let max_rank: usize = cli::get(&args, "max-rank").unwrap_or(32).max(1);
+    let refresh_every: usize = cli::get(&args, "refresh-every").unwrap_or(16);
+    let defect_tol: f64 = cli::get(&args, "defect-tol").unwrap_or(1e-6);
+    let assert_speedup: Option<f64> = cli::get(&args, "assert-speedup");
+    let trace_out = args.get("trace-out").map(PathBuf::from);
 
     let central = vec![0.0; state];
     let stream = synthetic_members(state, members, 24, 0x5EED);
@@ -207,16 +189,15 @@ fn main() {
         inc_last.defect
     );
 
-    // Structural counters — machine-independent, pinned in the
-    // committed baseline. Timing counters follow for pinned-host runs.
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_members", members as f64);
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_full_rounds", full.rounds as f64);
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_inc_rounds", inc.rounds as f64);
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_inc_updates", inc.updates as f64);
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_inc_refreshes", inc.refreshes as f64);
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_full_ms", full_ms);
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_inc_ms", inc_ms);
-    rec.counter_at(rec.now_ns(), Lane::Driver, "svd_bench_speedup", speedup);
+    if !SCOPE.iter().any(|k| args.contains_key(*k)) {
+        let schedule = (members, full.rounds, inc.rounds, inc.updates, inc.refreshes);
+        assert_eq!(
+            schedule,
+            (512, 64, 64, 60, 4),
+            "(members, full rounds, inc rounds, updates, refreshes)"
+        );
+        println!("schedule assertion passed (the default scope's exact counts)");
+    }
 
     if let Some(min) = assert_speedup {
         assert!(

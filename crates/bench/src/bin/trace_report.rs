@@ -1,129 +1,30 @@
-//! Turn an `esse-obs` JSONL trace into a run report, and optionally
-//! gate it against a committed benchmark baseline.
+//! Turn an `esse-obs` JSONL trace into a run report.
 //!
 //! ```text
 //! cargo run --release -p esse-bench --bin trace_report -- run.jsonl
 //! cargo run --release -p esse-bench --bin trace_report -- run.jsonl --markdown
-//! cargo run --release -p esse-bench --bin trace_report -- run.jsonl \
-//!     --baseline BENCH_baseline.json --assert-max-regression 25
-//! cargo run --release -p esse-bench --bin trace_report -- run.jsonl \
-//!     --write-baseline BENCH_new.json
+//! cargo run --release -p esse-bench --bin trace_report -- pool.trace.jsonl \
+//!     --assert-fleet-path --assert-zero-orphans
 //! ```
 //!
 //! The report is computed from the events alone (no engine state): the
 //! per-phase breakdown, per-layer lane groups, queue-wait vs
 //! service-time decomposition, windowed throughput, stragglers and the
-//! critical path all come out of [`LoadedTrace::analyze`].
-//!
-//! Baselines are JSON files with schema `esse-bench-baseline-v1`
-//! holding a curated `metrics` map. Direction is inferred from the
-//! metric name: `_ns`/`_ms`/`_s` suffixes are durations (lower is
-//! better); everything else — counts, coverage, speedup, throughput —
-//! is higher-is-better. `--assert-max-regression PCT` exits nonzero if
-//! any baseline metric regressed by more than PCT percent, or vanished
-//! from the trace entirely.
-//!
-//! One committed baseline can pin metrics from *several* trace kinds
-//! (the fault_sweep run, the `pool_bench` transport harness, …).
-//! `--baseline-prefix P` (repeatable) restricts the gate to the
-//! baseline metrics whose names start with any given prefix, so each
-//! CI job checks exactly the slice its trace can produce.
+//! critical path all come out of [`LoadedTrace::analyze`]. The fleet
+//! gates exit 1 unless a merged fleet trace's critical path crosses the
+//! process boundary (`--assert-fleet-path`) or every remote task span is
+//! anchored to a coordinator enqueue (`--assert-zero-orphans`).
 
 use esse_obs::analyze::RunAnalysis;
-use esse_obs::json::{parse, Value};
 use esse_obs::LoadedTrace;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::exit;
 
+const USAGE: &str =
+    "trace_report TRACE.jsonl [--markdown] [--assert-fleet-path] [--assert-zero-orphans]";
+
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
-}
-
-/// Flatten the analysis into a flat name → value map, the currency the
-/// baseline gate and `--write-baseline` trade in.
-fn metric_map(a: &RunAnalysis) -> BTreeMap<String, f64> {
-    let mut m = BTreeMap::new();
-    m.insert("makespan_ms".into(), ms(a.makespan_ns));
-    m.insert("tasks".into(), a.task_count as f64);
-    m.insert("peak_throughput_per_s".into(), a.peak_throughput_per_s());
-    m.insert("critical_path_busy_ms".into(), ms(a.critical_path.busy_ns));
-    m.insert("critical_path_wait_ms".into(), ms(a.critical_path.wait_ns));
-    if let Some(w) = &a.queue_wait {
-        m.insert("queue_wait_p50_ms".into(), ms(w.p50_ns));
-        m.insert("queue_wait_p95_ms".into(), ms(w.p95_ns));
-        m.insert("queue_wait_p99_ms".into(), ms(w.p99_ns));
-    }
-    for g in &a.lane_groups {
-        m.insert(format!("{}_span_ms", g.group), ms(g.span_ns));
-        m.insert(format!("{}_tasks", g.group), g.tasks as f64);
-    }
-    for (name, v) in &a.counters {
-        m.insert(name.clone(), *v);
-    }
-    if a.pool.any() {
-        m.insert("pool_tasks_seeded".into(), a.pool.tasks_seeded as f64);
-        m.insert("pool_leases_granted".into(), a.pool.leases_granted as f64);
-        m.insert("pool_results_ingested".into(), a.pool.results_ingested as f64);
-    }
-    if a.fleet.any() {
-        m.insert("fleet_workers".into(), a.fleet.workers.len() as f64);
-        m.insert("fleet_remote_tasks".into(), a.fleet.remote_tasks as f64);
-        if let Some(e) = a.fleet.enqueue_to_claim {
-            m.insert("fleet_enqueue_to_claim_mean_ms".into(), ms(e.mean_ns));
-        }
-        if let Some(e) = a.fleet.publish_to_ingest {
-            m.insert("fleet_publish_to_ingest_mean_ms".into(), ms(e.mean_ns));
-        }
-    }
-    m
-}
-
-/// Durations regress upward; everything else regresses downward.
-fn lower_is_better(name: &str) -> bool {
-    name.ends_with("_ns") || name.ends_with("_ms") || name.ends_with("_s")
-}
-
-/// Signed regression in percent (positive = worse than baseline).
-fn regression_pct(name: &str, base: f64, now: f64) -> f64 {
-    if base == 0.0 {
-        return 0.0;
-    }
-    if lower_is_better(name) {
-        100.0 * (now - base) / base.abs()
-    } else {
-        100.0 * (base - now) / base.abs()
-    }
-}
-
-fn load_baseline(path: &PathBuf) -> Result<BTreeMap<String, f64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let v = parse(&text)?;
-    let Value::Obj(top) = &v else { return Err("baseline is not a JSON object".into()) };
-    match top.get("schema").and_then(Value::as_str) {
-        Some("esse-bench-baseline-v1") => {}
-        other => return Err(format!("unsupported baseline schema {other:?}")),
-    }
-    let Some(Value::Obj(metrics)) = top.get("metrics") else {
-        return Err("baseline has no metrics object".into());
-    };
-    let mut out = BTreeMap::new();
-    for (k, v) in metrics {
-        let n = v.as_f64().ok_or_else(|| format!("metric {k:?} is not a number"))?;
-        out.insert(k.clone(), n);
-    }
-    Ok(out)
-}
-
-fn write_baseline(path: &PathBuf, metrics: &BTreeMap<String, f64>) -> std::io::Result<()> {
-    let mut s = String::from("{\n  \"schema\": \"esse-bench-baseline-v1\",\n  \"metrics\": {\n");
-    let last = metrics.len().saturating_sub(1);
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        s.push_str(&format!("    \"{k}\": {v}"));
-        s.push_str(if i == last { "\n" } else { ",\n" });
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, s)
 }
 
 fn render(a: &RunAnalysis, markdown: bool) -> String {
@@ -352,47 +253,25 @@ fn render(a: &RunAnalysis, markdown: bool) -> String {
 
 fn main() {
     let mut trace_path: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_to: Option<PathBuf> = None;
-    let mut max_regression: Option<f64> = None;
-    let mut prefixes: Vec<String> = Vec::new();
     let mut markdown = false;
     let mut assert_fleet_path = false;
     let mut assert_zero_orphans = false;
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--assert-fleet-path" => assert_fleet_path = true,
             "--assert-zero-orphans" => assert_zero_orphans = true,
-            "--baseline" => {
-                baseline = Some(PathBuf::from(argv.next().expect("--baseline needs a path")))
-            }
-            "--baseline-prefix" => {
-                prefixes.push(argv.next().expect("--baseline-prefix needs a prefix"))
-            }
-            "--write-baseline" => {
-                write_to = Some(PathBuf::from(argv.next().expect("--write-baseline needs a path")))
-            }
-            "--assert-max-regression" => {
-                let pct = argv.next().expect("--assert-max-regression needs a percentage");
-                max_regression = Some(pct.parse().expect("--assert-max-regression needs a number"));
-            }
             "--markdown" => markdown = true,
             other if trace_path.is_none() && !other.starts_with("--") => {
                 trace_path = Some(PathBuf::from(other))
             }
             other => {
-                eprintln!("unknown argument {other:?}");
+                eprintln!("unknown argument {other}\nusage: {USAGE}");
                 exit(2);
             }
         }
     }
     let Some(trace_path) = trace_path else {
-        eprintln!(
-            "usage: trace_report <trace.jsonl> [--markdown] [--baseline B.json] \
-             [--baseline-prefix P]... [--assert-max-regression PCT] \
-             [--write-baseline OUT.json] [--assert-fleet-path] [--assert-zero-orphans]"
-        );
+        eprintln!("usage: {USAGE}");
         exit(2);
     };
 
@@ -411,7 +290,6 @@ fn main() {
         }
     };
     let analysis = trace.analyze();
-    let metrics = metric_map(&analysis);
     print!("{}", render(&analysis, markdown));
 
     // Fleet gates: a tracing-enabled multi-worker run must produce a
@@ -447,58 +325,5 @@ fn main() {
             "assert-zero-orphans: OK ({} remote task spans all anchored)",
             analysis.fleet.remote_tasks
         );
-    }
-
-    if let Some(out) = &write_to {
-        write_baseline(out, &metrics).expect("write baseline");
-        println!("\nbaseline ({} metrics) -> {}", metrics.len(), out.display());
-    }
-
-    if let Some(base_path) = &baseline {
-        let mut base = match load_baseline(base_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("FAIL: baseline {}: {e}", base_path.display());
-                exit(2);
-            }
-        };
-        if !prefixes.is_empty() {
-            base.retain(|name, _| prefixes.iter().any(|p| name.starts_with(p.as_str())));
-            if base.is_empty() {
-                eprintln!("FAIL: no baseline metric matches --baseline-prefix {prefixes:?}");
-                exit(2);
-            }
-        }
-        let limit = max_regression.unwrap_or(f64::INFINITY);
-        let mut failed = 0usize;
-        println!("\n== baseline comparison vs {} ==", base_path.display());
-        for (name, base_v) in &base {
-            match metrics.get(name) {
-                Some(now) => {
-                    let pct = regression_pct(name, *base_v, *now);
-                    let verdict = if pct > limit { "REGRESSED" } else { "ok" };
-                    if pct > limit {
-                        failed += 1;
-                    }
-                    println!(
-                        "{name:<28} baseline {base_v:>12.3} now {now:>12.3} ({pct:+.1}%) {verdict}"
-                    );
-                }
-                None => {
-                    failed += 1;
-                    println!("{name:<28} baseline {base_v:>12.3} now      MISSING  REGRESSED");
-                }
-            }
-        }
-        if max_regression.is_some() {
-            if failed > 0 {
-                eprintln!("FAIL: {failed} metric(s) regressed beyond {limit}%");
-                exit(1);
-            }
-            println!(
-                "assert-max-regression: OK (all {} baseline metrics within {limit}%)",
-                base.len()
-            );
-        }
     }
 }

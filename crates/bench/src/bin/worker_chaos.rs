@@ -88,7 +88,7 @@
 #[path = "../run_checks.rs"]
 mod run_checks;
 
-use esse::cli::{self, get_or, sibling};
+use esse::cli::{self, get, sibling};
 use esse_mtc::journal::{Journal, JournalRecord};
 use esse_mtc::pool::CODE_QUARANTINE_BUDGET;
 use esse_mtc::rundir;
@@ -397,12 +397,12 @@ fn main() {
         master: args.get("master").map(PathBuf::from).unwrap_or_else(|| sibling("esse_master")),
         worker: args.get("worker").map(PathBuf::from).unwrap_or_else(|| sibling("esse_worker")),
         domain: args.get("domain").cloned().unwrap_or_else(|| "monterey:6,5,4".into()),
-        hours: get_or(&args, "hours", 2.0),
-        initial: get_or(&args, "initial", 4),
-        max: get_or(&args, "max", 12),
-        tolerance: get_or(&args, "tolerance", 0.2),
-        base_seed: get_or(&args, "base-seed", 0x5EED),
-        lease_ms: get_or(&args, "lease-ms", 400),
+        hours: get(&args, "hours").unwrap_or(2.0),
+        initial: get(&args, "initial").unwrap_or(4),
+        max: get(&args, "max").unwrap_or(12),
+        tolerance: get(&args, "tolerance").unwrap_or(0.2),
+        base_seed: get(&args, "base-seed").unwrap_or(0x5EED),
+        lease_ms: get(&args, "lease-ms").unwrap_or(400),
         tcp: match args.get("transport").map(String::as_str).unwrap_or("disk") {
             "disk" => false,
             "tcp" => true,
@@ -412,17 +412,17 @@ fn main() {
             }
         },
     };
-    let workers: usize = get_or(&args, "workers", 4);
-    let seed: u64 = get_or(&args, "seed", 1);
-    let kill_ms: u64 = get_or(&args, "kill-ms", 60).max(5);
+    let workers: usize = get(&args, "workers").unwrap_or(4);
+    let seed: u64 = get(&args, "seed").unwrap_or(1);
+    let kill_ms: u64 = get(&args, "kill-ms").unwrap_or(60).max(5);
     let keep = args.contains_key("keep");
     // `--kill-master` swaps the worker-kill scenarios for the
     // coordinator-kill scenario: same reference, inverse chaos.
     let kill_master = args.contains_key("kill-master");
     // `--corrupt-members RATE` swaps both for the semantic-corruption
     // scenarios (which stage their own worker and coordinator kills).
-    let corrupt_rate: f64 = get_or(&args, "corrupt-members", 0.0);
-    let fault_seed: u64 = get_or(&args, "fault-seed", 0xC0FFEE);
+    let corrupt_rate: f64 = get(&args, "corrupt-members").unwrap_or(0.0);
+    let fault_seed: u64 = get(&args, "fault-seed").unwrap_or(0xC0FFEE);
     let corrupt = corrupt_rate > 0.0;
     if corrupt {
         // The corruption draw is a pure hash of (seed, member, epoch):

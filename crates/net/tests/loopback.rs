@@ -178,12 +178,15 @@ fn payload() -> Vec<u8> {
     (0..600_000usize).map(|i| (i * 31 % 251) as u8).collect()
 }
 
+/// A worker's record of a good forecast of `member` under epoch 1.
+fn rec(member: u64) -> ResultRecord {
+    ResultRecord { member, epoch: 1, code: 0, pid: 7, fc_crc: 0xC0DE, reason: 0 }
+}
+
 /// One worker's op script over `pool` through `t`, with the
 /// coordinator's requeue and tombstones in the middle; every reply.
 fn op_script(pool: &TaskPool, t: &dyn PoolTransport) -> Vec<String> {
     let hb = |counter| Heartbeat { pid: 7, counter };
-    let rec =
-        |member| ResultRecord { member, epoch: 1, code: 0, pid: 7, fc_crc: 0xC0DE, reason: 0 };
     for member in 0..2 {
         pool.seed(&TaskSpec { member, epoch: 1, seed: member, parent_span: 0 }).unwrap();
     }
@@ -233,23 +236,52 @@ fn tree(dir: &Path, keep: &dyn Fn(&str) -> bool) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-/// The claim, renew, publish, release, requeue and tombstone flow,
-/// once through a `DiskTransport` and once through a `TcpTransport`
-/// talking to a `NetServer`, each over its own pool: the same replies,
-/// the same files under `pool/` and the same staged forecasts. After
-/// the requeue both answer `Fenced`, stage nothing and still publish
-/// the record for the coordinator's epoch check.
-#[test]
-fn disk_and_tcp_transports_answer_one_script_alike() {
-    let disk_dir = workdir("script-disk");
+/// Run `script` once through a `DiskTransport` and once through a
+/// `TcpTransport` talking to a `NetServer`, each over its own pool:
+/// the replies and workdir of each.
+fn through_both(
+    tag: &str,
+    script: fn(&TaskPool, &dyn PoolTransport) -> Vec<String>,
+) -> [(Vec<String>, PathBuf); 2] {
+    let disk_dir = workdir(&format!("{tag}-disk"));
     let disk_pool = TaskPool::create(&disk_dir, &manifest()).unwrap();
     let disk = DiskTransport::new(disk_pool.clone(), manifest(), None);
-    let disk_replies = op_script(&disk_pool, &disk);
+    let disk_replies = script(&disk_pool, &disk);
 
-    let mut fx = start("script-tcp");
-    let tcp_replies = op_script(&fx.pool, &connect(&fx, 1));
+    let mut fx = start(&format!("{tag}-tcp"));
+    let tcp_replies = script(&fx.pool, &connect(&fx, 1));
     fx.server.stop();
+    [(disk_replies, disk_dir), (tcp_replies, fx.dir)]
+}
 
+/// Seed 64 tasks and drain them: claim, publish a 65,536-byte forecast
+/// and release each, until the pool answers `Idle`.
+fn drain_script(pool: &TaskPool, t: &dyn PoolTransport) -> Vec<String> {
+    for member in 0..64 {
+        pool.seed(&TaskSpec { member, epoch: 1, seed: member, parent_span: 0 }).unwrap();
+    }
+    let mut replies = Vec::new();
+    while let ClaimOutcome::Task(spec) = t.claim_next().unwrap() {
+        let forecast = vec![spec.member as u8; 65_536];
+        replies.push(format!("{:?}", t.publish(&rec(spec.member), Some(&forecast)).unwrap()));
+        t.release(&spec).unwrap();
+    }
+    replies
+}
+
+/// Two scripts through both transports, each over its own pool: the
+/// same replies, the same files under `pool/` and the same staged
+/// forecasts.
+/// - The claim, renew, publish, release, requeue and tombstone flow.
+///   After the requeue both answer `Fenced`, stage nothing and still
+///   publish the record for the coordinator's epoch check.
+/// - A drain of 64 seeded tasks with 65,536-byte forecasts: exactly 64
+///   grants and 64 staged `fc_N.vec` per transport.
+#[test]
+fn disk_and_tcp_transports_answer_one_script_alike() {
+    let pool_files = |dir: &Path| tree(&dir.join("pool"), &|name| name != ENDPOINT_FILE);
+    let staged = |dir: &Path| tree(dir, &|name| name.starts_with("fc_"));
+    let [(disk_replies, disk_dir), (tcp_replies, tcp_dir)] = through_both("script", op_script);
     assert_eq!(disk_replies, tcp_replies, "the transports answered differently");
     assert_eq!(disk_replies[1..3], ["Ok", "Ok"], "{disk_replies:?}");
     assert_eq!(disk_replies[4..6], ["Fenced", "Fenced"], "{disk_replies:?}");
@@ -260,13 +292,21 @@ fn disk_and_tcp_transports_answer_one_script_alike() {
             "Shutdown RunState { cancelled: true, shutdown: true }"
         ]
     );
-    let pool_files = |dir: &Path| tree(&dir.join("pool"), &|name| name != ENDPOINT_FILE);
     let files = pool_files(&disk_dir);
-    assert_eq!(files, pool_files(&fx.dir), "the pools differ");
+    assert_eq!(files, pool_files(&tcp_dir), "the pools differ");
     let results: Vec<&String> = files.keys().filter(|k| k.starts_with("results/r")).collect();
     assert_eq!(results, ["results/r000000.e00001", "results/r000001.e00001"]);
     assert!(files.keys().all(|k| !k.starts_with("claimed/t")), "a claim outlived its release");
-    let staged = |dir: &Path| tree(dir, &|name| name.starts_with("fc_"));
-    assert_eq!(staged(&disk_dir), staged(&fx.dir), "the staged forecasts differ");
+    assert_eq!(staged(&disk_dir), staged(&tcp_dir), "the staged forecasts differ");
     assert_eq!(staged(&disk_dir), BTreeMap::from([("fc_0.vec".to_string(), payload())]));
+
+    let [(disk_replies, disk_dir), (tcp_replies, tcp_dir)] = through_both("drain", drain_script);
+    assert_eq!(disk_replies, tcp_replies, "the transports drained differently");
+    assert_eq!(disk_replies.len(), 64, "one grant per seeded task");
+    assert!(disk_replies.iter().all(|r| r == "Ok"), "{disk_replies:?}");
+    assert_eq!(pool_files(&disk_dir), pool_files(&tcp_dir), "the drained pools differ");
+    let forecasts = staged(&disk_dir);
+    assert_eq!(forecasts, staged(&tcp_dir), "the staged forecasts differ");
+    assert_eq!(forecasts.len(), 64, "{:?}", forecasts.keys());
+    assert!(forecasts.values().all(|fc| fc.len() == 65_536), "a forecast lost bytes");
 }

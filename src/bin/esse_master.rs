@@ -214,9 +214,14 @@ fn write_trace(
 }
 
 fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
-    let domain = cli::require(args, "domain", USAGE).to_string();
-    let hours: f64 = cli::get_or(args, "hours", 6.0);
+    let domain: String = cli::require(args, "domain", USAGE);
+    let hours: f64 = cli::get(args, "hours").unwrap_or(6.0);
     let cfg = cli::master_config(args).map_err(Stop::Refused)?;
+    // Parsed before the workdir is touched: a malformed value exits 2
+    // with the workdir as found.
+    let workers: usize = cli::get(args, "workers").unwrap_or(2);
+    let crash_after: Option<u64> = cli::get(args, "crash-after-appends");
+    let fail_after: Option<u64> = cli::get(args, "fail-appends");
     let (white_noise, base_seed) = (cfg.perturb.white_noise, cfg.perturb.base_seed);
     let trace_out = args.get("trace-out").map(PathBuf::from);
     // The run identity: only what changes member *content* (a forecast is
@@ -238,9 +243,9 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
     };
     let listener = args.get("listen").map(bind).transpose()?;
     let (journal, state) = open_journal(workdir, resume, run_hash)?;
-    let crash_in = Cell::new(args.get("crash-after-appends").and_then(|v| v.parse().ok()));
-    let journal = MasterJournal { journal, crash_in, failed: Cell::new(false) };
-    if let Some(n) = args.get("fail-appends").and_then(|v| v.parse().ok()) {
+    let journal =
+        MasterJournal { journal, crash_in: Cell::new(crash_after), failed: Cell::new(false) };
+    if let Some(n) = fail_after {
         // The N-th append of this incarnation on fails like a full disk.
         journal.journal.inject_write_error_after(n);
     }
@@ -281,7 +286,7 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
         journal,
         store,
         // `--workers 0` runs a pure coordinator for external workers.
-        local: LocalWorkers::new(cli::get_or(args, "workers", 2usize)),
+        local: LocalWorkers::new(workers),
         listener: listener.into(),
         recorder: recorder.clone(),
         t0: Instant::now(),
@@ -323,9 +328,9 @@ fn run(args: &HashMap<String, String>, workdir: &Path) -> Result<(), Stop> {
 
 fn main() {
     let args = cli::args(USAGE);
-    let workdir = PathBuf::from(cli::require(&args, "workdir", USAGE));
+    let workdir: PathBuf = cli::require(&args, "workdir", USAGE);
     let outcome = if args.contains_key("gc") {
-        run_gc(&workdir, cli::get_or(&args, "gc-keep", 4usize))
+        run_gc(&workdir, cli::get(&args, "gc-keep").unwrap_or(4usize))
     } else {
         run(&args, &workdir)
     };

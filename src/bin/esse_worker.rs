@@ -400,7 +400,7 @@ fn open_transport(
 ) -> Result<Box<dyn PoolTransport>, String> {
     let t0 = Instant::now();
     // The coordinator-outage parking window, shared by both transports.
-    let grace = Duration::from_millis(cli::get_or(args, "coordinator-grace-ms", 5_000u64));
+    let grace = Duration::from_millis(cli::get(args, "coordinator-grace-ms").unwrap_or(5_000u64));
     let connect = args.get("connect");
     let open = || -> std::io::Result<Box<dyn PoolTransport>> {
         let Some(addr) = connect else {
@@ -439,7 +439,7 @@ fn open_transport(
 
 fn main() {
     let args = cli::args(USAGE);
-    let worker_id: u32 = cli::get_or(&args, "worker-id", 0);
+    let worker_id: u32 = cli::get(&args, "worker-id").unwrap_or(0);
     let connect = args.get("connect");
     let workdir = if connect.is_some() {
         // Remote workers get a private scratch workdir; nothing in it
@@ -449,26 +449,26 @@ fn main() {
                 .join(format!("esse-worker-scratch-{}-{worker_id}", std::process::id()))
         })
     } else {
-        PathBuf::from(cli::require(&args, "workdir", USAGE))
+        cli::require(&args, "workdir", USAGE)
     };
     let mut cfg = WorkerConfig {
         worker_id,
-        poll: Duration::from_millis(cli::get_or(&args, "poll-ms", 25u64).max(1)),
+        poll: Duration::from_millis(cli::get(&args, "poll-ms").unwrap_or(25u64).max(1)),
         plan: {
-            let mut plan = FaultPlan::seeded(cli::get_or(&args, "fault-seed", 0u64));
-            if let Some(rate) = args.get("corrupt-members").and_then(|v| v.parse().ok()) {
+            let mut plan = FaultPlan::seeded(cli::get(&args, "fault-seed").unwrap_or(0u64));
+            if let Some(rate) = cli::get(&args, "corrupt-members") {
                 plan = plan.with_corruption(rate);
             }
             plan
         },
-        stall_task: args.get("stall-task").and_then(|v| v.parse().ok()),
-        stall: Duration::from_millis(cli::get_or(&args, "stall-ms", 0u64)),
+        stall_task: cli::get(&args, "stall-task"),
+        stall: Duration::from_millis(cli::get(&args, "stall-ms").unwrap_or(0u64)),
         workdir,
         validator: None,
         corrupt_block: 0,
     };
-    let parent_pid: Option<u32> = args.get("parent-pid").and_then(|v| v.parse().ok());
-    let wait_pool = Duration::from_millis(cli::get_or(&args, "wait-pool-ms", 30_000u64));
+    let parent_pid: Option<u32> = cli::get(&args, "parent-pid");
+    let wait_pool = Duration::from_millis(cli::get(&args, "wait-pool-ms").unwrap_or(30_000u64));
     let metrics_out = args.get("metrics-out").map(PathBuf::from);
 
     // The pool may not exist yet (worker started before the master

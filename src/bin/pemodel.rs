@@ -17,11 +17,11 @@ const USAGE: &str =
 
 fn main() {
     let args = cli::args(USAGE);
-    let workdir = std::path::PathBuf::from(cli::require(&args, "workdir", USAGE));
-    let domain = cli::require(&args, "domain", USAGE);
-    let hours: f64 = cli::get_or(&args, "hours", 6.0);
+    let workdir: std::path::PathBuf = cli::require(&args, "workdir", USAGE);
+    let domain: String = cli::require(&args, "domain", USAGE);
+    let hours: f64 = cli::get(&args, "hours").unwrap_or(6.0);
 
-    let (model, _st0) = match cli::build_model(domain) {
+    let (model, _st0) = match cli::build_model(&domain) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("pemodel: {e}");
@@ -29,14 +29,8 @@ fn main() {
         }
     };
 
-    let member: u64 = cli::require(&args, "member", USAGE).parse().unwrap_or_else(|e| {
-        eprintln!("bad --member: {e}");
-        std::process::exit(2);
-    });
-    let seed: u64 = cli::require(&args, "seed", USAGE).parse().unwrap_or_else(|e| {
-        eprintln!("bad --seed: {e}");
-        std::process::exit(2);
-    });
+    let member: u64 = cli::require(&args, "member", USAGE);
+    let seed: u64 = cli::require(&args, "seed", USAGE);
     let (ic_path, out_path) = (workdir.join(files::ic(member)), workdir.join(files::fc(member)));
 
     let x0 = match fileio::read_vector(&ic_path) {

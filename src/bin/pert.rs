@@ -18,13 +18,10 @@ const USAGE: &str = "pert --workdir DIR --member J [--white-noise E] [--base-see
 
 fn main() {
     let args = cli::args(USAGE);
-    let workdir = std::path::PathBuf::from(cli::require(&args, "workdir", USAGE));
-    let member: usize = cli::require(&args, "member", USAGE).parse().unwrap_or_else(|e| {
-        eprintln!("bad --member: {e}");
-        std::process::exit(2);
-    });
-    let white_noise: f64 = cli::get_or(&args, "white-noise", 0.0);
-    let base_seed: u64 = cli::get_or(&args, "base-seed", 0x5EED);
+    let workdir: std::path::PathBuf = cli::require(&args, "workdir", USAGE);
+    let member: usize = cli::require(&args, "member", USAGE);
+    let white_noise: f64 = cli::get(&args, "white-noise").unwrap_or(0.0);
+    let base_seed: u64 = cli::get(&args, "base-seed").unwrap_or(0x5EED);
 
     let prior = match fileio::read_subspace(workdir.join(files::PRIOR)) {
         Ok(s) => s,

@@ -14,6 +14,7 @@ use esse_ocean::{scenario, Grid, OceanState, PeModel};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command};
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Path of the shipped binary `name`: the workflow's executables are
@@ -78,20 +79,30 @@ pub fn args(usage: &str) -> HashMap<String, String> {
     parse_args(&argv)
 }
 
-/// Fetch a required argument or exit with a usage message.
-pub fn require<'a>(args: &'a HashMap<String, String>, key: &str, usage: &str) -> &'a str {
-    match args.get(key) {
-        Some(v) => v,
-        None => {
-            eprintln!("missing --{key}\nusage: {usage}");
-            std::process::exit(2);
-        }
-    }
+/// The value of `--key` parsed as a `T`, or `None` when the flag is
+/// absent. A value that does not parse exits 2 naming the flag, as an
+/// unknown flag does ([`args`]): a mistyped value is never a default.
+pub fn get<T: FromStr>(args: &HashMap<String, String>, key: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = args.get(key)?;
+    Some(value.parse().unwrap_or_else(|e| {
+        eprintln!("bad --{key} {value:?}: {e}");
+        std::process::exit(2);
+    }))
 }
 
-/// Parse a typed argument with a default.
-pub fn get_or<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The value of a required `--key` ([`get`]); a missing one exits 2
+/// with the usage.
+pub fn require<T: FromStr>(args: &HashMap<String, String>, key: &str, usage: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    get(args, key).unwrap_or_else(|| {
+        eprintln!("missing --{key}\nusage: {usage}");
+        std::process::exit(2);
+    })
 }
 
 /// Build the model from a domain spec string.
@@ -155,30 +166,31 @@ fn parse_subspace(v: &str) -> Option<SubspaceStrategy> {
 /// fleet, the listener and the workdir are process work, not
 /// configuration.
 pub fn master_config(args: &HashMap<String, String>) -> Result<MtcConfig, String> {
-    let (initial, max) = (get_or(args, "initial", 8usize), get_or(args, "max", 32usize));
+    let (initial, max) =
+        (get(args, "initial").unwrap_or(8usize), get(args, "max").unwrap_or(32usize));
     let subspace = parse_subspace(args.get("subspace").map_or("full", String::as_str))
         .ok_or("bad --subspace value (want full or incremental[:REFRESH,TOL])")?;
-    let lease = Duration::from_millis(get_or(args, "lease-ms", 1200u64).max(50));
+    let lease = Duration::from_millis(get(args, "lease-ms").unwrap_or(1200u64).max(50));
     let backoff = Duration::from_millis(20);
     let cfg = MtcConfig {
         pool_factor: 1.0,
         schedule: EnsembleSchedule::new(initial, max),
-        tolerance: get_or(args, "tolerance", 0.08),
+        tolerance: get(args, "tolerance").unwrap_or(0.08),
         mode_rel_tol: 1e-4,
         max_rank: 64,
         perturb: PerturbConfig {
-            white_noise: get_or(args, "white-noise", 0.0),
-            base_seed: get_or(args, "base-seed", 0x5EED),
+            white_noise: get(args, "white-noise").unwrap_or(0.0),
+            base_seed: get(args, "base-seed").unwrap_or(0x5EED),
             frozen_indices: Vec::new(),
         },
-        duration: get_or(args, "hours", 6.0) * 3600.0,
+        duration: get(args, "hours").unwrap_or(6.0) * 3600.0,
         svd_stride: (initial / 2).max(4),
         completion: CompletionPolicy::CancelImmediately,
         retry: RetryPolicy::retries(TASK_ATTEMPTS)
             .with_backoff(backoff, 2.0, 0.0)
             .with_timeout(lease),
         subspace,
-        requeue_budget: Some(get_or(args, "requeue-budget", 16u32).max(1)),
+        requeue_budget: Some(get(args, "requeue-budget").unwrap_or(16u32).max(1)),
         ..MtcConfig::default()
     };
     cfg.validate().map_err(|e| e.to_string())?;
@@ -254,9 +266,9 @@ mod tests {
     #[test]
     fn typed_defaults() {
         let m = parse_args(&["--n".to_string(), "7".to_string()]);
-        assert_eq!(get_or(&m, "n", 0usize), 7);
-        assert_eq!(get_or(&m, "missing", 42usize), 42);
-        assert_eq!(get_or(&m, "n", 0.0f64), 7.0);
+        assert_eq!(get(&m, "n").unwrap_or(0usize), 7);
+        assert_eq!(get(&m, "missing").unwrap_or(42usize), 42);
+        assert_eq!(get(&m, "n").unwrap_or(0.0f64), 7.0);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Documented commands name only flags their binary accepts.
 //!
-//! Every shipped binary and bench harness parses its arguments with
-//! `esse::cli::args(USAGE)`, which exits 2 on a `--flag` its `USAGE`
-//! does not list, so a doc that shows such a flag shows a command that
+//! Every shipped binary and bench harness has a `const USAGE`. All but
+//! `trace_report` (whose trace path is positional) and `perf` parse
+//! their arguments with `esse::cli::args(USAGE)`, which exits 2 on a
+//! `--flag` its `USAGE` does not list; those two reject an unknown flag
+//! themselves. So a doc that shows such a flag shows a command that
 //! fails. This test reads the command snippets of README.md,
 //! EXPERIMENTS.md, DESIGN.md, `docs/*.md` and the verify notes — fenced
-//! blocks (backslash continuations joined) and inline code — and checks
-//! every `--flag` that follows `esse_master`, `esse_worker`, `pert`,
-//! `pemodel` or `--bin NAME --` against that binary's `const USAGE`.
-//! Binaries without a `USAGE` const are skipped.
+//! blocks (backslash continuations joined) and inline code — and the
+//! `run:` steps of the CI workflow, and checks every `--flag` that
+//! follows `esse_master`, `esse_worker`, `pert`, `pemodel` or
+//! `--bin NAME --` against that binary's `const USAGE`. Binaries without
+//! a `USAGE` const are skipped.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -21,14 +24,21 @@ fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The markdown files whose commands are checked.
+/// The markdown files and the CI workflow whose commands are checked.
 fn docs() -> Vec<PathBuf> {
     let mut extra: Vec<PathBuf> = fs::read_dir(root().join("docs"))
         .expect("docs/")
         .map(|e| e.expect("entry").path())
         .collect();
     extra.sort();
-    ["README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"]
+    let named = [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    ];
+    named
         .iter()
         .map(|f| root().join(f))
         .chain(extra.into_iter().filter(|p| p.extension().is_some_and(|x| x == "md")))
@@ -84,6 +94,38 @@ fn snippets(doc: &str) -> Vec<String> {
     out
 }
 
+/// The `run:` steps of a GitHub workflow as fenced blocks for
+/// [`snippets`]: an inline `run: CMD`, or the lines of a `run: |` block
+/// (those indented deeper than its `run:`).
+fn run_blocks(yaml: &str) -> String {
+    let (mut out, mut block) = (String::new(), None);
+    for line in yaml.lines() {
+        let indent = line.len() - line.trim_start().len();
+        match block {
+            Some(depth) if indent > depth || line.trim().is_empty() => {
+                out.push_str(line.trim());
+                out.push('\n');
+                continue;
+            }
+            Some(_) => out.push_str("```\n"),
+            None => {}
+        }
+        block = None;
+        match line.trim_start().trim_start_matches("- ").strip_prefix("run:").map(str::trim) {
+            Some("|") => {
+                out.push_str("```\n");
+                block = Some(indent);
+            }
+            Some(cmd) => out.push_str(&format!("```\n{cmd}\n```\n")),
+            None => {}
+        }
+    }
+    if block.is_some() {
+        out.push_str("```\n");
+    }
+    out
+}
+
 /// `(binary, flag)` for every flag a snippet passes to a binary: after a
 /// shipped binary's name, or after the `--` that follows `--bin NAME`,
 /// up to a shell separator, a comment or the next command.
@@ -117,7 +159,10 @@ fn documented_commands_name_only_flags_their_binary_accepts() {
     let mut usages: BTreeMap<String, Option<BTreeSet<String>>> = BTreeMap::new();
     let (mut checked, mut unknown) = (0, Vec::new());
     for doc in docs() {
-        let text = fs::read_to_string(&doc).expect("read doc");
+        let mut text = fs::read_to_string(&doc).expect("read doc");
+        if doc.extension().is_some_and(|x| x == "yml") {
+            text = run_blocks(&text);
+        }
         for (binary, flag) in snippets(&text).iter().flat_map(|s| invocations(s)) {
             let usage = usages.entry(binary.clone()).or_insert_with(|| usage_flags(&binary));
             let Some(usage) = usage else { continue };
@@ -150,6 +195,12 @@ fn the_scan_reads_joined_blocks_inline_code_and_cargo_separators() {
             ("pert", "--member"),
         ])
     );
+    let ci = "steps:\n  - run: cargo fmt --check\n  - name: gate\n    run: |\n      \
+              cargo run --bin trace_report -- t.jsonl \\\n        --baseline b.json\n  \
+              - name: next\n    run: esse_worker --bogus\n";
+    let found: Vec<(String, String)> =
+        snippets(&run_blocks(ci)).iter().flat_map(|s| invocations(s)).collect();
+    assert_eq!(found, pairs(&[("trace_report", "--baseline"), ("esse_worker", "--bogus")]));
     let master = usage_flags("esse_master").expect("esse_master has a USAGE");
     assert!(master.contains("--workdir") && !master.contains("--bogus"));
     assert!(usage_flags("no_such_binary").is_none());

@@ -170,6 +170,35 @@ fn pemodel_rejects_a_misspelled_flag() {
     rejects_a_misspelled_flag(cmd.args(["--workdir", dir.to_str().unwrap()]).args(args));
 }
 
+/// A flag value that does not parse exits 2 naming the flag, as a
+/// misspelled flag does; it never runs as the flag's default. The
+/// master refuses before it writes a journal.
+#[test]
+fn every_binary_rejects_a_malformed_flag_value() {
+    let dir = workdir("flag-values");
+    let d = dir.to_str().unwrap();
+    let mut worker = Command::new(env!("CARGO_BIN_EXE_esse_worker"));
+    worker.args(["--workdir", d, "--wait-pool-ms", "50", "--worker-id", "w1"]);
+    let mut pert = Command::new(env!("CARGO_BIN_EXE_pert"));
+    pert.args(["--workdir", d, "--member", "0", "--white-noise", "lots"]);
+    let mut pemodel = Command::new(env!("CARGO_BIN_EXE_pemodel"));
+    pemodel.args(["--workdir", d, "--domain", DOMAIN, "--hours", "one", "--member", "0"]);
+    pemodel.args(["--seed", "1"]);
+    let cases = [
+        (master_cmd(&dir, &["--fail-appends", "two"]), "--fail-appends"),
+        (worker, "--worker-id"),
+        (pert, "--white-noise"),
+        (pemodel, "--hours"),
+    ];
+    for (mut cmd, flag) in cases {
+        let out = cmd.output().expect("the binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "a malformed {flag} is a usage error: {err}");
+        assert!(err.contains(flag), "stderr: {err}");
+    }
+    assert!(!dir.join("run.journal").exists(), "a refused run wrote a journal");
+}
+
 #[test]
 fn resume_refuses_mismatched_configuration() {
     let dir = workdir("confmismatch");
